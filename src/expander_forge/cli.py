@@ -78,6 +78,12 @@ def format_edgelist(g: SerreGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vertex_count(value, where: str) -> int:
+    if type(value) is not int or value < 0:
+        raise InvalidParameterError(f"{where} = {value!r} is not a vertex count")
+    return value
+
+
 def parse_edgelist(text: str) -> SerreGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(HEADER_PREFIX):
@@ -89,16 +95,17 @@ def parse_edgelist(text: str) -> SerreGraph:
     origin, terminus, label, inv = [], [], [], []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 4:
-            raise InvalidParameterError(f"malformed edge line: {ln!r}")
-        o, t, lab, iv = (int(x) for x in parts)
+        try:
+            o, t, lab, iv = (int(x) for x in parts)
+        except ValueError:  # a token that is not an integer, or not four tokens
+            raise InvalidParameterError(f"malformed edge line: {ln!r}") from None
         origin.append(o)
         terminus.append(t)
         label.append(lab)
         inv.append(iv)
-    nv = meta.get("V")
-    if nv is None:
+    if "V" not in meta:
         raise InvalidParameterError("header missing V=")
+    nv = _vertex_count(meta["V"], "header V")
     return SerreGraph(nv, origin, terminus, inv, label, meta=meta)
 
 
@@ -117,11 +124,21 @@ def graph_to_json(g: SerreGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> SerreGraph:
-    if obj.get("format") != "expander-forge-graph":
+    if not isinstance(obj, dict) or obj.get("format") != "expander-forge-graph":
         raise InvalidParameterError("not an expander-forge graph JSON object")
-    edges = obj["edges"]
+    if "num_vertices" not in obj:
+        raise InvalidParameterError('graph JSON missing "num_vertices"')
+    nv = _vertex_count(obj["num_vertices"], '"num_vertices"')
+    edges = obj.get("edges")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 4 and all(type(x) is int for x in e)
+        for e in edges
+    ):
+        raise InvalidParameterError('graph JSON "edges" must be a list of 4-integer rows')
+    if not isinstance(obj.get("meta", {}), dict):
+        raise InvalidParameterError('graph JSON "meta" must be an object')
     return SerreGraph(
-        obj["num_vertices"],
+        nv,
         [e[0] for e in edges],
         [e[1] for e in edges],
         [e[3] for e in edges],

@@ -597,8 +597,7 @@ class TowerResult:
     reseeds: tuple
 
 
-def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4,
-                spectral_method: str = "auto") -> TowerResult:
+def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     """Build levels 1..N with covering maps, verify girth / spectra / loop
     witness per level, and run the intersection probe.  Twisted towers are
     reseeded (and the skipped seeds recorded) if the drawn conjugator
@@ -617,7 +616,7 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4,
         g = lvl.graph
         gir = girth(g)
         wit = loop_witness(lvl, torus) if cfg.variant in ("cartan", "borel") else None
-        spectral = ramanujan_check(g, cfg.q1, method=spectral_method)
+        spectral = ramanujan_check(g, cfg.q1)
         floor = lps_girth_floor(cfg.q1, g.num_vertices) if cfg.variant == "cayley" else None
         summaries.append(LevelSummary(
             n=lvl.n,

@@ -197,4 +197,10 @@ def test_criterion_9_determinism(tmp_path):
     assert [lvl["girth"] for lvl in report["levels"]] == [1, 1]
     assert all(c["verified"] for c in report["coverings"])
     assert report["probe"]["contains_length_one"] is True
+    spectrum = report["levels"][1]["spectrum"]
+    assert spectrum["lambda_top"] == 6.0
+    assert spectrum["lambda_top_multiplicity"] == 1
+    assert spectrum["lambda_bottom"] == -4.46721329076
+    assert spectrum["max_abs_nontrivial"] == 4.46721329076
+    assert spectrum["method"] == "iterative"
     _passed(9, "cmd_tower byte-identical across reruns and 1 vs 4 threads", t0, 120.0)

@@ -196,9 +196,26 @@ def test_spectrum_prism_fixture_not_ramanujan(tmp_path, capsys):
 
 
 def test_malformed_edge_list(tmp_path):
-    bad = tmp_path / "bad.edges"
-    bad.write_text("# wrong header\n0 1 0 1\n")
-    assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE
-    bad2 = tmp_path / "bad2.edges"
-    bad2.write_text("# expander-forge v1 q1=5 q2=13 n=1 variant=cartan mode=PGL V=2\n0 1 0\n")
-    assert main(["spectrum", "--in", str(bad2)]) == EXIT_USAGE
+    header = "# expander-forge v1 q1=5 q2=13 n=1 variant=cartan mode=PGL"
+    graph = {"format": "expander-forge-graph", "schema": 1, "meta": {},
+             "num_vertices": 2, "edges": [[0, 1, 0, 1], [1, 0, 0, 0]]}
+    rows = [
+        "# wrong header\n0 1 0 1\n",
+        f"{header} V=2\n0 1 0\n",
+        f"{header} V=x\n0 1 0 1\n1 0 0 0\n",
+        f"{header} V=-2\n0 1 0 1\n1 0 0 0\n",
+        f"{header}\n0 1 0 1\n1 0 0 0\n",
+        f"{header} V=2\n0 0 a 1\n1 0 0 0\n",
+        {k: v for k, v in graph.items() if k != "edges"},
+        {k: v for k, v in graph.items() if k != "num_vertices"},
+        dict(graph, num_vertices="2"),
+        dict(graph, edges={"0": [0, 1, 0, 1]}),
+        dict(graph, edges=[[0, 1, 0], [1, 0, 0, 0]]),
+        dict(graph, edges=[[0, 1, 0, "1"], [1, 0, 0, 0]]),
+        dict(graph, meta=[1, 2]),
+    ]
+    for i, row in enumerate(rows):
+        bad = tmp_path / f"bad{i}"
+        bad.write_text(row if isinstance(row, str) else json.dumps(row))
+        assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE, row
+        assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE, row

@@ -11,7 +11,7 @@ from conftest import (
     petersen_graph,
     prism_graph,
 )
-from expander_forge.errors import InvalidParameterError
+from expander_forge.errors import ConvergenceError, InvalidParameterError
 from expander_forge.spectra import (
     RAMANUJAN_TOL,
     adjacency,
@@ -43,8 +43,8 @@ def test_adjacency_rows_match_links():
 
 
 def test_k4_spectrum():
-    vals = extreme_eigenvalues(adjacency(complete_graph(4)), 4, "LA", "dense").values
-    assert np.allclose(sorted(vals), [-1, -1, -1, 3])
+    vals = extreme_eigenvalues(adjacency(complete_graph(4)), 4, "dense").values
+    assert np.allclose(vals, [-1, -1, -1, 3])
     report = ramanujan_check(complete_graph(4), 2)
     assert report.ramanujan
     assert abs(report.max_abs_nontrivial - 1.0) < 1e-9
@@ -53,7 +53,7 @@ def test_k4_spectrum():
 
 
 def test_c6_spectrum():
-    vals = sorted(extreme_eigenvalues(adjacency(cycle_graph(6)), 6, "LA", "dense").values)
+    vals = extreme_eigenvalues(adjacency(cycle_graph(6)), 6, "dense").values
     expected = sorted(2 * math.cos(2 * math.pi * k / 6) for k in range(6))
     assert np.allclose(vals, expected)
 
@@ -62,8 +62,8 @@ def test_petersen():
     report = ramanujan_check(petersen_graph(), 2)
     assert report.ramanujan
     assert abs(report.max_abs_nontrivial - 2.0) < 1e-9
-    top3 = extreme_eigenvalues(adjacency(petersen_graph()), 3, "LA", "dense").values
-    assert np.allclose(top3, [3, 1, 1])
+    both_ends = extreme_eigenvalues(adjacency(petersen_graph()), 6, "dense").values
+    assert np.allclose(both_ends, [-2, -2, -2, 1, 1, 3])
 
 
 def test_prism_not_ramanujan():
@@ -98,30 +98,53 @@ def test_histogram_examples():
     assert hl.fraction_inside == (182 - 1) / 182
 
 
-def test_extreme_eigenvalues_which_modes():
+def test_extreme_eigenvalues_both_ends():
+    # C6 spectrum: -2, -1, -1, 1, 1, 2; an odd count takes the extra value on top.
     a = adjacency(cycle_graph(6))
-    assert extreme_eigenvalues(a, 1, "LA", "dense").values[0] == pytest.approx(2.0)
-    assert extreme_eigenvalues(a, 1, "SA", "dense").values[0] == pytest.approx(-2.0)
-    lm = extreme_eigenvalues(a, 2, "LM", "dense").values
-    assert sorted(abs(v) for v in lm) == pytest.approx([2.0, 2.0])
-    be = extreme_eigenvalues(a, 2, "BE", "dense").values
-    assert list(be) == pytest.approx([-2.0, 2.0])
-    with pytest.raises(InvalidParameterError):
-        extreme_eigenvalues(a, 1, "XX", "dense")
+    assert extreme_eigenvalues(a, 1, "dense").values == pytest.approx((2.0,))
+    assert extreme_eigenvalues(a, 2, "dense").values == pytest.approx((-2.0, 2.0))
+    assert extreme_eigenvalues(a, 3, "dense").values == pytest.approx((-2.0, 1.0, 2.0))
+    prism = adjacency(prism_graph(20))
+    dense = extreme_eigenvalues(prism, 5, "dense")
+    iterative = extreme_eigenvalues(prism, 5, "iterative")
+    assert iterative.method == "iterative"
+    assert list(iterative.values) == sorted(iterative.values)
+    assert iterative.values == pytest.approx(dense.values, abs=1e-9)
 
 
-def test_deflation_dense():
-    a = adjacency(complete_graph(4))
-    res = extreme_eigenvalues(a, 3, "LM", "dense", deflate=[np.ones(4)])
-    assert np.allclose(res.values, [-1, -1, -1])
+def test_trivial_removal_dense():
+    # K4: trivial 3, nontrivial spectrum {-1, -1, -1}.
+    report = ramanujan_check(complete_graph(4), 2, method="dense")
+    assert report.lambda_top == pytest.approx(3.0)
+    assert report.lambda_bottom == pytest.approx(-1.0)
+    assert report.max_abs_nontrivial == pytest.approx(1.0)
+
+
+def test_trivial_eigenvalue_guard(monkeypatch):
+    # Certified eigenpairs that miss q+1 (Petersen) or -(q+1) (bipartite
+    # prism) must not reach the removal by value.
+    from expander_forge import spectra
+
+    for graph, drop_top in ((petersen_graph(), True), (prism_graph(20), False)):
+        def eigsh_missing_trivial(a, k, **kwargs):
+            w, vecs = np.linalg.eigh(a.toarray())
+            keep = np.r_[0:k] if drop_top else np.r_[1:k, len(w) - 1]
+            return w[keep], vecs[:, keep]
+
+        monkeypatch.setattr(spectra.spla, "eigsh", eigsh_missing_trivial)
+        with pytest.raises(ConvergenceError):
+            ramanujan_check(graph, 2, method="iterative")
 
 
 def test_solver_parameter_errors():
     a = adjacency(cycle_graph(6))
     with pytest.raises(InvalidParameterError):
-        extreme_eigenvalues(a, 5, "LM", "iterative")  # k >= n - 1
+        extreme_eigenvalues(a, 5, "iterative")  # k >= n - 1
     with pytest.raises(InvalidParameterError):
-        extreme_eigenvalues(a, 1, "LM", "magic")
+        extreme_eigenvalues(a, 1, "magic")
+    for how_many in (0, 7):
+        with pytest.raises(InvalidParameterError):
+            extreme_eigenvalues(a, how_many, "dense")
     import scipy.sparse as sp
 
     big = sp.identity(5000, format="csr")
@@ -135,22 +158,26 @@ def test_solver_parameter_errors():
 @pytest.mark.properties
 @pytest.mark.slow
 def test_dense_vs_iterative_agreement():
-    # 500 <= V <= 4096 band: the 2184-vertex Cayley level, both solver paths.
-    lvl = build_level(TowerConfig(5, 13, variant="cayley"), 1)
-    dense = ramanujan_check(lvl.graph, 5, method="dense")
-    iterative = ramanujan_check(lvl.graph, 5, method="iterative")
-    assert abs(dense.lambda_top - iterative.lambda_top) < 1e-8
-    assert abs(dense.lambda_bottom - iterative.lambda_bottom) < 1e-8
-    assert abs(dense.max_abs_nontrivial - iterative.max_abs_nontrivial) < 1e-8
-    assert dense.ramanujan == iterative.ramanujan
-    assert iterative.max_residual <= 1e-10 * 6
+    # Both solver paths on the bipartite 2184-vertex Cayley level and the
+    # non-bipartite 182-vertex cartan level.
+    for cfg in (TowerConfig(5, 13, variant="cayley"), TowerConfig(5, 13)):
+        lvl = build_level(cfg, 1)
+        dense = ramanujan_check(lvl.graph, 5, method="dense")
+        iterative = ramanujan_check(lvl.graph, 5, method="iterative")
+        assert abs(dense.lambda_top - iterative.lambda_top) < 1e-8
+        assert abs(dense.lambda_bottom - iterative.lambda_bottom) < 1e-8
+        assert abs(dense.max_abs_nontrivial - iterative.max_abs_nontrivial) < 1e-8
+        assert dense.lambda_top_multiplicity == iterative.lambda_top_multiplicity == 1
+        assert dense.ramanujan == iterative.ramanujan
+        assert iterative.max_residual <= 1e-10 * 6
 
 
 @pytest.mark.properties
 def test_iterative_residual_contract():
     lvl = build_level(TowerConfig(5, 13), 1)
     a = adjacency(lvl.graph)
-    res = extreme_eigenvalues(a, 2, "BE", "iterative", deflate=[np.ones(182)])
+    res = extreme_eigenvalues(a, 3, "iterative")
     assert res.method == "iterative"
     assert max(res.residuals) <= 1e-10 * 6
-    assert max(abs(v) for v in res.values) <= 2 * math.sqrt(5) + RAMANUJAN_TOL
+    assert res.values[-1] == pytest.approx(6.0, abs=1e-9)  # trivial, q+1
+    assert max(abs(v) for v in res.values[:-1]) <= 2 * math.sqrt(5) + RAMANUJAN_TOL
