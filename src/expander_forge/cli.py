@@ -24,6 +24,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from .errors import (
     ConvergenceError,
     GraphConstructionError,
@@ -50,6 +52,7 @@ EXIT_INTERNAL = 4
 SCHEMA_VERSION = 1
 HEADER_PREFIX = "# expander-forge v1"
 _META_FIELDS = ("q1", "q2", "n", "variant", "mode", "V")
+_CHUNK_ROWS = 1 << 16
 
 
 def _quant(x: float) -> float:
@@ -69,13 +72,23 @@ def _header_line(meta: dict) -> str:
     return f"{HEADER_PREFIX} {fields}"
 
 
+def _file_order_rows(g: SerreGraph):
+    """The edges in file order, (origin, label) with ties in edge-id order,
+    as chunks of (origin, terminus, label, new inverse id) arrays."""
+    perm = np.lexsort((g.label, g.origin))
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm))
+    for start in range(0, len(perm), _CHUNK_ROWS):
+        p = perm[start:start + _CHUNK_ROWS]
+        yield g.origin[p], g.terminus[p], g.label[p], pos[g.inv[p]]
+
+
 def format_edgelist(g: SerreGraph) -> str:
-    perm = sorted(range(g.num_edges), key=lambda e: (g.origin[e], g.label[e], e))
-    pos = {old: new for new, old in enumerate(perm)}
-    lines = [_header_line(g.meta)]
-    for old in perm:
-        lines.append(f"{g.origin[old]} {g.terminus[old]} {g.label[old]} {pos[g.inv[old]]}")
-    return "\n".join(lines) + "\n"
+    parts = [_header_line(g.meta) + "\n"]
+    for cols in _file_order_rows(g):
+        flat = np.stack(cols, axis=1).ravel().tolist()
+        parts.append(("%d %d %d %d\n" * len(cols[0])) % tuple(flat))
+    return "".join(parts)
 
 
 def _vertex_count(value, where: str) -> int:
@@ -110,16 +123,15 @@ def parse_edgelist(text: str) -> SerreGraph:
 
 
 def graph_to_json(g: SerreGraph) -> dict:
-    perm = sorted(range(g.num_edges), key=lambda e: (g.origin[e], g.label[e], e))
-    pos = {old: new for new, old in enumerate(perm)}
+    edges = []
+    for cols in _file_order_rows(g):
+        edges += np.stack(cols, axis=1).tolist()
     return {
         "format": "expander-forge-graph",
         "schema": SCHEMA_VERSION,
         "meta": dict(g.meta),
         "num_vertices": g.num_vertices,
-        "edges": [
-            [g.origin[e], g.terminus[e], g.label[e], pos[g.inv[e]]] for e in perm
-        ],
+        "edges": edges,
     }
 
 
@@ -152,10 +164,12 @@ def format_dot(g: SerreGraph) -> str:
     lines = ["graph expander_forge {"]
     for v in range(g.num_vertices):
         lines.append(f"  {v};")
+    origin, terminus = g.origin.tolist(), g.terminus.tolist()
+    label, inv = g.label.tolist(), g.inv.tolist()
     for e in range(g.num_edges):
-        if e <= g.inv[e]:
-            lab = f' [label="{g.label[e]}"]' if g.label[e] >= 0 else ""
-            lines.append(f"  {g.origin[e]} -- {g.terminus[e]}{lab};")
+        if e <= inv[e]:
+            lab = f' [label="{label[e]}"]' if label[e] >= 0 else ""
+            lines.append(f"  {origin[e]} -- {terminus[e]}{lab};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

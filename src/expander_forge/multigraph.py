@@ -2,44 +2,82 @@
 
 A graph is a set of directed edges with origin/terminus maps and a
 fixed-point-free involution e -> inv(e) pairing each directed edge with its
-reverse; loops and parallel edges are first-class.  Girth follows the
-convention under which a loop is a closed path of length 1 and a parallel
-pair one of length 2, and a path may never traverse inv(e) immediately
-after e.
+reverse; loops and parallel edges are first-class.  The edge maps are numpy
+integer arrays (int32 while every id fits, int64 beyond) and are validated
+vectorized.  Girth follows the convention under which a loop is a closed
+path of length 1 and a parallel pair one of length 2, and a path may never
+traverse inv(e) immediately after e.  The pure-Python traversals work on
+one list copy of the arrays they read, never on numpy scalars.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GraphConstructionError, InvalidMorphismError
 
-__all__ = ["SerreGraph", "GraphMorphism", "CoveringCheck", "girth", "is_covering"]
+__all__ = ["SerreGraph", "GraphMorphism", "CoveringCheck", "girth", "is_covering",
+           "index_dtype"]
+
+_INT32_IDS = 2**31
+_VALIDATE_CHUNK = 1 << 20
+
+
+def index_dtype(count: int):
+    """Integer dtype for ids below count: int32 while they fit, else int64."""
+    return np.int32 if count < _INT32_IDS else np.int64
+
+
+def _id_array(values):
+    """values as an integer array, not narrowed.  Python ints outside int64
+    become -1, which lies outside every id range, so validation reports them
+    as out of range instead of overflowing."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        lo, hi = -(2**63), 2**63
+        return np.fromiter((v if lo <= v < hi else -1 for v in values),
+                           dtype=np.int64, count=len(values))
+
+
+def _label_array(values):
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise GraphConstructionError("edge labels must fit in 64 bits") from None
 
 
 class SerreGraph:
-    """Immutable multigraph given by parallel edge arrays.
+    """Immutable multigraph given by parallel numpy edge arrays.
 
     origin[e], terminus[e], label[e], inv[e] describe directed edge e; the
     involution must satisfy inv(e) != e, inv(inv(e)) == e, and reverse the
-    endpoints.  vertex_keys optionally annotates vertices (coset keys), and
-    meta carries construction parameters for exports.
+    endpoints.  meta carries construction parameters for exports.
     """
 
-    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv",
-                 "vertex_keys", "meta", "_links")
+    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv", "meta", "_links")
 
     def __init__(self, num_vertices, origin, terminus, inv, label=None,
-                 vertex_keys=None, meta=None, validate=True):
-        self.num_vertices = num_vertices
-        self.origin = list(origin)
-        self.terminus = list(terminus)
-        self.inv = list(inv)
-        self.label = list(label) if label is not None else [-1] * len(self.origin)
-        self.vertex_keys = vertex_keys
+                 meta=None, validate=True):
+        self.num_vertices = int(num_vertices)
+        self.origin = _id_array(origin)
+        self.terminus = _id_array(terminus)
+        self.inv = _id_array(inv)
+        self.label = (np.full(len(self.origin), -1, dtype=np.int32) if label is None
+                      else _label_array(label))
         self.meta = dict(meta) if meta else {}
         self._links = None
         if validate:
             self._validate()
+        ids = index_dtype(max(self.num_vertices, len(self.origin)))
+        self.origin = self.origin.astype(ids, copy=False)
+        self.terminus = self.terminus.astype(ids, copy=False)
+        self.inv = self.inv.astype(ids, copy=False)
 
     def _validate(self):
         ne = len(self.origin)
@@ -47,25 +85,40 @@ class SerreGraph:
             raise GraphConstructionError("edge arrays have mismatched lengths")
         if ne % 2:
             raise GraphConstructionError("directed edge count must be even")
-        if self.vertex_keys is not None and len(self.vertex_keys) != self.num_vertices:
-            raise GraphConstructionError("vertex_keys length != num_vertices")
-        for e in range(ne):
-            if not (0 <= self.origin[e] < self.num_vertices
-                    and 0 <= self.terminus[e] < self.num_vertices):
-                raise GraphConstructionError(f"edge {e} has endpoint out of range")
-            eb = self.inv[e]
-            if not 0 <= eb < ne:
-                raise GraphConstructionError(f"edge {e} has inverse id out of range")
-            if eb == e:
-                raise GraphConstructionError(
-                    f"involution fixed point at edge {e} "
-                    f"({self.origin[e]} -> {self.terminus[e]}): a generator acting "
-                    "as its own inverse on this vertex is not representable"
-                )
-            if self.inv[eb] != e:
-                raise GraphConstructionError(f"involution not involutive at edge {e}")
-            if self.origin[eb] != self.terminus[e] or self.terminus[eb] != self.origin[e]:
-                raise GraphConstructionError(f"involution does not reverse edge {e}")
+        for start in range(0, ne, _VALIDATE_CHUNK):
+            bad = np.flatnonzero(self._bad_edges(start, min(start + _VALIDATE_CHUNK, ne)))
+            if len(bad):
+                raise GraphConstructionError(self._edge_error(start + int(bad[0])))
+
+    def _bad_edges(self, start, stop):
+        """Mask over edges start..stop-1 of those failing any edge check."""
+        nv, ne = self.num_vertices, len(self.origin)
+        o, t, iv = self.origin[start:stop], self.terminus[start:stop], self.inv[start:stop]
+        e = np.arange(start, stop)
+        bad = (o < 0) | (o >= nv) | (t < 0) | (t >= nv)
+        inv_out = (iv < 0) | (iv >= ne)
+        bad |= inv_out
+        bad |= iv == e
+        eb = np.where(inv_out, 0, iv)
+        bad |= self.inv[eb] != e
+        bad |= self.origin[eb] != t
+        bad |= self.terminus[eb] != o
+        return bad
+
+    def _edge_error(self, e):
+        """The message for the first check that edge e fails."""
+        nv, ne = self.num_vertices, len(self.origin)
+        o, t, eb = int(self.origin[e]), int(self.terminus[e]), int(self.inv[e])
+        if not (0 <= o < nv and 0 <= t < nv):
+            return f"edge {e} has endpoint out of range"
+        if not 0 <= eb < ne:
+            return f"edge {e} has inverse id out of range"
+        if eb == e:
+            return (f"involution fixed point at edge {e} ({o} -> {t}): a generator acting "
+                    "as its own inverse on this vertex is not representable")
+        if self.inv[eb] != e:
+            return f"involution not involutive at edge {e}"
+        return f"involution does not reverse edge {e}"
 
     @classmethod
     def from_geometric_edges(cls, num_vertices, geom_edges, labels=None):
@@ -88,9 +141,12 @@ class SerreGraph:
     def links(self):
         """Adjacency index: links()[v] lists the edge ids with origin v."""
         if self._links is None:
-            links = [[] for _ in range(self.num_vertices)]
-            for e, o in enumerate(self.origin):
-                links[o].append(e)
+            order = np.argsort(self.origin, kind="stable").tolist()
+            ends = np.cumsum(np.bincount(self.origin, minlength=self.num_vertices)).tolist()
+            links, start = [], 0
+            for end in ends:
+                links.append(order[start:end])
+                start = end
             self._links = links
         return self._links
 
@@ -99,7 +155,7 @@ class SerreGraph:
         return self.links()[v]
 
     def degrees(self):
-        return [len(lk) for lk in self.links()]
+        return np.bincount(self.origin, minlength=self.num_vertices).tolist()
 
     def connected(self) -> bool:
         if self.num_vertices == 0:
@@ -108,11 +164,12 @@ class SerreGraph:
         seen[0] = True
         stack = [0]
         links = self.links()
+        terminus = self.terminus.tolist()
         count = 1
         while stack:
             u = stack.pop()
             for e in links[u]:
-                w = self.terminus[e]
+                w = terminus[e]
                 if not seen[w]:
                     seen[w] = True
                     count += 1
@@ -123,6 +180,7 @@ class SerreGraph:
         """(flag, 2-coloring or None); any loop forces False."""
         color = [-1] * self.num_vertices
         links = self.links()
+        terminus = self.terminus.tolist()
         for s in range(self.num_vertices):
             if color[s] != -1:
                 continue
@@ -132,7 +190,7 @@ class SerreGraph:
                 u = queue.pop()
                 cu = color[u]
                 for e in links[u]:
-                    w = self.terminus[e]
+                    w = terminus[e]
                     if color[w] == -1:
                         color[w] = 1 - cu
                         queue.append(w)
@@ -141,7 +199,7 @@ class SerreGraph:
         return True, color
 
     def geometric_loop_count(self) -> int:
-        return sum(1 for e in range(self.num_edges) if self.origin[e] == self.terminus[e]) // 2
+        return int(np.count_nonzero(self.origin == self.terminus)) // 2
 
 
 def girth(g: SerreGraph):
@@ -152,21 +210,17 @@ def girth(g: SerreGraph):
     edges are handled correctly; each non-tree edge (u, v) closes a walk of
     length dist(u) + dist(v) + 1, and the minimum over all sources is exact.
     """
-    ne = g.num_edges
-    origin, terminus, inv = g.origin, g.terminus, g.inv
-    for e in range(ne):
-        if origin[e] == terminus[e]:
-            return 1
-    seen_pairs = set()
-    for e in range(ne):
-        if e < inv[e]:
-            u, v = origin[e], terminus[e]
-            key = (u, v) if u < v else (v, u)
-            if key in seen_pairs:
-                return 2
-            seen_pairs.add(key)
+    origin, terminus = g.origin, g.terminus
+    if np.any(origin == terminus):
+        return 1
+    forward = np.arange(g.num_edges) < g.inv
+    lo, hi = np.sort(np.stack([origin[forward], terminus[forward]]).astype(np.int64), axis=0)
+    pairs = lo * g.num_vertices + hi
+    if len(np.unique(pairs)) < len(pairs):
+        return 2
     best = math.inf
     links = g.links()
+    terminus, inv = terminus.tolist(), g.inv.tolist()
     nv = g.num_vertices
     dist = [-1] * nv
     parent = [-1] * nv
@@ -214,18 +268,24 @@ class GraphMorphism:
         src, tgt = self.source, self.target
         if len(self.vertex_map) != src.num_vertices or len(self.edge_map) != src.num_edges:
             raise InvalidMorphismError("map lengths do not match the source graph")
-        vm, em = self.vertex_map, self.edge_map
+        vm, em = _as_list(self.vertex_map), _as_list(self.edge_map)
         for v in vm:
             if not 0 <= v < tgt.num_vertices:
                 raise InvalidMorphismError("vertex map image out of range")
+        s_o, s_t, s_i = src.origin.tolist(), src.terminus.tolist(), src.inv.tolist()
+        t_o, t_t, t_i = tgt.origin.tolist(), tgt.terminus.tolist(), tgt.inv.tolist()
         for e in range(src.num_edges):
             fe = em[e]
             if not 0 <= fe < tgt.num_edges:
                 raise InvalidMorphismError("edge map image out of range")
-            if tgt.origin[fe] != vm[src.origin[e]] or tgt.terminus[fe] != vm[src.terminus[e]]:
+            if t_o[fe] != vm[s_o[e]] or t_t[fe] != vm[s_t[e]]:
                 raise InvalidMorphismError(f"edge {e} does not commute with origin/terminus")
-            if em[src.inv[e]] != tgt.inv[fe]:
+            if em[s_i[e]] != t_i[fe]:
                 raise InvalidMorphismError(f"edge {e} does not commute with the involution")
+
+
+def _as_list(values):
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 @dataclass(frozen=True)
@@ -246,15 +306,15 @@ def is_covering(f: GraphMorphism) -> CoveringCheck:
     """
     f.validate()
     src, tgt = f.source, f.target
+    vm, em = _as_list(f.vertex_map), _as_list(f.edge_map)
     hit = [False] * tgt.num_vertices
-    for v in f.vertex_map:
+    for v in vm:
         hit[v] = True
     for v, h in enumerate(hit):
         if not h:
             return CoveringCheck(False, v, "vertex map is not surjective")
-    em = f.edge_map
     for v in range(src.num_vertices):
         image = sorted(em[e] for e in src.link(v))
-        if image != sorted(tgt.link(f.vertex_map[v])):
+        if image != sorted(tgt.link(vm[v])):
             return CoveringCheck(False, v, "link map is not bijective")
     return CoveringCheck(True)

@@ -11,7 +11,16 @@ multiplication by the q1+1 split quaternion generators S(n):
   stabilizer is the upper-triangular subgroup.
 * cayley  - vertices are the group elements themselves.
 
-Covering maps drop one level by entrywise reduction of the vertex keys.  A
+A built level is one V x (q1+1) transition table plus the generator
+pairing: table[v, i] is the vertex reached from v by generator i, and the
+graph's edge arrays follow from it.  Vertices carry integer state codes,
+decoded into key objects only on request.  One frontier-synchronous numpy
+BFS over codes builds all three variants, in the discovery order of a FIFO
+queue.  A level that cannot fit in physical memory is refused before any
+work, from its exact vertex count.
+
+Covering maps drop one level by entrywise reduction of the vertex codes,
+and are verified as array identities on the two tables.  A
 twist sequence g(1), g(2), ... (compatible under reduction) rebases the
 cartan tower at the conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are
 unchanged up to relabeling, but membership of a generator word in every
@@ -22,10 +31,13 @@ loop survives every level) from the twisted tower (no word survives).
 """
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     InvalidParameterError,
@@ -33,18 +45,15 @@ from .errors import (
     WordLengthError,
 )
 from .modarith import PrimePower, is_prime, legendre, sqrt_minus_one
-from .multigraph import GraphMorphism, SerreGraph, girth, is_covering
+from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype
 from .projgroup import (
     Mat2,
     PairCoset,
     ProjPoint,
     identity,
     is_psl,
-    mobius,
     proj_normalize,
     reduce_matrix,
-    reduce_pair,
-    reduce_point,
 )
 from .quat import FreeWord, GeneratorSet, ONE, Quaternion, enumerate_generators, split
 from .spectra import SpectralReport, ramanujan_check
@@ -100,53 +109,202 @@ def lps_girth_floor(q1: int, n_vertices: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# encoded states: a point of P^1(Z/q^n) is an int code (x:1) <-> x,
-# (1 : p*t) <-> modulus + t; matrices are raw 4-tuples mod q^n.
+# integer state codes and the vectorized step
+#
+# A point of P^1(Z/m), m = q2^n, is coded by its index in enumerate_p1:
+# (x : 1) -> x and (1 : p*t) -> m + t.  A cartan state (a pair of points) is
+# c0*P + c1 with P = |P^1|; a borel state is one point code.  A canonical
+# matrix (first unit entry scaled to 1) is coded (b*m + c)*m + d when it is
+# (1, b, c, d), and m^3 + ((a/p)*m + c)*m + d when it is (a, 1, c, d) with
+# p | a; one of a, b is a unit because the determinant is.
 
 
-def _point_code(pt: ProjPoint, p: int, mod: int) -> int:
-    if pt.y == 1:
-        return pt.x
-    return mod + pt.y // p
+def _p1_size(pp: PrimePower) -> int:
+    return pp.modulus + pp.modulus // pp.p
 
 
-def _point_decode(code: int, p: int, mod: int) -> ProjPoint:
-    if code < mod:
-        return ProjPoint(code, 1)
-    return ProjPoint(1, (code - mod) * p)
+def _code_space(variant: str, pp: PrimePower) -> int:
+    """Number of codes; every state of the variant has a code below it."""
+    if variant == "cartan":
+        return _p1_size(pp) ** 2
+    if variant == "borel":
+        return _p1_size(pp)
+    return pp.modulus**3 + pp.modulus**3 // pp.p
 
 
-def _mobius_code(mt, code, p, mod):
-    a, b, c, d = mt
-    if code < mod:
-        x, y = code, 1
-    else:
-        x, y = 1, (code - mod) * p
-    nx = (a * x + b * y) % mod
-    ny = (c * x + d * y) % mod
-    if ny % p:
-        return nx * pow(ny, -1, mod) % mod
-    return mod + (ny * pow(nx, -1, mod) % mod) // p
+def _unit_inverses(pp: PrimePower) -> np.ndarray:
+    """uinv[x] = x^-1 mod q^n for units x, 0 for non-units."""
+    m, p = pp.modulus, pp.p
+    return np.array([pow(x, -1, m) if x % p else 0 for x in range(m)], dtype=np.int64)
 
 
-def _mul4(x, y, mod):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % mod, (a * f + b * h) % mod,
-            (c * e + d * g) % mod, (c * f + d * h) % mod)
+def _point_coords(codes, pp: PrimePower):
+    """The canonical pair (x, y) of each point code."""
+    m = pp.modulus
+    affine = codes < m
+    return np.where(affine, codes, 1), np.where(affine, 1, (codes - m) * pp.p)
 
 
-def _canon4(t, p, mod):
-    for e in t:
-        if e % p:
-            s = pow(e, -1, mod)
-            return tuple(v * s % mod for v in t)
-    raise VerificationError(f"matrix {t} has no unit entry mod {p}")
+def _point_codes(x, y, pp: PrimePower, uinv):
+    """Codes of the unimodular pairs (x : y), entries reduced mod q^n."""
+    m, p = pp.modulus, pp.p
+    return np.where(y % p != 0, x * uinv[y] % m, m + (y * uinv[x] % m) // p)
 
 
-@dataclass(frozen=True)
+def _act_on_points(mat, codes, pp: PrimePower, uinv):
+    """Moebius action of the 4-tuple mat on point codes."""
+    a, b, c, d = mat
+    m = pp.modulus
+    x, y = _point_coords(codes, pp)
+    return _point_codes((a * x + b * y) % m, (c * x + d * y) % m, pp, uinv)
+
+
+def _matrix_entries(codes, pp: PrimePower):
+    """The canonical entries (a, b, c, d) of each matrix code."""
+    m, p = pp.modulus, pp.p
+    high = codes >= m**3
+    r = np.where(high, codes - m**3, codes)
+    r, d = np.divmod(r, m)
+    r, c = np.divmod(r, m)
+    return np.where(high, r * p, 1), np.where(high, 1, r), c, d
+
+
+def _matrix_codes(a, b, c, d, pp: PrimePower, uinv):
+    """Codes of the canonical forms of invertible matrices, entries reduced."""
+    m, p = pp.modulus, pp.p
+    lead = a % p != 0
+    s = uinv[np.where(lead, a, b)]
+    a, b, c, d = a * s % m, b * s % m, c * s % m, d * s % m
+    cd = c * m + d
+    return np.where(lead, b * m * m + cd, m**3 + (a // p) * m * m + cd)
+
+
+def _reduce_codes(codes, variant: str, pp_from: PrimePower, pp_to: PrimePower):
+    """Codes of the states reduced entrywise from q^k to q^(k-j)."""
+    if variant == "cayley":
+        mod = pp_to.modulus
+        entries = (e % mod for e in _matrix_entries(codes, pp_from))
+        return _matrix_codes(*entries, pp_to, _unit_inverses(pp_to))
+
+    def points(c):
+        m_from, m_to = pp_from.modulus, pp_to.modulus
+        return np.where(c < m_from, c % m_to, m_to + (c - m_from) % (m_to // pp_to.p))
+
+    if variant == "borel":
+        return points(codes)
+    c0, c1 = np.divmod(codes, _p1_size(pp_from))
+    return points(c0) * _p1_size(pp_to) + points(c1)
+
+
+def _transitions(variant, pp, smats, pairing, base_matrix):
+    """(step, base code): step maps a frontier of codes to its (F, d)
+    candidate codes, generator i in column i."""
+    m = pp.modulus
+    uinv = _unit_inverses(pp)
+    if variant == "cayley":
+        acts = [mt.entries() for mt in smats]
+
+        def step(front):
+            a, b, c, d = _matrix_entries(front, pp)
+            return np.stack([
+                _matrix_codes((a * e + b * g) % m, (a * f + b * h) % m,
+                              (c * e + d * g) % m, (c * f + d * h) % m, pp, uinv)
+                for e, f, g, h in acts
+            ], axis=1)
+
+        return step, 1  # the identity (1, 0, 0, 1)
+
+    # Right cosets move by the Moebius action of s^-1, which is the split
+    # image of the conjugate generator; each generator permutes P^1 once.
+    npts = _p1_size(pp)
+    perms = np.stack([
+        _act_on_points(smats[pairing[i]].entries(), np.arange(npts), pp, uinv)
+        for i in range(len(smats))
+    ])
+    if variant == "borel":
+        return (lambda front: perms[:, front].T), m  # the point (1:0)
+
+    # (0:1) has code 0 and (1:0) code m; the base is their image under g(n).
+    b0, b1 = _act_on_points(base_matrix.entries(), np.array([0, m]), pp, uinv).tolist()
+
+    def step(front):
+        c0, c1 = np.divmod(front, npts)
+        return (perms[:, c0] * npts + perms[:, c1]).T
+
+    return step, b0 * npts + b1
+
+
+def _bfs(step, base: int, code_space: int, d: int, dtype):
+    """Frontier-synchronous BFS from base.  Each round's new vertices are the
+    unseen candidates in order of first occurrence, scanning the frontier's
+    (vertex, generator) pairs row-major, which is exactly the discovery
+    order of a FIFO queue.  Returns the (V, d) table and the V codes."""
+    ids = np.full(code_space, -1, dtype=dtype)
+    ids[base] = 0
+    # first[c]: the least candidate position holding code c; a code becomes
+    # a vertex in the round it is first a candidate, so no reset is needed
+    first = np.full(code_space, np.iinfo(dtype).max, dtype=dtype)
+    frontier = np.array([base], dtype=np.int64)
+    code_blocks, rows = [frontier], []
+    nv = 1
+    while len(frontier):
+        flat = step(frontier).ravel()
+        found = ids[flat]
+        unseen = flat[found < 0]
+        pos = np.arange(len(unseen), dtype=dtype)
+        np.minimum.at(first, unseen, pos)
+        frontier = unseen[first[unseen] == pos]
+        ids[frontier] = np.arange(nv, nv + len(frontier), dtype=dtype)
+        nv += len(frontier)
+        found[found < 0] = ids[unseen]
+        rows.append(found.reshape(-1, d))
+        code_blocks.append(frontier)
+    return np.concatenate(rows), np.concatenate(code_blocks)
+
+
+def _vertex_ids(level: "TowerLevel") -> np.ndarray:
+    """Lookup from state code to vertex id, -1 for codes of no vertex."""
+    ids = np.full(_code_space(level.config.variant, level.pp), -1, dtype=level.table.dtype)
+    ids[level.codes] = np.arange(len(level.codes), dtype=ids.dtype)
+    return ids
+
+
+def estimated_bytes(cfg: TowerConfig, n: int) -> int:
+    """Bytes a built level holds: its four edge arrays, the transition table,
+    the two code-indexed arrays used while building, and the vertex codes."""
+    nv = expected_vertices(cfg, n)
+    ne = nv * (cfg.q1 + 1)
+    width = np.dtype(index_dtype(ne)).itemsize
+    space = _code_space(cfg.variant, PrimePower(cfg.q2, n))
+    return (5 * ne + 2 * space) * width + 8 * nv
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_oversized(cfg: TowerConfig, levels) -> None:
+    """Raise InvalidParameterError, before any work, when the levels cannot
+    fit in physical memory; vertex counts are exact, so the estimate is."""
+    need = sum(estimated_bytes(cfg, n) for n in levels)
+    have = _physical_memory()
+    if need > have:
+        raise InvalidParameterError(
+            f"{cfg.variant} level(s) {', '.join(map(str, levels))} of ({cfg.q1},{cfg.q2}) "
+            f"need an estimated {need} bytes ({need / 2**30:.1f} GiB), more than the "
+            f"{have} bytes ({have / 2**30:.1f} GiB) of physical memory"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class TowerLevel:
-    """One level: the graph, its generator matrices S(n), and the modulus."""
+    """One level: the graph, its generator matrices S(n), and the modulus.
+
+    table[v, i] is the vertex reached from v by generator i; the graph's
+    edge arrays are derived from it and the generator pairing.  codes[v] is
+    the integer state code of vertex v (see above); vertex_keys() decodes
+    them into key objects on demand.
+    """
 
     config: TowerConfig
     n: int
@@ -154,6 +312,8 @@ class TowerLevel:
     graph: SerreGraph
     generators: GeneratorSet
     generator_matrices: tuple
+    table: np.ndarray
+    codes: np.ndarray
     twisted: bool = False
 
     @property
@@ -164,6 +324,23 @@ class TowerLevel:
         """Edges are laid out one block of q1+1 per vertex, in generator order."""
         return v * self.degree + gen_index
 
+    def vertex_keys(self) -> list:
+        """The key of every vertex: a PairCoset (cartan), ProjPoint (borel)
+        or canonical Mat2 (cayley)."""
+        pp = self.pp
+        if self.config.variant == "cayley":
+            entries = (e.tolist() for e in _matrix_entries(self.codes, pp))
+            return [Mat2(a, b, c, d, pp) for a, b, c, d in zip(*entries)]
+
+        def points(codes):
+            x, y = _point_coords(codes, pp)
+            return [ProjPoint(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
+        if self.config.variant == "borel":
+            return points(self.codes)
+        c0, c1 = np.divmod(self.codes, _p1_size(pp))
+        return [PairCoset(a, b) for a, b in zip(points(c0), points(c1))]
+
 
 def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = None) -> TowerLevel:
     """Build level n by BFS closure from the base vertex.
@@ -171,14 +348,15 @@ def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = Non
     Vertex ids follow BFS discovery order with generators scanned in
     lexicographic order, so identical configs give byte-identical exports.
     The directed edge (v, i) has id v*(q1+1)+i and pairs with the edge at its
-    target labeled by the conjugate generator.
+    target labeled by the conjugate generator.  Raises InvalidParameterError
+    before any work if the level cannot fit in physical memory.
     """
     if n > cfg.levels:
         raise InvalidParameterError(f"level {n} exceeds configured depth {cfg.levels}")
     if twist is not None and cfg.variant != "cartan":
         raise InvalidParameterError("twisting is only defined for the cartan variant")
+    _refuse_oversized(cfg, [n])
     pp = PrimePower(cfg.q2, n)
-    p, mod = pp.p, pp.modulus
     gens = enumerate_generators(cfg.q1)
     pairing = gens.inverse_pairing
     d = cfg.q1 + 1
@@ -187,84 +365,23 @@ def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = Non
     if (cfg.mode == "PSL") != all(in_psl) or (cfg.mode == "PGL") != (not any(in_psl)):
         raise VerificationError("generator matrices disagree with the PSL/PGL mode")
 
-    if cfg.variant == "cayley":
-        acts = [m.entries() for m in smats]
-
-        def step(i, st):
-            return _canon4(_mul4(st, acts[i], mod), p, mod)
-
-        base = (1, 0, 0, 1)
-    else:
-        # Right cosets move by the Moebius action of s^-1, which is the
-        # split image of the conjugate generator.
-        acts = [smats[pairing[i]].entries() for i in range(d)]
-        if cfg.variant == "cartan":
-            g = twist.matrices[n - 1] if twist is not None else identity(pp)
-            base = (
-                _point_code(mobius(g, ProjPoint(0, 1)), p, mod),
-                _point_code(mobius(g, ProjPoint(1, 0)), p, mod),
-            )
-
-            def step(i, st):
-                a = acts[i]
-                return (_mobius_code(a, st[0], p, mod), _mobius_code(a, st[1], p, mod))
-
-        else:
-            base = _point_code(ProjPoint(1, 0), p, mod)
-
-            def step(i, st):
-                return _mobius_code(acts[i], st, p, mod)
-
-    index = {base: 0}
-    order = [base]
-    ttable = []
-    head = 0
-    while head < len(order):
-        st = order[head]
-        head += 1
-        row = []
-        for i in range(d):
-            ns = step(i, st)
-            j = index.get(ns)
-            if j is None:
-                j = len(order)
-                index[ns] = j
-                order.append(ns)
-            row.append(j)
-        ttable.append(row)
-
-    nv = len(order)
     want = expected_vertices(cfg, n)
+    base_matrix = twist.matrices[n - 1] if twist is not None else identity(pp)
+    step, base = _transitions(cfg.variant, pp, smats, pairing, base_matrix)
+    table, codes = _bfs(step, base, _code_space(cfg.variant, pp), d, index_dtype(want * d))
+    nv = len(codes)
     if nv != want:
         raise VerificationError(
             f"{cfg.variant} level {n} has {nv} vertices, expected {want}"
         )
-    origin = [0] * (nv * d)
-    terminus = [0] * (nv * d)
-    label = [0] * (nv * d)
-    inv = [0] * (nv * d)
-    for v in range(nv):
-        row = ttable[v]
-        for i in range(d):
-            e = v * d + i
-            t = row[i]
-            origin[e] = v
-            terminus[e] = t
-            label[e] = i
-            inv[e] = t * d + pairing[i]
-
-    if cfg.variant == "cayley":
-        keys = [Mat2(*st, pp) for st in order]
-    elif cfg.variant == "cartan":
-        keys = [PairCoset(_point_decode(st[0], p, mod), _point_decode(st[1], p, mod))
-                for st in order]
-    else:
-        keys = [_point_decode(st, p, mod) for st in order]
-
+    origin = np.repeat(np.arange(nv, dtype=table.dtype), d)
+    label = np.tile(np.arange(d, dtype=table.dtype), nv)
+    inv = (table * d + np.asarray(pairing, dtype=table.dtype)).reshape(-1)
     meta = {"q1": cfg.q1, "q2": cfg.q2, "n": n, "variant": cfg.variant,
             "mode": cfg.mode, "V": nv}
-    graph = SerreGraph(nv, origin, terminus, inv, label, vertex_keys=keys, meta=meta)
-    return TowerLevel(cfg, n, pp, graph, gens, smats, twisted=twist is not None)
+    graph = SerreGraph(nv, origin, table.reshape(-1), inv, label, meta=meta)
+    return TowerLevel(cfg, n, pp, graph, gens, smats, table, codes,
+                      twisted=twist is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +422,6 @@ class LoopWitness:
     generator: int
 
 
-def _base_key(level: TowerLevel):
-    if level.config.variant == "cartan":
-        return PairCoset(ProjPoint(0, 1), ProjPoint(1, 0))
-    return ProjPoint(1, 0)
-
-
 def loop_witness(level: TowerLevel, torus: Optional[TorusPair] = None) -> LoopWitness:
     """The loop guaranteed at the standard base coset: gamma = a1 + b1*i is a
     generator whose split image is diagonal, hence fixes ((0:1), (1:0)) and
@@ -324,11 +435,12 @@ def loop_witness(level: TowerLevel, torus: Optional[TorusPair] = None) -> LoopWi
         idx = next(i for i, g in enumerate(level.generators.gens) if g.coefficients() == coeffs)
     except StopIteration:
         raise VerificationError(f"torus element {coeffs} is not a generator")
-    key = _base_key(level)
-    try:
-        v = level.graph.vertex_keys.index(key)
-    except ValueError:
-        raise VerificationError(f"base key {key} not present in level {level.n}")
+    # (0:1) has code 0 and (1:0) code m, so the standard pair ((0:1), (1:0))
+    # and the standard point (1:0) both have code m.
+    found = np.flatnonzero(level.codes == level.pp.modulus)
+    if not len(found):
+        raise VerificationError(f"standard base vertex not present in level {level.n}")
+    v = int(found[0])
     e = level.edge_id(v, idx)
     if level.graph.terminus[e] != v:
         raise VerificationError(
@@ -352,37 +464,43 @@ class CoveringMap:
 
 
 def natural_covering(upper: TowerLevel, lower: TowerLevel) -> CoveringMap:
-    """Vertex map = entrywise reduction of the vertex key one level down;
-    the edge map matches generator labels.  Verifies the link-bijection
-    property and raises VerificationError on any failure (a bug sentinel,
-    never expected for constructed levels)."""
+    """Vertex map = entrywise reduction of the vertex codes one level down;
+    the edge map matches generator labels.  Verifies, as array identities,
+    that every reduced code is a vertex of the lower level, that the vertex
+    map is surjective and that table_lower[vmap[v], i] == vmap[table_upper[v, i]]
+    for every (v, i).  With edges laid out by generator label this is the
+    covering property: the maps commute with origin, terminus and the
+    involution, and every link maps bijectively.  Raises VerificationError
+    naming the first failing vertex (a bug sentinel, never expected for
+    constructed levels)."""
     if upper.config != lower.config:
         raise InvalidParameterError("levels come from different tower configs")
     if upper.n != lower.n + 1:
         raise InvalidParameterError(
             f"natural covering goes one level down, got {upper.n} -> {lower.n}"
         )
-    variant = upper.config.variant
-    pp_to = lower.pp
-    lower_index = {key: v for v, key in enumerate(lower.graph.vertex_keys)}
-    if variant == "cartan":
-        reduce_key = lambda k: reduce_pair(k, pp_to)
-    elif variant == "borel":
-        reduce_key = lambda k: reduce_point(k, pp_to)
-    else:
-        reduce_key = lambda k: reduce_matrix(k, pp_to)
-    try:
-        vmap = tuple(lower_index[reduce_key(k)] for k in upper.graph.vertex_keys)
-    except KeyError as exc:
-        raise VerificationError(f"reduced key {exc} missing from level {lower.n}")
-    d = upper.degree
-    emap = tuple(vmap[e // d] * d + e % d for e in range(upper.graph.num_edges))
-    morphism = GraphMorphism(upper.graph, lower.graph, vmap, emap)
-    check = is_covering(morphism)
-    if not check.ok:
-        raise VerificationError(
-            f"covering {upper.n} -> {lower.n} failed at vertex {check.witness}: {check.reason}"
+
+    def fail(v, reason):
+        return VerificationError(
+            f"covering {upper.n} -> {lower.n} failed at vertex {int(v)}: {reason}"
         )
+
+    reduced = _reduce_codes(upper.codes, upper.config.variant, upper.pp, lower.pp)
+    vmap = _vertex_ids(lower)[reduced]
+    missing = np.flatnonzero(vmap < 0)
+    if len(missing):
+        raise fail(missing[0], f"reduced code missing from level {lower.n}")
+    hit = np.zeros(lower.graph.num_vertices, dtype=bool)
+    hit[vmap] = True
+    missed = np.flatnonzero(~hit)
+    if len(missed):
+        raise fail(missed[0], "vertex map is not surjective")
+    bad = np.flatnonzero((lower.table[vmap] != vmap[upper.table]).any(axis=1))
+    if len(bad):
+        raise fail(bad[0], "transitions do not commute with the vertex map")
+    d = upper.degree
+    emap = (vmap[:, None] * d + np.arange(d, dtype=vmap.dtype)).reshape(-1)
+    morphism = GraphMorphism(upper.graph, lower.graph, vmap, emap)
     return CoveringMap(upper.n, lower.n, morphism, True)
 
 
@@ -453,6 +571,13 @@ class ProbeResult:
 
     def has_length_one_survivor(self) -> bool:
         return any(len(h.word.letters) == 1 for h in self.survivors)
+
+
+def _mul4(x, y, mod):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % mod, (a * f + b * h) % mod,
+            (c * e + d * g) % mod, (c * f + d * h) % mod)
 
 
 def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
@@ -601,7 +726,10 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     """Build levels 1..N with covering maps, verify girth / spectra / loop
     witness per level, and run the intersection probe.  Twisted towers are
     reseeded (and the skipped seeds recorded) if the drawn conjugator
-    degenerately keeps a torus generator diagonal."""
+    degenerately keeps a torus generator diagonal.  Raises
+    InvalidParameterError before any work if the levels cannot fit in
+    physical memory."""
+    _refuse_oversized(cfg, range(1, cfg.levels + 1))
     probe, twist, reseeds = probe_with_reseed(cfg, probe_max_word_len)
     effective = cfg if twist is None or twist.seed == cfg.twist_seed else (
         TowerConfig(cfg.q1, cfg.q2, cfg.levels, cfg.variant, twist.seed)

@@ -1,16 +1,26 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's production code paths: girth by
-exhaustive walk enumeration, matrix groups by full enumeration, and Cayley
-girth by searching for the shortest scalar-valued generator word.
+exhaustive walk enumeration, matrix groups by full enumeration, Cayley
+girth by searching for the shortest scalar-valued generator word, level
+tables by the original pure-Python BFS over tuple states, and Serre-graph
+validation by the original per-edge loop.
 """
 
 import math
 from itertools import product
 
+from expander_forge.errors import VerificationError
 from expander_forge.modarith import PrimePower
 from expander_forge.multigraph import SerreGraph
-from expander_forge.projgroup import Mat2, proj_normalize
+from expander_forge.projgroup import (
+    Mat2,
+    PairCoset,
+    ProjPoint,
+    identity,
+    mobius,
+    proj_normalize,
+)
 from expander_forge.quat import enumerate_generators, split
 
 
@@ -97,7 +107,8 @@ def bfs_transition_table(level):
     """Transition table of a built level, already BFS-normalized."""
     g = level.graph
     d = level.degree
-    return [[g.terminus[v * d + i] for i in range(d)] for v in range(g.num_vertices)]
+    terminus = g.terminus.tolist()
+    return [terminus[v * d:v * d + d] for v in range(g.num_vertices)]
 
 
 def cayley_girth_by_relator(q1: int, q2: int, n: int, max_len: int = 8):
@@ -137,3 +148,133 @@ def cayley_girth_by_relator(q1: int, q2: int, n: int, max_len: int = 8):
             if pairing[last] != i
         ]
     return math.inf
+
+
+# ---------------------------------------------------------------------------
+# the original level builder: FIFO BFS over tuple states.  A point of
+# P^1(Z/q^n) is an int code (x:1) <-> x, (1 : p*t) <-> modulus + t;
+# matrices are raw 4-tuples mod q^n.
+
+
+def _point_code(pt, p, mod):
+    if pt.y == 1:
+        return pt.x
+    return mod + pt.y // p
+
+
+def _point_decode(code, p, mod):
+    if code < mod:
+        return ProjPoint(code, 1)
+    return ProjPoint(1, (code - mod) * p)
+
+
+def _mobius_code(mt, code, p, mod):
+    a, b, c, d = mt
+    if code < mod:
+        x, y = code, 1
+    else:
+        x, y = 1, (code - mod) * p
+    nx = (a * x + b * y) % mod
+    ny = (c * x + d * y) % mod
+    if ny % p:
+        return nx * pow(ny, -1, mod) % mod
+    return mod + (ny * pow(nx, -1, mod) % mod) // p
+
+
+def _mul4(x, y, mod):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % mod, (a * f + b * h) % mod,
+            (c * e + d * g) % mod, (c * f + d * h) % mod)
+
+
+def _canon4(t, p, mod):
+    for e in t:
+        if e % p:
+            s = pow(e, -1, mod)
+            return tuple(v * s % mod for v in t)
+    raise VerificationError(f"matrix {t} has no unit entry mod {p}")
+
+
+def tuple_state_level(cfg, n, twist=None):
+    """(transition table, vertex keys) of level n by FIFO BFS over tuple
+    states, generators scanned in order at each vertex."""
+    pp = PrimePower(cfg.q2, n)
+    p, mod = pp.p, pp.modulus
+    gens = enumerate_generators(cfg.q1)
+    pairing = gens.inverse_pairing
+    d = cfg.q1 + 1
+    smats = tuple(proj_normalize(split(g, pp)) for g in gens.gens)
+    if cfg.variant == "cayley":
+        acts = [m.entries() for m in smats]
+
+        def step(i, st):
+            return _canon4(_mul4(st, acts[i], mod), p, mod)
+
+        base = (1, 0, 0, 1)
+    else:
+        acts = [smats[pairing[i]].entries() for i in range(d)]
+        if cfg.variant == "cartan":
+            g = twist.matrices[n - 1] if twist is not None else identity(pp)
+            base = (
+                _point_code(mobius(g, ProjPoint(0, 1)), p, mod),
+                _point_code(mobius(g, ProjPoint(1, 0)), p, mod),
+            )
+
+            def step(i, st):
+                a = acts[i]
+                return (_mobius_code(a, st[0], p, mod), _mobius_code(a, st[1], p, mod))
+
+        else:
+            base = _point_code(ProjPoint(1, 0), p, mod)
+
+            def step(i, st):
+                return _mobius_code(acts[i], st, p, mod)
+
+    index = {base: 0}
+    order = [base]
+    table = []
+    head = 0
+    while head < len(order):
+        st = order[head]
+        head += 1
+        row = []
+        for i in range(d):
+            ns = step(i, st)
+            j = index.get(ns)
+            if j is None:
+                j = len(order)
+                index[ns] = j
+                order.append(ns)
+            row.append(j)
+        table.append(row)
+
+    if cfg.variant == "cayley":
+        keys = [Mat2(*st, pp) for st in order]
+    elif cfg.variant == "cartan":
+        keys = [PairCoset(_point_decode(st[0], p, mod), _point_decode(st[1], p, mod))
+                for st in order]
+    else:
+        keys = [_point_decode(st, p, mod) for st in order]
+    return table, keys
+
+
+def loop_validation_error(num_vertices, origin, terminus, inv):
+    """Message of the original per-edge Serre-graph check for the first
+    failing edge, or None when every edge passes."""
+    ne = len(origin)
+    for e in range(ne):
+        if not (0 <= origin[e] < num_vertices and 0 <= terminus[e] < num_vertices):
+            return f"edge {e} has endpoint out of range"
+        eb = inv[e]
+        if not 0 <= eb < ne:
+            return f"edge {e} has inverse id out of range"
+        if eb == e:
+            return (f"involution fixed point at edge {e} "
+                    f"({origin[e]} -> {terminus[e]}): a generator acting "
+                    "as its own inverse on this vertex is not representable")
+        if inv[eb] != e:
+            return f"involution not involutive at edge {e}"
+        if origin[eb] != terminus[e] or terminus[eb] != origin[e]:
+            return f"involution does not reverse edge {e}"
+    return None

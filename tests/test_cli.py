@@ -1,6 +1,11 @@
 import json
 import math
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from expander_forge.cli import (
@@ -39,10 +44,10 @@ def test_build_edge_list_round_trips(level1_file):
     g = parse_edgelist(level1_file.read_text())
     lvl = build_level(TowerConfig(5, 13), 1)
     assert g.num_vertices == 182
-    assert g.origin == lvl.graph.origin
-    assert g.terminus == lvl.graph.terminus
-    assert g.inv == lvl.graph.inv
-    assert g.label == lvl.graph.label
+    assert np.array_equal(g.origin, lvl.graph.origin)
+    assert np.array_equal(g.terminus, lvl.graph.terminus)
+    assert np.array_equal(g.inv, lvl.graph.inv)
+    assert np.array_equal(g.label, lvl.graph.label)
     assert format_edgelist(g) == level1_file.read_text()
 
 
@@ -120,7 +125,7 @@ def test_graph_json_schema(level1_file):
     assert obj["schema"] == 1
     assert obj["format"] == "expander-forge-graph"
     g2 = graph_from_json(obj)
-    assert g2.origin == g.origin and g2.inv == g.inv
+    assert np.array_equal(g2.origin, g.origin) and np.array_equal(g2.inv, g.inv)
 
 
 def test_probe_output(capsys):
@@ -206,6 +211,10 @@ def test_malformed_edge_list(tmp_path):
         f"{header} V=-2\n0 1 0 1\n1 0 0 0\n",
         f"{header}\n0 1 0 1\n1 0 0 0\n",
         f"{header} V=2\n0 0 a 1\n1 0 0 0\n",
+        f"{header} V=2\n0 {2**40} 0 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 0 -1\n1 0 0 0\n",
+        dict(graph, edges=[[0, 1, 0, 2**40], [1, 0, 0, 0]]),
+        dict(graph, edges=[[0, 1, 0, 1], [-1, 0, 0, 0]]),
         {k: v for k, v in graph.items() if k != "edges"},
         {k: v for k, v in graph.items() if k != "num_vertices"},
         dict(graph, num_vertices="2"),
@@ -219,3 +228,22 @@ def test_malformed_edge_list(tmp_path):
         bad.write_text(row if isinstance(row, str) else json.dumps(row))
         assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE, row
         assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE, row
+
+
+def test_build_refuses_level_beyond_physical_memory(tmp_path):
+    # (5,13) cayley level 3 has about 1.05e10 vertices.  The child's address
+    # space is capped, so a missing check fails on allocation instead of
+    # exhausting the machine's memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "l3.edges"
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_forge", "build", "--q1", "5", "--q2", "13",
+         "--level", "3", "--variant", "cayley", "--out", str(out)],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "physical memory" in proc.stderr
+    assert not out.exists()

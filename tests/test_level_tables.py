@@ -1,0 +1,128 @@
+"""The vectorized level builder and array covering check against the
+original tuple-state builder and the link-by-link covering check, pinned
+edge-list bytes, and the up-front memory refusal."""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from expander_forge import tower
+from expander_forge.cli import format_edgelist
+from expander_forge.errors import InvalidParameterError, VerificationError
+from expander_forge.multigraph import is_covering
+from expander_forge.tower import (
+    TowerConfig,
+    build_level,
+    build_tower,
+    natural_covering,
+    twist_sequence,
+)
+from oracles import tuple_state_level
+
+# (q1, q2, variant, top level, twist seed): every level 1..top is checked
+ORACLE_TOWERS = [
+    (5, 13, "cartan", 2, None),
+    (13, 5, "cartan", 3, None),
+    (5, 29, "cartan", 1, None),  # PSL
+    (13, 5, "borel", 3, None),
+    (5, 13, "borel", 2, None),
+    (5, 13, "cayley", 1, None),
+    (13, 5, "cayley", 2, None),
+    (5, 17, "cayley", 1, None),
+    (5, 13, "cartan", 2, 7),
+]
+
+
+def _levels(q1, q2, variant, top, seed):
+    cfg = TowerConfig(q1, q2, levels=top, variant=variant, twist_seed=seed)
+    twist = twist_sequence(cfg, seed) if seed is not None else None
+    return cfg, twist, [build_level(cfg, n, twist) for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("q1,q2,variant,top,seed", ORACLE_TOWERS)
+def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
+    cfg, twist, levels = _levels(q1, q2, variant, top, seed)
+    for lvl in levels:
+        table, keys = tuple_state_level(cfg, lvl.n, twist)
+        assert lvl.table.tolist() == table
+        assert lvl.vertex_keys() == keys
+        assert np.array_equal(lvl.graph.terminus, lvl.table.reshape(-1))
+    for upper, lower in zip(levels[1:], levels):
+        cov = natural_covering(upper, lower)
+        assert cov.verified
+        check = is_covering(cov.morphism)
+        assert check.ok and check.witness == -1
+
+
+def test_covering_check_names_corrupted_vertex():
+    _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
+    vmap = natural_covering(l2, l1).morphism.vertex_map
+    v, i = 417, 3
+    table = l2.table.copy()
+    # send (v, i) to a vertex lying over a different lower vertex
+    table[v, i] = np.flatnonzero(vmap != vmap[table[v, i]])[0]
+    corrupted = dataclasses.replace(l2, table=table)
+    with pytest.raises(VerificationError, match=f"covering 2 -> 1 failed at vertex {v}:"):
+        natural_covering(corrupted, l1)
+
+
+def test_covering_check_names_missing_codes_and_missed_vertices():
+    _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
+    vmap = natural_covering(l2, l1).morphism.vertex_map
+    w = 7
+    # lower vertex w recoded as ((0:1), (0:1)), a pair no vertex has
+    lower = dataclasses.replace(l1, codes=np.where(np.arange(30) == w, 0, l1.codes))
+    first = np.flatnonzero(vmap == w)[0]
+    with pytest.raises(VerificationError,
+                       match=f"failed at vertex {first}: reduced code missing from level 1"):
+        natural_covering(l2, lower)
+    # every upper vertex over w recoded to lie over another vertex
+    other = l2.codes[np.flatnonzero(vmap != w)[0]]
+    upper = dataclasses.replace(l2, codes=np.where(vmap == w, other, l2.codes))
+    with pytest.raises(VerificationError,
+                       match=f"failed at vertex {w}: vertex map is not surjective"):
+        natural_covering(upper, l1)
+
+
+# sha256 of format_edgelist(build_level(...).graph), recorded with the
+# original tuple-state builder
+PINNED_EDGE_LISTS = [
+    ((13, 5, "cartan", 2, None), "78ab4c56303ff06347cd0dd154386b0fd853a58b1412638ff3ba556767f8d113"),
+    ((5, 29, "cartan", 1, None), "38dc78067dae4d86c4ded7288d33c5da4f9755c5a149fbae7d7f478d15f3b7a8"),
+    ((5, 13, "cartan", 2, 7), "611d52a3313c4175f509e26480e46f6a0a77dd4c53c87bfbf223903b505f1fb1"),
+    ((5, 13, "borel", 2, None), "c6c13ed5d80bade3fb347164b6982a565cb4d46035751cf5f12cca930dec6084"),
+    ((13, 5, "borel", 3, None), "fba6d9a19f78ff2fc29db4924d8070995b80214ddf1a38a10936b7fc8e9ecc6c"),
+    ((5, 13, "cayley", 1, None), "0749d4096e265863ae1f69de147686dd51f6f0d1b2260f3868e9ed90cdacb048"),
+    ((13, 5, "cayley", 2, None), "eb199677b9399a39f9b8c839ee6003d24d30fa1e15e90c9cc3fc402e7118b84e"),
+]
+
+
+@pytest.mark.parametrize("level,digest", PINNED_EDGE_LISTS)
+def test_edge_list_bytes_pinned(level, digest):
+    q1, q2, variant, n, seed = level
+    cfg = TowerConfig(q1, q2, levels=n, variant=variant, twist_seed=seed)
+    twist = twist_sequence(cfg, seed) if seed is not None else None
+    text = format_edgelist(build_level(cfg, n, twist).graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_refuses_levels_beyond_physical_memory(monkeypatch):
+    cfg = TowerConfig(5, 13, levels=2)
+    need = tower.estimated_bytes(cfg, 2)
+    assert need > tower.estimated_bytes(cfg, 1) > 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the memory check")
+
+    monkeypatch.setattr(tower, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(tower, "_bfs", no_work)
+    monkeypatch.setattr(tower, "probe_with_reseed", no_work)
+    with pytest.raises(InvalidParameterError, match=f"estimated {need} bytes"):
+        build_level(cfg, 2)
+    with pytest.raises(InvalidParameterError, match="physical memory"):
+        build_tower(cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(tower, "_physical_memory", lambda: need)
+    assert build_level(cfg, 2).graph.num_vertices == 30758

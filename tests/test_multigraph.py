@@ -23,7 +23,7 @@ from expander_forge.multigraph import (
     girth,
     is_covering,
 )
-from oracles import brute_force_girth
+from oracles import brute_force_girth, loop_validation_error
 
 
 def test_link_sizes():
@@ -47,6 +47,33 @@ def test_involution_axioms_enforced():
         SerreGraph(3, [0, 1, 1, 2], [1, 0, 2, 1], [3, 2, 1, 0])
     with pytest.raises(GraphConstructionError):
         SerreGraph(2, [0], [1], [0])  # odd edge count
+
+
+# one corrupted entry of the 4-cycle's edge arrays, and the message of the
+# lowest failing edge (a corruption can make an earlier edge fail first)
+VALIDATION_PARITY = [
+    ("terminus", 2, -1, "edge 2 has endpoint out of range"),
+    ("origin", 5, 9, "involution does not reverse edge 4"),
+    ("inv", 6, 8, "edge 6 has inverse id out of range"),
+    ("inv", 0, 0, "involution fixed point at edge 0 (0 -> 1): a generator acting "
+                  "as its own inverse on this vertex is not representable"),
+    ("inv", 2, 4, "involution not involutive at edge 2"),
+    ("terminus", 0, 2, "involution does not reverse edge 0"),
+    ("origin", 3, 2**70, "involution does not reverse edge 2"),
+    ("inv", 1, 2**40, "involution not involutive at edge 0"),
+]
+
+
+@pytest.mark.parametrize("field,index,value,message", VALIDATION_PARITY)
+def test_validation_parity_with_edge_loop(field, index, value, message):
+    arrays = {"origin": [0, 1, 1, 2, 2, 3, 3, 0],
+              "terminus": [1, 0, 2, 1, 3, 2, 0, 3],
+              "inv": [1, 0, 3, 2, 5, 4, 7, 6]}
+    assert loop_validation_error(4, **arrays) is None
+    arrays[field][index] = value
+    with pytest.raises(GraphConstructionError) as exc:
+        SerreGraph(4, arrays["origin"], arrays["terminus"], arrays["inv"])
+    assert str(exc.value) == message == loop_validation_error(4, **arrays)
 
 
 def test_girth_examples():
