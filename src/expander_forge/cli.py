@@ -97,6 +97,31 @@ def _vertex_count(value, where: str) -> int:
     return value
 
 
+def _edge_rows(lines) -> np.ndarray:
+    """The edge lines as an (E, 4) int64 array, converted _CHUNK_ROWS lines
+    at a time.  A line without exactly four integer tokens, or with one
+    outside int64, is rejected with the text of the line."""
+    blocks = []
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        chunk = lines[start:start + _CHUNK_ROWS]
+        try:
+            if any(len(ln.split()) != 4 for ln in chunk):
+                raise ValueError
+            tokens = " ".join(chunk).split()
+            blocks.append(np.array(tokens, dtype=np.int64).reshape(-1, 4))
+        except (ValueError, OverflowError):
+            bad = next(ln for ln in chunk if not _int64_row(ln.split()))
+            raise InvalidParameterError(f"malformed edge line: {bad!r}") from None
+    return np.concatenate(blocks) if blocks else np.empty((0, 4), dtype=np.int64)
+
+
+def _int64_row(tokens) -> bool:
+    try:
+        return len(tokens) == 4 and all(-(2**63) <= int(x) < 2**63 for x in tokens)
+    except ValueError:
+        return False
+
+
 def parse_edgelist(text: str) -> SerreGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(HEADER_PREFIX):
@@ -105,20 +130,11 @@ def parse_edgelist(text: str) -> SerreGraph:
     for tok in lines[0][len(HEADER_PREFIX):].split():
         k, _, v = tok.partition("=")
         meta[k] = int(v) if v.lstrip("-").isdigit() else v
-    origin, terminus, label, inv = [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            o, t, lab, iv = (int(x) for x in parts)
-        except ValueError:  # a token that is not an integer, or not four tokens
-            raise InvalidParameterError(f"malformed edge line: {ln!r}") from None
-        origin.append(o)
-        terminus.append(t)
-        label.append(lab)
-        inv.append(iv)
+    rows = _edge_rows(lines[1:])
     if "V" not in meta:
         raise InvalidParameterError("header missing V=")
     nv = _vertex_count(meta["V"], "header V")
+    origin, terminus, label, inv = (np.ascontiguousarray(c) for c in rows.T)
     return SerreGraph(nv, origin, terminus, inv, label, meta=meta)
 
 

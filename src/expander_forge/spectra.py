@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, InvalidParameterError
-from .multigraph import SerreGraph
+from .multigraph import SerreGraph, index_dtype
 
 DENSE_THRESHOLD = 4096
 RAMANUJAN_TOL = 1e-8
@@ -78,6 +78,23 @@ def _dense_values(a) -> np.ndarray:
     return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float))
 
 
+def _krylov_dim(n: int, how_many: int) -> int:
+    # A generous Krylov basis copes with the eigenvalue clustering at the
+    # spectral edge.
+    return min(n - 1, max(4 * how_many + 1, 80))
+
+
+def solve_bytes(n_vertices: int, n_edges: int) -> int:
+    """Bytes ramanujan_check's solve holds for a graph of this size: the
+    dense matrix, or the ARPACK basis (for the largest k it asks, 6) plus
+    the CSR adjacency with at most one entry per directed edge."""
+    if n_vertices <= DENSE_THRESHOLD:
+        return 8 * n_vertices * n_vertices
+    width = np.dtype(index_dtype(max(n_vertices, n_edges))).itemsize
+    basis = 8 * _krylov_dim(n_vertices, 6) * n_vertices
+    return basis + (8 + width) * n_edges + width * (n_vertices + 1)
+
+
 def extreme_eigenvalues(a, how_many, method="auto") -> EigenResult:
     """Eigenvalues at both ends of the spectrum, ascending, with residuals.
 
@@ -103,10 +120,9 @@ def extreme_eigenvalues(a, how_many, method="auto") -> EigenResult:
         raise InvalidParameterError("iterative solver needs how_many < n - 1")
 
     v0 = _deterministic_start(n)
-    # A generous Krylov basis copes with the eigenvalue clustering at the
-    # spectral edge; the ARPACK tolerance sits an order below the residual
-    # contract, which is re-verified explicitly below.
-    ncv = min(n - 1, max(4 * how_many + 1, 80))
+    # The ARPACK tolerance sits an order below the residual contract, which
+    # is re-verified explicitly below.
+    ncv = _krylov_dim(n, how_many)
     try:
         # ARPACK returns the Ritz values in ascending order.
         vals, vecs = spla.eigsh(a, k=how_many, which="BE", v0=v0,

@@ -20,13 +20,15 @@ queue.  A level that cannot fit in physical memory is refused before any
 work, from its exact vertex count.
 
 Covering maps drop one level by entrywise reduction of the vertex codes,
-and are verified as array identities on the two tables.  A
-twist sequence g(1), g(2), ... (compatible under reduction) rebases the
-cartan tower at the conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are
-unchanged up to relabeling, but membership of a generator word in every
-level's base stabilizer - the intersection probe - now asks whether
-g(n)^-1 M g(n) is projectively diagonal instead of M itself.  The probe is
-the finite-horizon certificate separating the bounded-girth tower (a common
+and are verified as array identities on the two tables.  A twist sequence
+g(1), g(2), ... (compatible under reduction) rebases the cartan tower at
+the conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are unchanged up
+to relabeling, but the intersection probe - which words lie in every
+level's base stabilizer - now asks whether g(n)^-1 M g(n) is projectively
+diagonal instead of M.  One meet-in-the-middle search for reduced closed
+walks at the base vertex answers both the probe (on the top level's pair
+codes) and the girth of a vertex-transitive cayley level.  The probe is the
+finite-horizon certificate separating the bounded-girth tower (a common
 loop survives every level) from the twisted tower (no word survives).
 """
 
@@ -34,29 +36,18 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    VerificationError,
-    WordLengthError,
-)
-from .modarith import PrimePower, is_prime, legendre, sqrt_minus_one
+from .errors import InvalidParameterError, VerificationError, WordLengthError
+from .modarith import PrimePower, is_prime, legendre
 from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype
-from .projgroup import (
-    Mat2,
-    PairCoset,
-    ProjPoint,
-    identity,
-    is_psl,
-    proj_normalize,
-    reduce_matrix,
-)
-from .quat import FreeWord, GeneratorSet, ONE, Quaternion, enumerate_generators, split
-from .spectra import SpectralReport, ramanujan_check
+from .projgroup import Mat2, PairCoset, ProjPoint, identity, is_psl, proj_normalize, reduce_matrix
+from .quat import FreeWord, GeneratorSet, Quaternion, enumerate_generators, evaluate_word, split
+from .spectra import SpectralReport, ramanujan_check, solve_bytes
 
 VARIANTS = ("cartan", "borel", "cayley")
 DEFAULT_PROBE_CAP = 8
@@ -262,6 +253,71 @@ def _bfs(step, base: int, code_space: int, d: int, dtype):
     return np.concatenate(rows), np.concatenate(code_blocks)
 
 
+# ---------------------------------------------------------------------------
+# reduced closed walks at the base vertex
+#
+# A reduced walk never steps back along the edge it just used.  A reduced
+# closed walk of length k at the base is u . x^-1 for exactly one pair of
+# walks with |u| = ceil(k/2), |x| = floor(k/2), equal ends and different
+# last letters; its word is u followed by pairing[x] reversed.  Meeting in
+# the middle costs about d^ceil(k/2) walks instead of d^k words.
+
+
+def _reduced_walks(step, base: int, pairing):
+    """Yield, for length 0, 1, 2, ..., the reduced walks from base as arrays
+    (end code, last letter or -1, index of the walk one shorter), in
+    lexicographic order of their words; walks are words, never deduped."""
+    pair = np.asarray(pairing)
+    end, last, parent = np.array([base]), np.array([-1]), np.array([-1])
+    while True:
+        yield end, last, parent
+        cand = step(end)
+        allowed = np.ones(cand.shape, dtype=bool)
+        rows = np.flatnonzero(last >= 0)
+        allowed[rows, pair[last[rows]]] = False
+        parent, last = np.nonzero(allowed)
+        end = cand[parent, last]
+
+
+def _joins(layers, k: int):
+    """Indices (u, x) into layers[ceil(k/2)] and layers[k // 2] of the pairs
+    that join into the reduced closed walks of length k."""
+    (u_end, u_last, _), (x_end, x_last, _) = layers[(k + 1) // 2], layers[k // 2]
+    order = np.argsort(x_end, kind="stable")
+    lo = np.searchsorted(x_end[order], u_end, side="left")
+    counts = np.searchsorted(x_end[order], u_end, side="right") - lo
+    ui = np.repeat(np.arange(len(u_end)), counts)
+    xi = order[np.arange(len(ui)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    keep = u_last[ui] != x_last[xi]
+    return ui[keep], xi[keep]
+
+
+def _closed_words(layers, k: int, pairing) -> np.ndarray:
+    """The words of the reduced closed walks of length k, one row each."""
+    halves = []
+    for length, idx in zip(((k + 1) // 2, k // 2), _joins(layers, k)):
+        letters = np.empty((len(idx), length), dtype=np.int64)
+        for j in range(length, 0, -1):
+            letters[:, j - 1] = layers[j][1][idx]
+            idx = layers[j][2][idx]
+        halves.append(letters)
+    return np.concatenate([halves[0], np.asarray(pairing)[halves[1]][:, ::-1]], axis=1)
+
+
+def _walk_girth(step, base: int, pairing) -> int:
+    """The least length of a reduced closed walk at base, which is the girth
+    when the graph is vertex-transitive.  With degree >= 3 one exists: once
+    the walks of one length outnumber the vertices, two share an end, and
+    stripping their common last letters leaves a join."""
+    walks = _reduced_walks(step, base, pairing)
+    layers = [next(walks)]
+    while True:
+        layers.append(next(walks))
+        for k in (2 * len(layers) - 3, 2 * len(layers) - 2):
+            if len(_joins(layers, k)[0]):
+                return k
+
+
 def _vertex_ids(level: "TowerLevel") -> np.ndarray:
     """Lookup from state code to vertex id, -1 for codes of no vertex."""
     ids = np.full(_code_space(level.config.variant, level.pp), -1, dtype=level.table.dtype)
@@ -283,14 +339,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_oversized(cfg: TowerConfig, levels) -> None:
-    """Raise InvalidParameterError, before any work, when the levels cannot
-    fit in physical memory; vertex counts are exact, so the estimate is."""
+def _refuse_oversized(cfg: TowerConfig, levels, solve: bool = False) -> None:
+    """Raise InvalidParameterError, before any work, when the levels (with
+    solve, plus the eigensolve of the largest) cannot fit in physical
+    memory; vertex counts are exact, so the estimate is."""
     need = sum(estimated_bytes(cfg, n) for n in levels)
+    if solve:
+        nv = expected_vertices(cfg, max(levels))
+        need += solve_bytes(nv, nv * (cfg.q1 + 1))
     have = _physical_memory()
     if need > have:
         raise InvalidParameterError(
-            f"{cfg.variant} level(s) {', '.join(map(str, levels))} of ({cfg.q1},{cfg.q2}) "
+            f"{cfg.variant} level(s) {', '.join(map(str, levels))} of ({cfg.q1},{cfg.q2})"
+            f"{' and the top eigensolve' if solve else ''} "
             f"need an estimated {need} bytes ({need / 2**30:.1f} GiB), more than the "
             f"{have} bytes ({have / 2**30:.1f} GiB) of physical memory"
         )
@@ -371,9 +432,7 @@ def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = Non
     table, codes = _bfs(step, base, _code_space(cfg.variant, pp), d, index_dtype(want * d))
     nv = len(codes)
     if nv != want:
-        raise VerificationError(
-            f"{cfg.variant} level {n} has {nv} vertices, expected {want}"
-        )
+        raise VerificationError(f"{cfg.variant} level {n} has {nv} vertices, expected {want}")
     origin = np.repeat(np.arange(nv, dtype=table.dtype), d)
     label = np.tile(np.arange(d, dtype=table.dtype), nv)
     inv = (table * d + np.asarray(pairing, dtype=table.dtype)).reshape(-1)
@@ -443,9 +502,7 @@ def loop_witness(level: TowerLevel, torus: Optional[TorusPair] = None) -> LoopWi
     v = int(found[0])
     e = level.edge_id(v, idx)
     if level.graph.terminus[e] != v:
-        raise VerificationError(
-            f"edge for generator {idx} at the base vertex is not a loop"
-        )
+        raise VerificationError(f"edge for generator {idx} at the base vertex is not a loop")
     return LoopWitness(v, idx)
 
 
@@ -526,20 +583,12 @@ def twist_sequence(cfg: TowerConfig, seed: int, levels: Optional[int] = None) ->
     while True:
         t = tuple(rng.randrange(q) for _ in range(4))
         det = (t[0] * t[3] - t[1] * t[2]) % q
-        if det == 0:
-            continue
-        if want_psl and legendre(det, q) != 1:
-            continue
-        break
+        if det and (not want_psl or legendre(det, q) == 1):
+            break
     mats = [proj_normalize(Mat2(*t, PrimePower(q, 1)))]
     for n in range(2, n_levels + 1):
-        pp = PrimePower(q, n)
-        prev = mats[-1]
-        scale = q ** (n - 1)
-        e = [rng.randrange(q) for _ in range(4)]
-        lifted = Mat2(prev.a + scale * e[0], prev.b + scale * e[1],
-                      prev.c + scale * e[2], prev.d + scale * e[3], pp)
-        mats.append(proj_normalize(lifted))
+        lift = (x + q ** (n - 1) * rng.randrange(q) for x in mats[-1].entries())
+        mats.append(proj_normalize(Mat2(*lift, PrimePower(q, n))))
     for n in range(2, n_levels + 1):
         if reduce_matrix(mats[n - 1], PrimePower(q, n - 1)) != mats[n - 2]:
             raise VerificationError("twist sequence is not reduction-compatible")
@@ -573,25 +622,22 @@ class ProbeResult:
         return any(len(h.word.letters) == 1 for h in self.survivors)
 
 
-def _mul4(x, y, mod):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % mod, (a * f + b * h) % mod,
-            (c * e + d * g) % mod, (c * f + d * h) % mod)
-
-
 def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
                        up_to_level: Optional[int] = None,
                        twist: Optional[TwistSequence] = None,
                        word_cap: int = DEFAULT_PROBE_CAP) -> ProbeResult:
-    """Enumerate all nonempty reduced generator words up to max_word_len and
-    keep those whose split image lies in every probed level's base stabilizer.
+    """The nonempty reduced generator words up to max_word_len whose split
+    image lies in every probed level's base stabilizer, in lexicographic
+    order; words_tested counts all reduced words up to that length.
 
-    Untwisted, membership means the matrix mod q2^n is projectively diagonal
-    (both off-diagonal entries vanish); twisted, the conjugate
-    g(n)^-1 M g(n) must be diagonal instead.  Surviving words are finite
-    evidence that the tower's fundamental-group intersection is nontrivial;
-    an empty list certifies triviality up to this word-length horizon.
+    Membership means the matrix mod q2^n (twisted: g(n)^-1 M g(n)) is
+    projectively diagonal.  It holds at every level exactly when it holds at
+    the top level N, that is for the words of the reduced closed walks at
+    level N's base vertex, which the walk search finds on pair codes with
+    no graph built.  Each hit is then confirmed from its exact quaternion at
+    every level, else VerificationError.  Survivors are finite evidence that
+    the tower's fundamental-group intersection is nontrivial; an empty list
+    certifies triviality up to this word-length horizon.
     """
     if max_word_len < 1:
         raise InvalidParameterError("max_word_len must be >= 1")
@@ -603,72 +649,37 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
             f"(~{est} reduced words); raise word_cap explicitly to proceed"
         )
     n_levels = cfg.levels if up_to_level is None else up_to_level
+    if n_levels < 1:
+        raise InvalidParameterError(f"up_to_level must be >= 1, got {n_levels}")
+    if twist is not None and len(twist.matrices) < n_levels:
+        raise InvalidParameterError(
+            f"twist sequence has {len(twist.matrices)} levels, need {n_levels}"
+        )
     gens = enumerate_generators(cfg.q1)
     pairing = gens.inverse_pairing
     d = cfg.q1 + 1
-    pps = [PrimePower(cfg.q2, n) for n in range(1, n_levels + 1)]
-    sqrts = [sqrt_minus_one(pp) for pp in pps]
-    conj = None
-    if twist is not None:
-        if len(twist.matrices) < n_levels:
-            raise InvalidParameterError(
-                f"twist sequence has {len(twist.matrices)} levels, need {n_levels}"
-            )
-        conj = []
-        for lvl in range(n_levels):
-            g = twist.matrices[lvl]
-            gi = g.inverse()
-            conj.append((gi.entries(), g.entries(), pps[lvl].modulus))
-
-    def survives(qt: Quaternion) -> bool:
-        for lvl in range(n_levels):
-            m = pps[lvl].modulus
-            s = sqrts[lvl]
-            ma = (qt.x0 + qt.x1 * s) % m
-            mb = (qt.x2 + qt.x3 * s) % m
-            mc = (-qt.x2 + qt.x3 * s) % m
-            md = (qt.x0 - qt.x1 * s) % m
-            if conj is None:
-                if mb or mc:
-                    return False
-            else:
-                gi, g, mm = conj[lvl]
-                t = _mul4(_mul4(gi, (ma, mb, mc, md), mm), g, mm)
-                if t[1] or t[2]:
-                    return False
-        return True
-
+    pp = PrimePower(cfg.q2, n_levels)
+    smats = tuple(proj_normalize(split(g, pp)) for g in gens.gens)
+    top = twist.matrices[n_levels - 1] if twist is not None else identity(pp)
+    step, base = _transitions("cartan", pp, smats, pairing, top)
+    layers = list(islice(_reduced_walks(step, base, pairing), (max_word_len + 3) // 2))
+    words = sorted(tuple(w) for k in range(1, max_word_len + 1)
+                   for w in _closed_words(layers, k, pairing).tolist())
     survivors = []
-    words_tested = 0
-    letters = []
-    quats = [ONE]
-
-    def rec():
-        nonlocal words_tested
-        last = letters[-1] if letters else -1
-        for i in range(d):
-            if last >= 0 and pairing[last] == i:
-                continue
-            letters.append(i)
-            quats.append(quats[-1] * gens.gens[i])
-            words_tested += 1
-            if survives(quats[-1]):
-                survivors.append(ProbeHit(FreeWord(tuple(letters)), quats[-1]))
-            if len(letters) < max_word_len:
-                rec()
-            letters.pop()
-            quats.pop()
-
-    rec()
-    return ProbeResult(
-        q1=cfg.q1,
-        q2=cfg.q2,
-        max_word_len=max_word_len,
-        up_to_level=n_levels,
-        twisted=twist is not None,
-        words_tested=words_tested,
-        survivors=tuple(survivors),
-    )
+    for letters in words:
+        qt = evaluate_word(FreeWord(letters), gens, max_len=max_word_len)
+        for n in range(1, n_levels + 1):
+            m = split(qt, PrimePower(cfg.q2, n))
+            if twist is not None:
+                m = twist.matrices[n - 1].inverse() * m * twist.matrices[n - 1]
+            if m.b or m.c:
+                raise VerificationError(f"word {letters} closes a walk at the base of level "
+                                        f"{n_levels} but is not diagonal at level {n}")
+        survivors.append(ProbeHit(FreeWord(letters), qt))
+    tested = sum(d * (d - 1) ** (k - 1) for k in range(1, max_word_len + 1))
+    return ProbeResult(q1=cfg.q1, q2=cfg.q2, max_word_len=max_word_len, up_to_level=n_levels,
+                       twisted=twist is not None, words_tested=tested,
+                       survivors=tuple(survivors))
 
 
 def probe_with_reseed(cfg: TowerConfig, max_word_len: int = 4,
@@ -679,15 +690,11 @@ def probe_with_reseed(cfg: TowerConfig, max_word_len: int = 4,
     if cfg.twist_seed is None:
         return intersection_probe(cfg, max_word_len, up_to_level), None, ()
     n_levels = cfg.levels if up_to_level is None else up_to_level
-    seed = cfg.twist_seed
-    reseeds = []
-    for _ in range(max_tries):
+    for seed in range(cfg.twist_seed, cfg.twist_seed + max_tries):
         twist = twist_sequence(cfg, seed, levels=n_levels)
         probe = intersection_probe(cfg, max_word_len, n_levels, twist)
         if not probe.has_length_one_survivor():
-            return probe, twist, tuple(reseeds)
-        reseeds.append(seed)
-        seed += 1
+            return probe, twist, tuple(range(cfg.twist_seed, seed))
     raise VerificationError(
         f"no non-degenerate twist seed found after {max_tries} tries from {cfg.twist_seed}"
     )
@@ -727,9 +734,9 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     witness per level, and run the intersection probe.  Twisted towers are
     reseeded (and the skipped seeds recorded) if the drawn conjugator
     degenerately keeps a torus generator diagonal.  Raises
-    InvalidParameterError before any work if the levels cannot fit in
-    physical memory."""
-    _refuse_oversized(cfg, range(1, cfg.levels + 1))
+    InvalidParameterError before any work if the levels and the largest
+    level's eigensolve cannot fit in physical memory."""
+    _refuse_oversized(cfg, range(1, cfg.levels + 1), solve=True)
     probe, twist, reseeds = probe_with_reseed(cfg, probe_max_word_len)
     effective = cfg if twist is None or twist.seed == cfg.twist_seed else (
         TowerConfig(cfg.q1, cfg.q2, cfg.levels, cfg.variant, twist.seed)
@@ -742,28 +749,18 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     summaries = []
     for lvl in levels:
         g = lvl.graph
-        gir = girth(g)
-        wit = loop_witness(lvl, torus) if cfg.variant in ("cartan", "borel") else None
+        if cfg.variant == "cayley":
+            # vertex-transitive under left multiplication, so some shortest
+            # cycle passes through the identity, vertex 0
+            gir = _walk_girth(lambda f: lvl.table[f], 0, lvl.generators.inverse_pairing)
+            wit, floor = None, lps_girth_floor(cfg.q1, g.num_vertices)
+        else:
+            gir, wit, floor = girth(g), loop_witness(lvl, torus), None
         spectral = ramanujan_check(g, cfg.q1)
-        floor = lps_girth_floor(cfg.q1, g.num_vertices) if cfg.variant == "cayley" else None
         summaries.append(LevelSummary(
-            n=lvl.n,
-            vertices=g.num_vertices,
-            directed_edges=g.num_edges,
-            girth=gir,
-            loop_count=g.geometric_loop_count(),
-            bipartite=spectral.bipartite,
-            witness=wit,
-            spectral=spectral,
-            girth_floor=floor,
-        ))
-    return TowerResult(
-        config=cfg,
-        mode=cfg.mode,
-        twist=twist,
-        levels=levels,
-        coverings=coverings,
-        summaries=tuple(summaries),
-        probe=probe,
-        reseeds=reseeds,
-    )
+            n=lvl.n, vertices=g.num_vertices, directed_edges=g.num_edges, girth=gir,
+            loop_count=g.geometric_loop_count(), bipartite=spectral.bipartite,
+            witness=wit, spectral=spectral, girth_floor=floor))
+    return TowerResult(config=cfg, mode=cfg.mode, twist=twist, levels=levels,
+                       coverings=coverings, summaries=tuple(summaries), probe=probe,
+                       reseeds=reseeds)

@@ -3,15 +3,16 @@
 These deliberately avoid the library's production code paths: girth by
 exhaustive walk enumeration, matrix groups by full enumeration, Cayley
 girth by searching for the shortest scalar-valued generator word, level
-tables by the original pure-Python BFS over tuple states, and Serre-graph
-validation by the original per-edge loop.
+tables by the original pure-Python BFS over tuple states, Serre-graph
+validation by the original per-edge loop, and the intersection probe by the
+original depth-first enumeration of every reduced word.
 """
 
 import math
 from itertools import product
 
-from expander_forge.errors import VerificationError
-from expander_forge.modarith import PrimePower
+from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
+from expander_forge.modarith import PrimePower, sqrt_minus_one
 from expander_forge.multigraph import SerreGraph
 from expander_forge.projgroup import (
     Mat2,
@@ -21,7 +22,8 @@ from expander_forge.projgroup import (
     mobius,
     proj_normalize,
 )
-from expander_forge.quat import enumerate_generators, split
+from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
+from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult
 
 
 def brute_force_girth(g: SerreGraph, max_len: int = 8):
@@ -278,3 +280,95 @@ def loop_validation_error(num_vertices, origin, terminus, inv):
         if origin[eb] != terminus[e] or terminus[eb] != origin[e]:
             return f"involution does not reverse edge {e}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the original intersection probe: depth-first enumeration of every reduced
+# word, with each word's split image checked level by level.
+
+
+def word_enumeration_probe(cfg, max_word_len=4, up_to_level=None, twist=None,
+                           word_cap=DEFAULT_PROBE_CAP):
+    """Enumerate all nonempty reduced generator words up to max_word_len and
+    keep those whose split image lies in every probed level's base stabilizer.
+
+    Untwisted, membership means the matrix mod q2^n is projectively diagonal
+    (both off-diagonal entries vanish); twisted, the conjugate
+    g(n)^-1 M g(n) must be diagonal instead.
+    """
+    if max_word_len < 1:
+        raise InvalidParameterError("max_word_len must be >= 1")
+    if max_word_len > word_cap:
+        q1 = cfg.q1
+        est = (q1 + 1) * (q1**max_word_len - 1) // (q1 - 1)
+        raise WordLengthError(
+            f"max_word_len {max_word_len} exceeds cap {word_cap} "
+            f"(~{est} reduced words); raise word_cap explicitly to proceed"
+        )
+    n_levels = cfg.levels if up_to_level is None else up_to_level
+    gens = enumerate_generators(cfg.q1)
+    pairing = gens.inverse_pairing
+    d = cfg.q1 + 1
+    pps = [PrimePower(cfg.q2, n) for n in range(1, n_levels + 1)]
+    sqrts = [sqrt_minus_one(pp) for pp in pps]
+    conj = None
+    if twist is not None:
+        if len(twist.matrices) < n_levels:
+            raise InvalidParameterError(
+                f"twist sequence has {len(twist.matrices)} levels, need {n_levels}"
+            )
+        conj = []
+        for lvl in range(n_levels):
+            g = twist.matrices[lvl]
+            gi = g.inverse()
+            conj.append((gi.entries(), g.entries(), pps[lvl].modulus))
+
+    def survives(qt):
+        for lvl in range(n_levels):
+            m = pps[lvl].modulus
+            s = sqrts[lvl]
+            ma = (qt.x0 + qt.x1 * s) % m
+            mb = (qt.x2 + qt.x3 * s) % m
+            mc = (-qt.x2 + qt.x3 * s) % m
+            md = (qt.x0 - qt.x1 * s) % m
+            if conj is None:
+                if mb or mc:
+                    return False
+            else:
+                gi, g, mm = conj[lvl]
+                t = _mul4(_mul4(gi, (ma, mb, mc, md), mm), g, mm)
+                if t[1] or t[2]:
+                    return False
+        return True
+
+    survivors = []
+    words_tested = 0
+    letters = []
+    quats = [ONE]
+
+    def rec():
+        nonlocal words_tested
+        last = letters[-1] if letters else -1
+        for i in range(d):
+            if last >= 0 and pairing[last] == i:
+                continue
+            letters.append(i)
+            quats.append(quats[-1] * gens.gens[i])
+            words_tested += 1
+            if survives(quats[-1]):
+                survivors.append(ProbeHit(FreeWord(tuple(letters)), quats[-1]))
+            if len(letters) < max_word_len:
+                rec()
+            letters.pop()
+            quats.pop()
+
+    rec()
+    return ProbeResult(
+        q1=cfg.q1,
+        q2=cfg.q2,
+        max_word_len=max_word_len,
+        up_to_level=n_levels,
+        twisted=twist is not None,
+        words_tested=words_tested,
+        survivors=tuple(survivors),
+    )

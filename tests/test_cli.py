@@ -213,6 +213,9 @@ def test_malformed_edge_list(tmp_path):
         f"{header} V=2\n0 0 a 1\n1 0 0 0\n",
         f"{header} V=2\n0 {2**40} 0 1\n1 0 0 0\n",
         f"{header} V=2\n0 1 0 -1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 0 1 0\n1 0 0 0\n",
+        f"{header} V=2\n0 1 0\n1 1 0 0 0\n",
+        f"{header} V=2\n0 {2**63} 0 1\n1 0 0 0\n",
         dict(graph, edges=[[0, 1, 0, 2**40], [1, 0, 0, 0]]),
         dict(graph, edges=[[0, 1, 0, 1], [-1, 0, 0, 0]]),
         {k: v for k, v in graph.items() if k != "edges"},

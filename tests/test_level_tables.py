@@ -1,6 +1,6 @@
 """The vectorized level builder and array covering check against the
 original tuple-state builder and the link-by-link covering check, pinned
-edge-list bytes, and the up-front memory refusal."""
+edge-list bytes, and the up-front memory refusal, eigensolve included."""
 
 import dataclasses
 import hashlib
@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from expander_forge import tower
+from expander_forge import spectra, tower
 from expander_forge.cli import format_edgelist
 from expander_forge.errors import InvalidParameterError, VerificationError
 from expander_forge.multigraph import is_covering
@@ -126,3 +126,29 @@ def test_refuses_levels_beyond_physical_memory(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(tower, "_physical_memory", lambda: need)
     assert build_level(cfg, 2).graph.num_vertices == 30758
+
+
+def test_tower_refusal_counts_the_eigensolve(monkeypatch):
+    # Memory that holds the levels but not the top level's ARPACK basis and
+    # CSR matrix: build_tower refuses before any work, build_level builds.
+    cfg = TowerConfig(5, 13, levels=2)
+    levels_only = tower.estimated_bytes(cfg, 1) + tower.estimated_bytes(cfg, 2)
+    solve = spectra.solve_bytes(30758, 30758 * 6)
+    assert solve >= 80 * 30758 * 8
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the memory check")
+
+    monkeypatch.setattr(tower, "_physical_memory", lambda: levels_only + solve - 1)
+    monkeypatch.setattr(tower, "probe_with_reseed", no_work)
+    monkeypatch.setattr(tower, "build_level", no_work)
+    with pytest.raises(InvalidParameterError,
+                       match=f"top eigensolve need an estimated {levels_only + solve} bytes"):
+        build_tower(cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(tower, "_physical_memory", lambda: levels_only + solve - 1)
+    assert build_level(cfg, 2).graph.num_vertices == 30758
+
+
+def test_solve_bytes_dense_path():
+    assert spectra.solve_bytes(182, 1092) == 8 * 182 * 182
