@@ -29,21 +29,7 @@ from .modarith import (
     unit_inverse,
 )
 from .multigraph import CoveringCheck, GraphMorphism, SerreGraph, girth, is_covering
-from .projgroup import (
-    Mat2,
-    PairCoset,
-    ProjPoint,
-    coset_key,
-    enumerate_p1,
-    is_psl,
-    matrix_inverse,
-    mobius,
-    proj_normalize,
-    proj_point,
-    reduce_matrix,
-    reduce_pair,
-    reduce_point,
-)
+from .projgroup import Mat2, is_psl, proj_normalize, reduce_matrix
 from .quat import (
     FreeWord,
     GeneratorSet,

@@ -191,8 +191,11 @@ def format_dot(g: SerreGraph) -> str:
 
 
 def load_graph(path: str) -> SerreGraph:
-    with open(path, "r") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path} is not UTF-8 text: {exc}") from None
     if not text.strip():
         raise InvalidParameterError(f"{path} is empty")
     if text.lstrip().startswith("{"):

@@ -1,35 +1,41 @@
-"""Projective 2x2 matrices over Z/q^n, the projective line, and coset keys.
+"""Projective 2x2 matrices over Z/q^n and the projective line, as codes.
 
 Matrices are taken up to unit scalars (elements of PGL2(Z/q^n)); a matrix is
-*canonical* when its first unit entry in row-major order equals 1.  Points of
-the projective line P^1(Z/q^n) are unimodular pairs (x : y) stored in one of
-two canonical shapes: (x : 1), or (1 : y) with y = 0 (mod q).  An ordered
-pair of points in general position encodes a right coset of the diagonal
-subgroup, which is exactly the stabilizer of ((0:1), (1:0)).
+*canonical* when its first unit entry in row-major order equals 1.  Mat2 is
+the scalar form, used for generator matrices and twists; the vectorized
+form below works on whole arrays of integer codes.
+
+A point of P^1(Z/m), m = q^n, is a unimodular pair in one of two canonical
+shapes, coded (x : 1) -> x and (1 : p*t) -> m + t; there are m + m/p codes.
+A canonical matrix is coded (b*m + c)*m + d when it is (1, b, c, d), and
+m^3 + ((a/p)*m + c)*m + d when it is (a, 1, c, d) with p | a; one of a, b
+is a unit because the determinant is.  An ordered pair of points in general
+position encodes a right coset of the diagonal subgroup, which is exactly
+the stabilizer of ((0:1), (1:0)), the codes 0 and m.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidParameterError, SingularMatrixError
 from .modarith import PrimePower, legendre
 
 __all__ = [
     "Mat2",
-    "ProjPoint",
-    "PairCoset",
     "identity",
     "proj_normalize",
     "is_psl",
-    "proj_point",
-    "mobius",
-    "enumerate_p1",
-    "pair_coset",
-    "coset_key",
-    "matrix_inverse",
     "reduce_matrix",
-    "reduce_point",
-    "reduce_pair",
+    "p1_size",
+    "unit_inverses",
+    "point_coords",
+    "point_codes",
+    "act_on_points",
+    "matrix_entries",
+    "matrix_codes",
+    "reduce_point_codes",
+    "reduce_matrix_codes",
 ]
 
 
@@ -108,70 +114,6 @@ def is_psl(m: Mat2) -> bool:
     return legendre(m.det(), m.pp.p) == 1
 
 
-class ProjPoint(NamedTuple):
-    """A point (x : y) of P^1(Z/q^n) in canonical form."""
-
-    x: int
-    y: int
-
-
-class PairCoset(NamedTuple):
-    """An ordered pair of projective points in general position.
-
-    Encodes a right coset of the diagonal subgroup: coset_key(m) below.
-    """
-
-    p0: ProjPoint
-    pinf: ProjPoint
-
-
-def proj_point(x: int, y: int, pp: PrimePower) -> ProjPoint:
-    """Canonicalize the homogeneous pair (x : y); raises if not unimodular."""
-    p, mod = pp.p, pp.modulus
-    x %= mod
-    y %= mod
-    if y % p:
-        return ProjPoint(x * pow(y, -1, mod) % mod, 1)
-    if x % p:
-        return ProjPoint(1, y * pow(x, -1, mod) % mod)
-    raise InvalidParameterError(f"({x} : {y}) is not a unimodular pair mod {p}**{pp.k}")
-
-
-def mobius(m: Mat2, pt: ProjPoint) -> ProjPoint:
-    """Moebius action (x : y) -> (ax + by : cx + dy), renormalized."""
-    return proj_point(m.a * pt.x + m.b * pt.y, m.c * pt.x + m.d * pt.y, m.pp)
-
-
-def enumerate_p1(pp: PrimePower) -> list:
-    """All canonical points of P^1(Z/q^n); count is q^(n-1) * (q + 1)."""
-    pts = [ProjPoint(x, 1) for x in range(pp.modulus)]
-    pts += [ProjPoint(1, pp.p * t) for t in range(pp.modulus // pp.p)]
-    return pts
-
-
-def pair_coset(p0: ProjPoint, pinf: ProjPoint, pp: PrimePower) -> PairCoset:
-    """Validated pair of points in general position (unit column determinant)."""
-    det = p0.x * pinf.y - p0.y * pinf.x
-    if det % pp.p == 0:
-        raise InvalidParameterError(f"points {p0} and {pinf} are not in general position")
-    return PairCoset(p0, pinf)
-
-
-def coset_key(m: Mat2) -> PairCoset:
-    """Canonical key of the right diagonal coset A*m: (m^-1 (0:1), m^-1 (1:0)).
-
-    coset_key(m) == coset_key(m') iff A*m == A*m', because the diagonal
-    subgroup is exactly the stabilizer of the ordered base pair.
-    """
-    mi = m.inverse()
-    return PairCoset(mobius(mi, ProjPoint(0, 1)), mobius(mi, ProjPoint(1, 0)))
-
-
-def matrix_inverse(m: Mat2) -> Mat2:
-    """Projective inverse in canonical form; m * matrix_inverse(m) ~ identity."""
-    return proj_normalize(m.inverse())
-
-
 def reduce_matrix(m: Mat2, pp_to: PrimePower) -> Mat2:
     """Entrywise reduction mod q^k followed by canonical scaling.
 
@@ -184,11 +126,67 @@ def reduce_matrix(m: Mat2, pp_to: PrimePower) -> Mat2:
     return proj_normalize(Mat2(m.a % mod, m.b % mod, m.c % mod, m.d % mod, pp_to))
 
 
-def reduce_point(pt: ProjPoint, pp_to: PrimePower) -> ProjPoint:
-    """Reduction of a canonical point to a lower level (stays canonical)."""
+def p1_size(pp: PrimePower) -> int:
+    """Number of points of P^1(Z/q^n): q^(n-1) * (q + 1)."""
+    return pp.modulus + pp.modulus // pp.p
+
+
+def unit_inverses(pp: PrimePower) -> np.ndarray:
+    """uinv[x] = x^-1 mod q^n for units x, 0 for non-units."""
+    m, p = pp.modulus, pp.p
+    return np.array([pow(x, -1, m) if x % p else 0 for x in range(m)], dtype=np.int64)
+
+
+def point_coords(codes, pp: PrimePower):
+    """The canonical pair (x, y) of each point code."""
+    m = pp.modulus
+    affine = codes < m
+    return np.where(affine, codes, 1), np.where(affine, 1, (codes - m) * pp.p)
+
+
+def point_codes(x, y, pp: PrimePower, uinv):
+    """Codes of the unimodular pairs (x : y), entries reduced mod q^n."""
+    m, p = pp.modulus, pp.p
+    return np.where(y % p != 0, x * uinv[y] % m, m + (y * uinv[x] % m) // p)
+
+
+def act_on_points(mat, codes, pp: PrimePower, uinv):
+    """Moebius action of the 4-tuple mat on point codes."""
+    a, b, c, d = mat
+    m = pp.modulus
+    x, y = point_coords(codes, pp)
+    return point_codes((a * x + b * y) % m, (c * x + d * y) % m, pp, uinv)
+
+
+def matrix_entries(codes, pp: PrimePower):
+    """The canonical entries (a, b, c, d) of each matrix code."""
+    m, p = pp.modulus, pp.p
+    high = codes >= m**3
+    r = np.where(high, codes - m**3, codes)
+    r, d = np.divmod(r, m)
+    r, c = np.divmod(r, m)
+    return np.where(high, r * p, 1), np.where(high, 1, r), c, d
+
+
+def matrix_codes(a, b, c, d, pp: PrimePower, uinv):
+    """Codes of the canonical forms of invertible matrices, entries reduced."""
+    m, p = pp.modulus, pp.p
+    lead = a % p != 0
+    s = uinv[np.where(lead, a, b)]
+    a, b, c, d = a * s % m, b * s % m, c * s % m, d * s % m
+    cd = c * m + d
+    return np.where(lead, b * m * m + cd, m**3 + (a // p) * m * m + cd)
+
+
+def reduce_point_codes(codes, pp_from: PrimePower, pp_to: PrimePower):
+    """Codes of the points reduced entrywise from q^k to q^(k-j); both
+    canonical shapes stay canonical."""
+    m_from, m_to = pp_from.modulus, pp_to.modulus
+    return np.where(codes < m_from, codes % m_to, m_to + (codes - m_from) % (m_to // pp_to.p))
+
+
+def reduce_matrix_codes(codes, pp_from: PrimePower, pp_to: PrimePower):
+    """Codes of the canonical matrices reduced entrywise from q^k to q^(k-j)."""
     mod = pp_to.modulus
-    return ProjPoint(pt.x % mod, pt.y % mod)
-
-
-def reduce_pair(pc: PairCoset, pp_to: PrimePower) -> PairCoset:
-    return PairCoset(reduce_point(pc.p0, pp_to), reduce_point(pc.pinf, pp_to))
+    entries = (e % mod for e in matrix_entries(codes, pp_from))
+    return matrix_codes(*entries, pp_to, unit_inverses(pp_to))

@@ -13,11 +13,11 @@ multiplication by the q1+1 split quaternion generators S(n):
 
 A built level is one V x (q1+1) transition table plus the generator
 pairing: table[v, i] is the vertex reached from v by generator i, and the
-graph's edge arrays follow from it.  Vertices carry integer state codes,
-decoded into key objects only on request.  One frontier-synchronous numpy
-BFS over codes builds all three variants, in the discovery order of a FIFO
-queue.  A level that cannot fit in physical memory is refused before any
-work, from its exact vertex count.
+graph's edge arrays follow from it.  A vertex's key is its integer state
+code, built from the point and matrix codes of projgroup.  One
+frontier-synchronous numpy BFS over codes builds all three variants, in the
+discovery order of a FIFO queue.  A level, or a probe's step tables, that
+cannot fit in physical memory is refused before any work, from exact sizes.
 
 Covering maps drop one level by entrywise reduction of the vertex codes,
 and are verified as array identities on the two tables.  A twist sequence
@@ -45,7 +45,9 @@ import numpy as np
 from .errors import InvalidParameterError, VerificationError, WordLengthError
 from .modarith import PrimePower, is_prime, legendre
 from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype
-from .projgroup import Mat2, PairCoset, ProjPoint, identity, is_psl, proj_normalize, reduce_matrix
+from .projgroup import (Mat2, act_on_points, identity, is_psl, matrix_codes, matrix_entries,
+                        p1_size, proj_normalize, reduce_matrix, reduce_matrix_codes,
+                        reduce_point_codes, unit_inverses)
 from .quat import FreeWord, GeneratorSet, Quaternion, enumerate_generators, evaluate_word, split
 from .spectra import SpectralReport, ramanujan_check, solve_bytes
 
@@ -100,106 +102,46 @@ def lps_girth_floor(q1: int, n_vertices: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer state codes and the vectorized step
+# state codes and the vectorized step
 #
-# A point of P^1(Z/m), m = q2^n, is coded by its index in enumerate_p1:
-# (x : 1) -> x and (1 : p*t) -> m + t.  A cartan state (a pair of points) is
-# c0*P + c1 with P = |P^1|; a borel state is one point code.  A canonical
-# matrix (first unit entry scaled to 1) is coded (b*m + c)*m + d when it is
-# (1, b, c, d), and m^3 + ((a/p)*m + c)*m + d when it is (a, 1, c, d) with
-# p | a; one of a, b is a unit because the determinant is.
-
-
-def _p1_size(pp: PrimePower) -> int:
-    return pp.modulus + pp.modulus // pp.p
+# Points and canonical matrices carry the codes of projgroup.  A cartan
+# state (a pair of points) is c0*P + c1 with P = |P^1|; a borel state is one
+# point code; a cayley state is one matrix code.
 
 
 def _code_space(variant: str, pp: PrimePower) -> int:
     """Number of codes; every state of the variant has a code below it."""
     if variant == "cartan":
-        return _p1_size(pp) ** 2
+        return p1_size(pp) ** 2
     if variant == "borel":
-        return _p1_size(pp)
+        return p1_size(pp)
     return pp.modulus**3 + pp.modulus**3 // pp.p
-
-
-def _unit_inverses(pp: PrimePower) -> np.ndarray:
-    """uinv[x] = x^-1 mod q^n for units x, 0 for non-units."""
-    m, p = pp.modulus, pp.p
-    return np.array([pow(x, -1, m) if x % p else 0 for x in range(m)], dtype=np.int64)
-
-
-def _point_coords(codes, pp: PrimePower):
-    """The canonical pair (x, y) of each point code."""
-    m = pp.modulus
-    affine = codes < m
-    return np.where(affine, codes, 1), np.where(affine, 1, (codes - m) * pp.p)
-
-
-def _point_codes(x, y, pp: PrimePower, uinv):
-    """Codes of the unimodular pairs (x : y), entries reduced mod q^n."""
-    m, p = pp.modulus, pp.p
-    return np.where(y % p != 0, x * uinv[y] % m, m + (y * uinv[x] % m) // p)
-
-
-def _act_on_points(mat, codes, pp: PrimePower, uinv):
-    """Moebius action of the 4-tuple mat on point codes."""
-    a, b, c, d = mat
-    m = pp.modulus
-    x, y = _point_coords(codes, pp)
-    return _point_codes((a * x + b * y) % m, (c * x + d * y) % m, pp, uinv)
-
-
-def _matrix_entries(codes, pp: PrimePower):
-    """The canonical entries (a, b, c, d) of each matrix code."""
-    m, p = pp.modulus, pp.p
-    high = codes >= m**3
-    r = np.where(high, codes - m**3, codes)
-    r, d = np.divmod(r, m)
-    r, c = np.divmod(r, m)
-    return np.where(high, r * p, 1), np.where(high, 1, r), c, d
-
-
-def _matrix_codes(a, b, c, d, pp: PrimePower, uinv):
-    """Codes of the canonical forms of invertible matrices, entries reduced."""
-    m, p = pp.modulus, pp.p
-    lead = a % p != 0
-    s = uinv[np.where(lead, a, b)]
-    a, b, c, d = a * s % m, b * s % m, c * s % m, d * s % m
-    cd = c * m + d
-    return np.where(lead, b * m * m + cd, m**3 + (a // p) * m * m + cd)
 
 
 def _reduce_codes(codes, variant: str, pp_from: PrimePower, pp_to: PrimePower):
     """Codes of the states reduced entrywise from q^k to q^(k-j)."""
     if variant == "cayley":
-        mod = pp_to.modulus
-        entries = (e % mod for e in _matrix_entries(codes, pp_from))
-        return _matrix_codes(*entries, pp_to, _unit_inverses(pp_to))
-
-    def points(c):
-        m_from, m_to = pp_from.modulus, pp_to.modulus
-        return np.where(c < m_from, c % m_to, m_to + (c - m_from) % (m_to // pp_to.p))
-
+        return reduce_matrix_codes(codes, pp_from, pp_to)
     if variant == "borel":
-        return points(codes)
-    c0, c1 = np.divmod(codes, _p1_size(pp_from))
-    return points(c0) * _p1_size(pp_to) + points(c1)
+        return reduce_point_codes(codes, pp_from, pp_to)
+    c0, c1 = np.divmod(codes, p1_size(pp_from))
+    return (reduce_point_codes(c0, pp_from, pp_to) * p1_size(pp_to)
+            + reduce_point_codes(c1, pp_from, pp_to))
 
 
 def _transitions(variant, pp, smats, pairing, base_matrix):
     """(step, base code): step maps a frontier of codes to its (F, d)
     candidate codes, generator i in column i."""
     m = pp.modulus
-    uinv = _unit_inverses(pp)
+    uinv = unit_inverses(pp)
     if variant == "cayley":
         acts = [mt.entries() for mt in smats]
 
         def step(front):
-            a, b, c, d = _matrix_entries(front, pp)
+            a, b, c, d = matrix_entries(front, pp)
             return np.stack([
-                _matrix_codes((a * e + b * g) % m, (a * f + b * h) % m,
-                              (c * e + d * g) % m, (c * f + d * h) % m, pp, uinv)
+                matrix_codes((a * e + b * g) % m, (a * f + b * h) % m,
+                             (c * e + d * g) % m, (c * f + d * h) % m, pp, uinv)
                 for e, f, g, h in acts
             ], axis=1)
 
@@ -207,16 +149,16 @@ def _transitions(variant, pp, smats, pairing, base_matrix):
 
     # Right cosets move by the Moebius action of s^-1, which is the split
     # image of the conjugate generator; each generator permutes P^1 once.
-    npts = _p1_size(pp)
+    npts = p1_size(pp)
     perms = np.stack([
-        _act_on_points(smats[pairing[i]].entries(), np.arange(npts), pp, uinv)
+        act_on_points(smats[pairing[i]].entries(), np.arange(npts), pp, uinv)
         for i in range(len(smats))
     ])
     if variant == "borel":
         return (lambda front: perms[:, front].T), m  # the point (1:0)
 
     # (0:1) has code 0 and (1:0) code m; the base is their image under g(n).
-    b0, b1 = _act_on_points(base_matrix.entries(), np.array([0, m]), pp, uinv).tolist()
+    b0, b1 = act_on_points(base_matrix.entries(), np.array([0, m]), pp, uinv).tolist()
 
     def step(front):
         c0, c1 = np.divmod(front, npts)
@@ -339,6 +281,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _refuse(what: str, need: int) -> None:
+    have = _physical_memory()
+    if need > have:
+        raise InvalidParameterError(
+            f"{what} an estimated {need} bytes ({need / 2**30:.1f} GiB), more than the "
+            f"{have} bytes ({have / 2**30:.1f} GiB) of physical memory"
+        )
+
+
 def _refuse_oversized(cfg: TowerConfig, levels, solve: bool = False) -> None:
     """Raise InvalidParameterError, before any work, when the levels (with
     solve, plus the eigensolve of the largest) cannot fit in physical
@@ -347,14 +298,16 @@ def _refuse_oversized(cfg: TowerConfig, levels, solve: bool = False) -> None:
     if solve:
         nv = expected_vertices(cfg, max(levels))
         need += solve_bytes(nv, nv * (cfg.q1 + 1))
-    have = _physical_memory()
-    if need > have:
-        raise InvalidParameterError(
-            f"{cfg.variant} level(s) {', '.join(map(str, levels))} of ({cfg.q1},{cfg.q2})"
-            f"{' and the top eigensolve' if solve else ''} "
-            f"need an estimated {need} bytes ({need / 2**30:.1f} GiB), more than the "
-            f"{have} bytes ({have / 2**30:.1f} GiB) of physical memory"
-        )
+    _refuse(f"{cfg.variant} level(s) {', '.join(map(str, levels))} of ({cfg.q1},{cfg.q2})"
+            f"{' and the top eigensolve' if solve else ''} need", need)
+
+
+def _probe_bytes(cfg: TowerConfig, n: int) -> int:
+    """Peak bytes of the probe's step tables at level n: the unit inverses,
+    then the q1+1 point permutations twice while np.stack copies them, plus
+    about five temporaries of the Moebius action; 8 bytes an entry."""
+    pp = PrimePower(cfg.q2, n)
+    return 8 * pp.modulus + 8 * p1_size(pp) * (2 * (cfg.q1 + 1) + 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,8 +316,7 @@ class TowerLevel:
 
     table[v, i] is the vertex reached from v by generator i; the graph's
     edge arrays are derived from it and the generator pairing.  codes[v] is
-    the integer state code of vertex v (see above); vertex_keys() decodes
-    them into key objects on demand.
+    the integer state code of vertex v (see above), which is its key.
     """
 
     config: TowerConfig
@@ -384,23 +336,6 @@ class TowerLevel:
     def edge_id(self, v: int, gen_index: int) -> int:
         """Edges are laid out one block of q1+1 per vertex, in generator order."""
         return v * self.degree + gen_index
-
-    def vertex_keys(self) -> list:
-        """The key of every vertex: a PairCoset (cartan), ProjPoint (borel)
-        or canonical Mat2 (cayley)."""
-        pp = self.pp
-        if self.config.variant == "cayley":
-            entries = (e.tolist() for e in _matrix_entries(self.codes, pp))
-            return [Mat2(a, b, c, d, pp) for a, b, c, d in zip(*entries)]
-
-        def points(codes):
-            x, y = _point_coords(codes, pp)
-            return [ProjPoint(a, b) for a, b in zip(x.tolist(), y.tolist())]
-
-        if self.config.variant == "borel":
-            return points(self.codes)
-        c0, c1 = np.divmod(self.codes, _p1_size(pp))
-        return [PairCoset(a, b) for a, b in zip(points(c0), points(c1))]
 
 
 def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = None) -> TowerLevel:
@@ -637,7 +572,12 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     no graph built.  Each hit is then confirmed from its exact quaternion at
     every level, else VerificationError.  Survivors are finite evidence that
     the tower's fundamental-group intersection is nontrivial; an empty list
-    certifies triviality up to this word-length horizon.
+    certifies triviality up to this word-length horizon.  Twisted, that
+    evidence holds only for max_word_len below about log_q1 of level N's
+    vertex count (9.6 for (5,13) at N = 3): longer walks close at the base
+    by chance.  At twist seed 42, (5,13) N = 3 keeps 0 words at length 8 but
+    1,632 at length 14.  Raises InvalidParameterError before any work if
+    the top level's step tables cannot fit in physical memory.
     """
     if max_word_len < 1:
         raise InvalidParameterError("max_word_len must be >= 1")
@@ -655,6 +595,8 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
         raise InvalidParameterError(
             f"twist sequence has {len(twist.matrices)} levels, need {n_levels}"
         )
+    _refuse(f"the probe's step tables at level {n_levels} of ({cfg.q1},{cfg.q2}) need",
+            _probe_bytes(cfg, n_levels))
     gens = enumerate_generators(cfg.q1)
     pairing = gens.inverse_pairing
     d = cfg.q1 + 1

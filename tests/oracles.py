@@ -14,14 +14,7 @@ from itertools import product
 from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
 from expander_forge.modarith import PrimePower, sqrt_minus_one
 from expander_forge.multigraph import SerreGraph
-from expander_forge.projgroup import (
-    Mat2,
-    PairCoset,
-    ProjPoint,
-    identity,
-    mobius,
-    proj_normalize,
-)
+from expander_forge.projgroup import Mat2, identity, proj_normalize
 from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
 from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult
 
@@ -155,19 +148,16 @@ def cayley_girth_by_relator(q1: int, q2: int, n: int, max_len: int = 8):
 # ---------------------------------------------------------------------------
 # the original level builder: FIFO BFS over tuple states.  A point of
 # P^1(Z/q^n) is an int code (x:1) <-> x, (1 : p*t) <-> modulus + t;
-# matrices are raw 4-tuples mod q^n.
+# matrices are raw 4-tuples mod q^n.  The state codes of the vertices are
+# packed here by scalar arithmetic, independently of projgroup.
 
 
-def _point_code(pt, p, mod):
-    if pt.y == 1:
-        return pt.x
-    return mod + pt.y // p
-
-
-def _point_decode(code, p, mod):
-    if code < mod:
-        return ProjPoint(code, 1)
-    return ProjPoint(1, (code - mod) * p)
+def _point_code(x, y, p, mod):
+    """Code of the unimodular pair (x : y)."""
+    x, y = x % mod, y % mod
+    if y % p:
+        return x * pow(y, -1, mod) % mod
+    return mod + (y * pow(x, -1, mod) % mod) // p
 
 
 def _mobius_code(mt, code, p, mod):
@@ -176,11 +166,7 @@ def _mobius_code(mt, code, p, mod):
         x, y = code, 1
     else:
         x, y = 1, (code - mod) * p
-    nx = (a * x + b * y) % mod
-    ny = (c * x + d * y) % mod
-    if ny % p:
-        return nx * pow(ny, -1, mod) % mod
-    return mod + (ny * pow(nx, -1, mod) % mod) // p
+    return _point_code(a * x + b * y, c * x + d * y, p, mod)
 
 
 def _mul4(x, y, mod):
@@ -198,8 +184,16 @@ def _canon4(t, p, mod):
     raise VerificationError(f"matrix {t} has no unit entry mod {p}")
 
 
+def _matrix_code(t, p, mod):
+    """Code of a canonical 4-tuple: (1, b, c, d) or (a, 1, c, d) with p | a."""
+    a, b, c, d = t
+    if a == 1:
+        return (b * mod + c) * mod + d
+    return mod**3 + ((a // p) * mod + c) * mod + d
+
+
 def tuple_state_level(cfg, n, twist=None):
-    """(transition table, vertex keys) of level n by FIFO BFS over tuple
+    """(transition table, vertex codes) of level n by FIFO BFS over tuple
     states, generators scanned in order at each vertex."""
     pp = PrimePower(cfg.q2, n)
     p, mod = pp.p, pp.modulus
@@ -218,17 +212,15 @@ def tuple_state_level(cfg, n, twist=None):
         acts = [smats[pairing[i]].entries() for i in range(d)]
         if cfg.variant == "cartan":
             g = twist.matrices[n - 1] if twist is not None else identity(pp)
-            base = (
-                _point_code(mobius(g, ProjPoint(0, 1)), p, mod),
-                _point_code(mobius(g, ProjPoint(1, 0)), p, mod),
-            )
+            # g (0:1) = (b : d) and g (1:0) = (a : c)
+            base = (_point_code(g.b, g.d, p, mod), _point_code(g.a, g.c, p, mod))
 
             def step(i, st):
                 a = acts[i]
                 return (_mobius_code(a, st[0], p, mod), _mobius_code(a, st[1], p, mod))
 
         else:
-            base = _point_code(ProjPoint(1, 0), p, mod)
+            base = _point_code(1, 0, p, mod)
 
             def step(i, st):
                 return _mobius_code(acts[i], st, p, mod)
@@ -252,13 +244,13 @@ def tuple_state_level(cfg, n, twist=None):
         table.append(row)
 
     if cfg.variant == "cayley":
-        keys = [Mat2(*st, pp) for st in order]
+        codes = [_matrix_code(st, p, mod) for st in order]
     elif cfg.variant == "cartan":
-        keys = [PairCoset(_point_decode(st[0], p, mod), _point_decode(st[1], p, mod))
-                for st in order]
+        npts = mod + mod // p
+        codes = [c0 * npts + c1 for c0, c1 in order]
     else:
-        keys = [_point_decode(st, p, mod) for st in order]
-    return table, keys
+        codes = order
+    return table, codes
 
 
 def loop_validation_error(num_vertices, origin, terminus, inv):

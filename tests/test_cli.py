@@ -225,10 +225,15 @@ def test_malformed_edge_list(tmp_path):
         dict(graph, edges=[[0, 1, 0], [1, 0, 0, 0]]),
         dict(graph, edges=[[0, 1, 0, "1"], [1, 0, 0, 0]]),
         dict(graph, meta=[1, 2]),
+        f"{header} V=2\n0 1 0 1\n1 0 0 \xff\xfe\n".encode("latin-1"),
+        b'{"format": "expander-forge-graph", "meta": {"x": "\xff"}}',
     ]
     for i, row in enumerate(rows):
         bad = tmp_path / f"bad{i}"
-        bad.write_text(row if isinstance(row, str) else json.dumps(row))
+        if isinstance(row, bytes):
+            bad.write_bytes(row)
+        else:
+            bad.write_text(row if isinstance(row, str) else json.dumps(row))
         assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE, row
         assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE, row
 
@@ -250,3 +255,20 @@ def test_build_refuses_level_beyond_physical_memory(tmp_path):
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "physical memory" in proc.stderr
     assert not out.exists()
+
+
+def test_probe_refuses_level_beyond_physical_memory():
+    # The step tables of (5,13) level 9 need about 1.5 TiB.  The child's
+    # address space is capped, so a missing check fails on allocation.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_forge", "probe", "--q1", "5", "--q2", "13",
+         "--level", "9", "--max-word-len", "2"],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "physical memory" in proc.stderr and not proc.stdout

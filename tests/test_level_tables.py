@@ -1,6 +1,7 @@
 """The vectorized level builder and array covering check against the
 original tuple-state builder and the link-by-link covering check, pinned
-edge-list bytes, and the up-front memory refusal, eigensolve included."""
+edge-list bytes, and the up-front memory refusals of levels, the eigensolve
+and the probe's step tables."""
 
 import dataclasses
 import hashlib
@@ -16,6 +17,7 @@ from expander_forge.tower import (
     TowerConfig,
     build_level,
     build_tower,
+    intersection_probe,
     natural_covering,
     twist_sequence,
 )
@@ -45,9 +47,9 @@ def _levels(q1, q2, variant, top, seed):
 def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
     cfg, twist, levels = _levels(q1, q2, variant, top, seed)
     for lvl in levels:
-        table, keys = tuple_state_level(cfg, lvl.n, twist)
+        table, codes = tuple_state_level(cfg, lvl.n, twist)
         assert lvl.table.tolist() == table
-        assert lvl.vertex_keys() == keys
+        assert lvl.codes.tolist() == codes
         assert np.array_equal(lvl.graph.terminus, lvl.table.reshape(-1))
     for upper, lower in zip(levels[1:], levels):
         cov = natural_covering(upper, lower)
@@ -148,6 +150,26 @@ def test_tower_refusal_counts_the_eigensolve(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(tower, "_physical_memory", lambda: levels_only + solve - 1)
     assert build_level(cfg, 2).graph.num_vertices == 30758
+
+
+def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):
+    # Memory between the level-3 and level-4 estimates of the probe's step
+    # tables: level 3 runs unchanged, level 4 is refused before any work.
+    cfg = TowerConfig(5, 13, levels=4, twist_seed=42)
+    need3, need4 = tower._probe_bytes(cfg, 3), tower._probe_bytes(cfg, 4)
+    assert 0 < need3 < need4
+    twist = twist_sequence(cfg, 42)
+    want = [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the memory check")
+
+    monkeypatch.setattr(tower, "_physical_memory", lambda: (need3 + need4) // 2)
+    assert [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)] == want
+    monkeypatch.setattr(tower, "_transitions", no_work)
+    for tw in (None, twist):
+        with pytest.raises(InvalidParameterError, match=f"estimated {need4} bytes"):
+            intersection_probe(cfg, 6, 4, tw)
 
 
 def test_solve_bytes_dense_path():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,19 +9,19 @@ from expander_forge.errors import InvalidParameterError, SingularMatrixError
 from expander_forge.modarith import PrimePower, unit_inverse
 from expander_forge.projgroup import (
     Mat2,
-    PairCoset,
-    ProjPoint,
-    coset_key,
-    enumerate_p1,
+    act_on_points,
     identity,
     is_psl,
-    matrix_inverse,
-    mobius,
-    pair_coset,
+    matrix_codes,
+    matrix_entries,
+    p1_size,
+    point_codes,
+    point_coords,
     proj_normalize,
-    proj_point,
     reduce_matrix,
-    reduce_point,
+    reduce_matrix_codes,
+    reduce_point_codes,
+    unit_inverses,
 )
 from expander_forge.quat import Quaternion, enumerate_generators, split
 
@@ -39,6 +40,35 @@ def random_diag(rng, pp):
         a, d = rng.randrange(pp.modulus), rng.randrange(pp.modulus)
         if a % pp.p and d % pp.p:
             return Mat2(a, 0, 0, d, pp)
+
+
+def entries(mats):
+    """The entries of a list of matrices as four int64 arrays."""
+    return tuple(np.array([m.entries() for m in mats], dtype=np.int64).T)
+
+
+def all_points(pp):
+    return np.arange(p1_size(pp), dtype=np.int64)
+
+
+def act(m, codes, pp):
+    return act_on_points(m.entries(), codes, pp, unit_inverses(pp))
+
+
+def pair_codes(mats, pp):
+    """Codes c0*P + c1 of the pairs (m^-1 (0:1), m^-1 (1:0)).  The adjugate
+    acts as m^-1 does, since scalars fix every point."""
+    a, b, c, d = entries(mats)
+    adj, uinv = (d, -b, -c, a), unit_inverses(pp)
+    c0 = act_on_points(adj, np.zeros_like(a), pp, uinv)
+    c1 = act_on_points(adj, np.full_like(a, pp.modulus), pp, uinv)
+    return c0 * p1_size(pp) + c1
+
+
+def general_position(c0, c1, pp):
+    """Whether the points with codes c0 and c1 have a unit column determinant."""
+    (x0, y0), (x1, y1) = point_coords(c0, pp), point_coords(c1, pp)
+    return (x0 * y1 - y0 * x1) % pp.p != 0
 
 
 def test_mat2_reduces_and_validates():
@@ -74,24 +104,27 @@ def test_is_psl():
 
 
 def test_proj_point_canonical_shapes():
-    assert proj_point(3, 7, PP13) == ProjPoint(3 * unit_inverse(7, PP13) % 13, 1)
-    assert proj_point(1, 0, PP13) == ProjPoint(1, 0)
+    uinv = unit_inverses(PP13)
+    code = point_codes(np.array([3, 1]), np.array([7, 0]), PP13, uinv)
+    assert code.tolist() == [3 * unit_inverse(7, PP13) % 13, 13]
+    x, y = point_coords(code, PP13)
+    assert (x.tolist(), y.tolist()) == ([3 * unit_inverse(7, PP13) % 13, 1], [1, 0])
+    # (2 : 13) mod 169 is (1 : 13 * 2^-1), the shape (1 : p*t)
     pp = PrimePower(13, 2)
-    pt = proj_point(2, 13, pp)
-    assert pt.x == 1 and pt.y % 13 == 0
-    with pytest.raises(InvalidParameterError):
-        proj_point(13, 26, pp)
+    code = point_codes(np.array([2]), np.array([13]), pp, unit_inverses(pp))
+    x, y = point_coords(code, pp)
+    assert code[0] >= 169 and x[0] == 1 and y[0] % 13 == 0
+    assert (2 * y[0] - 13 * x[0]) % 169 == 0
 
 
 def test_mobius_examples():
-    for pt in enumerate_p1(PP13):
-        assert mobius(identity(PP13), pt) == pt
+    pts = all_points(PP13)
+    assert np.array_equal(act(identity(PP13), pts, PP13), pts)
     d = Mat2(11, 0, 0, 4, PP13)
-    assert mobius(d, ProjPoint(0, 1)) == ProjPoint(0, 1)
-    assert mobius(d, ProjPoint(1, 0)) == ProjPoint(1, 0)
+    assert act(d, np.array([0, 13]), PP13).tolist() == [0, 13]  # (0:1) and (1:0)
     shear = Mat2(1, 1, 0, 1, PP13)
-    for a in range(13):
-        assert mobius(shear, ProjPoint(a, 1)) == ProjPoint((a + 1) % 13, 1)
+    affine = np.arange(13)
+    assert np.array_equal(act(shear, affine, PP13), (affine + 1) % 13)
 
 
 @pytest.mark.parametrize("q,k,count", [
@@ -100,34 +133,58 @@ def test_mobius_examples():
     (29, 1, 30),
 ])
 def test_enumerate_p1_counts(q, k, count):
-    pts = enumerate_p1(PrimePower(q, k))
-    assert len(pts) == count
-    assert len(set(pts)) == count
+    pp = PrimePower(q, k)
+    pts = all_points(pp)
+    assert p1_size(pp) == len(pts) == count
+    x, y = point_coords(pts, pp)
+    assert np.array_equal(point_codes(x, y, pp, unit_inverses(pp)), pts)
+    assert len(set(zip(x.tolist(), y.tolist()))) == count
     assert count == q ** (k - 1) * (q + 1)
 
 
 def test_coset_key_examples():
-    base = PairCoset(ProjPoint(0, 1), ProjPoint(1, 0))
-    assert coset_key(identity(PP13)) == base
-    assert coset_key(Mat2(4, 0, 0, 9, PP13)) == base
+    base = 0 * 14 + 13  # ((0:1), (1:0))
     shear = Mat2(1, 1, 0, 1, PP13)
-    assert coset_key(shear) == PairCoset(ProjPoint(12, 1), ProjPoint(1, 0))
+    codes = pair_codes([identity(PP13), Mat2(4, 0, 0, 9, PP13), shear], PP13)
+    assert codes.tolist() == [base, base, 12 * 14 + 13]  # shear: ((12:1), (1:0))
 
 
 def test_matrix_inverse_examples():
-    assert matrix_inverse(identity(PP13)) == identity(PP13)
-    assert matrix_inverse(Mat2(1, 0, 0, 8, PP13)).entries() == (1, 0, 0, 5)
-    assert matrix_inverse(Mat2(1, 1, 0, 1, PP13)).entries() == (1, 12, 0, 1)
+    def inverse(m):
+        return proj_normalize(m.inverse())
+
+    assert inverse(identity(PP13)) == identity(PP13)
+    assert inverse(Mat2(1, 0, 0, 8, PP13)).entries() == (1, 0, 0, 5)
+    assert inverse(Mat2(1, 1, 0, 1, PP13)).entries() == (1, 12, 0, 1)
     m = Mat2(3, 5, 7, 2, PP13)
-    assert proj_normalize(m * matrix_inverse(m)) == identity(PP13)
+    assert proj_normalize(m * inverse(m)) == identity(PP13)
+    uinv = unit_inverses(PP13)
+    assert matrix_codes(*entries([m * inverse(m)]), PP13, uinv).tolist() == [1]
 
 
 def test_pair_coset_validation():
-    pp = PP13
-    with pytest.raises(InvalidParameterError):
-        pair_coset(ProjPoint(3, 1), ProjPoint(3, 1), pp)
-    pc = pair_coset(ProjPoint(3, 1), ProjPoint(1, 0), pp)
-    assert pc.p0 == ProjPoint(3, 1)
+    # the two points of a pair code are in general position
+    assert general_position(np.array([3]), np.array([13]), PP13)[0]
+    assert not general_position(np.array([3]), np.array([3]), PP13)[0]
+    for pp in (PP13, PrimePower(5, 2)):
+        rng = random.Random(5)
+        codes = pair_codes([random_mat(rng, pp) for _ in range(200)], pp)
+        assert general_position(*np.divmod(codes, p1_size(pp)), pp).all()
+
+
+def test_matrix_codes_match_proj_normalize():
+    for pp in (PP13, PrimePower(5, 3), PrimePower(13, 2)):
+        rng = random.Random(pp.modulus)
+        mats = [random_mat(rng, pp) for _ in range(300)]
+        # both shapes: a leading unit, and a = 0 (mod p) with b a unit
+        mats += [Mat2(pp.p, 2, 1, 0, pp), Mat2(0, 2, 1, 3, pp), identity(pp)]
+        codes = matrix_codes(*entries(mats), pp, unit_inverses(pp))
+        canon = [proj_normalize(m).entries() for m in mats]
+        decoded = matrix_entries(codes, pp)
+        assert list(zip(*(e.tolist() for e in decoded))) == canon
+        assert np.array_equal(matrix_codes(*decoded, pp, unit_inverses(pp)), codes)
+        same = [[c1 == c2 for c2 in canon] for c1 in canon]
+        assert np.array_equal(codes[:, None] == codes[None, :], same)
 
 
 def test_reduce_level_examples():
@@ -143,11 +200,23 @@ def test_reduce_level_examples():
 def test_reduce_path_independence():
     pp3, pp2, pp1 = PrimePower(5, 3), PrimePower(5, 2), PrimePower(5, 1)
     rng = random.Random(7)
-    for _ in range(50):
-        m = random_mat(rng, pp3)
+    mats = [random_mat(rng, pp3) for _ in range(50)]
+    for m in mats:
         assert reduce_matrix(reduce_matrix(m, pp2), pp1) == reduce_matrix(m, pp1)
-        pt = mobius(m, ProjPoint(0, 1))
-        assert reduce_point(reduce_point(pt, pp2), pp1) == reduce_point(pt, pp1)
+    pts = all_points(pp3)
+    assert np.array_equal(reduce_point_codes(reduce_point_codes(pts, pp3, pp2), pp2, pp1),
+                          reduce_point_codes(pts, pp3, pp1))
+    # reducing a code is reducing its coordinates and recoding
+    x, y = point_coords(pts, pp3)
+    assert np.array_equal(reduce_point_codes(pts, pp3, pp1),
+                          point_codes(x % 5, y % 5, pp1, unit_inverses(pp1)))
+    codes = matrix_codes(*entries(mats), pp3, unit_inverses(pp3))
+    assert np.array_equal(
+        reduce_matrix_codes(reduce_matrix_codes(codes, pp3, pp2), pp2, pp1),
+        reduce_matrix_codes(codes, pp3, pp1))
+    want = entries([reduce_matrix(m, pp1) for m in mats])
+    for got, e in zip(matrix_entries(reduce_matrix_codes(codes, pp3, pp1), pp1), want):
+        assert np.array_equal(got, e)
 
 
 # --- invariant suites ------------------------------------------------------
@@ -158,12 +227,11 @@ def test_reduce_path_independence():
 def test_mobius_action_axiom(q, k):
     pp = PrimePower(q, k)
     rng = random.Random(1000 * q + k)
-    pts = enumerate_p1(pp)
+    pts = all_points(pp)
     for _ in range(100):
         m1 = random_mat(rng, pp)
         m2 = random_mat(rng, pp)
-        pt = rng.choice(pts)
-        assert mobius(m1 * m2, pt) == mobius(m1, mobius(m2, pt))
+        assert np.array_equal(act(m1 * m2, pts, pp), act(m1, act(m2, pts, pp), pp))
 
 
 @pytest.mark.properties
@@ -171,11 +239,9 @@ def test_mobius_action_axiom(q, k):
 def test_coset_key_constant_on_cosets(q, k):
     pp = PrimePower(q, k)
     rng = random.Random(99)
-    for _ in range(100):
-        m = random_mat(rng, pp)
-        key = coset_key(m)
-        d = random_diag(rng, pp)
-        assert coset_key(d * m) == key
+    mats = [random_mat(rng, pp) for _ in range(100)]
+    moved = [random_diag(rng, pp) * m for m in mats]
+    assert np.array_equal(pair_codes(moved, pp), pair_codes(mats, pp))
 
 
 @pytest.mark.properties
@@ -189,10 +255,12 @@ def test_coset_key_separates_cosets(q, k):
         w = m1 * m2.inverse()
         return w.b == 0 and w.c == 0
 
-    for _ in range(100):
-        m1 = random_mat(rng, pp)
-        m2 = random_mat(rng, pp)
-        assert (coset_key(m1) == coset_key(m2)) == same_coset(m1, m2)
+    # all pairs of 120 matrices: about 14400 / |cosets| of them share a coset
+    mats = [random_mat(rng, pp) for _ in range(120)]
+    codes = pair_codes(mats, pp)
+    same = [[same_coset(m1, m2) for m2 in mats] for m1 in mats]
+    assert np.array_equal(codes[:, None] == codes[None, :], same)
+    assert sum(map(sum, same)) > len(mats)
 
 
 @pytest.mark.properties
@@ -207,3 +275,10 @@ def test_reduce_is_multiplicative(qk, data):
     lhs = reduce_matrix(m1 * m2, pp1)
     rhs = proj_normalize(reduce_matrix(m1, pp1) * reduce_matrix(m2, pp1))
     assert lhs == rhs
+    # the codes: reduce(m1 m2) and reduce(m) . reduce(x) on every point
+    code = matrix_codes(*entries([m1 * m2]), pp, unit_inverses(pp))
+    assert reduce_matrix_codes(code, pp, pp1).tolist() == matrix_codes(
+        *entries([rhs]), pp1, unit_inverses(pp1)).tolist()
+    pts = all_points(pp)
+    assert np.array_equal(reduce_point_codes(act(m1, pts, pp), pp, pp1),
+                          act(reduce_matrix(m1, pp1), reduce_point_codes(pts, pp, pp1), pp1))
