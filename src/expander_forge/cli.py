@@ -33,6 +33,7 @@ from .errors import (
     VerificationError,
     WordLengthError,
 )
+from .modarith import PrimePower
 from .multigraph import SerreGraph, girth
 from .quat import split
 from .spectra import RESIDUAL_RTOL, SpectralReport, ramanujan_check
@@ -381,11 +382,7 @@ def cmd_probe(args) -> int:
     cfg = TowerConfig(args.q1, args.q2, levels=args.level, variant="cartan",
                       twist_seed=args.twist_seed)
     probe, twist, reseeds = probe_with_reseed(cfg, args.max_word_len)
-    pp_top = None
-    if probe.survivors:
-        from .modarith import PrimePower
-
-        pp_top = PrimePower(args.q2, args.level)
+    pp_top = PrimePower(args.q2, args.level)
     for seed in reseeds:
         print(f"# reseeded: twist seed {seed} was degenerate")
     print(f"# {probe.words_tested} reduced words tested, "

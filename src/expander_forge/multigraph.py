@@ -6,14 +6,18 @@ reverse; loops and parallel edges are first-class.  The edge maps are numpy
 integer arrays (int32 while every id fits, int64 beyond) and are validated
 vectorized.  Girth follows the convention under which a loop is a closed
 path of length 1 and a parallel pair one of length 2, and a path may never
-traverse inv(e) immediately after e.  The pure-Python traversals work on
-one list copy of the arrays they read, never on numpy scalars.
+traverse inv(e) immediately after e.  Connectivity and bipartiteness are
+component counts by scipy's csgraph; girth and the covering check are
+pure-Python traversals that work on one list copy of the arrays they read,
+never on numpy scalars.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphConstructionError, InvalidMorphismError
 
@@ -158,48 +162,27 @@ class SerreGraph:
         return np.bincount(self.origin, minlength=self.num_vertices).tolist()
 
     def connected(self) -> bool:
-        if self.num_vertices == 0:
-            return True
-        seen = [False] * self.num_vertices
-        seen[0] = True
-        stack = [0]
-        links = self.links()
-        terminus = self.terminus.tolist()
-        count = 1
-        while stack:
-            u = stack.pop()
-            for e in links[u]:
-                w = terminus[e]
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.num_vertices
+        """Whether the graph has at most one component (the empty graph has none)."""
+        return _component_count(self.num_vertices, self.origin, self.terminus) <= 1
 
-    def is_bipartite(self):
-        """(flag, 2-coloring or None); any loop forces False."""
-        color = [-1] * self.num_vertices
-        links = self.links()
-        terminus = self.terminus.tolist()
-        for s in range(self.num_vertices):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            queue = [s]
-            while queue:
-                u = queue.pop()
-                cu = color[u]
-                for e in links[u]:
-                    w = terminus[e]
-                    if color[w] == -1:
-                        color[w] = 1 - cu
-                        queue.append(w)
-                    elif color[w] == cu:
-                        return False, None
-        return True, color
+    def is_bipartite(self) -> bool:
+        """Whether the bipartite double cover, with an edge from v to the copy
+        of w for every edge from v to w, has twice the graph's components; a
+        loop joins a vertex to its copy, so any loop forces False."""
+        nv = self.num_vertices
+        copies = np.add(self.terminus, nv, dtype=index_dtype(2 * nv))
+        return bool(_component_count(2 * nv, self.origin, copies)
+                    == 2 * _component_count(nv, self.origin, self.terminus))
 
     def geometric_loop_count(self) -> int:
         return int(np.count_nonzero(self.origin == self.terminus)) // 2
+
+
+def _component_count(n: int, u, v) -> int:
+    """Connected components of the undirected graph on vertices 0..n-1 with
+    an edge between u[i] and v[i] for every i."""
+    pattern = sp.coo_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n))
+    return connected_components(pattern, directed=False, return_labels=False)
 
 
 def girth(g: SerreGraph):

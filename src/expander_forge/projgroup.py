@@ -132,9 +132,17 @@ def p1_size(pp: PrimePower) -> int:
 
 
 def unit_inverses(pp: PrimePower) -> np.ndarray:
-    """uinv[x] = x^-1 mod q^n for units x, 0 for non-units."""
+    """uinv[x] = x^-1 mod q^n for units x, 0 for non-units: the inverses mod
+    q, lifted by Newton's step y <- y (2 - x y), which doubles the q-adic
+    precision each time.  The products are int64, so q^2n must fit there."""
     m, p = pp.modulus, pp.p
-    return np.array([pow(x, -1, m) if x % p else 0 for x in range(m)], dtype=np.int64)
+    if m * m >= 2**63:
+        raise InvalidParameterError(f"unit inverses mod {p}**{pp.k} overflow int64")
+    x = np.arange(m, dtype=np.int64)
+    y = np.array([0] + [pow(r, -1, p) for r in range(1, p)], dtype=np.int64)[x % p]
+    for _ in range(pp.k.bit_length()):
+        y = y * (2 - x * y % m) % m
+    return y
 
 
 def point_coords(codes, pp: PrimePower):

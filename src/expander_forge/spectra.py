@@ -164,7 +164,7 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
         raise InvalidParameterError(f"graph is not {q + 1}-regular (degrees {sorted(degs)})")
     if not g.connected():
         raise InvalidParameterError("graph is not connected")
-    bip, _ = g.is_bipartite()
+    bip = g.is_bipartite()
     a = adjacency(g)
     n = g.num_vertices
     bound = 2.0 * math.sqrt(q)

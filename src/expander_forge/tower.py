@@ -53,6 +53,7 @@ from .spectra import SpectralReport, ramanujan_check, solve_bytes
 
 VARIANTS = ("cartan", "borel", "cayley")
 DEFAULT_PROBE_CAP = 8
+_POINT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,15 @@ def _transitions(variant, pp, smats, pairing, base_matrix):
 
     # Right cosets move by the Moebius action of s^-1, which is the split
     # image of the conjugate generator; each generator permutes P^1 once.
+    # The permutations are filled in place, _POINT_CHUNK points at a time, so
+    # the temporaries of the action stay small beside the table.
     npts = p1_size(pp)
-    perms = np.stack([
-        act_on_points(smats[pairing[i]].entries(), np.arange(npts), pp, uinv)
-        for i in range(len(smats))
-    ])
+    perms = np.empty((len(smats), npts), dtype=np.int64)
+    for start in range(0, npts, _POINT_CHUNK):
+        points = np.arange(start, min(start + _POINT_CHUNK, npts))
+        for i, row in enumerate(perms):
+            row[start:start + len(points)] = act_on_points(
+                smats[pairing[i]].entries(), points, pp, uinv)
     if variant == "borel":
         return (lambda front: perms[:, front].T), m  # the point (1:0)
 
@@ -303,11 +308,12 @@ def _refuse_oversized(cfg: TowerConfig, levels, solve: bool = False) -> None:
 
 
 def _probe_bytes(cfg: TowerConfig, n: int) -> int:
-    """Peak bytes of the probe's step tables at level n: the unit inverses,
-    then the q1+1 point permutations twice while np.stack copies them, plus
-    about five temporaries of the Moebius action; 8 bytes an entry."""
+    """Peak bytes of the probe's step tables at level n: the unit inverses
+    and the q1+1 point permutations, plus room for sixteen temporaries of the
+    Moebius action on one chunk of points; 8 bytes an entry."""
     pp = PrimePower(cfg.q2, n)
-    return 8 * pp.modulus + 8 * p1_size(pp) * (2 * (cfg.q1 + 1) + 5)
+    npts = p1_size(pp)
+    return 8 * pp.modulus + 8 * npts * (cfg.q1 + 1) + 8 * 16 * min(npts, _POINT_CHUNK)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,9 @@ These deliberately avoid the library's production code paths: girth by
 exhaustive walk enumeration, matrix groups by full enumeration, Cayley
 girth by searching for the shortest scalar-valued generator word, level
 tables by the original pure-Python BFS over tuple states, Serre-graph
-validation by the original per-edge loop, and the intersection probe by the
-original depth-first enumeration of every reduced word.
+validation by the original per-edge loop, connectivity and bipartiteness by
+the original depth-first and breadth-first traversals, and the intersection
+probe by the original depth-first enumeration of every reduced word.
 """
 
 import math
@@ -272,6 +273,51 @@ def loop_validation_error(num_vertices, origin, terminus, inv):
         if origin[eb] != terminus[e] or terminus[eb] != origin[e]:
             return f"involution does not reverse edge {e}"
     return None
+
+
+def traversal_connected(g: SerreGraph) -> bool:
+    """Connectivity by the original depth-first traversal from vertex 0."""
+    if g.num_vertices == 0:
+        return True
+    seen = [False] * g.num_vertices
+    seen[0] = True
+    stack = [0]
+    links = g.links()
+    terminus = g.terminus.tolist()
+    count = 1
+    while stack:
+        u = stack.pop()
+        for e in links[u]:
+            w = terminus[e]
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == g.num_vertices
+
+
+def traversal_bipartite(g: SerreGraph):
+    """(flag, 2-coloring or None) by the original traversal that colors each
+    component from its least vertex; any loop forces False."""
+    color = [-1] * g.num_vertices
+    links = g.links()
+    terminus = g.terminus.tolist()
+    for s in range(g.num_vertices):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            cu = color[u]
+            for e in links[u]:
+                w = terminus[e]
+                if color[w] == -1:
+                    color[w] = 1 - cu
+                    queue.append(w)
+                elif color[w] == cu:
+                    return False, None
+    return True, color
 
 
 # ---------------------------------------------------------------------------

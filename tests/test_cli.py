@@ -19,6 +19,7 @@ from expander_forge.cli import (
     main,
     parse_edgelist,
 )
+from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
 
 
@@ -236,6 +237,28 @@ def test_malformed_edge_list(tmp_path):
             bad.write_text(row if isinstance(row, str) else json.dumps(row))
         assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE, row
         assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE, row
+
+
+@pytest.mark.parametrize("name,edges,message", [
+    ("path", [(0, 1), (1, 2)], "graph is not regular (degrees [1, 2])"),
+    ("two-k4", [(a + o, b + o) for o in (0, 4) for a in range(4) for b in range(a + 1, 4)],
+     "graph is not connected"),
+])
+def test_spectrum_refuses_graph_outside_the_claim(tmp_path, name, edges, message):
+    # Both files are well formed, so export accepts them; spectrum refuses
+    # them with one error line.
+    g = SerreGraph.from_geometric_edges(max(max(e) for e in edges) + 1, edges)
+    g.meta.update(q1=0, q2=0, n=0, variant="fixture", mode="NA", V=g.num_vertices)
+    path = tmp_path / f"{name}.edges"
+    path.write_text(format_edgelist(g))
+    assert main(["export", "--in", str(path), "--format", "json"]) == EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_forge", "spectrum", "--in", str(path)],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == f"error: {message}\n" and not proc.stdout
 
 
 def test_build_refuses_level_beyond_physical_memory(tmp_path):

@@ -58,6 +58,22 @@ def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
         assert check.ok and check.witness == -1
 
 
+def test_tables_filled_in_point_chunks(monkeypatch):
+    # 11 divides no P^1 size used here, so every permutation is filled over
+    # several chunks ending in a partial one
+    cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
+    twist = twist_sequence(cfg, 42)
+    want = [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)]
+    monkeypatch.setattr(tower, "_POINT_CHUNK", 11)
+    assert [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)] == want
+    for tower_args in [(5, 13, "cartan", 2, 7), (13, 5, "borel", 3, None)]:
+        cfg, twist, levels = _levels(*tower_args)
+        for lvl in levels:
+            table, codes = tuple_state_level(cfg, lvl.n, twist)
+            assert lvl.table.tolist() == table
+            assert lvl.codes.tolist() == codes
+
+
 def test_covering_check_names_corrupted_vertex():
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
     vmap = natural_covering(l2, l1).morphism.vertex_map

@@ -23,7 +23,12 @@ from expander_forge.multigraph import (
     girth,
     is_covering,
 )
-from oracles import brute_force_girth, loop_validation_error
+from oracles import (
+    brute_force_girth,
+    loop_validation_error,
+    traversal_bipartite,
+    traversal_connected,
+)
 
 
 def test_link_sizes():
@@ -99,11 +104,9 @@ def test_girth_matches_brute_force_on_fixtures():
 
 
 def test_bipartite():
-    assert cycle_graph(6).is_bipartite()[0]
-    flag, coloring = cycle_graph(6).is_bipartite()
-    assert flag and all(coloring[i] != coloring[(i + 1) % 6] for i in range(6))
-    assert not cycle_graph(5).is_bipartite()[0]
-    assert not loop_graph().is_bipartite()[0]
+    assert cycle_graph(6).is_bipartite() is True
+    assert cycle_graph(5).is_bipartite() is False
+    assert not loop_graph().is_bipartite()
 
 
 def test_connected_and_degrees():
@@ -112,6 +115,29 @@ def test_connected_and_degrees():
     assert c6.degrees() == [2] * 6
     disjoint = SerreGraph.from_geometric_edges(4, [(0, 1), (2, 3)])
     assert not disjoint.connected()
+
+
+# (name, graph, connected, bipartite)
+COMPONENT_FIXTURES = [
+    ("empty", SerreGraph(0, [], [], []), True, True),
+    ("isolated vertex", SerreGraph(1, [], [], []), True, True),
+    ("c5", cycle_graph(5), True, False),
+    ("c6", cycle_graph(6), True, True),
+    ("path5", path_graph(5), True, True),
+    ("two triangles", SerreGraph.from_geometric_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), False, False),
+    ("loop", loop_graph(), True, False),
+    ("parallel pair", parallel_pair(), True, True),
+    ("petersen", petersen_graph(), True, False),
+    ("k4", complete_graph(4), True, False),
+]
+
+
+@pytest.mark.parametrize("name,g,connected,bipartite", COMPONENT_FIXTURES,
+                         ids=[f[0] for f in COMPONENT_FIXTURES])
+def test_components_match_traversal_oracles(name, g, connected, bipartite):
+    assert g.connected() is connected is traversal_connected(g)
+    assert g.is_bipartite() is bipartite is traversal_bipartite(g)[0]
 
 
 def _double_cover_c6_to_c3():
@@ -252,3 +278,11 @@ def test_girth_two_iff_parallel_no_loop(g):
                 has_parallel = True
             pairs[key] = True
     assert (got == 2) == (not has_loop and has_parallel)
+
+
+@pytest.mark.properties
+@settings(max_examples=150)
+@given(random_multigraphs())
+def test_components_match_traversal_oracles_random(g):
+    assert g.connected() == traversal_connected(g)
+    assert g.is_bipartite() == traversal_bipartite(g)[0]

@@ -103,6 +103,21 @@ def test_is_psl():
     assert not is_psl(proj_normalize(split(g, PP13)))  # scale-invariant
 
 
+@pytest.mark.parametrize("q,k", [(3, 1), (3, 7), (5, 1), (5, 5), (13, 1), (13, 3), (17, 2),
+                                 (29, 2)])
+def test_unit_inverses_match_scalar_inverse(q, k):
+    pp = PrimePower(q, k)
+    expected = [unit_inverse(x, pp) if x % q else 0 for x in range(pp.modulus)]
+    assert unit_inverses(pp).tolist() == expected
+
+
+def test_unit_inverses_refuse_int64_overflow():
+    # 3^20 is the least power of 3 whose square exceeds int64; the refusal
+    # comes before any table is allocated
+    with pytest.raises(InvalidParameterError, match="overflow int64"):
+        unit_inverses(PrimePower(3, 20))
+
+
 def test_proj_point_canonical_shapes():
     uinv = unit_inverses(PP13)
     code = point_codes(np.array([3, 1]), np.array([7, 0]), PP13, uinv)

@@ -22,7 +22,13 @@ from expander_forge.tower import (
     twist_sequence,
     two_squares,
 )
-from oracles import bfs_transition_table, brute_force_pgl2_cartan_graph, cayley_girth_by_relator
+from oracles import (
+    bfs_transition_table,
+    brute_force_pgl2_cartan_graph,
+    cayley_girth_by_relator,
+    traversal_bipartite,
+    traversal_connected,
+)
 
 
 def test_config_validation():
@@ -77,13 +83,13 @@ def test_cayley_psl_mode_count():
     cfg = TowerConfig(5, 29, variant="cayley")
     lvl = build_level(cfg, 1)
     assert lvl.graph.num_vertices == 29 * 28 * 30 // 2  # |PSL2(F29)|
-    assert not lvl.graph.is_bipartite()[0]
+    assert not lvl.graph.is_bipartite()
     assert all(is_psl(m) for m in lvl.generator_matrices)
 
 
 def test_cayley_pgl_is_bipartite():
     lvl = build_level(TowerConfig(5, 13, variant="cayley"), 1)
-    assert lvl.graph.is_bipartite()[0]
+    assert lvl.graph.is_bipartite()
     assert not any(is_psl(m) for m in lvl.generator_matrices)
 
 
@@ -372,3 +378,25 @@ def test_cayley_girth_matches_relator_oracle():
     bfs_girth = girth(lvl.graph)
     oracle = cayley_girth_by_relator(5, 13, 1, max_len=8)
     assert bfs_girth == oracle == 8
+
+
+# (q1, q2, variant, level, bipartite); every level is connected
+COMPONENT_LEVELS = [
+    (5, 13, "cartan", 1, False),
+    (5, 13, "cartan", 2, False),
+    (13, 5, "borel", 1, False),
+    (13, 5, "borel", 2, False),
+    (13, 5, "borel", 3, False),
+    (5, 13, "cayley", 1, True),
+    (5, 17, "cayley", 1, True),
+    (5, 29, "cayley", 1, False),
+    (13, 5, "cayley", 1, True),
+    (13, 5, "cayley", 2, True),
+]
+
+
+@pytest.mark.parametrize("q1,q2,variant,n,bipartite", COMPONENT_LEVELS)
+def test_level_components_match_traversal_oracles(q1, q2, variant, n, bipartite):
+    g = build_level(TowerConfig(q1, q2, levels=n, variant=variant), n).graph
+    assert g.connected() is True is traversal_connected(g)
+    assert g.is_bipartite() is bipartite is traversal_bipartite(g)[0]
