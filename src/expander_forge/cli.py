@@ -8,7 +8,13 @@ Edge list (one directed edge per line, ids implicit from line order)::
     src dst gen_idx inv_edge_id
 
 Lines are ordered by (src, gen_idx); ids are 0-based; re-reading a file
-reproduces the graph exactly, involution included.  JSON reports carry
+reproduces the graph exactly, involution included.  Blank lines before the
+header are skipped.  Each edge line holds four tokens ``-?[0-9]+``, values in
+int64, separated by spaces or tabs; LF, CRLF and CR end lines, and lines of
+only spaces and tabs are skipped.  Any other byte (a ``+``, ``_``, a
+non-ASCII digit) makes its line malformed.  Writing and reading run as numpy
+byte kernels over bounded blocks: _CHUNK_ROWS rows written, or about
+_BLOCK_BYTES bytes read, cut at a line end.  JSON reports carry
 ``"schema": 1``; integers round-trip exactly and floats are serialized with
 full repr precision (solver-derived floats are quantized to 12 significant
 digits first so reruns and different BLAS thread counts stay byte-identical).
@@ -20,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -54,6 +61,14 @@ SCHEMA_VERSION = 1
 HEADER_PREFIX = "# expander-forge v1"
 _META_FIELDS = ("q1", "q2", "n", "variant", "mode", "V")
 _CHUNK_ROWS = 1 << 16
+_BLOCK_BYTES = 1 << 20
+
+# 10**k for the places k < 19, where a uint64 sum of digits cannot wrap
+_PLACE = 10 ** np.arange(19, dtype=np.uint64)
+_INT64_MAX = np.uint64(2**63 - 1)
+# Lines of spaces and tabs, then the header line.
+_HEADER_LINE = re.compile(rb"(?:[ \t]*[\r\n])*([^\r\n]*)")
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 def _quant(x: float) -> float:
@@ -84,11 +99,34 @@ def _file_order_rows(g: SerreGraph):
         yield g.origin[p], g.terminus[p], g.label[p], pos[g.inv[p]]
 
 
+def _format_rows(cols) -> str:
+    """One chunk of edge lines: each row's four values in decimal, a space
+    after the first three and a newline after the last.  Digit counts give
+    every token's end by one cumulative sum; the digits are then scattered
+    into one byte buffer, lowest place first."""
+    vals = np.stack(cols, axis=1).astype(np.int64, copy=False).ravel()
+    neg = vals < 0
+    mag = vals.view(np.uint64)
+    mag = np.where(neg, -mag, mag)  # |v| exactly, -2**63 included
+    width = np.searchsorted(_PLACE[1:], mag, side="right") + 1 + neg
+    end = np.cumsum(width + 1) - 1  # the separator after each token
+    buf = np.full(end[-1] + 1, ord(" "), dtype=np.uint8)
+    buf[end[3::4]] = ord("\n")
+    buf[(end - width)[neg]] = ord("-")
+    if mag.max() < 2**32:
+        mag = mag.astype(np.uint32)  # same digits, cheaper division
+    pos = end - 1
+    while len(mag):
+        rest = mag // 10
+        buf[pos] = (mag - rest * 10).astype(np.uint8) + ord("0")
+        more = rest > 0
+        mag, pos = rest[more], pos[more] - 1
+    return buf.tobytes().decode("ascii")
+
+
 def format_edgelist(g: SerreGraph) -> str:
     parts = [_header_line(g.meta) + "\n"]
-    for cols in _file_order_rows(g):
-        flat = np.stack(cols, axis=1).ravel().tolist()
-        parts.append(("%d %d %d %d\n" * len(cols[0])) % tuple(flat))
+    parts += [_format_rows(cols) for cols in _file_order_rows(g)]
     return "".join(parts)
 
 
@@ -98,44 +136,84 @@ def _vertex_count(value, where: str) -> int:
     return value
 
 
-def _edge_rows(lines) -> np.ndarray:
-    """The edge lines as an (E, 4) int64 array, converted _CHUNK_ROWS lines
-    at a time.  A line without exactly four integer tokens, or with one
-    outside int64, is rejected with the text of the line."""
-    blocks = []
-    for start in range(0, len(lines), _CHUNK_ROWS):
-        chunk = lines[start:start + _CHUNK_ROWS]
-        try:
-            if any(len(ln.split()) != 4 for ln in chunk):
-                raise ValueError
-            tokens = " ".join(chunk).split()
-            blocks.append(np.array(tokens, dtype=np.int64).reshape(-1, 4))
-        except (ValueError, OverflowError):
-            bad = next(ln for ln in chunk if not _int64_row(ln.split()))
-            raise InvalidParameterError(f"malformed edge line: {bad!r}") from None
-    return np.concatenate(blocks) if blocks else np.empty((0, 4), dtype=np.int64)
+def _parse_block(b: np.ndarray) -> np.ndarray:
+    """The edge lines in bytes b, whole lines, as an (E, 4) int64 array.
+
+    Positions below are into b padded with a newline on each side, so the
+    lines are the spans between consecutive line ends and every token has a
+    byte outside it on either side.  A token's magnitude is summed from its
+    last byte back, one place a pass over all tokens; a position before the
+    token reads the zero of a non-digit byte.  The first line that breaks
+    the grammar, or holds a value outside int64, is named in the error."""
+    pad = np.full(len(b) + 2, ord("\n"), dtype=np.uint8)
+    pad[1:-1] = b
+    value = pad - np.uint8(ord("0"))
+    digit = value < 10
+    value *= digit
+    minus = pad == ord("-")
+    tok = digit | minus
+    is_eol = (pad == ord("\n")) | (pad == ord("\r"))
+    bad = ~(tok | is_eol | (pad == ord(" ")) | (pad == ord("\t")))
+    edges = np.flatnonzero(tok[1:] != tok[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    lens = ends - starts
+    longest = int(lens.max(initial=0))
+    last, before = ends - 1, starts - 1
+    mag = np.zeros(len(starts), dtype=np.uint64)
+    for place in range(min(longest, 19)):
+        mag += np.take(value, np.maximum(last - place, before)) * _PLACE[place]
+    neg = minus[starts]
+    m = np.flatnonzero(minus)
+    bad_pos = [
+        np.flatnonzero(bad),
+        m[tok[m - 1] | ~digit[m + 1]],  # a minus not leading a digit string
+        starts[mag > _INT64_MAX + neg],
+    ]
+    if longest > 19:
+        # a nonzero digit at place 19 or beyond means a value of 10**19 or more
+        nonzero = np.cumsum(value > 0)
+        wide = np.flatnonzero(lens > 19)
+        high = nonzero[ends[wide] - 20] - nonzero[starts[wide] - 1]
+        bad_pos.append(starts[wide[high > 0]])
+    eol = np.flatnonzero(is_eol)
+    counts = np.diff(np.searchsorted(starts, eol))
+    bad_lines = [np.flatnonzero((counts != 0) & (counts != 4))]
+    bad_lines += [np.searchsorted(eol, p[:1]) - 1 for p in bad_pos]
+    bad_lines = np.concatenate(bad_lines)
+    if len(bad_lines):
+        line = bad_lines.min()
+        text = b[eol[line]:eol[line + 1] - 1].tobytes().decode("utf-8")
+        raise InvalidParameterError(f"malformed edge line: {text!r}")
+    return np.where(neg, -mag, mag).view(np.int64).reshape(-1, 4)
 
 
-def _int64_row(tokens) -> bool:
-    try:
-        return len(tokens) == 4 and all(-(2**63) <= int(x) < 2**63 for x in tokens)
-    except ValueError:
-        return False
+def _edge_columns(raw: bytes, start: int):
+    """The edge lines of raw from start on as four int64 columns, parsed in
+    blocks that each end at the first line end _BLOCK_BYTES or more past
+    their start (or at the end of raw)."""
+    blocks = [np.empty((0, 4), dtype=np.int64)]
+    while start < len(raw):
+        cut = _LINE_END.search(raw, start + _BLOCK_BYTES)
+        stop = cut.end() if cut else len(raw)
+        blocks.append(_parse_block(np.frombuffer(raw, np.uint8, stop - start, start)))
+        start = stop
+    return [np.concatenate([blk[:, j] for blk in blocks]) for j in range(4)]
 
 
 def parse_edgelist(text: str) -> SerreGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(HEADER_PREFIX):
+    raw = text.encode()
+    head = _HEADER_LINE.match(raw)
+    header = head.group(1).decode()
+    if not header.startswith(HEADER_PREFIX):
         raise InvalidParameterError("not an expander-forge v1 edge list (missing header)")
     meta = {}
-    for tok in lines[0][len(HEADER_PREFIX):].split():
+    for tok in header[len(HEADER_PREFIX):].split():
         k, _, v = tok.partition("=")
         meta[k] = int(v) if v.lstrip("-").isdigit() else v
-    rows = _edge_rows(lines[1:])
+    origin, terminus, label, inv = _edge_columns(raw, head.end())
     if "V" not in meta:
         raise InvalidParameterError("header missing V=")
     nv = _vertex_count(meta["V"], "header V")
-    origin, terminus, label, inv = (np.ascontiguousarray(c) for c in rows.T)
     return SerreGraph(nv, origin, terminus, inv, label, meta=meta)
 
 

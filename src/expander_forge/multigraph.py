@@ -64,7 +64,8 @@ class SerreGraph:
     endpoints.  meta carries construction parameters for exports.
     """
 
-    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv", "meta", "_links")
+    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv", "meta", "_links",
+                 "_components")
 
     def __init__(self, num_vertices, origin, terminus, inv, label=None,
                  meta=None, validate=True):
@@ -76,6 +77,7 @@ class SerreGraph:
                       else _label_array(label))
         self.meta = dict(meta) if meta else {}
         self._links = None
+        self._components = None
         if validate:
             self._validate()
         ids = index_dtype(max(self.num_vertices, len(self.origin)))
@@ -161,9 +163,15 @@ class SerreGraph:
     def degrees(self):
         return np.bincount(self.origin, minlength=self.num_vertices).tolist()
 
+    def _vertex_components(self) -> int:
+        """Number of connected components, counted once and kept."""
+        if self._components is None:
+            self._components = _component_count(self.num_vertices, self.origin, self.terminus)
+        return self._components
+
     def connected(self) -> bool:
         """Whether the graph has at most one component (the empty graph has none)."""
-        return _component_count(self.num_vertices, self.origin, self.terminus) <= 1
+        return self._vertex_components() <= 1
 
     def is_bipartite(self) -> bool:
         """Whether the bipartite double cover, with an edge from v to the copy
@@ -171,8 +179,7 @@ class SerreGraph:
         loop joins a vertex to its copy, so any loop forces False."""
         nv = self.num_vertices
         copies = np.add(self.terminus, nv, dtype=index_dtype(2 * nv))
-        return bool(_component_count(2 * nv, self.origin, copies)
-                    == 2 * _component_count(nv, self.origin, self.terminus))
+        return bool(_component_count(2 * nv, self.origin, copies) == 2 * self._vertex_components())
 
     def geometric_loop_count(self) -> int:
         return int(np.count_nonzero(self.origin == self.terminus)) // 2

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from expander_forge.multigraph import SerreGraph
 
@@ -83,6 +84,14 @@ def small_girth_fixtures():
         ("path4", path_graph(4), math.inf),
         ("tree", binary_tree(2), math.inf),
     ]
+
+
+@st.composite
+def random_multigraphs(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 10))
+    edges = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(m)]
+    return SerreGraph.from_geometric_edges(n, edges)
 
 
 @pytest.fixture

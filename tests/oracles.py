@@ -5,13 +5,18 @@ exhaustive walk enumeration, matrix groups by full enumeration, Cayley
 girth by searching for the shortest scalar-valued generator word, level
 tables by the original pure-Python BFS over tuple states, Serre-graph
 validation by the original per-edge loop, connectivity and bipartiteness by
-the original depth-first and breadth-first traversals, and the intersection
-probe by the original depth-first enumeration of every reduced word.
+the original depth-first and breadth-first traversals, the intersection
+probe by the original depth-first enumeration of every reduced word, and
+edge-list I/O by the original string formatting and per-line int()
+conversion.
 """
 
 import math
 from itertools import product
 
+import numpy as np
+
+from expander_forge.cli import _CHUNK_ROWS, _file_order_rows, _header_line
 from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
 from expander_forge.modarith import PrimePower, sqrt_minus_one
 from expander_forge.multigraph import SerreGraph
@@ -410,3 +415,46 @@ def word_enumeration_probe(cfg, max_word_len=4, up_to_level=None, twist=None,
         words_tested=words_tested,
         survivors=tuple(survivors),
     )
+
+
+# ---------------------------------------------------------------------------
+# the original edge-list writer and reader
+
+
+def string_format_edgelist(g: SerreGraph) -> str:
+    """The edge list formatted row by row from a tuple of Python ints."""
+    parts = [_header_line(g.meta) + "\n"]
+    for cols in _file_order_rows(g):
+        flat = np.stack(cols, axis=1).ravel().tolist()
+        parts.append(("%d %d %d %d\n" * len(cols[0])) % tuple(flat))
+    return "".join(parts)
+
+
+def line_edge_rows(text: str) -> np.ndarray:
+    """The edge rows of an edge list, by splitlines, split and int()."""
+    return _edge_rows([ln for ln in text.splitlines() if ln.strip()][1:])
+
+
+def _edge_rows(lines) -> np.ndarray:
+    """The edge lines as an (E, 4) int64 array, converted _CHUNK_ROWS lines
+    at a time.  A line without exactly four integer tokens, or with one
+    outside int64, is rejected with the text of the line."""
+    blocks = []
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        chunk = lines[start:start + _CHUNK_ROWS]
+        try:
+            if any(len(ln.split()) != 4 for ln in chunk):
+                raise ValueError
+            tokens = " ".join(chunk).split()
+            blocks.append(np.array(tokens, dtype=np.int64).reshape(-1, 4))
+        except (ValueError, OverflowError):
+            bad = next(ln for ln in chunk if not _int64_row(ln.split()))
+            raise InvalidParameterError(f"malformed edge line: {bad!r}") from None
+    return np.concatenate(blocks) if blocks else np.empty((0, 4), dtype=np.int64)
+
+
+def _int64_row(tokens) -> bool:
+    try:
+        return len(tokens) == 4 and all(-(2**63) <= int(x) < 2**63 for x in tokens)
+    except ValueError:
+        return False

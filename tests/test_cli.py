@@ -217,6 +217,14 @@ def test_malformed_edge_list(tmp_path):
         f"{header} V=2\n0 1 0 1 0\n1 0 0 0\n",
         f"{header} V=2\n0 1 0\n1 1 0 0 0\n",
         f"{header} V=2\n0 {2**63} 0 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 {2**63} 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 {-(2**63) - 1} 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 {10**19} 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 +5 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 1_0 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 \u0663 1\n1 0 0 0\n".encode(),
+        f"{header} V=2\n0 1 - 1\n1 0 0 0\n",
+        f"{header} V=2\n0 1 1-2 1\n1 0 0 0\n",
         dict(graph, edges=[[0, 1, 0, 2**40], [1, 0, 0, 0]]),
         dict(graph, edges=[[0, 1, 0, 1], [-1, 0, 0, 0]]),
         {k: v for k, v in graph.items() if k != "edges"},
@@ -237,6 +245,28 @@ def test_malformed_edge_list(tmp_path):
             bad.write_text(row if isinstance(row, str) else json.dumps(row))
         assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE, row
         assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE, row
+
+
+def test_malformed_edge_line_message(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("# expander-forge v1 V=2\n0 1 0 1\n1 0 +5 0\n1 0 0\n")
+    assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed edge line: '1 0 +5 0'\n" and not captured.out
+
+
+@pytest.mark.parametrize("body,label", [
+    ("0\t1 0\t1\n1 0 0 0\n", 0),
+    ("0 1 0 1\r\n1 0 0 0\r\n", 0),
+    ("0 1 0 1\n \t \n1 0 0 0\n", 0),
+    ("0 1 0 1\n1 0 0 0", 0),
+    (f"0 1 {2**63 - 1} 1\n1 0 {2**63 - 1} 0\n", 2**63 - 1),
+])
+def test_edge_list_layouts_accepted(tmp_path, capsys, body, label):
+    path = tmp_path / "ok.edges"
+    path.write_bytes(f"# expander-forge v1 V=2\n{body}".encode())
+    assert main(["export", "--in", str(path), "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["edges"] == [[0, 1, label, 1], [1, 0, label, 0]]
 
 
 @pytest.mark.parametrize("name,edges,message", [

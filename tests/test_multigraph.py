@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -13,6 +12,7 @@ from conftest import (
     parallel_pair,
     path_graph,
     petersen_graph,
+    random_multigraphs,
     small_girth_fixtures,
     theta_graph,
 )
@@ -225,14 +225,6 @@ def test_covering_preserves_closed_nonbacktracking_paths():
         for a, b in zip(image, image[1:]):
             assert tgt.origin[b] == tgt.terminus[a]
             assert b != tgt.inv[a]
-
-
-@st.composite
-def random_multigraphs(draw):
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(0, 10))
-    edges = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(m)]
-    return SerreGraph.from_geometric_edges(n, edges)
 
 
 @pytest.mark.properties

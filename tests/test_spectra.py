@@ -11,6 +11,7 @@ from conftest import (
     petersen_graph,
     prism_graph,
 )
+from expander_forge import multigraph
 from expander_forge.errors import ConvergenceError, InvalidParameterError
 from expander_forge.spectra import (
     RAMANUJAN_TOL,
@@ -73,6 +74,24 @@ def test_prism_not_ramanujan():
     assert abs(report.max_abs_nontrivial - (2 * math.cos(math.pi / 10) + 1)) < 1e-9
     assert report.bipartite
     assert abs(report.lambda_bottom + 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("make,q", [(petersen_graph, 2), (lambda: prism_graph(20), 2)],
+                         ids=["petersen", "prism20"])
+def test_ramanujan_check_counts_components_once(monkeypatch, make, q):
+    # connected() and is_bipartite() share one V-vertex count; the double
+    # cover adds one 2V-vertex count
+    calls = []
+    count = multigraph._component_count
+
+    def counting(n, u, v):
+        calls.append(n)
+        return count(n, u, v)
+
+    monkeypatch.setattr(multigraph, "_component_count", counting)
+    g = make()
+    ramanujan_check(g, q)
+    assert calls == [g.num_vertices, 2 * g.num_vertices]
 
 
 def test_ramanujan_check_rejects_bad_input():
