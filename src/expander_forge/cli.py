@@ -382,6 +382,12 @@ def dump_report(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _solve_counts(sr: SpectralReport) -> str:
+    if sr.method != "iterative":
+        return ""
+    return f", {sr.lanczos_steps} Lanczos steps, {sr.matvecs} matvecs"
+
+
 def _t(label: str, started: float):
     print(f"[time] {label}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
 
@@ -413,7 +419,7 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     sr = ramanujan_check(g, q, method=args.method)
     _t("spectrum", t0)
-    print(f"[residual] max {sr.max_residual:.3e}", file=sys.stderr)
+    print(f"[residual] max {sr.max_residual:.3e}{_solve_counts(sr)}", file=sys.stderr)
     report = {
         "schema": SCHEMA_VERSION,
         "tool": "expander-forge",
@@ -438,7 +444,8 @@ def cmd_tower(args) -> int:
     result = build_tower(cfg, probe_max_word_len=args.probe_len)
     _t("tower", t0)
     for s in result.summaries:
-        print(f"[residual] level {s.n}: max {s.spectral.max_residual:.3e}", file=sys.stderr)
+        print(f"[residual] level {s.n}: max {s.spectral.max_residual:.3e}"
+              f"{_solve_counts(s.spectral)}", file=sys.stderr)
     report = tower_report(result)
     atomic_write(args.report, dump_report(report))
     for s in result.summaries:

@@ -7,7 +7,8 @@ integer arrays (int32 while every id fits, int64 beyond) and are validated
 vectorized.  Girth follows the convention under which a loop is a closed
 path of length 1 and a parallel pair one of length 2, and a path may never
 traverse inv(e) immediately after e.  Connectivity and bipartiteness are
-component counts by scipy's csgraph; girth and the covering check are
+component counts by scipy's csgraph, and the component labels of the
+bipartite double cover give the 2-colouring; girth and the covering check are
 pure-Python traversals that work on one list copy of the arrays they read,
 never on numpy scalars.
 """
@@ -166,30 +167,41 @@ class SerreGraph:
     def _vertex_components(self) -> int:
         """Number of connected components, counted once and kept."""
         if self._components is None:
-            self._components = _component_count(self.num_vertices, self.origin, self.terminus)
+            self._components = _component_count(self.num_vertices, self.origin,
+                                                self.terminus)[0]
         return self._components
 
     def connected(self) -> bool:
         """Whether the graph has at most one component (the empty graph has none)."""
         return self._vertex_components() <= 1
 
-    def is_bipartite(self) -> bool:
-        """Whether the bipartite double cover, with an edge from v to the copy
-        of w for every edge from v to w, has twice the graph's components; a
-        loop joins a vertex to its copy, so any loop forces False."""
+    def bipartition(self):
+        """A 2-colouring as a boolean side per vertex, or None when the graph
+        is not bipartite.  The bipartite double cover, with an edge from v to
+        the copy of w for every edge from v to w, has twice the graph's
+        components exactly when it is bipartite (a loop joins a vertex to its
+        copy, so any loop gives None); then v and its copy lie in different
+        components, and the side of v is whether its component's label is
+        below its copy's."""
         nv = self.num_vertices
         copies = np.add(self.terminus, nv, dtype=index_dtype(2 * nv))
-        return bool(_component_count(2 * nv, self.origin, copies) == 2 * self._vertex_components())
+        count, labels = _component_count(2 * nv, self.origin, copies)
+        if count != 2 * self._vertex_components():
+            return None
+        return labels[:nv] < labels[nv:]
+
+    def is_bipartite(self) -> bool:
+        return self.bipartition() is not None
 
     def geometric_loop_count(self) -> int:
         return int(np.count_nonzero(self.origin == self.terminus)) // 2
 
 
-def _component_count(n: int, u, v) -> int:
-    """Connected components of the undirected graph on vertices 0..n-1 with
-    an edge between u[i] and v[i] for every i."""
+def _component_count(n: int, u, v):
+    """(count, labels) of the connected components of the undirected graph
+    on vertices 0..n-1 with an edge between u[i] and v[i] for every i."""
     pattern = sp.coo_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n))
-    return connected_components(pattern, directed=False, return_labels=False)
+    return connected_components(pattern, directed=False)
 
 
 def girth(g: SerreGraph):

@@ -4,14 +4,19 @@ The adjacency matrix counts directed edges, so a geometric loop contributes
 2 to its diagonal entry and every row sums to the vertex degree; this is the
 convention under which a (q+1)-regular graph has trivial eigenvalue q+1
 (and -(q+1) exactly when bipartite).  Graphs up to DENSE_THRESHOLD vertices
-get a full dense solve; larger ones get one undeflated ARPACK solve
-(Lanczos with implicit restarts) for a few eigenvalues at both ends of the
-spectrum.  Every returned Ritz pair is re-verified against an explicit
-residual bound, so a non-converged solve can never masquerade as a verdict.
-The trivial eigenvalues are removed by value, after a check that the
-returned ends lie within that bound of them.  What is certified is the
-residual of each returned pair, which puts a true eigenvalue within it of
-the Ritz value; that the returned values are the extreme ones is not.
+get a full dense solve.  Larger ones get a plain three-term Lanczos
+recurrence on the orthogonal complement of the known trivial eigenvectors:
+1/sqrt(V), and the +-1 bipartition vector when bipartite, which is checked
+to satisfy A s = -(q+1) s exactly.  No Lanczos basis is stored; a second
+pass replays the recurrence to form the two extreme Ritz vectors, whose
+explicit residuals are verified against RESIDUAL_RTOL * ||A||, so a
+non-converged solve can never masquerade as a verdict.  The inner products
+are numpy reductions rather than BLAS calls, so the Ritz values are the same
+at any BLAS thread count.  The top eigenvalue q+1 is simple by
+Perron-Frobenius, since the graph is connected; it and -(q+1) come from the
+theorem, not from the solve.  What is certified is the residual of each
+returned pair, which puts a true eigenvalue within it of the Ritz value;
+that the returned values are the extreme ones is not.
 """
 
 import math
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, InvalidParameterError
 from .multigraph import SerreGraph, index_dtype
@@ -27,7 +32,16 @@ from .multigraph import SerreGraph, index_dtype
 DENSE_THRESHOLD = 4096
 RAMANUJAN_TOL = 1e-8
 RESIDUAL_RTOL = 1e-10
+LANCZOS_MAX_STEPS = 20000
+_CHECK_EVERY = 20
 _MULT_TOL = 1e-6
+# V-vectors ramanujan_check holds beyond the CSR adjacency at its peak.  The
+# Lanczos solve holds about seven (the recurrence's three, a matvec result,
+# the reduction buffer and two Ritz vectors) and the trivial vectors up to
+# four; the double-cover component count before it sets the peak, at 15.3
+# V-vectors beyond the CSR matrix on the degree-6 cartan (5,13) and (5,17)
+# level 2, measured with tracemalloc.
+_SOLVE_VECTORS = 16
 
 
 def adjacency(g: SerreGraph) -> sp.csr_matrix:
@@ -45,6 +59,8 @@ class EigenResult:
     values: tuple
     residuals: tuple
     method: str
+    steps: int
+    matvecs: int
 
 
 @dataclass(frozen=True)
@@ -62,6 +78,8 @@ class SpectralReport:
     ramanujan: bool
     method: str
     max_residual: float
+    lanczos_steps: int
+    matvecs: int
 
 
 def _deterministic_start(n: int) -> np.ndarray:
@@ -78,84 +96,169 @@ def _dense_values(a) -> np.ndarray:
     return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float))
 
 
-def _krylov_dim(n: int, how_many: int) -> int:
-    # A generous Krylov basis copes with the eigenvalue clustering at the
-    # spectral edge.
-    return min(n - 1, max(4 * how_many + 1, 80))
-
-
 def solve_bytes(n_vertices: int, n_edges: int) -> int:
     """Bytes ramanujan_check's solve holds for a graph of this size: the
-    dense matrix, or the ARPACK basis (for the largest k it asks, 6) plus
-    the CSR adjacency with at most one entry per directed edge."""
+    dense matrix, or _SOLVE_VECTORS V-vectors plus the CSR adjacency with at
+    most one entry per directed edge; no Lanczos basis is stored."""
     if n_vertices <= DENSE_THRESHOLD:
         return 8 * n_vertices * n_vertices
     width = np.dtype(index_dtype(max(n_vertices, n_edges))).itemsize
-    basis = 8 * _krylov_dim(n_vertices, 6) * n_vertices
-    return basis + (8 + width) * n_edges + width * (n_vertices + 1)
+    vectors = 8 * _SOLVE_VECTORS * n_vertices
+    return vectors + (8 + width) * n_edges + width * (n_vertices + 1)
 
 
-def extreme_eigenvalues(a, how_many, method="auto") -> EigenResult:
-    """Eigenvalues at both ends of the spectrum, ascending, with residuals.
-
-    how_many // 2 values come from the bottom and the rest from the top, as
-    with ARPACK's 'BE' mode.  The dense path reports zero residuals.  The
-    iterative path returns Ritz values, each with ||Av - lambda v|| checked
-    against RESIDUAL_RTOL * ||A||; that certifies a true eigenvalue within
-    the residual of each value, not that the values are the extreme ones.
-    """
+def extreme_eigenvalues(a, how_many) -> EigenResult:
+    """how_many eigenvalues at both ends of the spectrum, ascending, from a
+    dense solve: how_many // 2 from the bottom and the rest from the top.
+    The residuals are reported as zero."""
     n = a.shape[0]
     if not 1 <= how_many <= n:
         raise InvalidParameterError(f"how_many={how_many} is outside 1..{n}")
-    if method == "auto":
-        method = "dense" if n <= DENSE_THRESHOLD else "iterative"
-    if method == "dense":
-        asc = sorted(_dense_values(a))
-        lo = how_many // 2
-        picked = asc[:lo] + asc[len(asc) - (how_many - lo):]
-        return EigenResult(tuple(picked), tuple(0.0 for _ in picked), "dense")
-    if method != "iterative":
-        raise InvalidParameterError(f"unknown method={method!r}")
-    if how_many >= n - 1:
-        raise InvalidParameterError("iterative solver needs how_many < n - 1")
+    asc = sorted(_dense_values(a))
+    lo = how_many // 2
+    picked = asc[:lo] + asc[len(asc) - (how_many - lo):]
+    return EigenResult(tuple(picked), tuple(0.0 for _ in picked), "dense", 0, 0)
 
-    v0 = _deterministic_start(n)
-    # The ARPACK tolerance sits an order below the residual contract, which
-    # is re-verified explicitly below.
-    ncv = _krylov_dim(n, how_many)
-    try:
-        # ARPACK returns the Ritz values in ascending order.
-        vals, vecs = spla.eigsh(a, k=how_many, which="BE", v0=v0,
-                                tol=0.1 * RESIDUAL_RTOL, ncv=ncv)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    bound = _norm_bound(a)
+
+class _Reductions:
+    """In-place vector kernels on one scratch buffer.  Inner products are
+    numpy sums, never BLAS calls, so their rounding does not depend on the
+    BLAS thread count and no BLAS threads are woken."""
+
+    def __init__(self, n: int):
+        self.tmp = np.empty(n)
+
+    def dot(self, x, y) -> float:
+        return float(np.multiply(x, y, out=self.tmp).sum())
+
+    def axpy(self, y, c: float, x):
+        """y += c * x."""
+        np.add(y, np.multiply(x, c, out=self.tmp), out=y)
+
+    def project(self, x, units):
+        """Remove from x its components along the unit vectors."""
+        for u in units:
+            self.axpy(x, -self.dot(x, u), u)
+
+
+def _lanczos(a, trivial, ops: _Reductions):
+    """Yield (v_j, alpha_j, beta_j), j = 1, 2, ..., of the three-term
+    Lanczos recurrence A v_j = beta_{j-1} v_{j-1} + alpha_j v_j + beta_j v_{j+1}
+    from the deterministic start, on the orthogonal complement of the unit
+    vectors in trivial; every new vector is projected against them again.
+    v_j is only valid until the next step, which divides by beta_j."""
+    v = _deterministic_start(a.shape[0])
+    ops.project(v, trivial)
+    v /= math.sqrt(ops.dot(v, v))
+    v_prev, beta = np.zeros_like(v), 0.0
+    while True:
+        w = a @ v
+        ops.axpy(w, -beta, v_prev)
+        alpha = ops.dot(w, v)
+        ops.axpy(w, -alpha, v)
+        ops.project(w, trivial)
+        beta = math.sqrt(ops.dot(w, w))
+        yield v, alpha, beta
+        w /= beta
+        v_prev, v = v, w
+
+
+def _ritz_ends(alphas, betas):
+    """(value, eigenvector) of the bottom and top eigenpairs of the
+    tridiagonal matrix with diagonal alphas and off-diagonal betas[:-1]."""
+    d, e = np.array(alphas), np.array(betas[:-1])
+    ends = []
+    for i in (0, len(d) - 1):
+        w, s = eigh_tridiagonal(d, e, select="i", select_range=(i, i))
+        ends.append((float(w[0]), s[:, 0]))
+    return ends
+
+
+def nontrivial_ends(a, trivial) -> EigenResult:
+    """Bottom and top eigenvalues of a on the orthogonal complement of the
+    orthonormal vectors in trivial, which must be eigenvectors of a.
+
+    The first pass runs the Lanczos recurrence and, every _CHECK_EVERY
+    steps, stops once both extreme Ritz pairs of the tridiagonal matrix have
+    residual estimate beta_m |s_m| <= 0.1 * RESIDUAL_RTOL * ||A||; reaching
+    LANCZOS_MAX_STEPS raises ConvergenceError.  The second pass replays the
+    recurrence to form the two Ritz vectors, each of which must have
+    ||Av - lambda v|| <= RESIDUAL_RTOL * ||A|| and be orthogonal to trivial
+    within RESIDUAL_RTOL, or ConvergenceError is raised.  That certifies a
+    true eigenvalue within the residual of each value, not that the values
+    are the extreme ones.
+    """
+    n = a.shape[0]
+    if n <= len(trivial):
+        raise InvalidParameterError(
+            f"no nontrivial spectrum: {n} vertices, {len(trivial)} trivial eigenvectors")
+    norm = _norm_bound(a)
+    stop = 0.1 * RESIDUAL_RTOL * norm
+    ops = _Reductions(n)
+    alphas, betas = [], []
+    for _, alpha, beta in _lanczos(a, trivial, ops):
+        alphas.append(alpha)
+        betas.append(beta)
+        m = len(alphas)
+        if beta <= stop or m % _CHECK_EVERY == 0 or m >= LANCZOS_MAX_STEPS:
+            ends = _ritz_ends(alphas, betas)
+            if all(beta * abs(s[-1]) <= stop for _, s in ends):
+                break
+            if m >= LANCZOS_MAX_STEPS:
+                raise ConvergenceError(
+                    f"Lanczos did not converge in {m} steps: residual estimates "
+                    f"{[beta * abs(s[-1]) for _, s in ends]} exceed {stop:.3e}")
+
+    ritz = [np.zeros(n) for _ in ends]
+    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops)):
+        for y, (_, s) in zip(ritz, ends):
+            ops.axpy(y, float(s[j]), v)
     residuals = []
-    for lam, v in zip(vals, vecs.T):
-        v = v / np.linalg.norm(v)
-        res = float(np.linalg.norm(a @ v - lam * v))
-        if not res <= RESIDUAL_RTOL * bound:
+    for y, (lam, _) in zip(ritz, ends):
+        y /= math.sqrt(ops.dot(y, y))
+        r = a @ y
+        ops.axpy(r, -lam, y)
+        res = math.sqrt(ops.dot(r, r))
+        if not res <= RESIDUAL_RTOL * norm:
             raise ConvergenceError(
                 f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||A|| = "
-                f"{RESIDUAL_RTOL * bound:.3e} for eigenvalue {lam}"
-            )
+                f"{RESIDUAL_RTOL * norm:.3e} for eigenvalue {lam}")
+        overlap = max((abs(ops.dot(y, u)) for u in trivial), default=0.0)
+        if not overlap <= RESIDUAL_RTOL:
+            raise ConvergenceError(
+                f"Ritz vector of {lam} overlaps a trivial eigenvector by {overlap:.3e}")
         residuals.append(res)
-    return EigenResult(tuple(float(x) for x in vals), tuple(residuals), "iterative")
+    return EigenResult(tuple(lam for lam, _ in ends), tuple(residuals), "iterative",
+                       m, 2 * m + len(ends))
+
+
+def _trivial_vectors(a, q: int, sides) -> list:
+    """Unit eigenvectors of the trivial eigenvalues: 1/sqrt(V) for q+1 and,
+    when the graph is bipartite (sides is its colouring), the +-1 colouring
+    over sqrt(V) for -(q+1), after checking A s = -(q+1) s exactly."""
+    n = a.shape[0]
+    vecs = [np.full(n, 1.0 / math.sqrt(n))]
+    if sides is not None:
+        s = np.where(sides, 1.0, -1.0)
+        if not np.array_equal(a @ s, -(q + 1) * s):
+            raise ConvergenceError(f"the bipartition is not an eigenvector of -(q+1) = {-(q + 1)}")
+        vecs.append(s / math.sqrt(n))
+    return vecs
 
 
 def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
     """Verdict: every nontrivial eigenvalue satisfies |lambda| <= 2*sqrt(q).
 
     Requires a connected (q+1)-regular graph.  Its trivial eigenvalues are
-    q+1 (always, simple when connected) and -(q+1) (exactly when bipartite).
-    The dense path takes the whole spectrum; the iterative path takes one
-    undeflated both-ends solve for four nontrivial values plus the trivial
-    ones.  The top value, and the bottom one when bipartite, must lie within
-    the residual bound RESIDUAL_RTOL * ||A|| of its trivial eigenvalue, or
-    ConvergenceError is raised; the trivial values are then removed by value
-    and the verdict is taken over the rest.  An iterative verdict certifies
-    the residuals of the returned Ritz pairs, not that they are the extreme
-    eigenvalues.
+    q+1 (always, simple by Perron-Frobenius since it is connected) and
+    -(q+1) (exactly when bipartite).  The dense path takes the whole
+    spectrum, checks that its ends lie within RESIDUAL_RTOL * ||A|| of the
+    trivial values, and removes them by value.  The iterative path solves on
+    the complement of the trivial eigenvectors (nontrivial_ends) and raises
+    ConvergenceError if either nontrivial end lies within that slack of
+    +-(q+1), so a leaked trivial eigenvalue never reaches the verdict.  An
+    iterative verdict certifies the residuals of the two Ritz pairs, not
+    that they are the extreme eigenvalues.
     """
     if q < 1:
         raise InvalidParameterError(f"degree parameter q must be >= 1, got {q}")
@@ -164,29 +267,45 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
         raise InvalidParameterError(f"graph is not {q + 1}-regular (degrees {sorted(degs)})")
     if not g.connected():
         raise InvalidParameterError("graph is not connected")
-    bip = g.is_bipartite()
+    sides = g.bipartition()
+    bip = sides is not None
     a = adjacency(g)
     n = g.num_vertices
     bound = 2.0 * math.sqrt(q)
     if method == "auto":
         method = "dense" if n <= DENSE_THRESHOLD else "iterative"
-
-    eig = extreme_eigenvalues(a, n if method == "dense" else 4 + 1 + bip, method)
-    vals = list(eig.values)
-    lam_top, lam_bottom = vals[-1], vals[0]
-    mult = sum(1 for v in vals if abs(v - lam_top) < _MULT_TOL)
     # A certified residual puts a true eigenvalue within it of the Ritz
-    # value, so this keeps the removal below from dropping a nontrivial one.
+    # value, so this slack keeps a nontrivial value from being taken for a
+    # trivial one.
     slack = RESIDUAL_RTOL * _norm_bound(a)
-    if abs(lam_top - (q + 1)) > slack or (bip and abs(lam_bottom + (q + 1)) > slack):
-        raise ConvergenceError(
-            f"solve missed a trivial eigenvalue: ends {lam_bottom!r}, {lam_top!r} "
-            f"for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
-        )
-    vals.remove(min(vals, key=lambda x: abs(x - (q + 1))))
-    if bip:
-        vals.remove(min(vals, key=lambda x: abs(x + (q + 1))))
-    max_abs = max((abs(v) for v in vals), default=0.0)
+
+    if method == "dense":
+        eig = extreme_eigenvalues(a, n)
+        vals = list(eig.values)
+        lam_top, lam_bottom = vals[-1], vals[0]
+        mult = sum(1 for v in vals if abs(v - lam_top) < _MULT_TOL)
+        if abs(lam_top - (q + 1)) > slack or (bip and abs(lam_bottom + (q + 1)) > slack):
+            raise ConvergenceError(
+                f"solve missed a trivial eigenvalue: ends {lam_bottom!r}, {lam_top!r} "
+                f"for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
+            )
+        vals.remove(min(vals, key=lambda x: abs(x - (q + 1))))
+        if bip:
+            vals.remove(min(vals, key=lambda x: abs(x + (q + 1))))
+        max_abs = max((abs(v) for v in vals), default=0.0)
+    elif method == "iterative":
+        eig = nontrivial_ends(a, _trivial_vectors(a, q, sides))
+        lo, hi = eig.values
+        if hi >= q + 1 - slack or lo <= -(q + 1) + slack:
+            raise ConvergenceError(
+                f"a trivial eigenvalue leaked into the nontrivial ends {lo!r}, {hi!r} "
+                f"for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
+            )
+        lam_top, mult = float(q + 1), 1
+        lam_bottom = -float(q + 1) if bip else lo
+        max_abs = max(abs(lo), abs(hi))
+    else:
+        raise InvalidParameterError(f"unknown method={method!r}")
 
     return SpectralReport(
         q=q,
@@ -200,6 +319,8 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
         ramanujan=bool(max_abs <= bound + RAMANUJAN_TOL),
         method=eig.method,
         max_residual=float(max(eig.residuals)),
+        lanczos_steps=eig.steps,
+        matvecs=eig.matvecs,
     )
 
 

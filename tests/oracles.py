@@ -6,15 +6,17 @@ girth by searching for the shortest scalar-valued generator word, level
 tables by the original pure-Python BFS over tuple states, Serre-graph
 validation by the original per-edge loop, connectivity and bipartiteness by
 the original depth-first and breadth-first traversals, the intersection
-probe by the original depth-first enumeration of every reduced word, and
+probe by the original depth-first enumeration of every reduced word,
 edge-list I/O by the original string formatting and per-line int()
-conversion.
+conversion, and the nontrivial spectral ends of graphs too large for a dense
+solve by the original undeflated ARPACK solve with removal by value.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from expander_forge.cli import _CHUNK_ROWS, _file_order_rows, _header_line
 from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
@@ -458,3 +460,26 @@ def _int64_row(tokens) -> bool:
         return len(tokens) == 4 and all(-(2**63) <= int(x) < 2**63 for x in tokens)
     except ValueError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# the original eigensolve: one undeflated ARPACK solve at both ends, trivial
+# eigenvalues removed by value
+
+
+def arpack_nontrivial_ends(a, q: int, bipartite: bool):
+    """(bottom, top) nontrivial eigenvalues of the adjacency matrix a of a
+    connected (q+1)-regular graph, from eigsh 'BE' for four nontrivial values
+    plus the trivial ones, which are checked and removed by value."""
+    n = a.shape[0]
+    v0 = np.cos(0.7 * np.arange(n)) + 0.1
+    k = 4 + 1 + bipartite
+    vals = spla.eigsh(a, k=k, which="BE", v0=v0, tol=1e-11,
+                      ncv=min(n - 1, max(4 * k + 1, 80)), return_eigenvectors=False)
+    vals = sorted(vals.tolist())
+    assert abs(vals[-1] - (q + 1)) < 1e-9
+    vals.pop()
+    if bipartite:
+        assert abs(vals[0] + (q + 1)) < 1e-9
+        vals.pop(0)
+    return vals[0], vals[-1]

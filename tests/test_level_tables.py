@@ -147,12 +147,12 @@ def test_refuses_levels_beyond_physical_memory(monkeypatch):
 
 
 def test_tower_refusal_counts_the_eigensolve(monkeypatch):
-    # Memory that holds the levels but not the top level's ARPACK basis and
-    # CSR matrix: build_tower refuses before any work, build_level builds.
+    # Memory that holds the levels but not the top level's Lanczos vectors
+    # and CSR matrix: build_tower refuses before any work, build_level builds.
     cfg = TowerConfig(5, 13, levels=2)
     levels_only = tower.estimated_bytes(cfg, 1) + tower.estimated_bytes(cfg, 2)
     solve = spectra.solve_bytes(30758, 30758 * 6)
-    assert solve >= 80 * 30758 * 8
+    assert solve >= 16 * 30758 * 8 + (8 + 4) * 30758 * 6
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the memory check")

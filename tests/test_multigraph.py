@@ -278,3 +278,27 @@ def test_girth_two_iff_parallel_no_loop(g):
 def test_components_match_traversal_oracles_random(g):
     assert g.connected() == traversal_connected(g)
     assert g.is_bipartite() == traversal_bipartite(g)[0]
+
+
+def _proper_colouring(g, sides) -> bool:
+    return bool((sides[g.origin] != sides[g.terminus]).all())
+
+
+@pytest.mark.parametrize("name,g,connected,bipartite", COMPONENT_FIXTURES,
+                         ids=[f[0] for f in COMPONENT_FIXTURES])
+def test_bipartition_is_a_proper_colouring(name, g, connected, bipartite):
+    sides = g.bipartition()
+    assert (sides is not None) is bipartite
+    if bipartite:
+        assert sides.dtype == bool and len(sides) == g.num_vertices
+        assert _proper_colouring(g, sides)
+
+
+@pytest.mark.properties
+@settings(max_examples=150)
+@given(random_multigraphs())
+def test_bipartition_matches_traversal_oracle_random(g):
+    sides = g.bipartition()
+    assert (sides is not None) == traversal_bipartite(g)[0]
+    if sides is not None:
+        assert _proper_colouring(g, sides)
