@@ -30,7 +30,12 @@ class SingularMatrixError(ArithmeticError):
 
 
 class InvalidMorphismError(ValueError):
-    """Maps passed as a graph morphism do not commute with the structure maps."""
+    """Maps passed as a graph morphism do not commute with the structure maps;
+    vertex is the source vertex where the check failed (-1: map lengths)."""
+
+    def __init__(self, message, vertex=-1):
+        super().__init__(message)
+        self.vertex = vertex
 
 
 class GraphConstructionError(ValueError):

@@ -64,12 +64,6 @@ class PrimePower:
             raise InvalidParameterError(f"exponent must be >= 1, got {self.k}")
         object.__setattr__(self, "modulus", self.p**self.k)
 
-    def reduced(self, k: int) -> "PrimePower":
-        """The modulus p**k for a lower level k <= self.k."""
-        if not 1 <= k <= self.k:
-            raise InvalidParameterError(f"cannot reduce p**{self.k} to exponent {k}")
-        return PrimePower(self.p, k)
-
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, +1}, by Euler's criterion.

@@ -3,16 +3,17 @@
 A graph is a set of directed edges with origin/terminus maps and a
 fixed-point-free involution e -> inv(e) pairing each directed edge with its
 reverse; loops and parallel edges are first-class.  The edge maps are numpy
-integer arrays (int32 while every id fits, int64 beyond) and are validated
-vectorized.  Girth follows the convention under which a loop is a closed
-path of length 1 and a parallel pair one of length 2, and a path may never
-traverse inv(e) immediately after e.  Connectivity and bipartiteness are
-component counts by scipy's csgraph, and the component labels of the
-bipartite double cover give the 2-colouring; girth and the covering check are
-pure-Python traversals that work on one list copy of the arrays they read,
-never on numpy scalars.
+integer arrays (int32 while every id fits, int64 beyond).  Girth counts a
+loop as a closed path of length 1 and a parallel pair as one of length 2,
+and a path may never traverse inv(e) right after e; it is a pure-Python
+traversal over one list copy of the arrays it reads.  Connectivity and
+bipartiteness are component counts by scipy's csgraph.  Graph validation
+and the morphism and covering checks are array identities, scanned a chunk
+at a time for the first failing id, so their messages and witnesses are
+those of a check run one edge or vertex at a time.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,27 +35,34 @@ def index_dtype(count: int):
     return np.int32 if count < _INT32_IDS else np.int64
 
 
-def _id_array(values):
+def _first_failure(count: int, checks):
+    """(i, message): the least id i below count that fails a check, and the
+    message of the first check it fails; (-1, "") when all pass.
+    checks(start, stop) lists (boolean mask over ids start..stop-1, message)
+    per check, in order, and is asked for _VALIDATE_CHUNK ids at a time."""
+    for start in range(0, count, _VALIDATE_CHUNK):
+        checked = checks(start, min(start + _VALIDATE_CHUNK, count))
+        hits = np.flatnonzero(functools.reduce(np.logical_or, [m for m, _ in checked]))
+        if len(hits):
+            i = int(hits[0])
+            return start + i, next(message for m, message in checked if m[i])
+    return -1, ""
+
+
+def _id_array(values, labels=False):
     """values as an integer array, not narrowed.  Python ints outside int64
     become -1, which lies outside every id range, so validation reports them
-    as out of range instead of overflowing."""
+    as out of range instead of overflowing; as labels they are an error."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
+        if labels:
+            raise GraphConstructionError("edge labels must fit in 64 bits") from None
         lo, hi = -(2**63), 2**63
         return np.fromiter((v if lo <= v < hi else -1 for v in values),
                            dtype=np.int64, count=len(values))
-
-
-def _label_array(values):
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise GraphConstructionError("edge labels must fit in 64 bits") from None
 
 
 class SerreGraph:
@@ -75,16 +83,15 @@ class SerreGraph:
         self.terminus = _id_array(terminus)
         self.inv = _id_array(inv)
         self.label = (np.full(len(self.origin), -1, dtype=np.int32) if label is None
-                      else _label_array(label))
+                      else _id_array(label, labels=True))
         self.meta = dict(meta) if meta else {}
         self._links = None
         self._components = None
         if validate:
             self._validate()
         ids = index_dtype(max(self.num_vertices, len(self.origin)))
-        self.origin = self.origin.astype(ids, copy=False)
-        self.terminus = self.terminus.astype(ids, copy=False)
-        self.inv = self.inv.astype(ids, copy=False)
+        self.origin, self.terminus, self.inv = (
+            a.astype(ids, copy=False) for a in (self.origin, self.terminus, self.inv))
 
     def _validate(self):
         ne = len(self.origin)
@@ -92,53 +99,34 @@ class SerreGraph:
             raise GraphConstructionError("edge arrays have mismatched lengths")
         if ne % 2:
             raise GraphConstructionError("directed edge count must be even")
-        for start in range(0, ne, _VALIDATE_CHUNK):
-            bad = np.flatnonzero(self._bad_edges(start, min(start + _VALIDATE_CHUNK, ne)))
-            if len(bad):
-                raise GraphConstructionError(self._edge_error(start + int(bad[0])))
+        e, message = _first_failure(ne, self._edge_checks)
+        if e >= 0:
+            raise GraphConstructionError(
+                message.format(e=e, o=self.origin[e], t=self.terminus[e]))
 
-    def _bad_edges(self, start, stop):
-        """Mask over edges start..stop-1 of those failing any edge check."""
+    def _edge_checks(self, start, stop):
+        """The checks of edges start..stop-1 for _first_failure."""
         nv, ne = self.num_vertices, len(self.origin)
         o, t, iv = self.origin[start:stop], self.terminus[start:stop], self.inv[start:stop]
         e = np.arange(start, stop)
-        bad = (o < 0) | (o >= nv) | (t < 0) | (t >= nv)
         inv_out = (iv < 0) | (iv >= ne)
-        bad |= inv_out
-        bad |= iv == e
         eb = np.where(inv_out, 0, iv)
-        bad |= self.inv[eb] != e
-        bad |= self.origin[eb] != t
-        bad |= self.terminus[eb] != o
-        return bad
-
-    def _edge_error(self, e):
-        """The message for the first check that edge e fails."""
-        nv, ne = self.num_vertices, len(self.origin)
-        o, t, eb = int(self.origin[e]), int(self.terminus[e]), int(self.inv[e])
-        if not (0 <= o < nv and 0 <= t < nv):
-            return f"edge {e} has endpoint out of range"
-        if not 0 <= eb < ne:
-            return f"edge {e} has inverse id out of range"
-        if eb == e:
-            return (f"involution fixed point at edge {e} ({o} -> {t}): a generator acting "
-                    "as its own inverse on this vertex is not representable")
-        if self.inv[eb] != e:
-            return f"involution not involutive at edge {e}"
-        return f"involution does not reverse edge {e}"
+        return [((o < 0) | (o >= nv) | (t < 0) | (t >= nv), "edge {e} has endpoint out of range"),
+                (inv_out, "edge {e} has inverse id out of range"),
+                (iv == e, "involution fixed point at edge {e} ({o} -> {t}): a generator acting "
+                          "as its own inverse on this vertex is not representable"),
+                (self.inv[eb] != e, "involution not involutive at edge {e}"),
+                ((self.origin[eb] != t) | (self.terminus[eb] != o),
+                 "involution does not reverse edge {e}")]
 
     @classmethod
     def from_geometric_edges(cls, num_vertices, geom_edges, labels=None):
-        """Build from undirected edges (u, v); loops u == v are allowed."""
-        origin, terminus, inv, lab = [], [], [], []
-        for i, (u, v) in enumerate(geom_edges):
-            e = 2 * i
-            origin += [u, v]
-            terminus += [v, u]
-            inv += [e + 1, e]
-            gl = labels[i] if labels is not None else -1
-            lab += [gl, gl]
-        return cls(num_vertices, origin, terminus, inv, lab)
+        """Build from undirected edges (u, v); loops u == v are allowed.
+        Geometric edge i gives directed edges 2i (u -> v) and 2i+1."""
+        ends = np.array(geom_edges, dtype=np.int64).reshape(-1, 2)
+        lab = [-1] * len(ends) if labels is None else labels
+        return cls(num_vertices, ends.ravel(), ends[:, ::-1].ravel(),
+                   np.arange(2 * len(ends)) ^ 1, [x for x in lab for _ in (0, 1)])
 
     @property
     def num_edges(self) -> int:
@@ -150,16 +138,8 @@ class SerreGraph:
         if self._links is None:
             order = np.argsort(self.origin, kind="stable").tolist()
             ends = np.cumsum(np.bincount(self.origin, minlength=self.num_vertices)).tolist()
-            links, start = [], 0
-            for end in ends:
-                links.append(order[start:end])
-                start = end
-            self._links = links
+            self._links = [order[a:b] for a, b in zip([0] + ends, ends)]
         return self._links
-
-    def link(self, v: int):
-        """All directed edges originating at v; its size is the degree of v."""
-        return self.links()[v]
 
     def degrees(self):
         return np.bincount(self.origin, minlength=self.num_vertices).tolist()
@@ -179,10 +159,12 @@ class SerreGraph:
         """A 2-colouring as a boolean side per vertex, or None when the graph
         is not bipartite.  The bipartite double cover, with an edge from v to
         the copy of w for every edge from v to w, has twice the graph's
-        components exactly when it is bipartite (a loop joins a vertex to its
-        copy, so any loop gives None); then v and its copy lie in different
-        components, and the side of v is whether its component's label is
-        below its copy's."""
+        components exactly when it is bipartite; a loop joins a vertex to its
+        copy, so any loop gives None before the count.  Then v and its copy
+        lie in different components, and v's side is whether its component's
+        label is below its copy's."""
+        if self.geometric_loop_count():
+            return None
         nv = self.num_vertices
         copies = np.add(self.terminus, nv, dtype=index_dtype(2 * nv))
         count, labels = _component_count(2 * nv, self.origin, copies)
@@ -267,27 +249,38 @@ class GraphMorphism:
     edge_map: tuple
 
     def validate(self):
+        """The maps as integer arrays.  Raises InvalidMorphismError unless
+        both are in range and commute with origin, terminus and the
+        involution; the message names the first failing edge, and the error
+        carries its origin."""
         src, tgt = self.source, self.target
         if len(self.vertex_map) != src.num_vertices or len(self.edge_map) != src.num_edges:
             raise InvalidMorphismError("map lengths do not match the source graph")
-        vm, em = _as_list(self.vertex_map), _as_list(self.edge_map)
-        for v in vm:
-            if not 0 <= v < tgt.num_vertices:
-                raise InvalidMorphismError("vertex map image out of range")
-        s_o, s_t, s_i = src.origin.tolist(), src.terminus.tolist(), src.inv.tolist()
-        t_o, t_t, t_i = tgt.origin.tolist(), tgt.terminus.tolist(), tgt.inv.tolist()
-        for e in range(src.num_edges):
-            fe = em[e]
-            if not 0 <= fe < tgt.num_edges:
-                raise InvalidMorphismError("edge map image out of range")
-            if t_o[fe] != vm[s_o[e]] or t_t[fe] != vm[s_t[e]]:
-                raise InvalidMorphismError(f"edge {e} does not commute with origin/terminus")
-            if em[s_i[e]] != t_i[fe]:
-                raise InvalidMorphismError(f"edge {e} does not commute with the involution")
+        vm, em = _id_array(self.vertex_map), _id_array(self.edge_map)
+        v, message = _first_failure(len(vm), lambda a, b: [
+            ((vm[a:b] < 0) | (vm[a:b] >= tgt.num_vertices), "vertex map image out of range")])
+        if v >= 0:
+            raise InvalidMorphismError(message, v)
+        if len(em) and not tgt.num_edges:
+            raise InvalidMorphismError("edge map image out of range", int(src.origin[0]))
+        e, message = _first_failure(len(em), lambda a, b: self._edge_checks(vm, em, a, b))
+        if e >= 0:
+            raise InvalidMorphismError(message.format(e=e), int(src.origin[e]))
+        return vm, em
 
-
-def _as_list(values):
-    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+    def _edge_checks(self, vm, em, start, stop):
+        """The checks of source edges start..stop-1 for _first_failure.  The
+        gathers are np.take, which is faster than indexing here."""
+        src, tgt = self.source, self.target
+        fe = em[start:stop]
+        out = (fe < 0) | (fe >= tgt.num_edges)
+        fb = np.where(out, 0, fe).astype(np.intp)
+        ends = ((np.take(tgt.origin, fb) != np.take(vm, src.origin[start:stop]))
+                | (np.take(tgt.terminus, fb) != np.take(vm, src.terminus[start:stop])))
+        return [(out, "edge map image out of range"),
+                (ends, "edge {e} does not commute with origin/terminus"),
+                (np.take(em, src.inv[start:stop]) != np.take(tgt.inv, fb),
+                 "edge {e} does not commute with the involution")]
 
 
 @dataclass(frozen=True)
@@ -302,21 +295,35 @@ class CoveringCheck:
 def is_covering(f: GraphMorphism) -> CoveringCheck:
     """Whether f is surjective on vertices and bijective on every vertex link.
 
-    Raises InvalidMorphismError if f is not a morphism; otherwise returns a
-    verdict carrying a witness vertex when some link map fails to be
-    bijective (or some target vertex is missed).
-    """
-    f.validate()
+    Raises InvalidMorphismError if f is not a morphism; otherwise the verdict
+    names the least target vertex missed or else the least source vertex
+    whose link map is not bijective."""
+    vm, em = f.validate()
     src, tgt = f.source, f.target
-    vm, em = _as_list(f.vertex_map), _as_list(f.edge_map)
-    hit = [False] * tgt.num_vertices
-    for v in vm:
-        hit[v] = True
-    for v, h in enumerate(hit):
-        if not h:
-            return CoveringCheck(False, v, "vertex map is not surjective")
-    for v in range(src.num_vertices):
-        image = sorted(em[e] for e in src.link(v))
-        if image != sorted(tgt.link(vm[v])):
-            return CoveringCheck(False, v, "link map is not bijective")
+    hit = np.zeros(tgt.num_vertices, dtype=bool)
+    hit[vm] = True
+    v, message = _first_failure(tgt.num_vertices,
+                                lambda a, b: [(~hit[a:b], "vertex map is not surjective")])
+    if v >= 0:
+        return CoveringCheck(False, v, message)
+    # A morphism maps the link of v into the link of vm[v], whose edges are
+    # numbered from 0.  Give v a block of max(deg(v), deg(vm[v])) slots and
+    # let each edge of v fill the slot its image's number names: v's link
+    # maps bijectively exactly when its block is full.
+    tdeg = np.bincount(tgt.origin, minlength=tgt.num_vertices)
+    number = np.empty(tgt.num_edges, dtype=np.int64)
+    number[np.argsort(tgt.origin, kind="stable")] = (
+        np.arange(tgt.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg))
+    size = np.bincount(src.origin, minlength=src.num_vertices)
+    np.maximum(size, np.take(tdeg, vm), out=size)
+    start = np.cumsum(size)
+    start -= size
+    filled = np.zeros(int(size.sum()), dtype=bool)
+    for a in range(0, src.num_edges, _VALIDATE_CHUNK):
+        chunk = slice(a, a + _VALIDATE_CHUNK)
+        filled[np.take(start, src.origin[chunk]) + np.take(number, em[chunk])] = True
+    slot, message = _first_failure(len(filled),
+                                   lambda a, b: [(~filled[a:b], "link map is not bijective")])
+    if slot >= 0:
+        return CoveringCheck(False, int(np.searchsorted(start, slot, side="right")) - 1, message)
     return CoveringCheck(True)

@@ -35,12 +35,8 @@ RESIDUAL_RTOL = 1e-10
 LANCZOS_MAX_STEPS = 20000
 _CHECK_EVERY = 20
 _MULT_TOL = 1e-6
-# V-vectors ramanujan_check holds beyond the CSR adjacency at its peak.  The
-# Lanczos solve holds about seven (the recurrence's three, a matvec result,
-# the reduction buffer and two Ritz vectors) and the trivial vectors up to
-# four; the double-cover component count before it sets the peak, at 15.3
-# V-vectors beyond the CSR matrix on the degree-6 cartan (5,13) and (5,17)
-# level 2, measured with tracemalloc.
+# V-vectors the solve holds beyond the CSR adjacency: about seven for Lanczos
+# and up to four trivial vectors; tracemalloc measured 8.1-9.2 at level 2.
 _SOLVE_VECTORS = 16
 
 
@@ -97,14 +93,18 @@ def _dense_values(a) -> np.ndarray:
 
 
 def solve_bytes(n_vertices: int, n_edges: int) -> int:
-    """Bytes ramanujan_check's solve holds for a graph of this size: the
-    dense matrix, or _SOLVE_VECTORS V-vectors plus the CSR adjacency with at
-    most one entry per directed edge; no Lanczos basis is stored."""
+    """Peak bytes ramanujan_check holds for a graph of this size: the larger
+    of the double-cover component count (per directed edge, its end ids, a
+    boolean pattern and two float64 CSR copies, 3*width + 17 bytes by
+    tracemalloc, counted as 3*width + 20; per cover vertex a label and two
+    indptr entries) and the solve (the dense matrix, or _SOLVE_VECTORS
+    V-vectors plus the CSR adjacency)."""
+    width = np.dtype(index_dtype(max(2 * n_vertices, n_edges))).itemsize
+    counts = (3 * width + 20) * n_edges + 2 * (4 + 2 * width) * n_vertices
     if n_vertices <= DENSE_THRESHOLD:
-        return 8 * n_vertices * n_vertices
-    width = np.dtype(index_dtype(max(n_vertices, n_edges))).itemsize
+        return max(counts, 8 * n_vertices * n_vertices)
     vectors = 8 * _SOLVE_VECTORS * n_vertices
-    return vectors + (8 + width) * n_edges + width * (n_vertices + 1)
+    return max(counts, vectors + (8 + width) * n_edges + width * (n_vertices + 1))
 
 
 def extreme_eigenvalues(a, how_many) -> EigenResult:

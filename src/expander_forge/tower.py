@@ -20,7 +20,7 @@ discovery order of a FIFO queue.  A level, or a probe's step tables, that
 cannot fit in physical memory is refused before any work, from exact sizes.
 
 Covering maps drop one level by entrywise reduction of the vertex codes,
-and are verified as array identities on the two tables.  A twist sequence
+and are verified by multigraph.is_covering.  A twist sequence
 g(1), g(2), ... (compatible under reduction) rebases the cartan tower at
 the conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are unchanged up
 to relabeling, but the intersection probe - which words lie in every
@@ -42,9 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError, VerificationError, WordLengthError
+from .errors import InvalidMorphismError, InvalidParameterError, VerificationError, WordLengthError
 from .modarith import PrimePower, is_prime, legendre
-from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype
+from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype, is_covering
 from .projgroup import (Mat2, act_on_points, identity, is_psl, matrix_codes, matrix_entries,
                         p1_size, proj_normalize, reduce_matrix, reduce_matrix_codes,
                         reduce_point_codes, unit_inverses)
@@ -463,14 +463,10 @@ class CoveringMap:
 
 def natural_covering(upper: TowerLevel, lower: TowerLevel) -> CoveringMap:
     """Vertex map = entrywise reduction of the vertex codes one level down;
-    the edge map matches generator labels.  Verifies, as array identities,
-    that every reduced code is a vertex of the lower level, that the vertex
-    map is surjective and that table_lower[vmap[v], i] == vmap[table_upper[v, i]]
-    for every (v, i).  With edges laid out by generator label this is the
-    covering property: the maps commute with origin, terminus and the
-    involution, and every link maps bijectively.  Raises VerificationError
-    naming the first failing vertex (a bug sentinel, never expected for
-    constructed levels)."""
+    the edge map matches generator labels.  Checks that every reduced code is
+    a vertex of the lower level, then verifies the pair with is_covering.
+    Raises VerificationError naming the first failing vertex (a bug sentinel,
+    never expected for constructed levels)."""
     if upper.config != lower.config:
         raise InvalidParameterError("levels come from different tower configs")
     if upper.n != lower.n + 1:
@@ -479,26 +475,21 @@ def natural_covering(upper: TowerLevel, lower: TowerLevel) -> CoveringMap:
         )
 
     def fail(v, reason):
-        return VerificationError(
-            f"covering {upper.n} -> {lower.n} failed at vertex {int(v)}: {reason}"
-        )
+        return VerificationError(f"covering {upper.n} -> {lower.n} failed at vertex {v}: {reason}")
 
-    reduced = _reduce_codes(upper.codes, upper.config.variant, upper.pp, lower.pp)
-    vmap = _vertex_ids(lower)[reduced]
+    vmap = _vertex_ids(lower)[_reduce_codes(upper.codes, upper.config.variant, upper.pp, lower.pp)]
     missing = np.flatnonzero(vmap < 0)
     if len(missing):
         raise fail(missing[0], f"reduced code missing from level {lower.n}")
-    hit = np.zeros(lower.graph.num_vertices, dtype=bool)
-    hit[vmap] = True
-    missed = np.flatnonzero(~hit)
-    if len(missed):
-        raise fail(missed[0], "vertex map is not surjective")
-    bad = np.flatnonzero((lower.table[vmap] != vmap[upper.table]).any(axis=1))
-    if len(bad):
-        raise fail(bad[0], "transitions do not commute with the vertex map")
     d = upper.degree
     emap = (vmap[:, None] * d + np.arange(d, dtype=vmap.dtype)).reshape(-1)
     morphism = GraphMorphism(upper.graph, lower.graph, vmap, emap)
+    try:
+        check = is_covering(morphism)
+    except InvalidMorphismError as exc:
+        raise fail(exc.vertex, str(exc)) from None
+    if not check.ok:
+        raise fail(check.witness, check.reason)
     return CoveringMap(upper.n, lower.n, morphism, True)
 
 

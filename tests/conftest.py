@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from expander_forge.errors import InvalidMorphismError
 from expander_forge.multigraph import SerreGraph
 
 settings.register_profile("default", deadline=None)
@@ -84,6 +85,16 @@ def small_girth_fixtures():
         ("path4", path_graph(4), math.inf),
         ("tree", binary_tree(2), math.inf),
     ]
+
+
+def covering_verdict(check, f):
+    """(ok, witness, reason) of a covering check on morphism f, or
+    ("error", message) when it raises InvalidMorphismError."""
+    try:
+        c = check(f)
+    except InvalidMorphismError as exc:
+        return "error", str(exc)
+    return c.ok, c.witness, c.reason
 
 
 @st.composite

@@ -4,8 +4,10 @@ These deliberately avoid the library's production code paths: girth by
 exhaustive walk enumeration, matrix groups by full enumeration, Cayley
 girth by searching for the shortest scalar-valued generator word, level
 tables by the original pure-Python BFS over tuple states, Serre-graph
-validation by the original per-edge loop, connectivity and bipartiteness by
-the original depth-first and breadth-first traversals, the intersection
+validation by the original per-edge loop, the morphism and covering checks
+by the original loops over edges and vertex links, connectivity and
+bipartiteness by the original depth-first and breadth-first traversals, the
+intersection
 probe by the original depth-first enumeration of every reduced word,
 edge-list I/O by the original string formatting and per-line int()
 conversion, and the nontrivial spectral ends of graphs too large for a dense
@@ -19,9 +21,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from expander_forge.cli import _CHUNK_ROWS, _file_order_rows, _header_line
-from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
+from expander_forge.errors import (InvalidMorphismError, InvalidParameterError,
+                                   VerificationError, WordLengthError)
 from expander_forge.modarith import PrimePower, sqrt_minus_one
-from expander_forge.multigraph import SerreGraph
+from expander_forge.multigraph import CoveringCheck, SerreGraph
 from expander_forge.projgroup import Mat2, identity, proj_normalize
 from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
 from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult
@@ -325,6 +328,54 @@ def traversal_bipartite(g: SerreGraph):
                 elif color[w] == cu:
                     return False, None
     return True, color
+
+
+# ---------------------------------------------------------------------------
+# the original morphism and covering checks: one edge, then one link, at a time
+
+
+def _as_list(values):
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def link_validate(f):
+    """GraphMorphism.validate by the original per-vertex and per-edge loops."""
+    src, tgt = f.source, f.target
+    if len(f.vertex_map) != src.num_vertices or len(f.edge_map) != src.num_edges:
+        raise InvalidMorphismError("map lengths do not match the source graph")
+    vm, em = _as_list(f.vertex_map), _as_list(f.edge_map)
+    for v in vm:
+        if not 0 <= v < tgt.num_vertices:
+            raise InvalidMorphismError("vertex map image out of range")
+    s_o, s_t, s_i = src.origin.tolist(), src.terminus.tolist(), src.inv.tolist()
+    t_o, t_t, t_i = tgt.origin.tolist(), tgt.terminus.tolist(), tgt.inv.tolist()
+    for e in range(src.num_edges):
+        fe = em[e]
+        if not 0 <= fe < tgt.num_edges:
+            raise InvalidMorphismError("edge map image out of range")
+        if t_o[fe] != vm[s_o[e]] or t_t[fe] != vm[s_t[e]]:
+            raise InvalidMorphismError(f"edge {e} does not commute with origin/terminus")
+        if em[s_i[e]] != t_i[fe]:
+            raise InvalidMorphismError(f"edge {e} does not commute with the involution")
+
+
+def link_is_covering(f) -> CoveringCheck:
+    """is_covering by the original loops: surjectivity vertex by vertex, then
+    each link's sorted image against the sorted target link."""
+    link_validate(f)
+    src, tgt = f.source, f.target
+    vm, em = _as_list(f.vertex_map), _as_list(f.edge_map)
+    hit = [False] * tgt.num_vertices
+    for v in vm:
+        hit[v] = True
+    for v, h in enumerate(hit):
+        if not h:
+            return CoveringCheck(False, v, "vertex map is not surjective")
+    for v in range(src.num_vertices):
+        image = sorted(em[e] for e in src.links()[v])
+        if image != sorted(tgt.links()[vm[v]]):
+            return CoveringCheck(False, v, "link map is not bijective")
+    return CoveringCheck(True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from expander_forge.multigraph import girth, is_covering
+from expander_forge.multigraph import girth
 from expander_forge.quat import Quaternion, enumerate_generators
 from expander_forge.spectra import ramanujan_check
 from expander_forge.tower import (
@@ -26,7 +26,7 @@ from expander_forge.tower import (
     natural_covering,
     probe_with_reseed,
 )
-from oracles import bfs_transition_table, brute_force_pgl2_cartan_graph
+from oracles import bfs_transition_table, brute_force_pgl2_cartan_graph, link_is_covering
 
 pytestmark = pytest.mark.acceptance
 
@@ -93,7 +93,7 @@ def test_criterion_3_level2_cartan_5_13():
     assert report.max_residual <= 1e-10
     assert girth(l2.graph) == 1
     cov = natural_covering(l2, l1)
-    check = is_covering(cov.morphism)
+    check = link_is_covering(cov.morphism)
     assert check.ok and check.witness == -1
     _passed(3, "level-2 cartan (5,13): 30758 vertices, iterative Ramanujan, covering", t0, 120.0)
 

@@ -5,14 +5,16 @@ and the probe's step tables."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from expander_forge import spectra, tower
+from conftest import covering_verdict
+from expander_forge import multigraph, spectra, tower
 from expander_forge.cli import format_edgelist
-from expander_forge.errors import InvalidParameterError, VerificationError
-from expander_forge.multigraph import is_covering
+from expander_forge.errors import InvalidMorphismError, InvalidParameterError, VerificationError
+from expander_forge.multigraph import CoveringCheck, GraphMorphism, SerreGraph, is_covering
 from expander_forge.tower import (
     TowerConfig,
     build_level,
@@ -21,7 +23,7 @@ from expander_forge.tower import (
     natural_covering,
     twist_sequence,
 )
-from oracles import tuple_state_level
+from oracles import link_is_covering, tuple_state_level
 
 # (q1, q2, variant, top level, twist seed): every level 1..top is checked
 ORACLE_TOWERS = [
@@ -54,8 +56,7 @@ def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
     for upper, lower in zip(levels[1:], levels):
         cov = natural_covering(upper, lower)
         assert cov.verified
-        check = is_covering(cov.morphism)
-        assert check.ok and check.witness == -1
+        assert link_is_covering(cov.morphism) == is_covering(cov.morphism) == CoveringCheck(True)
 
 
 def test_tables_filled_in_point_chunks(monkeypatch):
@@ -74,15 +75,41 @@ def test_tables_filled_in_point_chunks(monkeypatch):
             assert lvl.codes.tolist() == codes
 
 
+def _two_switch(level, v, x, i):
+    """level with the edges labelled i at v and at x exchanging targets, and
+    their reverse edges following: the involution stays valid and every edge
+    keeps its label."""
+    d, pairing = level.degree, level.generators.inverse_pairing
+    j = pairing[i]
+    table = level.table.copy()
+    w, y = table[v, i], table[x, i]
+    assert len({v, w, x, y}) == 4
+    table[v, i], table[x, i], table[w, j], table[y, j] = y, w, x, v
+    g = level.graph
+    graph = SerreGraph(g.num_vertices, g.origin, table.reshape(-1),
+                       (table * d + np.asarray(pairing)).reshape(-1), g.label, g.meta)
+    return dataclasses.replace(level, table=table, graph=graph)
+
+
 def test_covering_check_names_corrupted_vertex():
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
-    vmap = natural_covering(l2, l1).morphism.vertex_map
-    v, i = 417, 3
-    table = l2.table.copy()
-    # send (v, i) to a vertex lying over a different lower vertex
-    table[v, i] = np.flatnonzero(vmap != vmap[table[v, i]])[0]
-    corrupted = dataclasses.replace(l2, table=table)
-    with pytest.raises(VerificationError, match=f"covering 2 -> 1 failed at vertex {v}:"):
+    f = natural_covering(l2, l1).morphism
+    vmap = f.vertex_map
+    v, i = 417, 0
+    w = l2.table[v, i]
+    # x over another lower vertex than v, so both switched edges stop
+    # commuting with the terminus; all four switched edges start at or after
+    # v, so the first failing edge is (v, i)
+    x = next(x for x in range(v + 1, len(vmap))
+             if vmap[x] != vmap[v] and l2.table[x, i] > v and l2.table[x, i] != w)
+    assert w > v
+    corrupted = _two_switch(l2, v, x, i)
+    e = l2.edge_id(v, i)
+    reason = f"edge {e} does not commute with origin/terminus"
+    with pytest.raises(InvalidMorphismError, match=f"^{reason}$"):
+        link_is_covering(GraphMorphism(corrupted.graph, l1.graph, vmap, f.edge_map))
+    with pytest.raises(VerificationError,
+                       match=f"^covering 2 -> 1 failed at vertex {v}: {reason}$"):
         natural_covering(corrupted, l1)
 
 
@@ -96,12 +123,52 @@ def test_covering_check_names_missing_codes_and_missed_vertices():
     with pytest.raises(VerificationError,
                        match=f"failed at vertex {first}: reduced code missing from level 1"):
         natural_covering(l2, lower)
-    # every upper vertex over w recoded to lie over another vertex
-    other = l2.codes[np.flatnonzero(vmap != w)[0]]
-    upper = dataclasses.replace(l2, codes=np.where(vmap == w, other, l2.codes))
+    # every upper vertex over w recoded to lie over another vertex: w is
+    # missed, but the maps stop commuting with the terminus first, at the
+    # first (u, i) where the lower table disagrees with the recoded vertex map
+    over = np.flatnonzero(vmap != w)[0]
+    upper = dataclasses.replace(l2, codes=np.where(vmap == w, l2.codes[over], l2.codes))
+    recoded = np.where(vmap == w, vmap[over], vmap)
+    e = np.flatnonzero(l1.table[recoded] != recoded[l2.table])[0]
     with pytest.raises(VerificationError,
-                       match=f"failed at vertex {w}: vertex map is not surjective"):
+                       match=f"failed at vertex {e // l2.degree}: "
+                             f"edge {e} does not commute with origin/terminus$"):
         natural_covering(upper, l1)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+def test_covering_check_matches_link_oracle_on_levels(monkeypatch, chunk):
+    # corruptions of a level-2 -> level-1 covering, with chunks small enough
+    # that the first failure lies past several chunk boundaries
+    monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
+    _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
+    f = natural_covering(l2, l1).morphism
+    vm, em = f.vertex_map, f.edge_map
+
+    def changed(values, index, value):
+        values = values.copy()
+        values[index] = value
+        return values
+
+    assert covering_verdict(is_covering, f) == covering_verdict(link_is_covering, f) == (
+        True, -1, "")
+    # of an edge and its inverse, the lower id is checked first
+    e = min(6000, int(l2.graph.inv[6000]))
+    x = next(x for x in range(700, len(vm))
+             if vm[x] != vm[600] and len({600, x, l2.table[600, 2], l2.table[x, 2]}) == 4)
+    switched = _two_switch(l2, 600, x, 2)
+    corrupted = [
+        GraphMorphism(l2.graph, l1.graph, vm, changed(em, e, em[e + 1])),
+        GraphMorphism(l2.graph, l1.graph, vm, changed(em, e, l1.graph.num_edges)),
+        GraphMorphism(l2.graph, l1.graph, changed(vm, 600, -1), em),
+        GraphMorphism(switched.graph, l1.graph, vm, em),
+    ]
+    verdicts = [covering_verdict(is_covering, g) for g in corrupted]
+    assert verdicts == [covering_verdict(link_is_covering, g) for g in corrupted]
+    assert verdicts[0][0] == verdicts[3][0] == "error"
+    assert verdicts[0][1].startswith(f"edge {e} does not commute")
+    assert verdicts[1:3] == [("error", "edge map image out of range"),
+                             ("error", "vertex map image out of range")]
 
 
 # sha256 of format_edgelist(build_level(...).graph), recorded with the
@@ -166,6 +233,20 @@ def test_tower_refusal_counts_the_eigensolve(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(tower, "_physical_memory", lambda: levels_only + solve - 1)
     assert build_level(cfg, 2).graph.num_vertices == 30758
+
+
+@pytest.mark.parametrize("q1,q2,variant", [(13, 5, "cayley"), (5, 13, "cartan")])
+def test_ramanujan_check_peak_within_solve_bytes(q1, q2, variant):
+    # level 2: 15,000 vertices of degree 14, bipartite, which peaks in the
+    # double-cover component count; and 30,758 vertices of degree 6 with loops
+    g = build_level(TowerConfig(q1, q2, levels=2, variant=variant), 2).graph
+    tracemalloc.start()
+    try:
+        spectra.ramanujan_check(g, q1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spectra.solve_bytes(g.num_vertices, g.num_edges)
 
 
 def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):

@@ -1,11 +1,15 @@
 import math
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
+    covering_verdict,
     cycle_graph,
     loop_graph,
     lollipop_graph,
@@ -15,7 +19,9 @@ from conftest import (
     random_multigraphs,
     small_girth_fixtures,
     theta_graph,
+    wedge_two_loops,
 )
+from expander_forge import multigraph
 from expander_forge.errors import GraphConstructionError, InvalidMorphismError
 from expander_forge.multigraph import (
     GraphMorphism,
@@ -25,6 +31,7 @@ from expander_forge.multigraph import (
 )
 from oracles import (
     brute_force_girth,
+    link_is_covering,
     loop_validation_error,
     traversal_bipartite,
     traversal_connected,
@@ -33,12 +40,12 @@ from oracles import (
 
 def test_link_sizes():
     g = loop_graph()
-    assert len(g.link(0)) == 2  # both directions of the loop originate at 0
+    assert len(g.links()[0]) == 2  # both directions of the loop originate at 0
     iso = SerreGraph.from_geometric_edges(2, [(1, 1)])
     assert g.degrees() == [2]
-    assert iso.link(0) == []
+    assert iso.links()[0] == []
     k4 = complete_graph(4)
-    assert all(len(k4.link(v)) == 3 for v in range(4))
+    assert all(len(k4.links()[v]) == 3 for v in range(4))
 
 
 def test_involution_axioms_enforced():
@@ -185,6 +192,132 @@ def test_invalid_morphism_raises():
                                   tuple(0 for _ in range(c6.num_edges))))
     with pytest.raises(InvalidMorphismError):
         is_covering(GraphMorphism(c6, c3, (0,) * 6, tuple(range(12))))
+
+
+def _assert_matches_link_oracle(f):
+    """is_covering and the link-by-link oracle agree on f; an error names the
+    origin of the edge its message names."""
+    got = covering_verdict(is_covering, f)
+    assert got == covering_verdict(link_is_covering, f)
+    if got[0] == "error":
+        with pytest.raises(InvalidMorphismError) as exc:
+            is_covering(f)
+        edge = re.match(r"edge (\d+) ", got[1])
+        if edge:
+            assert exc.value.vertex == f.source.origin[int(edge.group(1))]
+    return got
+
+
+def _identity(g):
+    return GraphMorphism(g, g, tuple(range(g.num_vertices)), tuple(range(g.num_edges)))
+
+
+_C3_WITH_ISOLATED = SerreGraph.from_geometric_edges(4, [(0, 1), (1, 2), (2, 0)])
+
+# (name, morphism, verdict of the link-by-link check)
+COVERING_PARITY = [
+    ("identity c3", _identity(cycle_graph(3)), (True, -1, "")),
+    ("double cover c6 -> c3", _double_cover_c6_to_c3(), (True, -1, "")),
+    ("identity loop", _identity(loop_graph()), (True, -1, "")),
+    ("path collapse", GraphMorphism(path_graph(3), path_graph(2), (0, 1, 0), (0, 1, 1, 0)),
+     (False, 1, "link map is not bijective")),
+    ("non-surjective", GraphMorphism(cycle_graph(3), SerreGraph.from_geometric_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), (0, 1, 2), tuple(range(6))),
+     (False, 3, "vertex map is not surjective")),
+    ("parallel pair folded", GraphMorphism(parallel_pair(), parallel_pair(), (0, 1), (0, 1, 0, 1)),
+     (False, 0, "link map is not bijective")),
+    ("isolated vertex", GraphMorphism(_C3_WITH_ISOLATED, cycle_graph(3), (0, 1, 2, 0),
+                                      tuple(range(6))),
+     (False, 3, "link map is not bijective")),
+    ("two loops onto one", GraphMorphism(wedge_two_loops(), loop_graph(), (0,), (0, 1, 0, 1)),
+     (False, 0, "link map is not bijective")),
+    ("lengths", GraphMorphism(cycle_graph(3), cycle_graph(3), (0, 1), tuple(range(6))),
+     ("error", "map lengths do not match the source graph")),
+    ("vertex image", GraphMorphism(cycle_graph(3), cycle_graph(3), (0, 1, 3), tuple(range(6))),
+     ("error", "vertex map image out of range")),
+    ("edge image", GraphMorphism(cycle_graph(3), cycle_graph(3), (0, 1, 2),
+                                 (0, 1, 2, 3, 2**70, 5)),
+     ("error", "edge map image out of range")),
+    ("one edge image moved", GraphMorphism(cycle_graph(3), cycle_graph(3), (0, 1, 2),
+                                           (0, 1, 4, 3, 4, 5)),
+     ("error", "edge 2 does not commute with origin/terminus")),
+    ("all edges to 0", GraphMorphism(cycle_graph(6), cycle_graph(3), (0, 1, 2, 0, 1, 2),
+                                     (0,) * 12),
+     ("error", "edge 0 does not commute with the involution")),
+    ("all vertices to 0", GraphMorphism(cycle_graph(6), cycle_graph(3), (0,) * 6,
+                                        tuple(range(12))),
+     ("error", "edge 0 does not commute with origin/terminus")),
+    ("involution", GraphMorphism(parallel_pair(), parallel_pair(), (0, 1), (2, 1, 2, 3)),
+     ("error", "edge 0 does not commute with the involution")),
+    ("no target edges", GraphMorphism(cycle_graph(3), SerreGraph(3, [], [], []), (0, 1, 2),
+                                      tuple(range(6))),
+     ("error", "edge map image out of range")),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+@pytest.mark.parametrize("name,f,verdict", COVERING_PARITY, ids=[c[0] for c in COVERING_PARITY])
+def test_covering_matches_link_oracle(monkeypatch, name, f, verdict, chunk):
+    monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
+    assert _assert_matches_link_oracle(f) == verdict
+
+
+@st.composite
+def morphisms(draw):
+    """A relabelled isomorphism of a random multigraph or a random 2-lift
+    onto it, then possibly one edge image, one inverse pair of edge images
+    or one vertex image changed."""
+    g = draw(random_multigraphs())
+    n, m = g.num_vertices, g.num_edges // 2
+    ends = [(int(g.origin[2 * i]), int(g.terminus[2 * i])) for i in range(m)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        order = draw(st.permutations(range(m)))
+        flip = [draw(st.booleans()) for _ in range(m)]
+        edges, em = [], [0] * (2 * m)
+        for j, i in enumerate(order):
+            u, v = ends[i]
+            edges.append((perm[v], perm[u]) if flip[j] else (perm[u], perm[v]))
+            em[2 * i], em[2 * i + 1] = 2 * j + flip[j], 2 * j + 1 - flip[j]
+        f = GraphMorphism(g, SerreGraph.from_geometric_edges(n, edges), tuple(perm), tuple(em))
+    else:
+        # sheet a of vertex v is v + a*n; a twisted edge crosses sheets
+        twist = [draw(st.booleans()) for _ in range(m)]
+        edges, em = [], []
+        for i, (u, v) in enumerate(ends):
+            for a in (0, 1):
+                edges.append((u + a * n, v + (a ^ twist[i]) * n))
+                em += [2 * i, 2 * i + 1]
+        lift = SerreGraph.from_geometric_edges(2 * n, edges)
+        f = GraphMorphism(lift, g, tuple(v % n for v in range(2 * n)), tuple(em))
+    vm, em = list(f.vertex_map), list(f.edge_map)
+    src, tgt = f.source, f.target
+    change = draw(st.sampled_from(["none", "edge", "pair", "vertex"] if em
+                                  else ["none", "vertex"]))
+    if change == "edge":
+        em[draw(st.integers(0, len(em) - 1))] = draw(st.integers(-1, tgt.num_edges))
+    elif change == "pair":
+        # e and inv(e) sent to another edge with the same ends and its
+        # inverse: still a morphism, but links may fold
+        e = draw(st.integers(0, len(em) - 1))
+        ends = (vm[src.origin[e]], vm[src.terminus[e]])
+        t = draw(st.sampled_from([t for t in range(tgt.num_edges)
+                                  if (tgt.origin[t], tgt.terminus[t]) == ends]))
+        em[e], em[src.inv[e]] = t, int(tgt.inv[t])
+    elif change == "vertex":
+        vm[draw(st.integers(0, len(vm) - 1))] = draw(st.integers(-1, f.target.num_vertices))
+    return change, GraphMorphism(f.source, f.target, tuple(vm), tuple(em))
+
+
+@pytest.mark.properties
+@settings(max_examples=300)
+@given(morphisms(), st.integers(1, 8))
+def test_covering_matches_link_oracle_random(case, chunk):
+    change, f = case
+    with mock.patch.object(multigraph, "_VALIDATE_CHUNK", chunk):
+        got = _assert_matches_link_oracle(f)
+    if change == "none":
+        assert got == (True, -1, "")
 
 
 def _random_nb_closed_walks(g, rng, count=20, max_len=12):

@@ -1,6 +1,9 @@
 """Smoke tests of the scripts, run as subprocesses against the package's
-public names."""
+public names, and of the names the traced benchmark wraps."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -23,3 +26,16 @@ def test_script_runs(script, args, expect):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/worker.py wraps these (module, function) pairs by name; read
+    # the table without importing or running the worker
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    for module, function in traced:
+        fn = getattr(importlib.import_module(f"expander_forge.{module}"), function, None)
+        assert inspect.isfunction(fn), f"{module}.{function}"

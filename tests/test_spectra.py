@@ -103,11 +103,15 @@ def test_prism_not_ramanujan():
     assert abs(report.lambda_bottom + 3.0) < 1e-9
 
 
-@pytest.mark.parametrize("make,q", [(petersen_graph, 2), (lambda: prism_graph(20), 2)],
-                         ids=["petersen", "prism20"])
-def test_ramanujan_check_counts_components_once(monkeypatch, make, q):
+@pytest.mark.parametrize("make,q,copies", [
+    (petersen_graph, 2, [1, 2]),
+    (lambda: prism_graph(20), 2, [1, 2]),
+    (lambda: build_level(TowerConfig(5, 13), 1).graph, 5, [1]),
+], ids=["petersen", "prism20", "looped cartan"])
+def test_ramanujan_check_counts_components_once(monkeypatch, make, q, copies):
     # connected() and is_bipartite() share one V-vertex count; the double
-    # cover adds one 2V-vertex count
+    # cover adds one 2V-vertex count, except on a graph with a loop, which
+    # is not bipartite
     calls = []
     count = multigraph._component_count
 
@@ -118,7 +122,7 @@ def test_ramanujan_check_counts_components_once(monkeypatch, make, q):
     monkeypatch.setattr(multigraph, "_component_count", counting)
     g = make()
     ramanujan_check(g, q)
-    assert calls == [g.num_vertices, 2 * g.num_vertices]
+    assert calls == [c * g.num_vertices for c in copies]
 
 
 def test_ramanujan_check_rejects_bad_input():
