@@ -69,6 +69,7 @@ _INT64_MAX = np.uint64(2**63 - 1)
 # Lines of spaces and tabs, then the header line.
 _HEADER_LINE = re.compile(rb"(?:[ \t]*[\r\n])*([^\r\n]*)")
 _LINE_END = re.compile(rb"[\r\n]")
+_NON_SPACE = re.compile(rb"\S")
 
 
 def _quant(x: float) -> float:
@@ -90,13 +91,20 @@ def _header_line(meta: dict) -> str:
 
 def _file_order_rows(g: SerreGraph):
     """The edges in file order, (origin, label) with ties in edge-id order,
-    as chunks of (origin, terminus, label, new inverse id) arrays."""
-    perm = np.lexsort((g.label, g.origin))
+    as chunks of (origin, terminus, label, new inverse id) arrays.  Edges
+    already in that order, as on every built level, are sliced unsorted."""
+    o, lab = g.origin, g.label
+    if np.all((o[1:] > o[:-1]) | ((o[1:] == o[:-1]) & (lab[1:] >= lab[:-1]))):
+        for start in range(0, g.num_edges, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            yield o[rows], g.terminus[rows], lab[rows], g.inv[rows]
+        return
+    perm = np.lexsort((lab, o))
     pos = np.empty_like(perm)
     pos[perm] = np.arange(len(perm))
     for start in range(0, len(perm), _CHUNK_ROWS):
         p = perm[start:start + _CHUNK_ROWS]
-        yield g.origin[p], g.terminus[p], g.label[p], pos[g.inv[p]]
+        yield o[p], g.terminus[p], lab[p], pos[g.inv[p]]
 
 
 def _format_rows(cols) -> str:
@@ -201,7 +209,11 @@ def _edge_columns(raw: bytes, start: int):
 
 
 def parse_edgelist(text: str) -> SerreGraph:
-    raw = text.encode()
+    return _parse_edgelist_bytes(text.encode())
+
+
+def _parse_edgelist_bytes(raw: bytes) -> SerreGraph:
+    """parse_edgelist on the UTF-8 bytes of the text."""
     head = _HEADER_LINE.match(raw)
     header = head.group(1).decode()
     if not header.startswith(HEADER_PREFIX):
@@ -270,16 +282,21 @@ def format_dot(g: SerreGraph) -> str:
 
 
 def load_graph(path: str) -> SerreGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise InvalidParameterError(f"{path} is not UTF-8 text: {exc}") from None
-    if not text.strip():
+    """The graph in an edge-list or JSON file, read as bytes; the bytes are
+    decoded only to check them when they are not all ASCII."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"{path} is not UTF-8 text: {exc}") from None
+    first = _NON_SPACE.search(raw)
+    if first is None:
         raise InvalidParameterError(f"{path} is empty")
-    if text.lstrip().startswith("{"):
-        return graph_from_json(json.loads(text))
-    return parse_edgelist(text)
+    if first.group() == b"{":
+        return graph_from_json(json.loads(raw))
+    return _parse_edgelist_bytes(raw)
 
 
 def atomic_write(path: str, data: str):

@@ -49,6 +49,19 @@ def _first_failure(count: int, checks):
     return -1, ""
 
 
+def _origin_counts(origin, n: int) -> np.ndarray:
+    """np.bincount(origin, minlength=n), counted _VALIDATE_CHUNK ids at a
+    time from each chunk's least id, so the int64 copy that bincount makes
+    of an int32 array stays one chunk long."""
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, len(origin), _VALIDATE_CHUNK):
+        chunk = origin[start:start + _VALIDATE_CHUNK]
+        low = int(chunk.min())
+        part = np.bincount(chunk - low)
+        counts[low:low + len(part)] += part
+    return counts
+
+
 def _id_array(values, labels=False):
     """values as an integer array, not narrowed.  Python ints outside int64
     become -1, which lies outside every id range, so validation reports them
@@ -137,12 +150,12 @@ class SerreGraph:
         """Adjacency index: links()[v] lists the edge ids with origin v."""
         if self._links is None:
             order = np.argsort(self.origin, kind="stable").tolist()
-            ends = np.cumsum(np.bincount(self.origin, minlength=self.num_vertices)).tolist()
+            ends = np.cumsum(_origin_counts(self.origin, self.num_vertices)).tolist()
             self._links = [order[a:b] for a, b in zip([0] + ends, ends)]
         return self._links
 
     def degrees(self):
-        return np.bincount(self.origin, minlength=self.num_vertices).tolist()
+        return _origin_counts(self.origin, self.num_vertices).tolist()
 
     def _vertex_components(self) -> int:
         """Number of connected components, counted once and kept."""
@@ -310,11 +323,11 @@ def is_covering(f: GraphMorphism) -> CoveringCheck:
     # numbered from 0.  Give v a block of max(deg(v), deg(vm[v])) slots and
     # let each edge of v fill the slot its image's number names: v's link
     # maps bijectively exactly when its block is full.
-    tdeg = np.bincount(tgt.origin, minlength=tgt.num_vertices)
+    tdeg = _origin_counts(tgt.origin, tgt.num_vertices)
     number = np.empty(tgt.num_edges, dtype=np.int64)
     number[np.argsort(tgt.origin, kind="stable")] = (
         np.arange(tgt.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg))
-    size = np.bincount(src.origin, minlength=src.num_vertices)
+    size = _origin_counts(src.origin, src.num_vertices)
     np.maximum(size, np.take(tdeg, vm), out=size)
     start = np.cumsum(size)
     start -= size

@@ -17,8 +17,17 @@ Perron-Frobenius, since the graph is connected; it and -(q+1) come from the
 theorem, not from the solve.  What is certified is the residual of each
 returned pair, which puts a true eigenvalue within it of the Ritz value;
 that the returned values are the extreme ones is not.
+
+A caller that knows a swap of the graph, a fixed-point-free involution of
+the vertices that is an automorphism (checked here before any solve), gets
+the iterative solve on its two halves: the adjacency restricted to the
+swap-even and to the swap-odd vectors, two half-size symmetric matrices on
+one representative per orbit whose spectra together are A's (the standard
+symmetry-adapted reduction).  Each half runs the solve above; a locality key
+orders their rows, so a row's neighbours lie in few blocks.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,8 +93,8 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 
 def _norm_bound(a: sp.csr_matrix) -> float:
-    # Max row sum bounds the spectral norm of a symmetric nonnegative matrix.
-    return float(np.max(a.sum(axis=1)))
+    # The max absolute row sum bounds the spectral norm of a symmetric matrix.
+    return float(np.max(abs(a).sum(axis=1)))
 
 
 def _dense_values(a) -> np.ndarray:
@@ -141,23 +150,26 @@ class _Reductions:
             self.axpy(x, -self.dot(x, u), u)
 
 
-def _lanczos(a, trivial, ops: _Reductions):
+def _lanczos(a, trivial, ops: _Reductions, coefficients=None):
     """Yield (v_j, alpha_j, beta_j), j = 1, 2, ..., of the three-term
     Lanczos recurrence A v_j = beta_{j-1} v_{j-1} + alpha_j v_j + beta_j v_{j+1}
     from the deterministic start, on the orthogonal complement of the unit
     vectors in trivial; every new vector is projected against them again.
-    v_j is only valid until the next step, which divides by beta_j."""
+    Given the (alphas, betas) of an earlier run, it replays that run and
+    takes them instead of the two inner products, so its vectors are bitwise
+    the earlier run's.  v_j is only valid until the next step, which divides
+    by beta_j."""
     v = _deterministic_start(a.shape[0])
     ops.project(v, trivial)
     v /= math.sqrt(ops.dot(v, v))
     v_prev, beta = np.zeros_like(v), 0.0
-    while True:
+    for j in itertools.count():
         w = a @ v
         ops.axpy(w, -beta, v_prev)
-        alpha = ops.dot(w, v)
+        alpha = ops.dot(w, v) if coefficients is None else coefficients[0][j]
         ops.axpy(w, -alpha, v)
         ops.project(w, trivial)
-        beta = math.sqrt(ops.dot(w, w))
+        beta = math.sqrt(ops.dot(w, w)) if coefficients is None else coefficients[1][j]
         yield v, alpha, beta
         w /= beta
         v_prev, v = v, w
@@ -174,25 +186,28 @@ def _ritz_ends(alphas, betas):
     return ends
 
 
-def nontrivial_ends(a, trivial) -> EigenResult:
+def nontrivial_ends(a, trivial, norm=None) -> EigenResult:
     """Bottom and top eigenvalues of a on the orthogonal complement of the
-    orthonormal vectors in trivial, which must be eigenvectors of a.
+    orthonormal vectors in trivial, which must be eigenvectors of a.  norm
+    bounds ||A|| and scales the tolerances; by default the max absolute row
+    sum.
 
     The first pass runs the Lanczos recurrence and, every _CHECK_EVERY
     steps, stops once both extreme Ritz pairs of the tridiagonal matrix have
     residual estimate beta_m |s_m| <= 0.1 * RESIDUAL_RTOL * ||A||; reaching
     LANCZOS_MAX_STEPS raises ConvergenceError.  The second pass replays the
-    recurrence to form the two Ritz vectors, each of which must have
-    ||Av - lambda v|| <= RESIDUAL_RTOL * ||A|| and be orthogonal to trivial
-    within RESIDUAL_RTOL, or ConvergenceError is raised.  That certifies a
-    true eigenvalue within the residual of each value, not that the values
-    are the extreme ones.
+    recurrence with the first pass's coefficients to form the two Ritz
+    vectors, each of which must have ||Av - lambda v|| <= RESIDUAL_RTOL *
+    ||A|| and be orthogonal to trivial within RESIDUAL_RTOL, or
+    ConvergenceError is raised.  That certifies a true eigenvalue within the
+    residual of each value, not that the values are the extreme ones.
     """
     n = a.shape[0]
     if n <= len(trivial):
         raise InvalidParameterError(
             f"no nontrivial spectrum: {n} vertices, {len(trivial)} trivial eigenvectors")
-    norm = _norm_bound(a)
+    if norm is None:
+        norm = _norm_bound(a)
     stop = 0.1 * RESIDUAL_RTOL * norm
     ops = _Reductions(n)
     alphas, betas = [], []
@@ -210,7 +225,7 @@ def nontrivial_ends(a, trivial) -> EigenResult:
                     f"{[beta * abs(s[-1]) for _, s in ends]} exceed {stop:.3e}")
 
     ritz = [np.zeros(n) for _ in ends]
-    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops)):
+    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops, (alphas, betas))):
         for y, (_, s) in zip(ritz, ends):
             ops.axpy(y, float(s[j]), v)
     residuals = []
@@ -232,12 +247,73 @@ def nontrivial_ends(a, trivial) -> EigenResult:
                        m, 2 * m + len(ends))
 
 
-def _trivial_vectors(a, q: int, sides) -> list:
-    """Unit eigenvectors of the trivial eigenvalues: 1/sqrt(V) for q+1 and,
-    when the graph is bipartite (sides is its colouring), the +-1 colouring
-    over sqrt(V) for -(q+1), after checking A s = -(q+1) s exactly."""
+def _sorted_pairs(n: int, u, v) -> np.ndarray:
+    """The codes u[i]*n + v[i], sorted: the multiset of the pairs."""
+    codes = np.multiply(u, n, dtype=np.int64)
+    codes += v
+    codes.sort()
+    return codes
+
+
+def _checked_swap(g: SerreGraph, swap) -> np.ndarray:
+    """swap as an id array, after checking on the graph's edge arrays that
+    it is a fixed-point-free involution of the vertices mapping the edges
+    onto the edges with multiplicity; else InvalidParameterError."""
+    n = g.num_vertices
+    s = np.asarray(swap)
+    if s.shape != (n,) or s.dtype.kind not in "iu":
+        raise InvalidParameterError(f"swap must be an integer array of {n} vertex ids")
+    if n and (s.min() < 0 or s.max() >= n):
+        raise InvalidParameterError("swap maps a vertex out of range")
+    s = s.astype(index_dtype(n), copy=False)
+    ids = np.arange(n, dtype=s.dtype)
+    for bad, what in ((s == ids, "fixes"), (s[s] != ids, "is not an involution at")):
+        hits = np.flatnonzero(bad)
+        if len(hits):
+            raise InvalidParameterError(f"swap {what} vertex {hits[0]}")
+    if not np.array_equal(_sorted_pairs(n, g.origin, g.terminus),
+                          _sorted_pairs(n, s[g.origin], s[g.terminus])):
+        raise InvalidParameterError("swap is not an automorphism: it does not map the "
+                                    "edges onto the edges with multiplicity")
+    return s
+
+
+def _swap_halves(g: SerreGraph, swap, locality=None):
+    """(reps, even, odd): the adjacency on the swap-even and the swap-odd
+    vectors, as half-size matrices on the representatives reps, the lesser
+    vertex of each orbit {v, swap[v]}, in order of locality (ties by id).
+    Even entry (i, j) counts the edges from reps[i] to reps[j] or its swap;
+    the odd entry counts those to reps[j] less those to its swap.  Each is
+    A in the orthonormal basis (e_r +- e_swap(r)) / sqrt(2), which is
+    symmetric because swap is an automorphism; swap must be checked."""
+    n = g.num_vertices
+    reps = np.flatnonzero(np.arange(n) < swap)
+    if locality is not None:
+        key = np.asarray(locality)
+        if key.shape != (n,):
+            raise InvalidParameterError(f"locality must give one key to each of {n} vertices")
+        reps = reps[np.argsort(key[reps], kind="stable")]
+    h = len(reps)
+    row = np.empty(n, dtype=swap.dtype)
+    row[reps] = row[swap[reps]] = np.arange(h, dtype=swap.dtype)
+    sign = np.full(n, -1.0)
+    sign[reps] = 1.0
+    out = sign[g.origin] > 0  # the edges leaving a representative
+    i, t = row[g.origin[out]], g.terminus[out]
+    j = row[t]
+    even = sp.csr_matrix((np.ones(len(j)), (i, j)), shape=(h, h))
+    odd = sp.csr_matrix((sign[t], (i, j)), shape=(h, h))
+    odd.eliminate_zeros()
+    return reps, even, odd
+
+
+def _trivial_vectors(a, q: int, sides, ones=True) -> list:
+    """Unit eigenvectors of the trivial eigenvalues: 1/sqrt(V) for q+1
+    (unless not ones) and, when the graph is bipartite (sides is its
+    colouring), the +-1 colouring over sqrt(V) for -(q+1), after checking
+    A s = -(q+1) s exactly."""
     n = a.shape[0]
-    vecs = [np.full(n, 1.0 / math.sqrt(n))]
+    vecs = [np.full(n, 1.0 / math.sqrt(n))] if ones else []
     if sides is not None:
         s = np.where(sides, 1.0, -1.0)
         if not np.array_equal(a @ s, -(q + 1) * s):
@@ -246,7 +322,24 @@ def _trivial_vectors(a, q: int, sides) -> list:
     return vecs
 
 
-def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
+def _halves_ends(g: SerreGraph, q: int, swap, locality, sides) -> EigenResult:
+    """nontrivial_ends on each swap half (_swap_halves), merged: the lesser
+    bottom, the greater top, every residual, and the summed steps and
+    matvecs.  1/sqrt(V) is even; the bipartition vector goes in the half its
+    parity under swap names, where _trivial_vectors checks it exactly."""
+    reps, even, odd = _swap_halves(g, swap, locality)
+    half_sides = [None, None]
+    if sides is not None:
+        half_sides[not np.array_equal(sides[swap], sides)] = sides[reps]
+    eigs = [nontrivial_ends(op, _trivial_vectors(op, q, s, ones=op is even), norm=q + 1)
+            for op, s in zip((even, odd), half_sides)]
+    return EigenResult((min(e.values[0] for e in eigs), max(e.values[-1] for e in eigs)),
+                       tuple(r for e in eigs for r in e.residuals), "iterative",
+                       sum(e.steps for e in eigs), sum(e.matvecs for e in eigs))
+
+
+def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
+                    locality=None) -> SpectralReport:
     """Verdict: every nontrivial eigenvalue satisfies |lambda| <= 2*sqrt(q).
 
     Requires a connected (q+1)-regular graph.  Its trivial eigenvalues are
@@ -259,28 +352,35 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
     +-(q+1), so a leaked trivial eigenvalue never reaches the verdict.  An
     iterative verdict certifies the residuals of the two Ritz pairs, not
     that they are the extreme eigenvalues.
+
+    swap, a vertex permutation, is checked to be a fixed-point-free
+    involution and an automorphism before any solve, else
+    InvalidParameterError.  The iterative path then solves on its two halves,
+    rows in order of locality (one sortable key per vertex), and reports
+    their merged ends, residuals and counts; the dense path is unchanged.
     """
     if q < 1:
         raise InvalidParameterError(f"degree parameter q must be >= 1, got {q}")
     degs = set(g.degrees())
     if degs != {q + 1}:
         raise InvalidParameterError(f"graph is not {q + 1}-regular (degrees {sorted(degs)})")
+    if swap is not None:
+        swap = _checked_swap(g, swap)
     if not g.connected():
         raise InvalidParameterError("graph is not connected")
     sides = g.bipartition()
     bip = sides is not None
-    a = adjacency(g)
     n = g.num_vertices
     bound = 2.0 * math.sqrt(q)
     if method == "auto":
         method = "dense" if n <= DENSE_THRESHOLD else "iterative"
     # A certified residual puts a true eigenvalue within it of the Ritz
     # value, so this slack keeps a nontrivial value from being taken for a
-    # trivial one.
-    slack = RESIDUAL_RTOL * _norm_bound(a)
+    # trivial one; ||A|| is at most the degree q+1.
+    slack = RESIDUAL_RTOL * (q + 1)
 
     if method == "dense":
-        eig = extreme_eigenvalues(a, n)
+        eig = extreme_eigenvalues(adjacency(g), n)
         vals = list(eig.values)
         lam_top, lam_bottom = vals[-1], vals[0]
         mult = sum(1 for v in vals if abs(v - lam_top) < _MULT_TOL)
@@ -294,7 +394,11 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto") -> SpectralReport:
             vals.remove(min(vals, key=lambda x: abs(x + (q + 1))))
         max_abs = max((abs(v) for v in vals), default=0.0)
     elif method == "iterative":
-        eig = nontrivial_ends(a, _trivial_vectors(a, q, sides))
+        if swap is None:
+            a = adjacency(g)
+            eig = nontrivial_ends(a, _trivial_vectors(a, q, sides), norm=q + 1)
+        else:
+            eig = _halves_ends(g, q, swap, locality, sides)
         lo, hi = eig.values
         if hi >= q + 1 - slack or lo <= -(q + 1) + slack:
             raise ConvergenceError(

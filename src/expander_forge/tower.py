@@ -272,6 +272,24 @@ def _vertex_ids(level: "TowerLevel") -> np.ndarray:
     return ids
 
 
+def swap_and_fibers(level: "TowerLevel"):
+    """(swap, fibers) of a cartan level.  swap[v] is the vertex whose pair is
+    v's pair in the other order, -1 if none: right multiplication by the Weyl
+    element normalising the Cartan, which commutes with every generator
+    because they act on both points alike.  fibers[v] is v's fiber of the
+    covering onto level 1 modulo the swap, coded by the unordered pair of
+    its points reduced mod q2; ramanujan_check orders the swap halves' rows
+    by it."""
+    if level.config.variant != "cartan":
+        raise InvalidParameterError("the point swap applies to the cartan variant")
+    npts = p1_size(level.pp)
+    c0, c1 = np.divmod(level.codes, npts)
+    swap = _vertex_ids(level)[c1 * npts + c0]
+    pp1 = PrimePower(level.pp.p, 1)
+    r0, r1 = (reduce_point_codes(c, level.pp, pp1) for c in (c0, c1))
+    return swap, np.minimum(r0, r1) * p1_size(pp1) + np.maximum(r0, r1)
+
+
 def estimated_bytes(cfg: TowerConfig, n: int) -> int:
     """Bytes a built level holds: its four edge arrays, the transition table,
     the two code-indexed arrays used while building, and the vertex codes."""
@@ -695,7 +713,8 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
             wit, floor = None, lps_girth_floor(cfg.q1, g.num_vertices)
         else:
             gir, wit, floor = girth(g), loop_witness(lvl, torus), None
-        spectral = ramanujan_check(g, cfg.q1)
+        swap, fibers = swap_and_fibers(lvl) if cfg.variant == "cartan" else (None, None)
+        spectral = ramanujan_check(g, cfg.q1, swap=swap, locality=fibers)
         summaries.append(LevelSummary(
             n=lvl.n, vertices=g.num_vertices, directed_edges=g.num_edges, girth=gir,
             loop_count=g.geometric_loop_count(), bipartite=spectral.bipartite,

@@ -87,6 +87,25 @@ def test_spectrum_empty_file(tmp_path):
     assert main(["spectrum", "--in", str(empty)]) == EXIT_USAGE
 
 
+def test_load_graph_reads_bytes(tmp_path, capsys):
+    # Empty, blank and non-UTF-8 files exit 2; an edge list with CRLF line
+    # ends after blank lines, and JSON after blanks, load as their text.
+    g = build_level(TowerConfig(5, 13), 1).graph
+    text = format_edgelist(g)
+    rows = [(b"", "is empty"), (b" \r\n\t\n", "is empty"),
+            (text.encode()[:-40] + b"\xff\n", "is not UTF-8 text")]
+    for i, (raw, message) in enumerate(rows):
+        bad = tmp_path / f"bad{i}"
+        bad.write_bytes(raw)
+        assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+    edges, js = tmp_path / "g.edges", tmp_path / "g.json"
+    edges.write_bytes(b"\r\n \n" + text.replace("\n", "\r\n").encode())
+    js.write_text("\n\t " + json.dumps(graph_to_json(g)))
+    for path in (edges, js):
+        assert format_edgelist(load_graph(str(path))) == text
+
+
 def test_spectrum_missing_file(tmp_path):
     assert main(["spectrum", "--in", str(tmp_path / "nope.edges")]) == EXIT_IO
 

@@ -112,3 +112,29 @@ def test_blocks_do_not_change_bytes_or_the_named_line(monkeypatch):
     assert str(chunked.value) == str(whole.value)
     assert blocks[-1].endswith(b"0 1 2 x\n") and blocks[-1].count(b"\n") <= 2
     assert len(blocks) == 2
+
+
+def test_shuffled_graph_writes_the_text_of_its_sorted_twin(monkeypatch):
+    # A built level's edges are in file order, so they are written without a
+    # sort.  The same edges under shuffled ids, or with each vertex's labels
+    # reversed, are sorted into the same text.
+    g = build_level(TowerConfig(5, 13), 1).graph
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
+    text = format_edgelist(g)
+    assert sorts == [] and text == string_format_edgelist(g)
+    ids = np.arange(g.num_edges)
+    for new in (np.random.default_rng(3).permutation(g.num_edges), ids // 6 * 6 + 5 - ids % 6):
+        # edge e gets id new[e]
+        def moved(a):
+            out = np.empty_like(a)
+            out[new] = a
+            return out
+
+        twin = SerreGraph(g.num_vertices, moved(g.origin), moved(g.terminus),
+                          moved(new[g.inv]), moved(g.label), meta=g.meta)
+        sorts.clear()
+        assert format_edgelist(twin) == text
+        assert sorts == [g.num_edges]
+        assert cli.graph_to_json(twin) == cli.graph_to_json(g)

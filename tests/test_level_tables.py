@@ -249,6 +249,20 @@ def test_ramanujan_check_peak_within_solve_bytes(q1, q2, variant):
     assert peak <= spectra.solve_bytes(g.num_vertices, g.num_edges)
 
 
+def test_swap_halves_peak_within_solve_bytes():
+    # the (5,13) cartan level 2 solved on its swap halves, as build_tower does
+    lvl = build_level(TowerConfig(5, 13, levels=2), 2)
+    swap, fibers = tower.swap_and_fibers(lvl)
+    tracemalloc.start()
+    try:
+        report = spectra.ramanujan_check(lvl.graph, 5, swap=swap, locality=fibers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.method == "iterative"
+    assert peak <= spectra.solve_bytes(lvl.graph.num_vertices, lvl.graph.num_edges)
+
+
 def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):
     # Memory between the level-3 and level-4 estimates of the probe's step
     # tables: level 3 runs unchanged, level 4 is refused before any work.

@@ -3,6 +3,7 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,3 +436,17 @@ def test_bipartition_matches_traversal_oracle_random(g):
     assert (sides is not None) == traversal_bipartite(g)[0]
     if sides is not None:
         assert _proper_colouring(g, sides)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 2**20])
+def test_origin_counts_match_bincount(monkeypatch, chunk):
+    # counted a chunk at a time from the chunk's least id, sorted or not,
+    # with vertices of no edge at either end
+    monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for origin in (rng.integers(2, 40, size=200, dtype=np.int32),
+                   np.sort(rng.integers(0, 37, size=101)), np.zeros(0, dtype=np.int32)):
+        want = np.bincount(origin, minlength=45)
+        assert np.array_equal(multigraph._origin_counts(origin, 45), want)
+    g = theta_graph()
+    assert g.degrees() == [3, 3] and [len(x) for x in g.links()] == [3, 3]

@@ -28,7 +28,7 @@ from expander_forge.spectra import (
     nontrivial_ends,
     ramanujan_check,
 )
-from expander_forge.tower import TowerConfig, build_level
+from expander_forge.tower import TowerConfig, build_level, swap_and_fibers, twist_sequence
 from oracles import arpack_nontrivial_ends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -288,6 +288,26 @@ def test_lanczos_ends_match_reference(make, q):
     assert (report.lanczos_steps, report.matvecs) == (eig.steps, eig.matvecs)
 
 
+def test_replay_reuses_the_coefficients_bitwise(monkeypatch):
+    # Given the first pass's coefficients, the replay forms bitwise the same
+    # vectors and takes no inner product but the projection's.
+    g = build_level(TowerConfig(5, 13), 1).graph
+    a, trivial = adjacency(g), _trivial(g, 5)
+    ops = spectra._Reductions(g.num_vertices)
+    dots = []
+    dot = ops.dot
+    monkeypatch.setattr(ops, "dot", lambda x, y: dots.append(1) or dot(x, y))
+    first = [(v.copy(), alpha, beta)
+             for _, (v, alpha, beta) in zip(range(30), spectra._lanczos(a, trivial, ops))]
+    first_dots = len(dots)
+    coefficients = ([f[1] for f in first], [f[2] for f in first])
+    replay = [v.copy() for _, (v, _, _) in
+              zip(range(30), spectra._lanczos(a, trivial, ops, coefficients))]
+    assert all(np.array_equal(f[0], v) for f, v in zip(first, replay))
+    # the start's projection and norm, then per step alpha, projection, beta
+    assert first_dots == 2 + 3 * 30 and len(dots) - first_dots == 2 + 30
+
+
 def test_ritz_vectors_orthogonal_to_trivial(monkeypatch):
     # With the projections made no-ops, the recurrence finds q+1 with
     # eigenvector 1/sqrt(V): its residual passes, its overlap must not.
@@ -323,3 +343,133 @@ def test_ritz_values_independent_of_blas_threads():
         outs.append(proc.stdout)
     assert outs[0].startswith("iterative ")
     assert outs[0] == outs[1]
+
+
+# --- the swap halves ---------------------------------------------------------
+
+
+def _cartan(q1, q2, n, seed=None):
+    cfg = TowerConfig(q1, q2, levels=n, twist_seed=seed)
+    return build_level(cfg, n, None if seed is None else twist_sequence(cfg, seed))
+
+
+def _prism_swaps(n):
+    # C_n x K_2: exchanging the two cycles changes the colour of every
+    # vertex, turning both cycles by n/2 keeps it when n/2 is even
+    ids = np.arange(2 * n)
+    return {"layers": (ids + n) % (2 * n), "turn": ids // n * n + (ids + n // 2) % n}
+
+
+# (id, level factory); each level has a point swap and fibers
+SWAPPED = [
+    ("cartan-5-13-L1", lambda: _cartan(5, 13, 1)),
+    ("cartan-13-5-L2", lambda: _cartan(13, 5, 2)),
+    ("cartan-13-5-L2-twist7", lambda: _cartan(13, 5, 2, seed=7)),
+    ("cartan-5-29-L1-psl", lambda: _cartan(5, 29, 1)),
+]
+
+
+@pytest.mark.parametrize("make", [p[1] for p in SWAPPED], ids=[p[0] for p in SWAPPED])
+def test_swap_halves_match_single_solve_and_dense(make):
+    # Forced iterative, the halves give the ends of the one-component solve
+    # and of the dense spectrum within 1e-9, and the same verdict.
+    lvl = make()
+    g, q = lvl.graph, lvl.degree - 1
+    swap, fibers = swap_and_fibers(lvl)
+    halves = ramanujan_check(g, q, method="iterative", swap=swap, locality=fibers)
+    single = ramanujan_check(g, q, method="iterative")
+    dense = ramanujan_check(g, q, method="dense")
+    assert halves.method == "iterative" and not halves.bipartite
+    for other in (single, dense):
+        assert halves.max_abs_nontrivial == pytest.approx(other.max_abs_nontrivial, abs=1e-9)
+        assert halves.lambda_bottom == pytest.approx(other.lambda_bottom, abs=1e-9)
+        assert (halves.lambda_top, halves.lambda_top_multiplicity) == (q + 1, 1)
+        assert halves.ramanujan == other.ramanujan
+    assert halves.max_residual <= RESIDUAL_RTOL * (q + 1)
+    # two solves of at least one checked block each, replay included
+    assert halves.lanczos_steps >= 2 * spectra._CHECK_EVERY
+    assert halves.matvecs == 2 * halves.lanczos_steps + 4
+
+
+@pytest.mark.parametrize("name", ["layers", "turn"])
+def test_swap_halves_place_the_bipartition_by_parity(name):
+    # The prism is bipartite; the colouring is odd under "layers" and even
+    # under "turn", and the halves give the dense ends in either case.
+    g = prism_graph(20)
+    swap = _prism_swaps(20)[name]
+    sides = g.bipartition()
+    assert np.array_equal(sides[swap], sides) == (name == "turn")
+    report = ramanujan_check(g, 2, method="iterative", swap=swap)
+    dense = ramanujan_check(g, 2, method="dense")
+    assert report.bipartite and report.lambda_bottom == -3.0
+    assert report.max_abs_nontrivial == pytest.approx(dense.max_abs_nontrivial, abs=1e-9)
+    assert report.ramanujan == dense.ramanujan
+    assert report.max_residual <= RESIDUAL_RTOL * 3
+
+
+def test_swap_halves_together_have_the_spectrum_of_a():
+    # The even and odd halves are symmetric, and their spectra together are
+    # the adjacency spectrum, in the fiber row order and in id order.
+    lvl = build_level(TowerConfig(5, 13), 1)
+    g = lvl.graph
+    swap, fibers = swap_and_fibers(lvl)
+    swap = spectra._checked_swap(g, swap)
+    want = np.linalg.eigvalsh(adjacency(g).toarray())
+    for locality in (fibers, None):
+        reps, even, odd = spectra._swap_halves(g, swap, locality)
+        assert len(reps) == g.num_vertices // 2
+        assert np.array_equal(np.sort(np.concatenate([reps, swap[reps]])), np.arange(182))
+        for half in (even, odd):
+            assert (half != half.T).nnz == 0
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(h.toarray()) for h in (even, odd)]))
+        assert got == pytest.approx(want, abs=1e-9)
+        order = fibers[reps] if locality is not None else reps
+        assert np.all(np.diff(order) >= 0)
+
+
+def _swap_variants(swap):
+    """(id, bad swap, message) for a valid swap: a fixed point, a 3-cycle
+    through three orbits, and two orbits re-paired."""
+    a, b, c = (int(v) for v in np.flatnonzero(np.arange(len(swap)) < swap)[:3])
+    fixed = swap.copy()
+    fixed[[a, swap[a]]] = [a, swap[a]]
+    cycled = swap.copy()
+    cycled[[a, b, c]] = swap[[b, c, a]]
+    repaired = swap.copy()
+    repaired[[a, swap[b], b, swap[a]]] = [swap[b], a, swap[a], b]
+    wrapped = swap.copy()
+    wrapped[a] = -1
+    return [("fixed", fixed, f"swap fixes vertex {a}"),
+            ("cycle", cycled, "swap is not an involution at vertex"),
+            ("repaired", repaired, "swap is not an automorphism"),
+            ("out of range", wrapped, "out of range"),
+            ("short", swap[:-1], "integer array of"),
+            ("float", swap.astype(float), "integer array of")]
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
+    lvl = build_level(TowerConfig(5, 13), 1)
+    swap, fibers = swap_and_fibers(lvl)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the swap was checked")
+
+    for name in ("nontrivial_ends", "extreme_eigenvalues", "_swap_halves", "adjacency"):
+        monkeypatch.setattr(spectra, name, no_solve)
+    monkeypatch.setattr(SerreGraph, "connected", no_solve)
+    for _, bad, message in _swap_variants(swap):
+        with pytest.raises(InvalidParameterError, match=message):
+            ramanujan_check(lvl.graph, 5, method=method, swap=bad, locality=fibers)
+    # the prism's reflection i -> -i fixes vertex 0
+    prism = prism_graph(20)
+    ids = np.arange(40)
+    with pytest.raises(InvalidParameterError, match="swap fixes vertex 0"):
+        ramanujan_check(prism, 2, method=method, swap=ids // 20 * 20 + (-ids) % 20)
+
+
+def test_locality_must_key_every_vertex():
+    lvl = build_level(TowerConfig(5, 13), 1)
+    swap, fibers = swap_and_fibers(lvl)
+    with pytest.raises(InvalidParameterError, match="one key to each of 182 vertices"):
+        ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers[:-1])

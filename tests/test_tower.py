@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expander_forge import spectra, tower
 from expander_forge.errors import InvalidParameterError, WordLengthError
 from expander_forge.modarith import PrimePower
 from expander_forge.multigraph import girth
@@ -19,6 +20,7 @@ from expander_forge.tower import (
     lps_girth_floor,
     natural_covering,
     probe_with_reseed,
+    swap_and_fibers,
     twist_sequence,
     two_squares,
 )
@@ -400,3 +402,44 @@ def test_level_components_match_traversal_oracles(q1, q2, variant, n, bipartite)
     g = build_level(TowerConfig(q1, q2, levels=n, variant=variant), n).graph
     assert g.connected() is True is traversal_connected(g)
     assert g.is_bipartite() is bipartite is traversal_bipartite(g)[0]
+
+
+@pytest.mark.parametrize("q1,q2,seed", [(5, 13, None), (13, 5, 7), (5, 29, None)],
+                         ids=["5-13", "13-5-twist7", "5-29-psl"])
+def test_swap_commutes_with_generators_and_fibers_follow_the_covering(q1, q2, seed):
+    cfg = TowerConfig(q1, q2, levels=2, twist_seed=seed)
+    twist = None if seed is None else twist_sequence(cfg, seed)
+    lower, upper = (build_level(cfg, n, twist) for n in (1, 2))
+    vmap = np.asarray(natural_covering(upper, lower).morphism.vertex_map)
+    (swap1, fibers1), (swap2, fibers2) = swap_and_fibers(lower), swap_and_fibers(upper)
+    for lvl, swap, fibers in ((lower, swap1, fibers1), (upper, swap2, fibers2)):
+        assert np.array_equal(spectra._checked_swap(lvl.graph, swap), swap)
+        assert np.array_equal(lvl.table[swap], swap[lvl.table])
+        assert np.array_equal(fibers[swap], fibers)
+    # a level-1 fiber modulo the swap is one orbit of level 1
+    assert len(np.unique(fibers1)) == lower.graph.num_vertices // 2
+    assert np.array_equal(fibers2, fibers1[vmap])
+    assert np.array_equal(swap1[vmap], vmap[swap2])
+
+
+def test_swap_and_fibers_rejects_other_variants():
+    for variant in ("borel", "cayley"):
+        with pytest.raises(InvalidParameterError, match="cartan"):
+            swap_and_fibers(build_level(TowerConfig(5, 13, variant=variant), 1))
+
+
+def test_build_tower_solves_cartan_levels_on_swap_halves(monkeypatch):
+    # cartan levels hand their swap and fibers to the check; other variants none
+    seen = []
+    check = tower.ramanujan_check
+
+    def recording(g, q, **kwargs):
+        seen.append((g.num_vertices, {k: v is not None for k, v in kwargs.items()}))
+        return check(g, q, **kwargs)
+
+    monkeypatch.setattr(tower, "ramanujan_check", recording)
+    build_tower(TowerConfig(13, 5, levels=2))
+    build_tower(TowerConfig(5, 13, variant="borel"))
+    on = {"swap": True, "locality": True}
+    off = {"swap": False, "locality": False}
+    assert seen == [(30, on), (750, on), (14, off)]
