@@ -9,7 +9,8 @@ Edge list (one directed edge per line, ids implicit from line order)::
 
 Lines are ordered by (src, gen_idx); ids are 0-based; re-reading a file
 reproduces the graph exactly, involution included.  Blank lines before the
-header are skipped.  Each edge line holds four tokens ``-?[0-9]+``, values in
+header are skipped; a header value ``-?[0-9]+`` is an integer, any other a
+string.  Each edge line holds four tokens ``-?[0-9]+``, values in
 int64, separated by spaces or tabs; LF, CRLF and CR end lines, and lines of
 only spaces and tabs are skipped.  Any other byte (a ``+``, ``_``, a
 non-ASCII digit) makes its line malformed.  Writing and reading run as numpy
@@ -221,7 +222,7 @@ def _parse_edgelist_bytes(raw: bytes) -> SerreGraph:
     meta = {}
     for tok in header[len(HEADER_PREFIX):].split():
         k, _, v = tok.partition("=")
-        meta[k] = int(v) if v.lstrip("-").isdigit() else v
+        meta[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v
     origin, terminus, label, inv = _edge_columns(raw, head.end())
     if "V" not in meta:
         raise InvalidParameterError("header missing V=")
@@ -295,7 +296,11 @@ def load_graph(path: str) -> SerreGraph:
     if first is None:
         raise InvalidParameterError(f"{path} is empty")
     if first.group() == b"{":
-        return graph_from_json(json.loads(raw))
+        try:
+            obj = json.loads(raw)
+        except RecursionError:
+            raise InvalidParameterError(f"{path}: JSON nested too deep") from None
+        return graph_from_json(obj)
     return _parse_edgelist_bytes(raw)
 
 
@@ -429,6 +434,8 @@ def cmd_build(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = load_graph(args.infile)
+    if not g.num_edges:
+        raise InvalidParameterError("graph has no edges")
     degrees = set(g.degrees())
     if len(degrees) != 1:
         raise InvalidParameterError(f"graph is not regular (degrees {sorted(degrees)})")

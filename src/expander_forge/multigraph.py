@@ -5,8 +5,8 @@ fixed-point-free involution e -> inv(e) pairing each directed edge with its
 reverse; loops and parallel edges are first-class.  The edge maps are numpy
 integer arrays (int32 while every id fits, int64 beyond).  Girth counts a
 loop as a closed path of length 1 and a parallel pair as one of length 2,
-and a path may never traverse inv(e) right after e; it is a pure-Python
-traversal over one list copy of the arrays it reads.  Connectivity and
+and a path may never traverse inv(e) right after e; it is a breadth-first
+search over the edge arrays, a batch of sources at a time.  Connectivity and
 bipartiteness are component counts by scipy's csgraph.  Graph validation
 and the morphism and covering checks are array identities, scanned a chunk
 at a time for the first failing id, so their messages and witnesses are
@@ -28,6 +28,7 @@ __all__ = ["SerreGraph", "GraphMorphism", "CoveringCheck", "girth", "is_covering
 
 _INT32_IDS = 2**31
 _VALIDATE_CHUNK = 1 << 20
+_GIRTH_CELLS = 1 << 18
 
 
 def index_dtype(count: int):
@@ -86,11 +87,9 @@ class SerreGraph:
     endpoints.  meta carries construction parameters for exports.
     """
 
-    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv", "meta", "_links",
-                 "_components")
+    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv", "meta", "_components")
 
-    def __init__(self, num_vertices, origin, terminus, inv, label=None,
-                 meta=None, validate=True):
+    def __init__(self, num_vertices, origin, terminus, inv, label=None, meta=None):
         self.num_vertices = int(num_vertices)
         self.origin = _id_array(origin)
         self.terminus = _id_array(terminus)
@@ -98,15 +97,7 @@ class SerreGraph:
         self.label = (np.full(len(self.origin), -1, dtype=np.int32) if label is None
                       else _id_array(label, labels=True))
         self.meta = dict(meta) if meta else {}
-        self._links = None
         self._components = None
-        if validate:
-            self._validate()
-        ids = index_dtype(max(self.num_vertices, len(self.origin)))
-        self.origin, self.terminus, self.inv = (
-            a.astype(ids, copy=False) for a in (self.origin, self.terminus, self.inv))
-
-    def _validate(self):
         ne = len(self.origin)
         if not (len(self.terminus) == len(self.inv) == len(self.label) == ne):
             raise GraphConstructionError("edge arrays have mismatched lengths")
@@ -116,6 +107,9 @@ class SerreGraph:
         if e >= 0:
             raise GraphConstructionError(
                 message.format(e=e, o=self.origin[e], t=self.terminus[e]))
+        ids = index_dtype(max(self.num_vertices, ne))
+        self.origin, self.terminus, self.inv = (
+            a.astype(ids, copy=False) for a in (self.origin, self.terminus, self.inv))
 
     def _edge_checks(self, start, stop):
         """The checks of edges start..stop-1 for _first_failure."""
@@ -145,14 +139,6 @@ class SerreGraph:
     def num_edges(self) -> int:
         """Number of directed edges (twice the geometric edge count)."""
         return len(self.origin)
-
-    def links(self):
-        """Adjacency index: links()[v] lists the edge ids with origin v."""
-        if self._links is None:
-            order = np.argsort(self.origin, kind="stable").tolist()
-            ends = np.cumsum(_origin_counts(self.origin, self.num_vertices)).tolist()
-            self._links = [order[a:b] for a, b in zip([0] + ends, ends)]
-        return self._links
 
     def degrees(self):
         return _origin_counts(self.origin, self.num_vertices).tolist()
@@ -203,9 +189,12 @@ def girth(g: SerreGraph):
     """Length of the shortest closed path without backtracking.
 
     1 for a loop, 2 for a parallel geometric pair, math.inf for forests.
-    Otherwise BFS from every vertex, tracking parent *edges* so parallel
-    edges are handled correctly; each non-tree edge (u, v) closes a walk of
-    length dist(u) + dist(v) + 1, and the minimum over all sources is exact.
+    Otherwise a breadth-first search from every source s over the vertices
+    above s (a shortest cycle runs through its least vertex and ones above
+    it), from _GIRTH_CELLS // V sources at a time, never taking the reverse
+    of the edge it arrived by.  In the round from distance d, an edge into a
+    reached vertex closes a walk of length 2d + 1, and two edges into one
+    unseen vertex close one of 2d + 2; the least over all sources is exact.
     """
     origin, terminus = g.origin, g.terminus
     if np.any(origin == terminus):
@@ -215,40 +204,43 @@ def girth(g: SerreGraph):
     pairs = lo * g.num_vertices + hi
     if len(np.unique(pairs)) < len(pairs):
         return 2
+    nv, ids = g.num_vertices, origin.dtype
+    order = np.argsort(origin, kind="stable").astype(ids)
+    degree = _origin_counts(origin, nv)
+    stop = np.cumsum(degree)
+    batch = max(1, _GIRTH_CELLS // max(nv, 1))
     best = math.inf
-    links = g.links()
-    terminus, inv = terminus.tolist(), g.inv.tolist()
-    nv = g.num_vertices
-    dist = [-1] * nv
-    parent = [-1] * nv
-    for s in range(nv):
-        touched = [s]
-        dist[s] = 0
-        parent[s] = -1
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            if 2 * du >= best:
+    for s0 in range(0, nv, batch):
+        row = np.arange(min(batch, nv - s0), dtype=ids)
+        vertex, back = s0 + row, np.full(len(row), -1, dtype=ids)
+        # a source keeps -1: with no loop or parallel pair only a reverse leads back
+        dist = np.full(len(row) * nv, -1, dtype=np.int32)
+        d = 0
+        while len(row) and 2 * d + 1 < best:
+            n = degree[vertex]
+            ends = np.cumsum(n)
+            e = order[np.arange(ends[-1]) + np.repeat(stop[vertex] - ends, n)]
+            row, back = np.repeat(row, n), np.repeat(back, n)
+            w = terminus[e]
+            keep = (e != back) & (w > s0 + row)
+            e, cell = e[keep], row[keep] * nv + w[keep]
+            # a reached vertex is at distance d: one at d - 1 would have
+            # closed a walk of length 2d in the round before
+            if (dist[cell] >= 0).any():
+                best = 2 * d + 1
+            if 2 * d + 2 >= best:
                 break
-            skip = inv[parent[u]] if parent[u] >= 0 else -1
-            for e in links[u]:
-                if e == skip:
-                    continue
-                w = terminus[e]
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    parent[w] = e
-                    queue.append(w)
-                    touched.append(w)
-                else:
-                    cand = du + dist[w] + 1
-                    if cand < best:
-                        best = cand
-        for v in touched:
-            dist[v] = -1
+            # a cell that does not read back its own entry's mark was reached twice
+            mark = np.arange(-2, -2 - len(cell), -1, dtype=np.int32)
+            dist[cell] = mark
+            won = dist[cell] == mark
+            if not won.all():
+                best = 2 * d + 2
+            e, cell = e[won], cell[won]
+            d += 1
+            dist[cell] = d
+            row, vertex = np.divmod(cell, nv)
+            back = g.inv[e]
     return best
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's production code paths: girth by
-exhaustive walk enumeration, matrix groups by full enumeration, Cayley
+exhaustive walk enumeration and by the original per-source Python BFS over
+lists of vertex links, matrix groups by full enumeration, Cayley
 girth by searching for the shortest scalar-valued generator word, level
 tables by the original pure-Python BFS over tuple states, Serre-graph
 validation by the original per-edge loop, the morphism and covering checks
@@ -30,13 +31,22 @@ from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
 from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult
 
 
+def vertex_links(g: SerreGraph):
+    """vertex_links(g)[v] lists the edge ids with origin v, in increasing
+    order."""
+    out = [[] for _ in range(g.num_vertices)]
+    for e, v in enumerate(g.origin.tolist()):
+        out[v].append(e)
+    return out
+
+
 def brute_force_girth(g: SerreGraph, max_len: int = 8):
     """Shortest closed non-backtracking walk, by exhaustive enumeration.
 
     Returns math.inf if no closed walk of length <= max_len exists.
     """
     best = math.inf
-    links = g.links()
+    links = vertex_links(g)
 
     def extend(base, u, last_edge, depth):
         nonlocal best
@@ -52,6 +62,56 @@ def brute_force_girth(g: SerreGraph, max_len: int = 8):
 
     for v in range(g.num_vertices):
         extend(v, v, -1, 0)
+    return best
+
+
+def bfs_girth(g: SerreGraph):
+    """multigraph.girth by the original per-source Python BFS over vertex
+    links: 1 for a loop, 2 for a parallel geometric pair, otherwise BFS from
+    every vertex tracking parent *edges*; each non-tree edge (u, v) closes a
+    walk of length dist(u) + dist(v) + 1, and the minimum is exact."""
+    origin, terminus = g.origin, g.terminus
+    if np.any(origin == terminus):
+        return 1
+    forward = np.arange(g.num_edges) < g.inv
+    lo, hi = np.sort(np.stack([origin[forward], terminus[forward]]).astype(np.int64), axis=0)
+    pairs = lo * g.num_vertices + hi
+    if len(np.unique(pairs)) < len(pairs):
+        return 2
+    best = math.inf
+    links = vertex_links(g)
+    terminus, inv = terminus.tolist(), g.inv.tolist()
+    nv = g.num_vertices
+    dist = [-1] * nv
+    parent = [-1] * nv
+    for s in range(nv):
+        touched = [s]
+        dist[s] = 0
+        parent[s] = -1
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            du = dist[u]
+            if 2 * du >= best:
+                break
+            skip = inv[parent[u]] if parent[u] >= 0 else -1
+            for e in links[u]:
+                if e == skip:
+                    continue
+                w = terminus[e]
+                if dist[w] < 0:
+                    dist[w] = du + 1
+                    parent[w] = e
+                    queue.append(w)
+                    touched.append(w)
+                else:
+                    cand = du + dist[w] + 1
+                    if cand < best:
+                        best = cand
+        for v in touched:
+            dist[v] = -1
     return best
 
 
@@ -292,7 +352,7 @@ def traversal_connected(g: SerreGraph) -> bool:
     seen = [False] * g.num_vertices
     seen[0] = True
     stack = [0]
-    links = g.links()
+    links = vertex_links(g)
     terminus = g.terminus.tolist()
     count = 1
     while stack:
@@ -310,7 +370,7 @@ def traversal_bipartite(g: SerreGraph):
     """(flag, 2-coloring or None) by the original traversal that colors each
     component from its least vertex; any loop forces False."""
     color = [-1] * g.num_vertices
-    links = g.links()
+    links = vertex_links(g)
     terminus = g.terminus.tolist()
     for s in range(g.num_vertices):
         if color[s] != -1:
@@ -371,9 +431,10 @@ def link_is_covering(f) -> CoveringCheck:
     for v, h in enumerate(hit):
         if not h:
             return CoveringCheck(False, v, "vertex map is not surjective")
+    src_links, tgt_links = vertex_links(src), vertex_links(tgt)
     for v in range(src.num_vertices):
-        image = sorted(em[e] for e in src.links()[v])
-        if image != sorted(tgt.links()[vm[v]]):
+        image = sorted(em[e] for e in src_links[v])
+        if image != sorted(tgt_links[vm[v]]):
             return CoveringCheck(False, v, "link map is not bijective")
     return CoveringCheck(True)
 

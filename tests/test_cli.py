@@ -52,6 +52,15 @@ def test_build_edge_list_round_trips(level1_file):
     assert format_edgelist(g) == level1_file.read_text()
 
 
+def test_spectrum_report_gives_cayley_girth(tmp_path, capsys):
+    # the all-source girth of a built cayley level, through the CLI
+    graph, report_path = tmp_path / "cayley.edges", tmp_path / "report.json"
+    assert main(["build", "--q1", "5", "--q2", "13", "--level", "1", "--variant", "cayley",
+                 "--out", str(graph)]) == EXIT_OK
+    assert main(["spectrum", "--in", str(graph), "--report", str(report_path)]) == EXIT_OK
+    assert json.loads(report_path.read_text())["girth"] == 8
+
+
 def test_build_rejects_bad_primes(tmp_path, capsys):
     rc = main(["build", "--q1", "4", "--q2", "13", "--level", "1",
                "--out", str(tmp_path / "x.edges")])
@@ -220,7 +229,7 @@ def test_spectrum_prism_fixture_not_ramanujan(tmp_path, capsys):
     assert "ramanujan: false" in out
 
 
-def test_malformed_edge_list(tmp_path):
+def test_malformed_edge_list(tmp_path, capsys):
     header = "# expander-forge v1 q1=5 q2=13 n=1 variant=cartan mode=PGL"
     graph = {"format": "expander-forge-graph", "schema": 1, "meta": {},
              "num_vertices": 2, "edges": [[0, 1, 0, 1], [1, 0, 0, 0]]}
@@ -243,6 +252,8 @@ def test_malformed_edge_list(tmp_path):
         f"{header} V=2\n0 1 1_0 1\n1 0 0 0\n",
         f"{header} V=2\n0 1 \u0663 1\n1 0 0 0\n".encode(),
         f"{header} V=2\n0 1 - 1\n1 0 0 0\n",
+        f"{header} V=\u00b2\n0 1 0 1\n1 0 0 0\n",  # a digit to isdigit(), not to int()
+        f"{header} V=\u0663\n0 1 0 1\n1 0 0 0\n",  # an Arabic-Indic 3
         f"{header} V=2\n0 1 1-2 1\n1 0 0 0\n",
         dict(graph, edges=[[0, 1, 0, 2**40], [1, 0, 0, 0]]),
         dict(graph, edges=[[0, 1, 0, 1], [-1, 0, 0, 0]]),
@@ -255,6 +266,7 @@ def test_malformed_edge_list(tmp_path):
         dict(graph, meta=[1, 2]),
         f"{header} V=2\n0 1 0 1\n1 0 0 \xff\xfe\n".encode("latin-1"),
         b'{"format": "expander-forge-graph", "meta": {"x": "\xff"}}',
+        b'{"a":' + b"[" * 200_000 + b"]" * 200_000 + b"}",
     ]
     for i, row in enumerate(rows):
         bad = tmp_path / f"bad{i}"
@@ -262,8 +274,31 @@ def test_malformed_edge_list(tmp_path):
             bad.write_bytes(row)
         else:
             bad.write_text(row if isinstance(row, str) else json.dumps(row))
-        assert main(["spectrum", "--in", str(bad)]) == EXIT_USAGE, row
-        assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE, row
+        for argv in (["spectrum", "--in", str(bad)],
+                     ["export", "--in", str(bad), "--format", "json"]):
+            assert main(argv) == EXIT_USAGE, row
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, row
+            assert not captured.out, row
+
+
+def test_deep_json_is_refused_by_path(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b'{"a":' + b"[" * 200_000 + b"]" * 200_000 + b"}")
+    assert main(["export", "--in", str(deep), "--format", "json"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deep\n"
+
+
+def test_header_integers_are_ascii_digits(tmp_path, capsys):
+    # a header value is an integer when it is -?[0-9]+ in ASCII, and a string
+    # otherwise, as variant= and mode= are
+    path = tmp_path / "g.edges"
+    path.write_text("# expander-forge v1 q1=\u00b2 q2=-13 n=1 variant=cartan mode=PGL V=2\n"
+                    "0 1 0 1\n1 0 0 0\n")
+    assert main(["export", "--in", str(path), "--format", "json"]) == EXIT_OK
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta == {"q1": "\u00b2", "q2": -13, "n": 1, "variant": "cartan", "mode": "PGL",
+                    "V": 2}
 
 
 def test_malformed_edge_line_message(tmp_path, capsys):
@@ -292,11 +327,14 @@ def test_edge_list_layouts_accepted(tmp_path, capsys, body, label):
     ("path", [(0, 1), (1, 2)], "graph is not regular (degrees [1, 2])"),
     ("two-k4", [(a + o, b + o) for o in (0, 4) for a in range(4) for b in range(a + 1, 4)],
      "graph is not connected"),
+    ("V=3", [], "graph has no edges"),
+    ("V=0", [], "graph has no edges"),
 ])
 def test_spectrum_refuses_graph_outside_the_claim(tmp_path, name, edges, message):
-    # Both files are well formed, so export accepts them; spectrum refuses
-    # them with one error line.
-    g = SerreGraph.from_geometric_edges(max(max(e) for e in edges) + 1, edges)
+    # The files are well formed, so export accepts them; spectrum refuses
+    # them with one error line.  An edgeless file's name gives its V.
+    nv = max(max(e) for e in edges) + 1 if edges else int(name.removeprefix("V="))
+    g = SerreGraph.from_geometric_edges(nv, edges)
     g.meta.update(q1=0, q2=0, n=0, variant="fixture", mode="NA", V=g.num_vertices)
     path = tmp_path / f"{name}.edges"
     path.write_text(format_edgelist(g))

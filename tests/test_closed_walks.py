@@ -3,11 +3,12 @@ enumerator and the all-source girth, its per-hit confirmation, and the
 pinned bytes of the word-length-8 probe."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from expander_forge import tower
+from expander_forge import multigraph, tower
 from expander_forge.cli import EXIT_OK, main
 from expander_forge.errors import InvalidParameterError, VerificationError
 from expander_forge.multigraph import SerreGraph, girth
@@ -20,7 +21,7 @@ from expander_forge.tower import (
     probe_with_reseed,
     twist_sequence,
 )
-from oracles import cayley_girth_by_relator, word_enumeration_probe
+from oracles import bfs_girth, cayley_girth_by_relator, word_enumeration_probe
 
 # (q1, q2, top level N, longest word, twist seeds): every level 1..N and
 # every word length 1..L is compared
@@ -55,11 +56,20 @@ def _walk_girth(level):
     (5, 17, 1, 0),
     (13, 5, 1, 4),
     (17, 5, 1, 4),
+    (13, 5, 2, 0),
 ])
 def test_cayley_walk_girth_matches_all_source_girth(q1, q2, n, relator_len):
+    # the all-source girth in batches of one source, of seven, and of the
+    # default size; the Python BFS oracle runs on level 1 only, since it
+    # takes about 15 s on (13,5) level 2
     level = build_level(TowerConfig(q1, q2, levels=n, variant="cayley"), n)
+    g = level.graph
     walk = _walk_girth(level)
-    assert walk == girth(level.graph)
+    for cells in (g.num_vertices, 7 * g.num_vertices, multigraph._GIRTH_CELLS):
+        with mock.patch.object(multigraph, "_GIRTH_CELLS", cells):
+            assert walk == girth(g), cells
+    if n == 1:
+        assert walk == bfs_girth(g)
     if relator_len:
         assert walk == cayley_girth_by_relator(q1, q2, n, max_len=relator_len)
 

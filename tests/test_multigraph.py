@@ -31,22 +31,24 @@ from expander_forge.multigraph import (
     is_covering,
 )
 from oracles import (
+    bfs_girth,
     brute_force_girth,
     link_is_covering,
     loop_validation_error,
     traversal_bipartite,
     traversal_connected,
+    vertex_links,
 )
 
 
 def test_link_sizes():
     g = loop_graph()
-    assert len(g.links()[0]) == 2  # both directions of the loop originate at 0
+    assert len(vertex_links(g)[0]) == 2  # both directions of the loop originate at 0
     iso = SerreGraph.from_geometric_edges(2, [(1, 1)])
     assert g.degrees() == [2]
-    assert iso.links()[0] == []
+    assert vertex_links(iso)[0] == [] and iso.degrees() == [0, 2]
     k4 = complete_graph(4)
-    assert all(len(k4.links()[v]) == 3 for v in range(4))
+    assert all(len(vertex_links(k4)[v]) == 3 for v in range(4)) and k4.degrees() == [3] * 4
 
 
 def test_involution_axioms_enforced():
@@ -98,6 +100,8 @@ def test_girth_examples():
     assert girth(lollipop_graph()) == 1
     assert girth(petersen_graph()) == 5
     assert girth(path_graph(5)) == math.inf
+    assert girth(SerreGraph(0, [], [], [])) == math.inf
+    assert girth(SerreGraph.from_geometric_edges(6, [(0, 1), (1, 2), (3, 4)])) == math.inf
 
 
 def test_girth_matches_brute_force_on_fixtures():
@@ -323,7 +327,7 @@ def test_covering_matches_link_oracle_random(case, chunk):
 
 def _random_nb_closed_walks(g, rng, count=20, max_len=12):
     walks = []
-    links = g.links()
+    links = vertex_links(g)
     for _ in range(count * 20):
         if len(walks) >= count:
             break
@@ -406,6 +410,37 @@ def test_girth_two_iff_parallel_no_loop(g):
     assert (got == 2) == (not has_loop and has_parallel)
 
 
+@st.composite
+def simple_graphs(draw):
+    """Graphs with no loop and no parallel pair, the empty graph included, so
+    that girth runs its search instead of a shortcut."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SerreGraph.from_geometric_edges(n, draw(st.permutations(chosen)))
+
+
+@pytest.mark.properties
+@settings(max_examples=300)
+@given(st.one_of(random_multigraphs(), simple_graphs()))
+def test_girth_matches_bfs_oracle_at_every_batch_size(g):
+    # batches of one source, of three, and of the default size
+    want = bfs_girth(g)
+    oracle = brute_force_girth(g, max_len=8)
+    assert want == oracle if oracle <= 8 else want > 8
+    for cells in (g.num_vertices, 3 * g.num_vertices, multigraph._GIRTH_CELLS):
+        with mock.patch.object(multigraph, "_GIRTH_CELLS", cells):
+            assert girth(g) == want, cells
+
+
+@pytest.mark.parametrize("g,want", [(loop_graph(), 1), (lollipop_graph(), 1),
+                                    (parallel_pair(), 2), (theta_graph(), 2)])
+def test_girth_shortcuts_run_no_search(g, want):
+    # a loop or a parallel pair decides the girth before any search starts
+    with mock.patch.object(multigraph, "_origin_counts", side_effect=AssertionError):
+        assert girth(g) == want
+
+
 @pytest.mark.properties
 @settings(max_examples=150)
 @given(random_multigraphs())
@@ -449,4 +484,4 @@ def test_origin_counts_match_bincount(monkeypatch, chunk):
         want = np.bincount(origin, minlength=45)
         assert np.array_equal(multigraph._origin_counts(origin, 45), want)
     g = theta_graph()
-    assert g.degrees() == [3, 3] and [len(x) for x in g.links()] == [3, 3]
+    assert g.degrees() == [3, 3] and [len(x) for x in vertex_links(g)] == [3, 3]
