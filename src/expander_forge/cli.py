@@ -20,10 +20,12 @@ _BLOCK_BYTES bytes read, cut at a line end.  JSON reports carry
 full repr precision (solver-derived floats are quantized to 12 significant
 digits first so reruns and different BLAS thread counts stay byte-identical).
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 internal verification
-failure.  Timing lines go to stderr, never into reports.
+failure; an output path that cannot be written exits 3 before any work.
+Timing lines go to stderr, never into reports.
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -304,6 +306,20 @@ def load_graph(path: str) -> SerreGraph:
     return _parse_edgelist_bytes(raw)
 
 
+def _refuse_unwritable(path: str):
+    """Raise OSError, before any work, when atomic_write could not put a
+    file at path: its directory is missing, is not a directory or is not
+    writable, or path is a directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), directory)
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), directory)
+
+
 def atomic_write(path: str, data: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-forge-")
@@ -421,6 +437,7 @@ def _t(label: str, started: float):
 def cmd_build(args) -> int:
     cfg = TowerConfig(args.q1, args.q2, levels=args.level, variant=args.variant,
                       twist_seed=args.twist_seed)
+    _refuse_unwritable(args.out)
     twist = None
     if args.twist_seed is not None:
         twist = twist_sequence(cfg, args.twist_seed, levels=args.level)
@@ -433,6 +450,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.report:
+        _refuse_unwritable(args.report)
     g = load_graph(args.infile)
     if not g.num_edges:
         raise InvalidParameterError("graph has no edges")
@@ -464,6 +483,14 @@ def cmd_spectrum(args) -> int:
 def cmd_tower(args) -> int:
     cfg = TowerConfig(args.q1, args.q2, levels=args.levels, variant=args.variant,
                       twist_seed=args.twist_seed)
+    _refuse_unwritable(args.report)
+    exports = []
+    if args.export_dir:
+        os.makedirs(args.export_dir, exist_ok=True)
+        exports = [os.path.join(args.export_dir, f"level{n}.edges")
+                   for n in range(1, cfg.levels + 1)]
+    for path in exports:
+        _refuse_unwritable(path)
     t0 = time.perf_counter()
     result = build_tower(cfg, probe_max_word_len=args.probe_len)
     _t("tower", t0)
@@ -479,11 +506,8 @@ def cmd_tower(args) -> int:
         print(f"covering {c.source_n} -> {c.target_n}: verified")
     print(f"probe: {len(result.probe.survivors)} survivor(s) up to length "
           f"{result.probe.max_word_len}")
-    if args.export_dir:
-        os.makedirs(args.export_dir, exist_ok=True)
-        for lvl in result.levels:
-            path = os.path.join(args.export_dir, f"level{lvl.n}.edges")
-            atomic_write(path, format_edgelist(lvl.graph))
+    for path, lvl in zip(exports, result.levels):
+        atomic_write(path, format_edgelist(lvl.graph))
     return EXIT_OK
 
 

@@ -10,13 +10,15 @@ recurrence on the orthogonal complement of the known trivial eigenvectors:
 to satisfy A s = -(q+1) s exactly.  No Lanczos basis is stored; a second
 pass replays the recurrence to form the two extreme Ritz vectors, whose
 explicit residuals are verified against RESIDUAL_RTOL * ||A||, so a
-non-converged solve can never masquerade as a verdict.  The inner products
-are numpy reductions rather than BLAS calls, so the Ritz values are the same
-at any BLAS thread count.  The top eigenvalue q+1 is simple by
-Perron-Frobenius, since the graph is connected; it and -(q+1) come from the
-theorem, not from the solve.  What is certified is the residual of each
-returned pair, which puts a true eigenvalue within it of the Ritz value;
-that the returned values are the extreme ones is not.
+non-converged solve can never masquerade as a verdict.  A step allocates
+nothing: three vectors rotate, and the CSR kernel that a @ v runs adds A v
+into a buffer prefilled with -beta v_prev.  The inner products are einsum
+reductions, one pass and no BLAS call, so the Ritz values are the same at
+any BLAS thread count and no BLAS thread is woken.  The top eigenvalue q+1
+is simple by Perron-Frobenius, since the graph is connected; it and -(q+1)
+come from the theorem, not from the solve.  What is certified is the
+residual of each returned pair, which puts a true eigenvalue within it of
+the Ritz value; that the returned values are the extreme ones is not.
 
 A caller that knows a swap of the graph, a fixed-point-free involution of
 the vertices that is an automorphism (checked here before any solve), gets
@@ -24,16 +26,24 @@ the iterative solve on its two halves: the adjacency restricted to the
 swap-even and to the swap-odd vectors, two half-size symmetric matrices on
 one representative per orbit whose spectra together are A's (the standard
 symmetry-adapted reduction).  Each half runs the solve above; a locality key
-orders their rows, so a row's neighbours lie in few blocks.
+orders their rows, so a row's neighbours lie in few blocks.  The two halves
+are independent solves, each with its own vectors, so they always run at
+once: the odd half on a worker thread, the even half on the caller's.  The
+matvec and the vector kernels release the GIL, which is what lets two
+threads pay; there is no knob, since there are always exactly two halves,
+and the merged result is the sequential one.
 """
 
 import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import ConvergenceError, InvalidParameterError
 from .multigraph import SerreGraph, index_dtype
@@ -45,7 +55,10 @@ LANCZOS_MAX_STEPS = 20000
 _CHECK_EVERY = 20
 _MULT_TOL = 1e-6
 # V-vectors the solve holds beyond the CSR adjacency: about seven for Lanczos
-# and up to four trivial vectors; tracemalloc measured 8.1-9.2 at level 2.
+# and up to four trivial vectors.  At (5,13) level 2 tracemalloc measured 7.1
+# for the Lanczos passes of one solve and 7.3 for those of both swap halves at
+# once (a half's vectors are half as long), and 12.0 and 10.3 with the
+# construction of the matrices.
 _SOLVE_VECTORS = 16
 
 
@@ -131,14 +144,14 @@ def extreme_eigenvalues(a, how_many) -> EigenResult:
 
 class _Reductions:
     """In-place vector kernels on one scratch buffer.  Inner products are
-    numpy sums, never BLAS calls, so their rounding does not depend on the
-    BLAS thread count and no BLAS threads are woken."""
+    einsum reductions, never BLAS calls, so their rounding does not depend
+    on the BLAS thread count and no BLAS threads are woken."""
 
     def __init__(self, n: int):
         self.tmp = np.empty(n)
 
     def dot(self, x, y) -> float:
-        return float(np.multiply(x, y, out=self.tmp).sum())
+        return float(np.einsum("i,i->", x, y))
 
     def axpy(self, y, c: float, x):
         """y += c * x."""
@@ -150,29 +163,42 @@ class _Reductions:
             self.axpy(x, -self.dot(x, u), u)
 
 
-def _lanczos(a, trivial, ops: _Reductions, coefficients=None):
+def _matvec_add(a, x, y):
+    """y += a @ x in place, by the kernel a @ x itself runs.  a must be a
+    square float64 CSR matrix and x, y contiguous float64 vectors of its
+    size: the kernel checks none of it."""
+    n = a.shape[0]
+    csr_matvec(n, n, a.indptr, a.indices, a.data, x, y)
+
+
+def _lanczos(a, trivial, ops: _Reductions, coefficients=None, cancel=None):
     """Yield (v_j, alpha_j, beta_j), j = 1, 2, ..., of the three-term
     Lanczos recurrence A v_j = beta_{j-1} v_{j-1} + alpha_j v_j + beta_j v_{j+1}
     from the deterministic start, on the orthogonal complement of the unit
     vectors in trivial; every new vector is projected against them again.
-    Given the (alphas, betas) of an earlier run, it replays that run and
-    takes them instead of the two inner products, so its vectors are bitwise
-    the earlier run's.  v_j is only valid until the next step, which divides
-    by beta_j."""
+    A step runs in Paige's order (C. C. Paige, J. Inst. Maths Applics 10,
+    1972): w = A v_j - beta_{j-1} v_{j-1}, alpha_j = w.v_j, w -= alpha_j v_j,
+    beta_j = ||w||.  a is a float64 CSR matrix.  Given the (alphas, betas) of an earlier run,
+    it replays that run and takes them instead of the two inner products, so
+    its vectors are bitwise the earlier run's.  Once the threading.Event
+    cancel is set, the next step raises ConvergenceError.  v_j is only valid
+    until the next step, which overwrites it."""
     v = _deterministic_start(a.shape[0])
     ops.project(v, trivial)
     v /= math.sqrt(ops.dot(v, v))
-    v_prev, beta = np.zeros_like(v), 0.0
+    v_prev, w, beta = np.zeros_like(v), np.empty_like(v), 0.0
     for j in itertools.count():
-        w = a @ v
-        ops.axpy(w, -beta, v_prev)
+        if cancel is not None and cancel.is_set():
+            raise ConvergenceError("the solve was cancelled")
+        np.multiply(v_prev, -beta, out=w)
+        _matvec_add(a, v, w)
         alpha = ops.dot(w, v) if coefficients is None else coefficients[0][j]
         ops.axpy(w, -alpha, v)
         ops.project(w, trivial)
         beta = math.sqrt(ops.dot(w, w)) if coefficients is None else coefficients[1][j]
         yield v, alpha, beta
         w /= beta
-        v_prev, v = v, w
+        v_prev, v, w = v, w, v_prev
 
 
 def _ritz_ends(alphas, betas):
@@ -186,7 +212,7 @@ def _ritz_ends(alphas, betas):
     return ends
 
 
-def nontrivial_ends(a, trivial, norm=None) -> EigenResult:
+def nontrivial_ends(a, trivial, norm=None, cancel=None) -> EigenResult:
     """Bottom and top eigenvalues of a on the orthogonal complement of the
     orthonormal vectors in trivial, which must be eigenvectors of a.  norm
     bounds ||A|| and scales the tolerances; by default the max absolute row
@@ -201,8 +227,13 @@ def nontrivial_ends(a, trivial, norm=None) -> EigenResult:
     ||A|| and be orthogonal to trivial within RESIDUAL_RTOL, or
     ConvergenceError is raised.  That certifies a true eigenvalue within the
     residual of each value, not that the values are the extreme ones.
+    Setting the threading.Event cancel ends the solve with ConvergenceError
+    at its next Lanczos step.
     """
+    a = sp.csr_matrix(a, dtype=np.float64)  # the matvec kernel's input; no copy of one
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise InvalidParameterError(f"matrix of shape {a.shape} is not square")
     if n <= len(trivial):
         raise InvalidParameterError(
             f"no nontrivial spectrum: {n} vertices, {len(trivial)} trivial eigenvectors")
@@ -211,7 +242,7 @@ def nontrivial_ends(a, trivial, norm=None) -> EigenResult:
     stop = 0.1 * RESIDUAL_RTOL * norm
     ops = _Reductions(n)
     alphas, betas = [], []
-    for _, alpha, beta in _lanczos(a, trivial, ops):
+    for _, alpha, beta in _lanczos(a, trivial, ops, cancel=cancel):
         alphas.append(alpha)
         betas.append(beta)
         m = len(alphas)
@@ -225,14 +256,14 @@ def nontrivial_ends(a, trivial, norm=None) -> EigenResult:
                     f"{[beta * abs(s[-1]) for _, s in ends]} exceed {stop:.3e}")
 
     ritz = [np.zeros(n) for _ in ends]
-    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops, (alphas, betas))):
+    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops, (alphas, betas), cancel)):
         for y, (_, s) in zip(ritz, ends):
             ops.axpy(y, float(s[j]), v)
     residuals = []
     for y, (lam, _) in zip(ritz, ends):
         y /= math.sqrt(ops.dot(y, y))
-        r = a @ y
-        ops.axpy(r, -lam, y)
+        r = np.multiply(y, -lam, out=ops.tmp)
+        _matvec_add(a, y, r)
         res = math.sqrt(ops.dot(r, r))
         if not res <= RESIDUAL_RTOL * norm:
             raise ConvergenceError(
@@ -326,13 +357,32 @@ def _halves_ends(g: SerreGraph, q: int, swap, locality, sides) -> EigenResult:
     """nontrivial_ends on each swap half (_swap_halves), merged: the lesser
     bottom, the greater top, every residual, and the summed steps and
     matvecs.  1/sqrt(V) is even; the bipartition vector goes in the half its
-    parity under swap names, where _trivial_vectors checks it exactly."""
+    parity under swap names, where _trivial_vectors checks it exactly.
+
+    The odd half runs on a worker thread while the even half runs here; the
+    worker is joined before this returns or raises, and the even half's
+    error is raised first, as in a sequential solve.  That error, an
+    interrupt included, also cancels the odd half at its next step, so the
+    join does not wait for a whole solve."""
     reps, even, odd = _swap_halves(g, swap, locality)
     half_sides = [None, None]
     if sides is not None:
         half_sides[not np.array_equal(sides[swap], sides)] = sides[reps]
-    eigs = [nontrivial_ends(op, _trivial_vectors(op, q, s, ones=op is even), norm=q + 1)
-            for op, s in zip((even, odd), half_sides)]
+
+    cancel = threading.Event()
+
+    def solve(op, s):
+        return nontrivial_ends(op, _trivial_vectors(op, q, s, ones=op is even), norm=q + 1,
+                               cancel=cancel)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        odd_eig = worker.submit(solve, odd, half_sides[1])
+        try:
+            even_eig = solve(even, half_sides[0])
+        except BaseException:
+            cancel.set()
+            raise
+        eigs = [even_eig, odd_eig.result()]
     return EigenResult((min(e.values[0] for e in eigs), max(e.values[-1] for e in eigs)),
                        tuple(r for e in eigs for r in e.residuals), "iterative",
                        sum(e.steps for e in eigs), sum(e.matvecs for e in eigs))

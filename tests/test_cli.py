@@ -74,6 +74,31 @@ def test_build_io_failure(tmp_path):
     assert rc == EXIT_IO
 
 
+@pytest.mark.parametrize("case", ["tower-report", "tower-export", "build-out",
+                                  "spectrum-report", "tower-report-is-dir"])
+def test_unwritable_output_is_refused_before_any_work(case, level1_file, tmp_path, capsys):
+    # Exit 3 with one i/o error line, before any timed work starts and with
+    # no report written.
+    report, missing = tmp_path / "r.json", str(tmp_path / "no" / "r.json")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    tower = ["tower", "--q1", "5", "--q2", "13", "--levels", "2"]
+    argv = {
+        "tower-report": tower + ["--report", missing],
+        "tower-export": tower + ["--report", str(report), "--export-dir", str(blocker)],
+        "build-out": ["build", "--q1", "5", "--q2", "13", "--level", "2", "--out", missing],
+        "spectrum-report": ["spectrum", "--in", str(level1_file), "--report", missing],
+        "tower-report-is-dir": tower + ["--report", str(tmp_path)],
+    }[case]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:"), lines
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == ""
+
+
 def test_spectrum_report(level1_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(["spectrum", "--in", str(level1_file), "--report", str(report_path)])

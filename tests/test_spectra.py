@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -325,11 +327,17 @@ def test_lanczos_step_cap(monkeypatch):
 
 def test_ritz_values_independent_of_blas_threads():
     # The recurrence makes no BLAS call, so the values, residual and step
-    # count are bitwise the same at one and two BLAS threads.
+    # count are bitwise the same at one and two BLAS threads; the cartan
+    # level's two swap halves are solved at once, on two threads.
     code = ("from expander_forge.spectra import ramanujan_check\n"
-            "from expander_forge.tower import TowerConfig, build_level\n"
+            "from expander_forge.tower import TowerConfig, build_level, swap_and_fibers\n"
             "g = build_level(TowerConfig(5, 17, variant='cayley'), 1).graph\n"
             "r = ramanujan_check(g, 5)\n"
+            "print(r.method, repr(r.max_abs_nontrivial), repr(r.lambda_bottom),\n"
+            "      repr(r.max_residual), r.lanczos_steps)\n"
+            "lvl = build_level(TowerConfig(5, 13, levels=2), 2)\n"
+            "swap, fibers = swap_and_fibers(lvl)\n"
+            "r = ramanujan_check(lvl.graph, 5, method='iterative', swap=swap, locality=fibers)\n"
             "print(r.method, repr(r.max_abs_nontrivial), repr(r.lambda_bottom),\n"
             "      repr(r.max_residual), r.lanczos_steps)\n")
     outs = []
@@ -341,8 +349,29 @@ def test_ritz_values_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert outs[0].startswith("iterative ")
+    assert [line.split()[0] for line in outs[0].splitlines()] == ["iterative"] * 2
     assert outs[0] == outs[1]
+
+
+def test_matvec_add_is_the_kernel_of_a_at_v():
+    # _matvec_add calls scipy's private CSR kernel.  From zeros it is a @ v
+    # bitwise; from a prefill it adds a @ v to it, checked where every sum
+    # is exact (integer vectors, beta a power of two) on a built half.
+    lvl = build_level(TowerConfig(5, 13), 1)
+    swap = spectra._checked_swap(lvl.graph, swap_and_fibers(lvl)[0])
+    _, even, odd = spectra._swap_halves(lvl.graph, swap)
+    rng = np.random.default_rng(5)
+    for half in (even, odd):
+        n = half.shape[0]
+        v = rng.standard_normal(n)
+        w = np.zeros(n)
+        spectra._matvec_add(half, v, w)
+        assert np.array_equal(w, half @ v)
+        v, v_prev = rng.integers(-1000, 1000, (2, n)).astype(float)
+        beta = 0.5
+        w = -beta * v_prev
+        spectra._matvec_add(half, v, w)
+        assert np.array_equal(w, -beta * v_prev + half @ v)
 
 
 # --- the swap halves ---------------------------------------------------------
@@ -425,6 +454,116 @@ def test_swap_halves_together_have_the_spectrum_of_a():
         assert got == pytest.approx(want, abs=1e-9)
         order = fibers[reps] if locality is not None else reps
         assert np.all(np.diff(order) >= 0)
+
+
+def _level_halves(make):
+    lvl = make()
+    return (lvl.graph, lvl.degree - 1) + swap_and_fibers(lvl)
+
+
+# (id, factory of (graph, q, swap, locality)): every SWAPPED level, and both
+# prism swaps, which place the bipartition in either half
+HALVES = [(name, lambda make=make: _level_halves(make)) for name, make in SWAPPED]
+HALVES += [(f"prism20-{name}",
+            lambda name=name: (prism_graph(20), 2, _prism_swaps(20)[name], None))
+           for name in ("layers", "turn")]
+
+
+@pytest.mark.parametrize("make", [h[1] for h in HALVES], ids=[h[0] for h in HALVES])
+def test_halves_ends_equal_the_sequential_solves(make):
+    # The concurrent halves give, field for field and bitwise, the merge of
+    # nontrivial_ends run one after the other on the even and odd halves.
+    g, q, swap, locality = make()
+    swap, sides = spectra._checked_swap(g, swap), g.bipartition()
+    reps, even, odd = spectra._swap_halves(g, swap, locality)
+    parity = None if sides is None else int(not np.array_equal(sides[swap], sides))
+    eigs = [nontrivial_ends(op, spectra._trivial_vectors(
+                op, q, sides[reps] if parity == k else None, ones=k == 0), norm=q + 1)
+            for k, op in enumerate((even, odd))]
+    want = spectra.EigenResult(
+        (min(e.values[0] for e in eigs), max(e.values[-1] for e in eigs)),
+        eigs[0].residuals + eigs[1].residuals, "iterative",
+        eigs[0].steps + eigs[1].steps, eigs[0].matvecs + eigs[1].matvecs)
+    got = spectra._halves_ends(g, q, swap, locality, sides)
+    assert got == want
+    assert [x.hex() for x in got.values + got.residuals] == \
+        [x.hex() for x in want.values + want.residuals]
+
+
+def _failing_halves(monkeypatch, fails, wait=0.0):
+    """Make nontrivial_ends raise ConvergenceError on the halves named in
+    fails; the odd half first sleeps wait seconds.  Returns the log of the
+    halves that finished, each with the thread it ran on."""
+    solve, log = spectra.nontrivial_ends, []
+
+    def half(a, trivial, norm=None, cancel=None):
+        name = "even" if len(trivial) else "odd"  # a cartan level: 1/sqrt(V) is even
+        if name == "odd":
+            time.sleep(wait)
+        log.append((name, threading.current_thread()))
+        if name in fails:
+            raise ConvergenceError(f"the {name} half failed")
+        return solve(a, trivial, norm, cancel)
+
+    monkeypatch.setattr(spectra, "nontrivial_ends", half)
+    return log
+
+
+@pytest.mark.parametrize("fails,message", [(("odd",), "the odd half failed"),
+                                           (("even", "odd"), "the even half failed"),
+                                           (("even",), "the even half failed")])
+def test_halves_error_is_raised_after_the_worker_is_joined(monkeypatch, fails, message):
+    # An error in either half comes out, the even half's first; the worker
+    # has finished by then, so no thread outlives the call.
+    lvl = _cartan(5, 13, 1)
+    swap, fibers = swap_and_fibers(lvl)
+    log = _failing_halves(monkeypatch, fails, wait=0.2)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceError, match=message):
+        ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers)
+    assert threading.active_count() == before
+    assert sorted(name for name, _ in log) == ["even", "odd"]
+    threads = dict(log)
+    assert threads["even"] is threading.current_thread()
+    assert threads["odd"] is not threading.current_thread()
+    assert not threads["odd"].is_alive()
+
+
+def test_an_interrupt_in_the_even_half_cancels_the_odd_half(monkeypatch):
+    # The odd half waits for the even half to fail, then starts a real
+    # solve: it is cancelled at its first step, so the interrupt gets out at
+    # once, not after a whole solve of the odd half.
+    lvl = _cartan(5, 13, 1)
+    swap, fibers = swap_and_fibers(lvl)
+    solve, odd_errors = spectra.nontrivial_ends, []
+
+    def half(a, trivial, norm=None, cancel=None):
+        if len(trivial):
+            raise KeyboardInterrupt
+        cancel.wait(timeout=10)
+        try:
+            return solve(a, trivial, norm, cancel)
+        except ConvergenceError as exc:
+            odd_errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(spectra, "nontrivial_ends", half)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers)
+    assert time.perf_counter() - started < 5
+    assert odd_errors == ["the solve was cancelled"]
+
+
+def test_halves_leave_no_thread_behind(monkeypatch):
+    lvl = _cartan(5, 13, 1)
+    swap, fibers = swap_and_fibers(lvl)
+    log = _failing_halves(monkeypatch, ())
+    before = threading.active_count()
+    report = ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers)
+    assert report.method == "iterative"
+    assert threading.active_count() == before
+    assert len({thread for _, thread in log}) == 2
 
 
 def _swap_variants(swap):
