@@ -529,6 +529,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.out:
+        _refuse_unwritable(args.out)
     g = load_graph(args.infile)
     if args.format == "edgelist":
         data = format_edgelist(g)

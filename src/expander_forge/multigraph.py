@@ -171,9 +171,6 @@ class SerreGraph:
             return None
         return labels[:nv] < labels[nv:]
 
-    def is_bipartite(self) -> bool:
-        return self.bipartition() is not None
-
     def geometric_loop_count(self) -> int:
         return int(np.count_nonzero(self.origin == self.terminus)) // 2
 

@@ -125,9 +125,6 @@ class FreeWord:
 
     letters: tuple
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 def is_reduced(letters, pairing) -> bool:
     return all(pairing[a] != b for a, b in zip(letters, letters[1:]))

@@ -3,35 +3,33 @@
 The adjacency matrix counts directed edges, so a geometric loop contributes
 2 to its diagonal entry and every row sums to the vertex degree; this is the
 convention under which a (q+1)-regular graph has trivial eigenvalue q+1
-(and -(q+1) exactly when bipartite).  Graphs up to DENSE_THRESHOLD vertices
-get a full dense solve.  Larger ones get a plain three-term Lanczos
-recurrence on the orthogonal complement of the known trivial eigenvectors:
-1/sqrt(V), and the +-1 bipartition vector when bipartite, which is checked
-to satisfy A s = -(q+1) s exactly.  No Lanczos basis is stored; a second
-pass replays the recurrence to form the two extreme Ritz vectors, whose
-explicit residuals are verified against RESIDUAL_RTOL * ||A||, so a
-non-converged solve can never masquerade as a verdict.  A step allocates
-nothing: three vectors rotate, and the CSR kernel that a @ v runs adds A v
-into a buffer prefilled with -beta v_prev.  The inner products are einsum
-reductions, one pass and no BLAS call, so the Ritz values are the same at
-any BLAS thread count and no BLAS thread is woken.  The top eigenvalue q+1
-is simple by Perron-Frobenius, since the graph is connected; it and -(q+1)
-come from the theorem, not from the solve.  What is certified is the
-residual of each returned pair, which puts a true eigenvalue within it of
-the Ritz value; that the returned values are the extreme ones is not.
+(and -(q+1) exactly when bipartite).  ramanujan_check has one verdict path.
+Up to DENSE_THRESHOLD vertices a dense solve takes the whole spectrum, and
+its two trivial ends are checked and dropped.  Above it, a plain three-term
+Lanczos recurrence runs on each block: A itself or, given a swap (a
+fixed-point-free involution of the vertices that is an automorphism,
+checked before any solve), its two halves, A on the swap-even and on the
+swap-odd vectors.  They are half-size symmetric matrices on one
+representative per orbit whose spectra together are A's (the standard
+symmetry-adapted reduction), rows ordered by a locality key.  A block is
+solved on the complement of its trivial eigenvectors: the all-ones vector
+and, when bipartite, the +-1 colouring, each in the block of its swap
+parity and checked to satisfy A x = lambda x exactly.  No basis is stored;
+a second pass replays the recurrence to form the two extreme Ritz vectors,
+whose residuals must lie within RESIDUAL_RTOL * ||A||, so a non-converged
+solve never masquerades as a verdict.  A step allocates nothing: three
+vectors rotate, and the CSR kernel that a @ v runs adds A v into a buffer
+prefilled with -beta v_prev.  The inner products are einsum reductions, not
+BLAS calls, so the Ritz values are the same at any BLAS thread count and no
+BLAS thread is woken.  A second block runs on one worker thread while the
+first runs on the caller's; the kernels release the GIL, which is what lets
+two threads pay, and the merged result is the sequential one.
 
-A caller that knows a swap of the graph, a fixed-point-free involution of
-the vertices that is an automorphism (checked here before any solve), gets
-the iterative solve on its two halves: the adjacency restricted to the
-swap-even and to the swap-odd vectors, two half-size symmetric matrices on
-one representative per orbit whose spectra together are A's (the standard
-symmetry-adapted reduction).  Each half runs the solve above; a locality key
-orders their rows, so a row's neighbours lie in few blocks.  The two halves
-are independent solves, each with its own vectors, so they always run at
-once: the odd half on a worker thread, the even half on the caller's.  The
-matvec and the vector kernels release the GIL, which is what lets two
-threads pay; there is no knob, since there are always exactly two halves,
-and the merged result is the sequential one.
+Both methods share one tail.  A nontrivial end within the residual bound of
++-(q+1) raises, and q+1 (simple by Perron-Frobenius, the graph being
+connected) and -(q+1) come from the theorem, not from the solve.  What is
+certified is the residual of each returned pair, which puts a true
+eigenvalue within it of the Ritz value, not that the values are extreme.
 """
 
 import itertools
@@ -53,7 +51,6 @@ RAMANUJAN_TOL = 1e-8
 RESIDUAL_RTOL = 1e-10
 LANCZOS_MAX_STEPS = 20000
 _CHECK_EVERY = 20
-_MULT_TOL = 1e-6
 # V-vectors the solve holds beyond the CSR adjacency: about seven for Lanczos
 # and up to four trivial vectors.  At (5,13) level 2 tracemalloc measured 7.1
 # for the Lanczos passes of one solve and 7.3 for those of both swap halves at
@@ -103,11 +100,6 @@ class SpectralReport:
 def _deterministic_start(n: int) -> np.ndarray:
     # Fixed generic start vector so repeated runs are bit-reproducible.
     return np.cos(0.7 * np.arange(n)) + 0.1
-
-
-def _norm_bound(a: sp.csr_matrix) -> float:
-    # The max absolute row sum bounds the spectral norm of a symmetric matrix.
-    return float(np.max(abs(a).sum(axis=1)))
 
 
 def _dense_values(a) -> np.ndarray:
@@ -212,11 +204,10 @@ def _ritz_ends(alphas, betas):
     return ends
 
 
-def nontrivial_ends(a, trivial, norm=None, cancel=None) -> EigenResult:
+def nontrivial_ends(a, trivial, norm, cancel=None) -> EigenResult:
     """Bottom and top eigenvalues of a on the orthogonal complement of the
     orthonormal vectors in trivial, which must be eigenvectors of a.  norm
-    bounds ||A|| and scales the tolerances; by default the max absolute row
-    sum.
+    bounds ||A|| and scales the tolerances.
 
     The first pass runs the Lanczos recurrence and, every _CHECK_EVERY
     steps, stops once both extreme Ritz pairs of the tridiagonal matrix have
@@ -237,8 +228,6 @@ def nontrivial_ends(a, trivial, norm=None, cancel=None) -> EigenResult:
     if n <= len(trivial):
         raise InvalidParameterError(
             f"no nontrivial spectrum: {n} vertices, {len(trivial)} trivial eigenvectors")
-    if norm is None:
-        norm = _norm_bound(a)
     stop = 0.1 * RESIDUAL_RTOL * norm
     ops = _Reductions(n)
     alphas, betas = [], []
@@ -309,7 +298,7 @@ def _checked_swap(g: SerreGraph, swap) -> np.ndarray:
     return s
 
 
-def _swap_halves(g: SerreGraph, swap, locality=None):
+def _swap_halves(g: SerreGraph, swap, locality):
     """(reps, even, odd): the adjacency on the swap-even and the swap-odd
     vectors, as half-size matrices on the representatives reps, the lesser
     vertex of each orbit {v, swap[v]}, in order of locality (ties by id).
@@ -318,12 +307,11 @@ def _swap_halves(g: SerreGraph, swap, locality=None):
     A in the orthonormal basis (e_r +- e_swap(r)) / sqrt(2), which is
     symmetric because swap is an automorphism; swap must be checked."""
     n = g.num_vertices
+    key = np.asarray(locality)
+    if key.shape != (n,):
+        raise InvalidParameterError(f"locality must give one key to each of {n} vertices")
     reps = np.flatnonzero(np.arange(n) < swap)
-    if locality is not None:
-        key = np.asarray(locality)
-        if key.shape != (n,):
-            raise InvalidParameterError(f"locality must give one key to each of {n} vertices")
-        reps = reps[np.argsort(key[reps], kind="stable")]
+    reps = reps[np.argsort(key[reps], kind="stable")]
     h = len(reps)
     row = np.empty(n, dtype=swap.dtype)
     row[reps] = row[swap[reps]] = np.arange(h, dtype=swap.dtype)
@@ -338,51 +326,60 @@ def _swap_halves(g: SerreGraph, swap, locality=None):
     return reps, even, odd
 
 
-def _trivial_vectors(a, q: int, sides, ones=True) -> list:
-    """Unit eigenvectors of the trivial eigenvalues: 1/sqrt(V) for q+1
-    (unless not ones) and, when the graph is bipartite (sides is its
-    colouring), the +-1 colouring over sqrt(V) for -(q+1), after checking
-    A s = -(q+1) s exactly."""
-    n = a.shape[0]
-    vecs = [np.full(n, 1.0 / math.sqrt(n))] if ones else []
+def _blocks(g: SerreGraph, q: int, sides, swap, locality) -> list:
+    """The iterative solve's blocks, each (matrix, [(eigenvalue, +-1 vector)]):
+    A alone, or given a swap its halves (_swap_halves).  The trivial vectors,
+    all ones for q+1 and the colouring sides for -(q+1), go to the half of
+    their swap parity (an automorphism keeps or exchanges the sides of a
+    connected graph), restricted to its rows."""
+    # the halves first, so the V-vectors below miss their construction peak
+    halves = None if swap is None else _swap_halves(g, swap, locality)
+    pairs = [(q + 1, np.ones(g.num_vertices))]
     if sides is not None:
-        s = np.where(sides, 1.0, -1.0)
-        if not np.array_equal(a @ s, -(q + 1) * s):
-            raise ConvergenceError(f"the bipartition is not an eigenvector of -(q+1) = {-(q + 1)}")
-        vecs.append(s / math.sqrt(n))
+        pairs.append((-(q + 1), np.where(sides, 1.0, -1.0)))
+    if halves is None:
+        return [(adjacency(g), pairs)]
+    reps, even, odd = halves
+    blocks = [(even, []), (odd, [])]
+    for lam, x in pairs:
+        blocks[not np.array_equal(x[swap], x)][1].append((lam, x[reps]))
+    return blocks
+
+
+def _trivial_vectors(op, pairs) -> list:
+    """The unit vectors x / sqrt(len(x)) of the (eigenvalue, +-1 vector x)
+    pairs, after checking op x == eigenvalue * x exactly for each, else
+    ConvergenceError."""
+    vecs = []
+    for lam, x in pairs:
+        if not np.array_equal(op @ x, lam * x):
+            raise ConvergenceError(f"a trivial vector is not an eigenvector of {lam}")
+        vecs.append(x / math.sqrt(len(x)))
     return vecs
 
 
-def _halves_ends(g: SerreGraph, q: int, swap, locality, sides) -> EigenResult:
-    """nontrivial_ends on each swap half (_swap_halves), merged: the lesser
-    bottom, the greater top, every residual, and the summed steps and
-    matvecs.  1/sqrt(V) is even; the bipartition vector goes in the half its
-    parity under swap names, where _trivial_vectors checks it exactly.
-
-    The odd half runs on a worker thread while the even half runs here; the
-    worker is joined before this returns or raises, and the even half's
-    error is raised first, as in a sequential solve.  That error, an
-    interrupt included, also cancels the odd half at its next step, so the
-    join does not wait for a whole solve."""
-    reps, even, odd = _swap_halves(g, swap, locality)
-    half_sides = [None, None]
-    if sides is not None:
-        half_sides[not np.array_equal(sides[swap], sides)] = sides[reps]
-
+def _solve_blocks(blocks, norm) -> EigenResult:
+    """nontrivial_ends on each block of _blocks, merged in block order: the
+    least bottom, the greatest top, every residual, summed steps and matvecs.
+    The first block runs here and any other on one worker thread, which one
+    block never starts.  The worker is joined before this returns or raises,
+    and the first block's error comes out first, as in a sequential solve;
+    that error, an interrupt included, cancels the others at their next
+    step, so the join does not wait for a whole solve."""
     cancel = threading.Event()
 
-    def solve(op, s):
-        return nontrivial_ends(op, _trivial_vectors(op, q, s, ones=op is even), norm=q + 1,
-                               cancel=cancel)
+    def solve(op, pairs):
+        return nontrivial_ends(op, _trivial_vectors(op, pairs), norm, cancel)
 
+    first, *rest = blocks
     with ThreadPoolExecutor(max_workers=1) as worker:
-        odd_eig = worker.submit(solve, odd, half_sides[1])
+        others = [worker.submit(solve, *block) for block in rest]
         try:
-            even_eig = solve(even, half_sides[0])
+            eigs = [solve(*first)]
         except BaseException:
             cancel.set()
             raise
-        eigs = [even_eig, odd_eig.result()]
+        eigs += [other.result() for other in others]
     return EigenResult((min(e.values[0] for e in eigs), max(e.values[-1] for e in eigs)),
                        tuple(r for e in eigs for r in e.residuals), "iterative",
                        sum(e.steps for e in eigs), sum(e.matvecs for e in eigs))
@@ -392,28 +389,26 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
                     locality=None) -> SpectralReport:
     """Verdict: every nontrivial eigenvalue satisfies |lambda| <= 2*sqrt(q).
 
-    Requires a connected (q+1)-regular graph.  Its trivial eigenvalues are
-    q+1 (always, simple by Perron-Frobenius since it is connected) and
-    -(q+1) (exactly when bipartite).  The dense path takes the whole
-    spectrum, checks that its ends lie within RESIDUAL_RTOL * ||A|| of the
-    trivial values, and removes them by value.  The iterative path solves on
-    the complement of the trivial eigenvectors (nontrivial_ends) and raises
-    ConvergenceError if either nontrivial end lies within that slack of
-    +-(q+1), so a leaked trivial eigenvalue never reaches the verdict.  An
-    iterative verdict certifies the residuals of the two Ritz pairs, not
-    that they are the extreme eigenvalues.
-
-    swap, a vertex permutation, is checked to be a fixed-point-free
-    involution and an automorphism before any solve, else
-    InvalidParameterError.  The iterative path then solves on its two halves,
-    rows in order of locality (one sortable key per vertex), and reports
-    their merged ends, residuals and counts; the dense path is unchanged.
+    Requires a connected (q+1)-regular graph.  The dense method checks that
+    its spectrum ends within RESIDUAL_RTOL * ||A|| of the trivial values and
+    drops them; the iterative one merges the ends of its blocks (_blocks,
+    _solve_blocks).  Then one tail: a nontrivial end within that slack of
+    +-(q+1) raises ConvergenceError, and the report takes q+1, simple, on
+    top and -(q+1) at the bottom of a bipartite graph.  With no nontrivial
+    eigenvalue, max|nontrivial| is 0 (dense) or the solve is refused
+    (iterative).  swap, a vertex permutation, is checked to be a
+    fixed-point-free involution and an automorphism before any solve, else
+    InvalidParameterError; it comes with locality, one sortable key per
+    vertex (all equal for id order), and neither comes alone.  Only the
+    iterative method solves on the swap halves.
     """
     if q < 1:
         raise InvalidParameterError(f"degree parameter q must be >= 1, got {q}")
     degs = set(g.degrees())
     if degs != {q + 1}:
         raise InvalidParameterError(f"graph is not {q + 1}-regular (degrees {sorted(degs)})")
+    if (swap is None) != (locality is None):
+        raise InvalidParameterError("swap and locality are given together or not at all")
     if swap is not None:
         swap = _checked_swap(g, swap)
     if not g.connected():
@@ -429,44 +424,34 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
     # trivial one; ||A|| is at most the degree q+1.
     slack = RESIDUAL_RTOL * (q + 1)
 
-    if method == "dense":
+    if method == "dense":  # nontrivial: ascending, with both ends
         eig = extreme_eigenvalues(adjacency(g), n)
-        vals = list(eig.values)
-        lam_top, lam_bottom = vals[-1], vals[0]
-        mult = sum(1 for v in vals if abs(v - lam_top) < _MULT_TOL)
-        if abs(lam_top - (q + 1)) > slack or (bip and abs(lam_bottom + (q + 1)) > slack):
+        vals = eig.values
+        if abs(vals[-1] - (q + 1)) > slack or (bip and abs(vals[0] + (q + 1)) > slack):
             raise ConvergenceError(
-                f"solve missed a trivial eigenvalue: ends {lam_bottom!r}, {lam_top!r} "
+                f"solve missed a trivial eigenvalue: ends {vals[0]!r}, {vals[-1]!r} "
                 f"for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
             )
-        vals.remove(min(vals, key=lambda x: abs(x - (q + 1))))
-        if bip:
-            vals.remove(min(vals, key=lambda x: abs(x + (q + 1))))
-        max_abs = max((abs(v) for v in vals), default=0.0)
+        nontrivial = vals[bip:-1]
     elif method == "iterative":
-        if swap is None:
-            a = adjacency(g)
-            eig = nontrivial_ends(a, _trivial_vectors(a, q, sides), norm=q + 1)
-        else:
-            eig = _halves_ends(g, q, swap, locality, sides)
-        lo, hi = eig.values
-        if hi >= q + 1 - slack or lo <= -(q + 1) + slack:
-            raise ConvergenceError(
-                f"a trivial eigenvalue leaked into the nontrivial ends {lo!r}, {hi!r} "
-                f"for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
-            )
-        lam_top, mult = float(q + 1), 1
-        lam_bottom = -float(q + 1) if bip else lo
-        max_abs = max(abs(lo), abs(hi))
+        eig = _solve_blocks(_blocks(g, q, sides, swap, locality), q + 1)
+        nontrivial = eig.values
     else:
         raise InvalidParameterError(f"unknown method={method!r}")
+    max_abs = max((abs(v) for v in nontrivial), default=0.0)
+    if max_abs >= q + 1 - slack:
+        raise ConvergenceError(
+            f"a trivial eigenvalue leaked into the nontrivial ends {nontrivial[0]!r}, "
+            f"{nontrivial[-1]!r} for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
+        )
 
     return SpectralReport(
         q=q,
         n_vertices=n,
-        lambda_top=float(lam_top),
-        lambda_top_multiplicity=mult,
-        lambda_bottom=float(lam_bottom),
+        lambda_top=float(q + 1),
+        lambda_top_multiplicity=1,
+        # the bottom of the whole spectrum; q+1 when it has nothing else
+        lambda_bottom=-float(q + 1) if bip else float(min(nontrivial, default=q + 1)),
         max_abs_nontrivial=float(max_abs),
         bipartite=bip,
         ramanujan_bound=bound,

@@ -351,7 +351,6 @@ class TowerLevel:
     generator_matrices: tuple
     table: np.ndarray
     codes: np.ndarray
-    twisted: bool = False
 
     @property
     def degree(self) -> int:
@@ -398,8 +397,7 @@ def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = Non
     meta = {"q1": cfg.q1, "q2": cfg.q2, "n": n, "variant": cfg.variant,
             "mode": cfg.mode, "V": nv}
     graph = SerreGraph(nv, origin, table.reshape(-1), inv, label, meta=meta)
-    return TowerLevel(cfg, n, pp, graph, gens, smats, table, codes,
-                      twisted=twist is not None)
+    return TowerLevel(cfg, n, pp, graph, gens, smats, table, codes)
 
 
 # ---------------------------------------------------------------------------

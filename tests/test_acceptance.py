@@ -70,7 +70,7 @@ def test_criterion_2_level1_cartan_5_13():
     assert wit.vertex == 0
     assert lvl.generators.gens[wit.generator] == Quaternion(1, 2, 0, 0)
     assert g.terminus[lvl.edge_id(wit.vertex, wit.generator)] == wit.vertex
-    assert not g.is_bipartite()
+    assert g.bipartition() is None
     report = ramanujan_check(g, 5, method="dense")
     assert abs(report.lambda_top - 6.0) <= 1e-9
     assert report.lambda_top_multiplicity == 1
@@ -118,7 +118,7 @@ def test_criterion_5_cayley_variant_5_13():
     lvl = build_level(TowerConfig(5, 13, variant="cayley"), 1)
     g = lvl.graph
     assert g.num_vertices == 2184
-    assert g.is_bipartite()
+    assert g.bipartition() is not None
     report = ramanujan_check(g, 5, method="dense")
     assert report.ramanujan
     assert abs(report.lambda_top - 6.0) <= 1e-9

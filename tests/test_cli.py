@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expander_forge import cli
 from expander_forge.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -75,10 +76,16 @@ def test_build_io_failure(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["tower-report", "tower-export", "build-out",
-                                  "spectrum-report", "tower-report-is-dir"])
-def test_unwritable_output_is_refused_before_any_work(case, level1_file, tmp_path, capsys):
-    # Exit 3 with one i/o error line, before any timed work starts and with
-    # no report written.
+                                  "spectrum-report", "tower-report-is-dir", "export-out",
+                                  "export-out-is-dir"])
+def test_unwritable_output_is_refused_before_any_work(case, level1_file, tmp_path, capsys,
+                                                      monkeypatch):
+    # Exit 3 with one i/o error line, before any timed work starts, before
+    # any graph file is read and with no report written.
+    def no_load(path):
+        raise AssertionError(f"{path} was read before the output was checked")
+
+    monkeypatch.setattr(cli, "load_graph", no_load)
     report, missing = tmp_path / "r.json", str(tmp_path / "no" / "r.json")
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -89,6 +96,9 @@ def test_unwritable_output_is_refused_before_any_work(case, level1_file, tmp_pat
         "build-out": ["build", "--q1", "5", "--q2", "13", "--level", "2", "--out", missing],
         "spectrum-report": ["spectrum", "--in", str(level1_file), "--report", missing],
         "tower-report-is-dir": tower + ["--report", str(tmp_path)],
+        "export-out": ["export", "--in", str(level1_file), "--format", "dot", "--out", missing],
+        "export-out-is-dir": ["export", "--in", str(level1_file), "--format", "edgelist",
+                              "--out", str(tmp_path)],
     }[case]
     assert main(argv) == EXIT_IO
     captured = capsys.readouterr()

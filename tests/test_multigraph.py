@@ -116,9 +116,9 @@ def test_girth_matches_brute_force_on_fixtures():
 
 
 def test_bipartite():
-    assert cycle_graph(6).is_bipartite() is True
-    assert cycle_graph(5).is_bipartite() is False
-    assert not loop_graph().is_bipartite()
+    assert cycle_graph(6).bipartition() is not None
+    assert cycle_graph(5).bipartition() is None
+    assert loop_graph().bipartition() is None
 
 
 def test_connected_and_degrees():
@@ -149,7 +149,7 @@ COMPONENT_FIXTURES = [
                          ids=[f[0] for f in COMPONENT_FIXTURES])
 def test_components_match_traversal_oracles(name, g, connected, bipartite):
     assert g.connected() is connected is traversal_connected(g)
-    assert g.is_bipartite() is bipartite is traversal_bipartite(g)[0]
+    assert (g.bipartition() is not None) is bipartite is traversal_bipartite(g)[0]
 
 
 def _double_cover_c6_to_c3():
@@ -446,7 +446,7 @@ def test_girth_shortcuts_run_no_search(g, want):
 @given(random_multigraphs())
 def test_components_match_traversal_oracles_random(g):
     assert g.connected() == traversal_connected(g)
-    assert g.is_bipartite() == traversal_bipartite(g)[0]
+    assert (g.bipartition() is not None) == traversal_bipartite(g)[0]
 
 
 def _proper_colouring(g, sides) -> bool:

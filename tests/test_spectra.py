@@ -37,7 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _trivial(g, q):
-    return spectra._trivial_vectors(adjacency(g), q, g.bipartition())
+    # the unit trivial vectors of the whole graph, its one block
+    [(a, pairs)] = spectra._blocks(g, q, g.bipartition(), None, None)
+    return spectra._trivial_vectors(a, pairs)
 
 
 def _reference_ends(g, q):
@@ -45,9 +47,9 @@ def _reference_ends(g, q):
     # above DENSE_THRESHOLD
     a = adjacency(g)
     if g.num_vertices > DENSE_THRESHOLD:
-        return arpack_nontrivial_ends(a, q, g.is_bipartite())
+        return arpack_nontrivial_ends(a, q, g.bipartition() is not None)
     vals = sorted(np.linalg.eigvalsh(a.toarray()))[:-1]
-    if g.is_bipartite():
+    if g.bipartition() is not None:
         vals = vals[1:]
     return vals[0], vals[-1]
 
@@ -111,7 +113,7 @@ def test_prism_not_ramanujan():
     (lambda: build_level(TowerConfig(5, 13), 1).graph, 5, [1]),
 ], ids=["petersen", "prism20", "looped cartan"])
 def test_ramanujan_check_counts_components_once(monkeypatch, make, q, copies):
-    # connected() and is_bipartite() share one V-vertex count; the double
+    # connected() and bipartition() share one V-vertex count; the double
     # cover adds one 2V-vertex count, except on a graph with a loop, which
     # is not bipartite
     calls = []
@@ -157,7 +159,7 @@ def test_extreme_eigenvalues_both_ends():
     # The Lanczos path returns the two nontrivial ends of the bipartite prism,
     # ascending, each residual-certified.
     prism = prism_graph(20)
-    iterative = nontrivial_ends(adjacency(prism), _trivial(prism, 2))
+    iterative = nontrivial_ends(adjacency(prism), _trivial(prism, 2), 3)
     assert iterative.method == "iterative"
     assert list(iterative.values) == sorted(iterative.values)
     assert iterative.values == pytest.approx(_reference_ends(prism, 2), abs=1e-9)
@@ -179,14 +181,14 @@ def test_trivial_eigenvalue_guard(monkeypatch):
     # dropped colouring lets -(q+1) into the ends, which the guard catches.
     trivial_vectors = spectra._trivial_vectors
 
-    def perturbed_ones(a, q, sides):
-        vecs = trivial_vectors(a, q, sides)
+    def perturbed_ones(op, pairs):
+        vecs = trivial_vectors(op, pairs)
         u = vecs[0] + 1e-3 * np.sin(np.arange(len(vecs[0])))
         vecs[0] = u / np.linalg.norm(u)
         return vecs
 
-    def colouring_dropped(a, q, sides):
-        return trivial_vectors(a, q, sides)[:1]
+    def colouring_dropped(op, pairs):
+        return trivial_vectors(op, pairs)[:1]
 
     monkeypatch.setattr(spectra, "_trivial_vectors", perturbed_ones)
     with pytest.raises(ConvergenceError):
@@ -195,7 +197,8 @@ def test_trivial_eigenvalue_guard(monkeypatch):
     with pytest.raises(ConvergenceError, match="trivial eigenvalue leaked"):
         ramanujan_check(prism_graph(20), 2, method="iterative")
 
-    # A wrong colouring fails the exact check A s = -(q+1) s.
+    # A wrong colouring fails the exact check A s = -(q+1) s, with and
+    # without a swap.
     monkeypatch.undo()
     bipartition = SerreGraph.bipartition
 
@@ -205,15 +208,59 @@ def test_trivial_eigenvalue_guard(monkeypatch):
         return sides
 
     monkeypatch.setattr(SerreGraph, "bipartition", wrong_colouring)
-    with pytest.raises(ConvergenceError, match="bipartition is not an eigenvector"):
+    with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
         ramanujan_check(prism_graph(20), 2, method="iterative")
+    for swap in _prism_swaps(20).values():
+        with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
+            ramanujan_check(prism_graph(20), 2, method="iterative", swap=swap,
+                            locality=np.zeros(40))
+
+
+# (id, graph factory, q, dense report fields, iterative report fields or
+# None for the refusal); the fields run from lambda_top to matvecs
+DEGENERATE = [
+    ("loop", loop_graph, 1,
+     (2.0, 1, 2.0, 0.0, False, 2.0, True, "dense", 0.0, 0, 0), None),
+    ("triple-edge", lambda: SerreGraph.from_geometric_edges(2, [(0, 1)] * 3), 2,
+     (3.0, 1, -3.0, 0.0, True, 2 * math.sqrt(2), True, "dense", 0.0, 0, 0), None),
+    ("looped-pair", lambda: SerreGraph.from_geometric_edges(2, [(0, 0), (1, 1), (0, 1)]), 2,
+     (3.0, 1, 1.0, 1.0, False, 2 * math.sqrt(2), True, "dense", 0.0, 0, 0),
+     (3.0, 1, 1.0, 1.0, False, 2 * math.sqrt(2), True, "iterative", None, 1, 4)),
+]
+
+
+@pytest.mark.parametrize("make,q,dense,iterative", [d[1:] for d in DEGENERATE],
+                         ids=[d[0] for d in DEGENERATE])
+def test_degenerate_verdicts(make, q, dense, iterative):
+    # Graphs whose nontrivial spectrum is empty or one value.  The dense
+    # report of an empty one has max|nontrivial| 0 and the bottom of the
+    # whole spectrum; the iterative method refuses it.
+    g = make()
+    fields = ("lambda_top", "lambda_top_multiplicity", "lambda_bottom", "max_abs_nontrivial",
+              "bipartite", "ramanujan_bound", "ramanujan", "method", "max_residual",
+              "lanczos_steps", "matvecs")
+    for method, want in (("dense", dense), ("iterative", iterative)):
+        if want is None:
+            with pytest.raises(InvalidParameterError, match="no nontrivial spectrum"):
+                ramanujan_check(g, q, method=method)
+            continue
+        report = ramanujan_check(g, q, method=method)
+        assert (report.q, report.n_vertices) == (q, g.num_vertices)
+        for name, value in zip(fields, want):
+            got = getattr(report, name)
+            if name == "max_residual" and value is None:
+                assert 0.0 <= got <= RESIDUAL_RTOL * (q + 1)
+            elif isinstance(value, float):
+                assert got == pytest.approx(value, abs=1e-12), name
+            else:
+                assert got == value, name
 
 
 def test_solver_parameter_errors():
     a = adjacency(cycle_graph(6))
     k2 = SerreGraph.from_geometric_edges(2, [(0, 1)])
     with pytest.raises(InvalidParameterError):
-        nontrivial_ends(adjacency(k2), _trivial(k2, 0))  # no nontrivial spectrum
+        nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1)  # no nontrivial spectrum
     with pytest.raises(InvalidParameterError):
         ramanujan_check(cycle_graph(6), 1, method="magic")
     for how_many in (0, 7):
@@ -254,7 +301,7 @@ def test_iterative_residual_contract():
     assert len(trivial) == 1  # not bipartite
     ones = np.ones(182)
     assert np.array_equal(a @ ones, 6 * ones)  # the trivial eigenvector of q+1, exactly
-    res = nontrivial_ends(a, trivial)
+    res = nontrivial_ends(a, trivial, 6)
     assert res.method == "iterative"
     assert max(res.residuals) <= 1e-10 * 6
     assert res.steps >= 1 and res.matvecs == 2 * res.steps + 2
@@ -280,12 +327,12 @@ def test_lanczos_ends_match_reference(make, q):
     # top and -(q+1) at the bottom of a bipartite graph.
     g = make()
     ref = _reference_ends(g, q)
-    eig = nontrivial_ends(adjacency(g), _trivial(g, q))
+    eig = nontrivial_ends(adjacency(g), _trivial(g, q), q + 1)
     assert eig.values == pytest.approx(ref, abs=1e-9)
     assert max(eig.residuals) <= RESIDUAL_RTOL * (q + 1)
     report = ramanujan_check(g, q, method="iterative")
     assert (report.lambda_top, report.lambda_top_multiplicity) == (q + 1, 1)
-    assert report.lambda_bottom == (-(q + 1) if g.is_bipartite() else eig.values[0])
+    assert report.lambda_bottom == (-(q + 1) if report.bipartite else eig.values[0])
     assert report.max_abs_nontrivial == pytest.approx(max(map(abs, ref)), abs=1e-9)
     assert (report.lanczos_steps, report.matvecs) == (eig.steps, eig.matvecs)
 
@@ -316,7 +363,7 @@ def test_ritz_vectors_orthogonal_to_trivial(monkeypatch):
     monkeypatch.setattr(spectra._Reductions, "project", lambda self, x, units: None)
     g = petersen_graph()
     with pytest.raises(ConvergenceError, match="overlaps a trivial eigenvector"):
-        nontrivial_ends(adjacency(g), _trivial(g, 2))
+        nontrivial_ends(adjacency(g), _trivial(g, 2), 3)
 
 
 def test_lanczos_step_cap(monkeypatch):
@@ -358,8 +405,8 @@ def test_matvec_add_is_the_kernel_of_a_at_v():
     # bitwise; from a prefill it adds a @ v to it, checked where every sum
     # is exact (integer vectors, beta a power of two) on a built half.
     lvl = build_level(TowerConfig(5, 13), 1)
-    swap = spectra._checked_swap(lvl.graph, swap_and_fibers(lvl)[0])
-    _, even, odd = spectra._swap_halves(lvl.graph, swap)
+    swap, fibers = swap_and_fibers(lvl)
+    _, even, odd = spectra._swap_halves(lvl.graph, spectra._checked_swap(lvl.graph, swap), fibers)
     rng = np.random.default_rng(5)
     for half in (even, odd):
         n = half.shape[0]
@@ -428,7 +475,7 @@ def test_swap_halves_place_the_bipartition_by_parity(name):
     swap = _prism_swaps(20)[name]
     sides = g.bipartition()
     assert np.array_equal(sides[swap], sides) == (name == "turn")
-    report = ramanujan_check(g, 2, method="iterative", swap=swap)
+    report = ramanujan_check(g, 2, method="iterative", swap=swap, locality=np.zeros(40))
     dense = ramanujan_check(g, 2, method="dense")
     assert report.bipartite and report.lambda_bottom == -3.0
     assert report.max_abs_nontrivial == pytest.approx(dense.max_abs_nontrivial, abs=1e-9)
@@ -438,13 +485,14 @@ def test_swap_halves_place_the_bipartition_by_parity(name):
 
 def test_swap_halves_together_have_the_spectrum_of_a():
     # The even and odd halves are symmetric, and their spectra together are
-    # the adjacency spectrum, in the fiber row order and in id order.
+    # the adjacency spectrum, in the fiber row order and, with all keys
+    # equal, in id order.
     lvl = build_level(TowerConfig(5, 13), 1)
     g = lvl.graph
     swap, fibers = swap_and_fibers(lvl)
     swap = spectra._checked_swap(g, swap)
     want = np.linalg.eigvalsh(adjacency(g).toarray())
-    for locality in (fibers, None):
+    for locality in (fibers, np.zeros(182)):
         reps, even, odd = spectra._swap_halves(g, swap, locality)
         assert len(reps) == g.num_vertices // 2
         assert np.array_equal(np.sort(np.concatenate([reps, swap[reps]])), np.arange(182))
@@ -452,7 +500,7 @@ def test_swap_halves_together_have_the_spectrum_of_a():
             assert (half != half.T).nnz == 0
         got = np.sort(np.concatenate([np.linalg.eigvalsh(h.toarray()) for h in (even, odd)]))
         assert got == pytest.approx(want, abs=1e-9)
-        order = fibers[reps] if locality is not None else reps
+        order = locality[reps] * 182 + reps
         assert np.all(np.diff(order) >= 0)
 
 
@@ -465,7 +513,7 @@ def _level_halves(make):
 # prism swaps, which place the bipartition in either half
 HALVES = [(name, lambda make=make: _level_halves(make)) for name, make in SWAPPED]
 HALVES += [(f"prism20-{name}",
-            lambda name=name: (prism_graph(20), 2, _prism_swaps(20)[name], None))
+            lambda name=name: (prism_graph(20), 2, _prism_swaps(20)[name], np.zeros(40)))
            for name in ("layers", "turn")]
 
 
@@ -475,16 +523,21 @@ def test_halves_ends_equal_the_sequential_solves(make):
     # nontrivial_ends run one after the other on the even and odd halves.
     g, q, swap, locality = make()
     swap, sides = spectra._checked_swap(g, swap), g.bipartition()
+    blocks = spectra._blocks(g, q, sides, swap, locality)
     reps, even, odd = spectra._swap_halves(g, swap, locality)
-    parity = None if sides is None else int(not np.array_equal(sides[swap], sides))
-    eigs = [nontrivial_ends(op, spectra._trivial_vectors(
-                op, q, sides[reps] if parity == k else None, ones=k == 0), norm=q + 1)
-            for k, op in enumerate((even, odd))]
+    assert [(op != half).nnz for (op, _), half in zip(blocks, (even, odd))] == [0, 0]
+    # all ones is even; the colouring goes to the half of its parity
+    want = [[q + 1], []]
+    if sides is not None:
+        want[int(not np.array_equal(sides[swap], sides))].append(-(q + 1))
+    assert [[lam for lam, _ in pairs] for _, pairs in blocks] == want
+    eigs = [nontrivial_ends(op, spectra._trivial_vectors(op, pairs), q + 1)
+            for op, pairs in blocks]
     want = spectra.EigenResult(
         (min(e.values[0] for e in eigs), max(e.values[-1] for e in eigs)),
         eigs[0].residuals + eigs[1].residuals, "iterative",
         eigs[0].steps + eigs[1].steps, eigs[0].matvecs + eigs[1].matvecs)
-    got = spectra._halves_ends(g, q, swap, locality, sides)
+    got = spectra._solve_blocks(blocks, q + 1)
     assert got == want
     assert [x.hex() for x in got.values + got.residuals] == \
         [x.hex() for x in want.values + want.residuals]
@@ -566,6 +619,47 @@ def test_halves_leave_no_thread_behind(monkeypatch):
     assert len({thread for _, thread in log}) == 2
 
 
+@pytest.mark.parametrize("make,q", [(lambda: prism_graph(20), 2),
+                                    (lambda: _cartan(5, 13, 1).graph, 5)],
+                         ids=["prism20", "cartan-5-13-L1"])
+def test_one_block_is_solved_on_the_calling_thread(monkeypatch, make, q):
+    # Without a swap the whole graph is the one block: nontrivial_ends runs
+    # once, here, and no thread is started.
+    solve, log = spectra.nontrivial_ends, []
+    before = threading.active_count()
+
+    def logged(a, trivial, norm, cancel=None):
+        log.append((a.shape, len(trivial), threading.current_thread(), threading.active_count()))
+        return solve(a, trivial, norm, cancel)
+
+    monkeypatch.setattr(spectra, "nontrivial_ends", logged)
+    g = make()
+    report = ramanujan_check(g, q, method="iterative")
+    n = g.num_vertices
+    assert log == [((n, n), 1 + report.bipartite, threading.current_thread(), before)]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("end", ["top", "bottom"])
+def test_dense_solve_missing_a_trivial_end_is_refused(monkeypatch, end):
+    # A dense spectrum whose top is not q+1, or whose bottom is not -(q+1)
+    # on a bipartite graph, never reaches the verdict.
+    solve = spectra.extreme_eigenvalues
+
+    def moved(a, how_many):
+        eig = solve(a, how_many)
+        values = list(eig.values)
+        if end == "top":
+            values[-1] -= 1e-6
+        else:
+            values[0] += 1e-6
+        return spectra.EigenResult(tuple(values), eig.residuals, eig.method, 0, 0)
+
+    monkeypatch.setattr(spectra, "extreme_eigenvalues", moved)
+    with pytest.raises(ConvergenceError, match="missed a trivial eigenvalue"):
+        ramanujan_check(prism_graph(20), 2, method="dense")
+
+
 def _swap_variants(swap):
     """(id, bad swap, message) for a valid swap: a fixed point, a 3-cycle
     through three orbits, and two orbits re-paired."""
@@ -604,7 +698,8 @@ def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
     prism = prism_graph(20)
     ids = np.arange(40)
     with pytest.raises(InvalidParameterError, match="swap fixes vertex 0"):
-        ramanujan_check(prism, 2, method=method, swap=ids // 20 * 20 + (-ids) % 20)
+        ramanujan_check(prism, 2, method=method, swap=ids // 20 * 20 + (-ids) % 20,
+                        locality=np.zeros(40))
 
 
 def test_locality_must_key_every_vertex():
@@ -612,3 +707,8 @@ def test_locality_must_key_every_vertex():
     swap, fibers = swap_and_fibers(lvl)
     with pytest.raises(InvalidParameterError, match="one key to each of 182 vertices"):
         ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers[:-1])
+    # neither comes alone, whatever the method
+    for method in ("dense", "iterative"):
+        for alone in ({"swap": swap}, {"locality": fibers}):
+            with pytest.raises(InvalidParameterError, match="together or not at all"):
+                ramanujan_check(lvl.graph, 5, method=method, **alone)

@@ -85,13 +85,13 @@ def test_cayley_psl_mode_count():
     cfg = TowerConfig(5, 29, variant="cayley")
     lvl = build_level(cfg, 1)
     assert lvl.graph.num_vertices == 29 * 28 * 30 // 2  # |PSL2(F29)|
-    assert not lvl.graph.is_bipartite()
+    assert lvl.graph.bipartition() is None
     assert all(is_psl(m) for m in lvl.generator_matrices)
 
 
 def test_cayley_pgl_is_bipartite():
     lvl = build_level(TowerConfig(5, 13, variant="cayley"), 1)
-    assert lvl.graph.is_bipartite()
+    assert lvl.graph.bipartition() is not None
     assert not any(is_psl(m) for m in lvl.generator_matrices)
 
 
@@ -401,7 +401,7 @@ COMPONENT_LEVELS = [
 def test_level_components_match_traversal_oracles(q1, q2, variant, n, bipartite):
     g = build_level(TowerConfig(q1, q2, levels=n, variant=variant), n).graph
     assert g.connected() is True is traversal_connected(g)
-    assert g.is_bipartite() is bipartite is traversal_bipartite(g)[0]
+    assert (g.bipartition() is not None) is bipartite is traversal_bipartite(g)[0]
 
 
 @pytest.mark.parametrize("q1,q2,seed", [(5, 13, None), (13, 5, 7), (5, 29, None)],
