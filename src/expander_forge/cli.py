@@ -14,8 +14,14 @@ string.  Each edge line holds four tokens ``-?[0-9]+``, values in
 int64, separated by spaces or tabs; LF, CRLF and CR end lines, and lines of
 only spaces and tabs are skipped.  Any other byte (a ``+``, ``_``, a
 non-ASCII digit) makes its line malformed.  Writing and reading run as numpy
-byte kernels over bounded blocks: _CHUNK_ROWS rows written, or about
-_BLOCK_BYTES bytes read, cut at a line end.  JSON reports carry
+byte kernels over bounded pieces: chunks of _CHUNK_ROWS (2**15) rows written,
+blocks of about _BLOCK_BYTES (2**17) bytes read, cut at a line end.  The
+pieces run two at a time, the first of each pair on the calling thread and
+the second on one worker thread, and are joined in file order; a file of
+one piece starts no thread.  A malformed file's error names its first
+malformed line: the earlier block of a failing pair wins, no later block
+starts, and the worker is joined before the error is raised.  DOT export
+runs on the same digit kernel.  JSON reports carry
 ``"schema": 1``; integers round-trip exactly and floats are serialized with
 full repr precision (solver-derived floats are quantized to 12 significant
 digits first so reruns and different BLAS thread counts stay byte-identical).
@@ -26,6 +32,7 @@ Timing lines go to stderr, never into reports.
 
 import argparse
 import errno
+import itertools
 import json
 import math
 import os
@@ -33,6 +40,7 @@ import re
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,8 +71,8 @@ EXIT_INTERNAL = 4
 SCHEMA_VERSION = 1
 HEADER_PREFIX = "# expander-forge v1"
 _META_FIELDS = ("q1", "q2", "n", "variant", "mode", "V")
-_CHUNK_ROWS = 1 << 16
-_BLOCK_BYTES = 1 << 20
+_CHUNK_ROWS = 1 << 15
+_BLOCK_BYTES = 1 << 17
 
 # 10**k for the places k < 19, where a uint64 sum of digits cannot wrap
 _PLACE = 10 ** np.arange(19, dtype=np.uint64)
@@ -92,15 +100,19 @@ def _header_line(meta: dict) -> str:
     return f"{HEADER_PREFIX} {fields}"
 
 
+def _chunks(*cols):
+    """The columns cut into chunks of _CHUNK_ROWS rows."""
+    for start in range(0, len(cols[0]), _CHUNK_ROWS):
+        yield [col[start:start + _CHUNK_ROWS] for col in cols]
+
+
 def _file_order_rows(g: SerreGraph):
     """The edges in file order, (origin, label) with ties in edge-id order,
     as chunks of (origin, terminus, label, new inverse id) arrays.  Edges
     already in that order, as on every built level, are sliced unsorted."""
     o, lab = g.origin, g.label
     if np.all((o[1:] > o[:-1]) | ((o[1:] == o[:-1]) & (lab[1:] >= lab[:-1]))):
-        for start in range(0, g.num_edges, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            yield o[rows], g.terminus[rows], lab[rows], g.inv[rows]
+        yield from _chunks(o, g.terminus, lab, g.inv)
         return
     perm = np.lexsort((lab, o))
     pos = np.empty_like(perm)
@@ -110,34 +122,79 @@ def _file_order_rows(g: SerreGraph):
         yield o[p], g.terminus[p], lab[p], pos[g.inv[p]]
 
 
+def _in_pairs(fn, items):
+    """Yield fn(item) for each of items, in order.  Items 0, 2, 4, ... run on
+    the calling thread and items 1, 3, 5, ... on one worker thread, a pair at
+    a time; a single item starts no thread.  An error in either item of a
+    pair starts no later item, and it is raised after the worker is joined,
+    the earlier item's first."""
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for here in items:
+            there = [worker.submit(fn, item) for item in itertools.islice(items, 1)]
+            yield fn(here)
+            yield from (future.result() for future in there)
+
+
+def _decimal(vals, gap, lead=0):
+    """(buf, end): the signed integers vals, at least one, in decimal in the
+    uint8 array buf, after lead bytes and each followed by gap bytes (one
+    count for all, or one per value); value i's gap starts at buf[end[i]].
+    The lead and gap bytes are left for the caller to write.
+
+    Each place's digit is computed once, lowest place first, and the widths
+    are counted in the same passes.  The places are then written highest
+    first into a buffer padded on the left by the largest digit count, at
+    fixed offsets from each value's end: a short value's leading zeros land
+    on the pad, or on bytes that a lower place, the minus signs (written
+    last) or the caller writes again.  So no pass compacts anything."""
+    neg = vals < 0
+    mag = np.abs(vals).view(f"u{vals.itemsize}")  # |v| exactly, the least int included
+    top = int(mag.max(initial=0))
+    if top < 2**32:
+        mag = mag.astype(np.uint32, copy=False)  # same digits, cheaper division
+    ten = mag.dtype.type(10)
+    places = len(str(top))
+    digits, width = [], neg.astype(np.uint8)
+    width += 1
+    for k in range(places):
+        rest = mag // ten
+        digit = rest * ten
+        np.subtract(mag, digit, out=digit)
+        digits.append(digit.astype(np.uint8) + np.uint8(ord("0")))
+        if k + 1 < places:
+            width += rest != 0
+        mag = rest
+    end = np.add(width, gap, dtype=np.int64)
+    np.cumsum(end, out=end)
+    buf = np.empty(places + lead + int(end[-1]), dtype=np.uint8)
+    end += lead - gap
+    for k in reversed(range(places)):
+        buf[places - 1 - k:][end] = digits[k]
+    buf = buf[places:]
+    if neg.any():
+        buf[end[neg] - width[neg]] = ord("-")
+    return buf, end
+
+
+def _put(buf, at, text: bytes):
+    """Write text into the uint8 array buf at every offset in at."""
+    for j, byte in enumerate(text):
+        buf[j:][at] = byte
+
+
 def _format_rows(cols) -> str:
     """One chunk of edge lines: each row's four values in decimal, a space
-    after the first three and a newline after the last.  Digit counts give
-    every token's end by one cumulative sum; the digits are then scattered
-    into one byte buffer, lowest place first."""
-    vals = np.stack(cols, axis=1).astype(np.int64, copy=False).ravel()
-    neg = vals < 0
-    mag = vals.view(np.uint64)
-    mag = np.where(neg, -mag, mag)  # |v| exactly, -2**63 included
-    width = np.searchsorted(_PLACE[1:], mag, side="right") + 1 + neg
-    end = np.cumsum(width + 1) - 1  # the separator after each token
-    buf = np.full(end[-1] + 1, ord(" "), dtype=np.uint8)
+    after the first three and a newline after the last."""
+    buf, end = _decimal(np.stack(cols, axis=1).ravel(), 1)
+    buf[end] = ord(" ")
     buf[end[3::4]] = ord("\n")
-    buf[(end - width)[neg]] = ord("-")
-    if mag.max() < 2**32:
-        mag = mag.astype(np.uint32)  # same digits, cheaper division
-    pos = end - 1
-    while len(mag):
-        rest = mag // 10
-        buf[pos] = (mag - rest * 10).astype(np.uint8) + ord("0")
-        more = rest > 0
-        mag, pos = rest[more], pos[more] - 1
-    return buf.tobytes().decode("ascii")
+    return str(buf, "ascii")
 
 
 def format_edgelist(g: SerreGraph) -> str:
     parts = [_header_line(g.meta) + "\n"]
-    parts += [_format_rows(cols) for cols in _file_order_rows(g)]
+    parts += _in_pairs(_format_rows, _file_order_rows(g))
     return "".join(parts)
 
 
@@ -198,25 +255,39 @@ def _parse_block(b: np.ndarray) -> np.ndarray:
     return np.where(neg, -mag, mag).view(np.int64).reshape(-1, 4)
 
 
-def _edge_columns(raw: bytes, start: int):
-    """The edge lines of raw from start on as four int64 columns, parsed in
-    blocks that each end at the first line end _BLOCK_BYTES or more past
-    their start (or at the end of raw)."""
-    blocks = [np.empty((0, 4), dtype=np.int64)]
+def _blocks(raw: bytes, start: int):
+    """Views of raw from start on, each ending at the first line end
+    _BLOCK_BYTES or more past its start (or at the end of raw)."""
     while start < len(raw):
         cut = _LINE_END.search(raw, start + _BLOCK_BYTES)
         stop = cut.end() if cut else len(raw)
-        blocks.append(_parse_block(np.frombuffer(raw, np.uint8, stop - start, start)))
+        yield np.frombuffer(raw, np.uint8, stop - start, start)
         start = stop
-    return [np.concatenate([blk[:, j] for blk in blocks]) for j in range(4)]
+
+
+def _edge_columns(raw: bytes, start: int):
+    """The edge lines of raw from start on as four int64 columns.  Each
+    block's rows are copied, in file order, into columns sized by the line
+    ends from start on, one before every line, and trimmed to the rows."""
+    lines, cr = raw.count(b"\n", start), raw.count(b"\r", start)
+    if cr:
+        lines += cr - raw.count(b"\r\n", start)
+    cols = [np.empty(lines, dtype=np.int64) for _ in range(4)]
+    rows = 0
+    for block in _in_pairs(_parse_block, _blocks(raw, start)):
+        for col, values in zip(cols, block.T):
+            col[rows:rows + len(block)] = values
+        rows += len(block)
+    return [col[:rows] for col in cols]
 
 
 def parse_edgelist(text: str) -> SerreGraph:
-    return _parse_edgelist_bytes(text.encode())
+    return _edge_list_graph(*_edge_list(text.encode()))
 
 
-def _parse_edgelist_bytes(raw: bytes) -> SerreGraph:
-    """parse_edgelist on the UTF-8 bytes of the text."""
+def _edge_list(raw: bytes):
+    """The header fields and the four edge columns of an edge list's UTF-8
+    bytes."""
     head = _HEADER_LINE.match(raw)
     header = head.group(1).decode()
     if not header.startswith(HEADER_PREFIX):
@@ -225,10 +296,14 @@ def _parse_edgelist_bytes(raw: bytes) -> SerreGraph:
     for tok in header[len(HEADER_PREFIX):].split():
         k, _, v = tok.partition("=")
         meta[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v
-    origin, terminus, label, inv = _edge_columns(raw, head.end())
+    return meta, _edge_columns(raw, head.end())
+
+
+def _edge_list_graph(meta: dict, cols) -> SerreGraph:
     if "V" not in meta:
         raise InvalidParameterError("header missing V=")
     nv = _vertex_count(meta["V"], "header V")
+    origin, terminus, label, inv = cols
     return SerreGraph(nv, origin, terminus, inv, label, meta=meta)
 
 
@@ -269,19 +344,46 @@ def graph_from_json(obj: dict) -> SerreGraph:
     )
 
 
+def _dot_vertices(cols) -> str:
+    """'  v;' per vertex id v in cols = (ids,), each on its own line."""
+    buf, end = _decimal(cols[0], 4, lead=2)
+    buf[:2] = ord(" ")
+    _put(buf, end, b";\n  ")
+    return str(buf[:-2], "ascii")
+
+
+def _dot_edges(cols) -> str:
+    """'  o -- t;' per (o, t, label) row, or '  o -- t [label="label"];'
+    when label >= 0, each on its own line."""
+    origin, terminus, label = cols
+    labelled = label >= 0
+    count = 2 + labelled
+    first = np.cumsum(count) - count  # each row's first value
+    vals = np.empty(first[-1] + count[-1], dtype=np.int64)
+    vals[first], vals[first + 1] = origin, terminus
+    vals[first[labelled] + 2] = label[labelled]
+    gap = np.full(len(vals), 6)  # the lengths of the texts put below
+    gap[first] = 4
+    gap[first + 1] = np.where(labelled, 9, 4)
+    buf, end = _decimal(vals, gap, lead=2)
+    buf[:2] = ord(" ")
+    _put(buf, end[first], b" -- ")
+    _put(buf, end[first + 1][labelled], b' [label="')
+    _put(buf, end[first + 1][~labelled], b";\n  ")
+    _put(buf, end[first[labelled] + 2], b'"];\n  ')
+    return str(buf[:-2], "ascii")
+
+
 def format_dot(g: SerreGraph) -> str:
-    """DOT output with loops and parallel edges kept as separate statements."""
-    lines = ["graph expander_forge {"]
-    for v in range(g.num_vertices):
-        lines.append(f"  {v};")
-    origin, terminus = g.origin.tolist(), g.terminus.tolist()
-    label, inv = g.label.tolist(), g.inv.tolist()
-    for e in range(g.num_edges):
-        if e <= inv[e]:
-            lab = f' [label="{label[e]}"]' if label[e] >= 0 else ""
-            lines.append(f"  {origin[e]} -- {terminus[e]}{lab};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT output with loops and parallel edges kept as separate statements:
+    every vertex, then every edge e with e < inv(e), in id order."""
+    forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)
+    edges = g.origin[forward], g.terminus[forward], g.label[forward]
+    parts = ["graph expander_forge {\n"]
+    parts += _in_pairs(_dot_vertices, _chunks(np.arange(g.num_vertices)))
+    parts += _in_pairs(_dot_edges, _chunks(*edges))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def load_graph(path: str) -> SerreGraph:
@@ -303,7 +405,9 @@ def load_graph(path: str) -> SerreGraph:
         except RecursionError:
             raise InvalidParameterError(f"{path}: JSON nested too deep") from None
         return graph_from_json(obj)
-    return _parse_edgelist_bytes(raw)
+    meta, cols = _edge_list(raw)
+    del raw, first  # the graph's checks can reuse the file's memory
+    return _edge_list_graph(meta, cols)
 
 
 def _refuse_unwritable(path: str):

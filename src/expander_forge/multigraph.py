@@ -202,7 +202,12 @@ def girth(g: SerreGraph):
     if len(np.unique(pairs)) < len(pairs):
         return 2
     nv, ids = g.num_vertices, origin.dtype
+    # the search runs on CSR positions: edges sorted by origin, each with its
+    # terminus and the position of its reverse
     order = np.argsort(origin, kind="stable").astype(ids)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order), dtype=ids)
+    terminus, reverse = terminus[order], position[g.inv[order]]
     degree = _origin_counts(origin, nv)
     stop = np.cumsum(degree)
     batch = max(1, _GIRTH_CELLS // max(nv, 1))
@@ -216,7 +221,7 @@ def girth(g: SerreGraph):
         while len(row) and 2 * d + 1 < best:
             n = degree[vertex]
             ends = np.cumsum(n)
-            e = order[np.arange(ends[-1]) + np.repeat(stop[vertex] - ends, n)]
+            e = (np.arange(ends[-1]) + np.repeat(stop[vertex] - ends, n)).astype(ids)
             row, back = np.repeat(row, n), np.repeat(back, n)
             w = terminus[e]
             keep = (e != back) & (w > s0 + row)
@@ -237,7 +242,7 @@ def girth(g: SerreGraph):
             d += 1
             dist[cell] = d
             row, vertex = np.divmod(cell, nv)
-            back = g.inv[e]
+            back = reverse[e]
     return best
 
 

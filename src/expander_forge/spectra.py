@@ -163,7 +163,7 @@ def _matvec_add(a, x, y):
     csr_matvec(n, n, a.indptr, a.indices, a.data, x, y)
 
 
-def _lanczos(a, trivial, ops: _Reductions, coefficients=None, cancel=None):
+def _lanczos(a, trivial, ops: _Reductions, cancel, coefficients=None):
     """Yield (v_j, alpha_j, beta_j), j = 1, 2, ..., of the three-term
     Lanczos recurrence A v_j = beta_{j-1} v_{j-1} + alpha_j v_j + beta_j v_{j+1}
     from the deterministic start, on the orthogonal complement of the unit
@@ -180,7 +180,7 @@ def _lanczos(a, trivial, ops: _Reductions, coefficients=None, cancel=None):
     v /= math.sqrt(ops.dot(v, v))
     v_prev, w, beta = np.zeros_like(v), np.empty_like(v), 0.0
     for j in itertools.count():
-        if cancel is not None and cancel.is_set():
+        if cancel.is_set():
             raise ConvergenceError("the solve was cancelled")
         np.multiply(v_prev, -beta, out=w)
         _matvec_add(a, v, w)
@@ -204,7 +204,7 @@ def _ritz_ends(alphas, betas):
     return ends
 
 
-def nontrivial_ends(a, trivial, norm, cancel=None) -> EigenResult:
+def nontrivial_ends(a, trivial, norm, cancel) -> EigenResult:
     """Bottom and top eigenvalues of a on the orthogonal complement of the
     orthonormal vectors in trivial, which must be eigenvectors of a.  norm
     bounds ||A|| and scales the tolerances.
@@ -231,7 +231,7 @@ def nontrivial_ends(a, trivial, norm, cancel=None) -> EigenResult:
     stop = 0.1 * RESIDUAL_RTOL * norm
     ops = _Reductions(n)
     alphas, betas = [], []
-    for _, alpha, beta in _lanczos(a, trivial, ops, cancel=cancel):
+    for _, alpha, beta in _lanczos(a, trivial, ops, cancel):
         alphas.append(alpha)
         betas.append(beta)
         m = len(alphas)
@@ -245,7 +245,7 @@ def nontrivial_ends(a, trivial, norm, cancel=None) -> EigenResult:
                     f"{[beta * abs(s[-1]) for _, s in ends]} exceed {stop:.3e}")
 
     ritz = [np.zeros(n) for _ in ends]
-    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops, (alphas, betas), cancel)):
+    for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops, cancel, (alphas, betas))):
         for y, (_, s) in zip(ritz, ends):
             ops.axpy(y, float(s[j]), v)
     residuals = []

@@ -10,8 +10,8 @@ by the original loops over edges and vertex links, connectivity and
 bipartiteness by the original depth-first and breadth-first traversals, the
 intersection
 probe by the original depth-first enumeration of every reduced word,
-edge-list I/O by the original string formatting and per-line int()
-conversion, and the nontrivial spectral ends of graphs too large for a dense
+edge-list I/O and DOT export by the original string formatting and
+per-line int() conversion, and the nontrivial spectral ends of graphs too large for a dense
 solve by the original undeflated ARPACK solve with removal by value.
 """
 
@@ -542,6 +542,21 @@ def string_format_edgelist(g: SerreGraph) -> str:
         flat = np.stack(cols, axis=1).ravel().tolist()
         parts.append(("%d %d %d %d\n" * len(cols[0])) % tuple(flat))
     return "".join(parts)
+
+
+def string_format_dot(g: SerreGraph) -> str:
+    """DOT output formatted one f-string per vertex and per edge."""
+    lines = ["graph expander_forge {"]
+    for v in range(g.num_vertices):
+        lines.append(f"  {v};")
+    origin, terminus = g.origin.tolist(), g.terminus.tolist()
+    label, inv = g.label.tolist(), g.inv.tolist()
+    for e in range(g.num_edges):
+        if e <= inv[e]:
+            lab = f' [label="{label[e]}"]' if label[e] >= 0 else ""
+            lines.append(f"  {origin[e]} -- {terminus[e]}{lab};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def line_edge_rows(text: str) -> np.ndarray:

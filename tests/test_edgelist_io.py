@@ -1,6 +1,10 @@
 """The block-wise edge-list writer and reader against the original string
 writer and per-line reader kept in oracles.py."""
 
+import itertools
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ from expander_forge.cli import format_edgelist, parse_edgelist
 from expander_forge.errors import InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
-from oracles import line_edge_rows, string_format_edgelist
+from oracles import line_edge_rows, string_format_dot, string_format_edgelist
 
 META = dict(q1=0, q2=0, n=0, variant="fixture", mode="NA")
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -80,6 +84,28 @@ def test_digit_boundaries():
     assert {str(v) for k in range(7) for v in (10**k - 1, 10**k)} - {"1000000"} <= tokens
 
 
+def _block_recorder(monkeypatch):
+    """Record every block _parse_block is given, on either thread, as
+    (offset in the file's bytes, bytes)."""
+    blocks = []
+    parse_block = cli._parse_block
+
+    def recording(b):
+        offset = b.ctypes.data - np.frombuffer(b.base, np.uint8).ctypes.data
+        blocks.append((offset, b.tobytes()))
+        return parse_block(b)
+
+    monkeypatch.setattr(cli, "_parse_block", recording)
+    return blocks
+
+
+def _tiled(blocks, start) -> bool:
+    """Whether the (offset, bytes) blocks, sorted, follow each other from
+    start with no gap or overlap."""
+    return [at for at, _ in blocks] == list(
+        itertools.accumulate([len(b) for _, b in blocks[:-1]], initial=start))
+
+
 def test_blocks_do_not_change_bytes_or_the_named_line(monkeypatch):
     g = build_level(TowerConfig(5, 13), 1).graph
     text = format_edgelist(g)
@@ -92,26 +118,28 @@ def test_blocks_do_not_change_bytes_or_the_named_line(monkeypatch):
     # 7 rows a chunk and blocks of one or two lines, ending mid-file
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 13)
-    blocks = []
-    parse_block = cli._parse_block
-
-    def recording(b):
-        blocks.append(b.tobytes())
-        return parse_block(b)
-
-    monkeypatch.setattr(cli, "_parse_block", recording)
+    blocks = _block_recorder(monkeypatch)
     assert format_edgelist(g) == text
     back = parse_edgelist(text)
     assert np.array_equal(_rows(back), _rows(g))
-    assert len(blocks) > 300 and b"".join(blocks) == text[text.index("\n"):].encode()
+    # the blocks tile the text after the header, each parsed once
+    blocks.sort()
+    assert len(blocks) > 300 and _tiled(blocks, text.index("\n"))
+    assert b"".join(b for _, b in blocks) == text[text.index("\n"):].encode()
     for eol in ("\r\n", "\r"):
         assert np.array_equal(_rows(parse_edgelist(text.replace("\n", eol))), _rows(g))
     blocks.clear()
     with pytest.raises(InvalidParameterError) as chunked:
         parse_edgelist("".join(bad))
+    # The error names the first malformed line.  Every block before the one
+    # holding it was parsed, and at most one block after it was started:
+    # the other half of its pair, on the other thread.
     assert str(chunked.value) == str(whole.value)
-    assert blocks[-1].endswith(b"0 1 2 x\n") and blocks[-1].count(b"\n") <= 2
-    assert len(blocks) == 2
+    blocks.sort()
+    assert _tiled(blocks, text.index("\n"))
+    failing = next(i for i, (_, b) in enumerate(blocks) if b"0 1 2 x\n" in b)
+    assert blocks[failing][1].count(b"\n") <= 2
+    assert len(blocks) - failing - 1 <= 1
 
 
 def test_shuffled_graph_writes_the_text_of_its_sorted_twin(monkeypatch):
@@ -138,3 +166,120 @@ def test_shuffled_graph_writes_the_text_of_its_sorted_twin(monkeypatch):
         assert format_edgelist(twin) == text
         assert sorts == [g.num_edges]
         assert cli.graph_to_json(twin) == cli.graph_to_json(g)
+
+
+# int64 values with the extremes, 0, -1 and 19-digit magnitudes drawn often
+EXTREMES = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1, 10**18, -(10**18),
+                                      10**19 - 10**18 - 1]), INT64)
+
+
+@pytest.mark.properties
+@settings(max_examples=60)
+@given(random_multigraphs(), st.data())
+def test_writers_match_oracles_at_every_chunk_size(g, data):
+    labels = data.draw(st.lists(EXTREMES, min_size=g.num_edges, max_size=g.num_edges))
+    g = _with_meta(SerreGraph(g.num_vertices, g.origin, g.terminus, g.inv, labels))
+    rows = data.draw(st.lists(st.lists(EXTREMES, min_size=4, max_size=4), min_size=1,
+                              max_size=9))
+    cols = list(np.array(rows, dtype=np.int64).T)
+    for chunk in (1, 7, cli._CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK_ROWS", chunk)
+            assert format_edgelist(g) == string_format_edgelist(g)
+            assert cli.format_dot(g) == string_format_dot(g)
+    flat = np.stack(cols, axis=1).ravel().tolist()
+    assert cli._format_rows(cols) == ("%d %d %d %d\n" * len(rows)) % tuple(flat)
+
+
+def _thread_log(monkeypatch, name):
+    """Wrap cli.<name> to log (item, thread, thread count) per call, on
+    either thread."""
+    log = []
+    fn = getattr(cli, name)
+
+    def logged(item):
+        log.append((item, threading.current_thread(), threading.active_count()))
+        return fn(item)
+
+    monkeypatch.setattr(cli, name, logged)
+    return log
+
+
+@pytest.mark.parametrize("block", [1, 13, 64])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_two_thread_parse_matches_oracle(monkeypatch, block, eol):
+    # Blank and blank-looking lines after every line put one at many block
+    # cuts; a CRLF cut after its CR starts the next block with the LF.
+    g = build_level(TowerConfig(5, 13), 1).graph
+    lines = format_edgelist(g).splitlines()
+    text = eol.join(x for i, line in enumerate(lines)
+                    for x in (line, ["", " \t", "", " "][i % 4])) + eol
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    log = _thread_log(monkeypatch, "_parse_block")
+    back = parse_edgelist(text)
+    assert np.array_equal(_rows(back), line_edge_rows(text))
+    assert np.array_equal(_rows(back), _rows(g))
+    assert len({thread for _, thread, _ in log}) == 2
+
+
+def _bad_text(g, bad_rows):
+    """g's edge list with the edge lines at bad_rows ending in x."""
+    lines = format_edgelist(g).splitlines(keepends=True)
+    for r in bad_rows:
+        lines[1 + r] = lines[1 + r].replace("\n", " x\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("bad_rows,worker_first", [((0, 1), False), ((0, 1), True),
+                                                   ((1, 2), False)])
+def test_the_earlier_of_two_malformed_blocks_is_named(monkeypatch, bad_rows, worker_first):
+    # One edge line a block: blocks 0 and 1 are a pair, block 0 here and
+    # block 1 on the worker, whichever fails first; a failed pair starts no
+    # later block.  With blocks 1 and 2 bad, block 1's pair fails, so block
+    # 2 never starts.
+    g = build_level(TowerConfig(5, 13), 1).graph
+    text = _bad_text(g, bad_rows)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
+    parse_block, log = cli._parse_block, []
+
+    def parse(b):
+        log.append((b.tobytes(), threading.current_thread()))
+        if worker_first and threading.current_thread() is threading.main_thread():
+            time.sleep(0.2)
+        return parse_block(b)
+
+    monkeypatch.setattr(cli, "_parse_block", parse)
+    before = threading.active_count()
+    with pytest.raises(InvalidParameterError) as err:
+        parse_edgelist(text)
+    first = text.splitlines()[1 + bad_rows[0]]
+    assert str(err.value) == f"malformed edge line: {first!r}"
+    assert threading.active_count() == before
+    assert len(log) == 2 * (bad_rows[0] // 2 + 1)
+    threads = {b.strip().decode(): thread for b, thread in log}
+    # an even block runs here, an odd one on the worker
+    assert (threads[first] is threading.main_thread()) == (bad_rows[0] % 2 == 0)
+    worker = next(thread for _, thread in log if thread is not threading.main_thread())
+    assert not worker.is_alive()
+
+
+def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
+    g = build_level(TowerConfig(5, 13), 1).graph
+    text = format_edgelist(g)
+    before = threading.active_count()
+    chunks = _thread_log(monkeypatch, "_format_rows")
+    blocks = _thread_log(monkeypatch, "_parse_block")
+    assert format_edgelist(g) == text
+    back = parse_edgelist(text)
+    assert np.array_equal(_rows(back), _rows(g))
+    assert len(chunks) == len(blocks) == 1
+    assert [log[0][1:] for log in (chunks, blocks)] == [(threading.main_thread(), before)] * 2
+    assert threading.active_count() == before
+    # two blocks: the second runs on one worker, joined on return
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", len(text) // 2)
+    parse_edgelist(text)
+    here = [thread is threading.main_thread() for _, thread, _ in blocks[1:]]
+    first = [b.tobytes() == text[text.index("\n"):][:len(b)].encode() for b, _, _ in blocks[1:]]
+    assert sorted(here) == [False, True] and here == first
+    worker = next(thread for (_, thread, _), h in zip(blocks[1:], here) if not h)
+    assert threading.active_count() == before and not worker.is_alive()

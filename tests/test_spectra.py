@@ -159,7 +159,7 @@ def test_extreme_eigenvalues_both_ends():
     # The Lanczos path returns the two nontrivial ends of the bipartite prism,
     # ascending, each residual-certified.
     prism = prism_graph(20)
-    iterative = nontrivial_ends(adjacency(prism), _trivial(prism, 2), 3)
+    iterative = nontrivial_ends(adjacency(prism), _trivial(prism, 2), 3, threading.Event())
     assert iterative.method == "iterative"
     assert list(iterative.values) == sorted(iterative.values)
     assert iterative.values == pytest.approx(_reference_ends(prism, 2), abs=1e-9)
@@ -260,7 +260,8 @@ def test_solver_parameter_errors():
     a = adjacency(cycle_graph(6))
     k2 = SerreGraph.from_geometric_edges(2, [(0, 1)])
     with pytest.raises(InvalidParameterError):
-        nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1)  # no nontrivial spectrum
+        # no nontrivial spectrum
+        nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1, threading.Event())
     with pytest.raises(InvalidParameterError):
         ramanujan_check(cycle_graph(6), 1, method="magic")
     for how_many in (0, 7):
@@ -301,7 +302,7 @@ def test_iterative_residual_contract():
     assert len(trivial) == 1  # not bipartite
     ones = np.ones(182)
     assert np.array_equal(a @ ones, 6 * ones)  # the trivial eigenvector of q+1, exactly
-    res = nontrivial_ends(a, trivial, 6)
+    res = nontrivial_ends(a, trivial, 6, threading.Event())
     assert res.method == "iterative"
     assert max(res.residuals) <= 1e-10 * 6
     assert res.steps >= 1 and res.matvecs == 2 * res.steps + 2
@@ -327,7 +328,7 @@ def test_lanczos_ends_match_reference(make, q):
     # top and -(q+1) at the bottom of a bipartite graph.
     g = make()
     ref = _reference_ends(g, q)
-    eig = nontrivial_ends(adjacency(g), _trivial(g, q), q + 1)
+    eig = nontrivial_ends(adjacency(g), _trivial(g, q), q + 1, threading.Event())
     assert eig.values == pytest.approx(ref, abs=1e-9)
     assert max(eig.residuals) <= RESIDUAL_RTOL * (q + 1)
     report = ramanujan_check(g, q, method="iterative")
@@ -346,12 +347,12 @@ def test_replay_reuses_the_coefficients_bitwise(monkeypatch):
     dots = []
     dot = ops.dot
     monkeypatch.setattr(ops, "dot", lambda x, y: dots.append(1) or dot(x, y))
-    first = [(v.copy(), alpha, beta)
-             for _, (v, alpha, beta) in zip(range(30), spectra._lanczos(a, trivial, ops))]
+    first = [(v.copy(), alpha, beta) for _, (v, alpha, beta)
+             in zip(range(30), spectra._lanczos(a, trivial, ops, threading.Event()))]
     first_dots = len(dots)
     coefficients = ([f[1] for f in first], [f[2] for f in first])
     replay = [v.copy() for _, (v, _, _) in
-              zip(range(30), spectra._lanczos(a, trivial, ops, coefficients))]
+              zip(range(30), spectra._lanczos(a, trivial, ops, threading.Event(), coefficients))]
     assert all(np.array_equal(f[0], v) for f, v in zip(first, replay))
     # the start's projection and norm, then per step alpha, projection, beta
     assert first_dots == 2 + 3 * 30 and len(dots) - first_dots == 2 + 30
@@ -363,7 +364,7 @@ def test_ritz_vectors_orthogonal_to_trivial(monkeypatch):
     monkeypatch.setattr(spectra._Reductions, "project", lambda self, x, units: None)
     g = petersen_graph()
     with pytest.raises(ConvergenceError, match="overlaps a trivial eigenvector"):
-        nontrivial_ends(adjacency(g), _trivial(g, 2), 3)
+        nontrivial_ends(adjacency(g), _trivial(g, 2), 3, threading.Event())
 
 
 def test_lanczos_step_cap(monkeypatch):
@@ -531,7 +532,7 @@ def test_halves_ends_equal_the_sequential_solves(make):
     if sides is not None:
         want[int(not np.array_equal(sides[swap], sides))].append(-(q + 1))
     assert [[lam for lam, _ in pairs] for _, pairs in blocks] == want
-    eigs = [nontrivial_ends(op, spectra._trivial_vectors(op, pairs), q + 1)
+    eigs = [nontrivial_ends(op, spectra._trivial_vectors(op, pairs), q + 1, threading.Event())
             for op, pairs in blocks]
     want = spectra.EigenResult(
         (min(e.values[0] for e in eigs), max(e.values[-1] for e in eigs)),
@@ -549,7 +550,7 @@ def _failing_halves(monkeypatch, fails, wait=0.0):
     halves that finished, each with the thread it ran on."""
     solve, log = spectra.nontrivial_ends, []
 
-    def half(a, trivial, norm=None, cancel=None):
+    def half(a, trivial, norm, cancel):
         name = "even" if len(trivial) else "odd"  # a cartan level: 1/sqrt(V) is even
         if name == "odd":
             time.sleep(wait)
@@ -590,7 +591,7 @@ def test_an_interrupt_in_the_even_half_cancels_the_odd_half(monkeypatch):
     swap, fibers = swap_and_fibers(lvl)
     solve, odd_errors = spectra.nontrivial_ends, []
 
-    def half(a, trivial, norm=None, cancel=None):
+    def half(a, trivial, norm, cancel):
         if len(trivial):
             raise KeyboardInterrupt
         cancel.wait(timeout=10)
@@ -628,7 +629,7 @@ def test_one_block_is_solved_on_the_calling_thread(monkeypatch, make, q):
     solve, log = spectra.nontrivial_ends, []
     before = threading.active_count()
 
-    def logged(a, trivial, norm, cancel=None):
+    def logged(a, trivial, norm, cancel):
         log.append((a.shape, len(trivial), threading.current_thread(), threading.active_count()))
         return solve(a, trivial, norm, cancel)
 
