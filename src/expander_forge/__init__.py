@@ -41,7 +41,6 @@ from .quat import (
 from .spectra import (
     SpectralReport,
     adjacency,
-    extreme_eigenvalues,
     full_spectrum_histogram,
     ramanujan_check,
 )

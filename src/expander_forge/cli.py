@@ -60,7 +60,6 @@ from .tower import (
     build_level,
     build_tower,
     probe_with_reseed,
-    twist_sequence,
 )
 
 EXIT_OK = 0
@@ -542,11 +541,8 @@ def cmd_build(args) -> int:
     cfg = TowerConfig(args.q1, args.q2, levels=args.level, variant=args.variant,
                       twist_seed=args.twist_seed)
     _refuse_unwritable(args.out)
-    twist = None
-    if args.twist_seed is not None:
-        twist = twist_sequence(cfg, args.twist_seed, levels=args.level)
     t0 = time.perf_counter()
-    lvl = build_level(cfg, args.level, twist)
+    lvl = build_level(cfg, args.level)
     _t(f"build level {args.level}", t0)
     atomic_write(args.out, format_edgelist(lvl.graph))
     print(f"vertices={lvl.graph.num_vertices} directed_edges={lvl.graph.num_edges}")
@@ -618,7 +614,7 @@ def cmd_tower(args) -> int:
 def cmd_probe(args) -> int:
     cfg = TowerConfig(args.q1, args.q2, levels=args.level, variant="cartan",
                       twist_seed=args.twist_seed)
-    probe, twist, reseeds = probe_with_reseed(cfg, args.max_word_len)
+    probe, _, reseeds = probe_with_reseed(cfg, args.max_word_len)
     pp_top = PrimePower(args.q2, args.level)
     for seed in reseeds:
         print(f"# reseeded: twist seed {seed} was degenerate")

@@ -64,9 +64,6 @@ class GeneratorSet:
     gens: tuple
     inverse_pairing: tuple
 
-    def __len__(self) -> int:
-        return len(self.gens)
-
 
 def enumerate_generators(q1: int) -> GeneratorSet:
     """All solutions of x0^2+x1^2+x2^2+x3^2 = q1, x0 odd positive, x1,x2,x3 even.

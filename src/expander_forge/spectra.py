@@ -121,19 +121,6 @@ def solve_bytes(n_vertices: int, n_edges: int) -> int:
     return max(counts, vectors + (8 + width) * n_edges + width * (n_vertices + 1))
 
 
-def extreme_eigenvalues(a, how_many) -> EigenResult:
-    """how_many eigenvalues at both ends of the spectrum, ascending, from a
-    dense solve: how_many // 2 from the bottom and the rest from the top.
-    The residuals are reported as zero."""
-    n = a.shape[0]
-    if not 1 <= how_many <= n:
-        raise InvalidParameterError(f"how_many={how_many} is outside 1..{n}")
-    asc = sorted(_dense_values(a))
-    lo = how_many // 2
-    picked = asc[:lo] + asc[len(asc) - (how_many - lo):]
-    return EigenResult(tuple(picked), tuple(0.0 for _ in picked), "dense", 0, 0)
-
-
 class _Reductions:
     """In-place vector kernels on one scratch buffer.  Inner products are
     einsum reductions, never BLAS calls, so their rounding does not depend
@@ -424,9 +411,9 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
     # trivial one; ||A|| is at most the degree q+1.
     slack = RESIDUAL_RTOL * (q + 1)
 
-    if method == "dense":  # nontrivial: ascending, with both ends
-        eig = extreme_eigenvalues(adjacency(g), n)
-        vals = eig.values
+    if method == "dense":  # the whole spectrum, ascending; residuals are zero
+        vals = _dense_values(adjacency(g))
+        eig = EigenResult(tuple(vals), (0.0,) * n, "dense", 0, 0)
         if abs(vals[-1] - (q + 1)) > slack or (bip and abs(vals[0] + (q + 1)) > slack):
             raise ConvergenceError(
                 f"solve missed a trivial eigenvalue: ends {vals[0]!r}, {vals[-1]!r} "

@@ -20,18 +20,22 @@ discovery order of a FIFO queue.  A level, or a probe's step tables, that
 cannot fit in physical memory is refused before any work, from exact sizes.
 
 Covering maps drop one level by entrywise reduction of the vertex codes,
-and are verified by multigraph.is_covering.  A twist sequence
-g(1), g(2), ... (compatible under reduction) rebases the cartan tower at
-the conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are unchanged up
-to relabeling, but the intersection probe - which words lie in every
-level's base stabilizer - now asks whether g(n)^-1 M g(n) is projectively
-diagonal instead of M.  One meet-in-the-middle search for reduced closed
+and are verified by multigraph.is_covering.  A TowerConfig is the one
+description of a tower.  Its twist seed, when set, draws the twist
+sequence g(1), g(2), ... (compatible under reduction, and a longer
+sequence extends a shorter one), which rebases the cartan tower at the
+conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are unchanged up to
+relabeling, but the intersection probe - which words lie in every level's
+base stabilizer - now asks whether g(n)^-1 M g(n) is projectively
+diagonal instead of M.  Level n and a probe to depth n read the same g(n)
+from the seed.  One meet-in-the-middle search for reduced closed
 walks at the base vertex answers both the probe (on the top level's pair
 codes) and the girth of a vertex-transitive cayley level.  The probe is the
 finite-horizon certificate separating the bounded-girth tower (a common
 loop survives every level) from the twisted tower (no word survives).
 """
 
+import dataclasses
 import math
 import os
 import random
@@ -53,12 +57,14 @@ from .spectra import SpectralReport, ramanujan_check, solve_bytes
 
 VARIANTS = ("cartan", "borel", "cayley")
 DEFAULT_PROBE_CAP = 8
+_RESEED_TRIES = 16
 _POINT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """Two distinct primes q1, q2 = 1 (mod 4), a depth, and a variant."""
+    """Two distinct primes q1, q2 = 1 (mod 4), a depth, a variant, and for
+    cartan an optional twist seed, which fixes the twist at every level."""
 
     q1: int
     q2: int
@@ -361,8 +367,9 @@ class TowerLevel:
         return v * self.degree + gen_index
 
 
-def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = None) -> TowerLevel:
-    """Build level n by BFS closure from the base vertex.
+def build_level(cfg: TowerConfig, n: int) -> TowerLevel:
+    """Build level n by BFS closure from the base vertex: ((0:1), (1:0)),
+    or its image under g(n) when cfg has a twist seed.
 
     Vertex ids follow BFS discovery order with generators scanned in
     lexicographic order, so identical configs give byte-identical exports.
@@ -372,8 +379,6 @@ def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = Non
     """
     if n > cfg.levels:
         raise InvalidParameterError(f"level {n} exceeds configured depth {cfg.levels}")
-    if twist is not None and cfg.variant != "cartan":
-        raise InvalidParameterError("twisting is only defined for the cartan variant")
     _refuse_oversized(cfg, [n])
     pp = PrimePower(cfg.q2, n)
     gens = enumerate_generators(cfg.q1)
@@ -385,7 +390,7 @@ def build_level(cfg: TowerConfig, n: int, twist: Optional["TwistSequence"] = Non
         raise VerificationError("generator matrices disagree with the PSL/PGL mode")
 
     want = expected_vertices(cfg, n)
-    base_matrix = twist.matrices[n - 1] if twist is not None else identity(pp)
+    base_matrix = identity(pp) if cfg.twist_seed is None else twist_sequence(cfg, n).matrices[-1]
     step, base = _transitions(cfg.variant, pp, smats, pairing, base_matrix)
     table, codes = _bfs(step, base, _code_space(cfg.variant, pp), d, index_dtype(want * d))
     nv = len(codes)
@@ -521,11 +526,16 @@ class TwistSequence:
     matrices: tuple
 
 
-def twist_sequence(cfg: TowerConfig, seed: int, levels: Optional[int] = None) -> TwistSequence:
-    """g(1) uniform over L(1); g(n+1) a uniform lift of g(n) among the q2^3
-    projective preimages.  Deterministic for a given seed."""
+def twist_sequence(cfg: TowerConfig, levels: Optional[int] = None) -> TwistSequence:
+    """g(1), ..., g(levels), by default cfg.levels of them, drawn from
+    cfg.twist_seed: g(1) uniform over L(1); g(n+1) a uniform lift of g(n)
+    among the q2^3 projective preimages.  The draws come in order from one
+    generator, so a longer sequence extends a shorter one.  Raises
+    InvalidParameterError for an unseeded config."""
+    if cfg.twist_seed is None:
+        raise InvalidParameterError("a twist sequence needs a config with a twist seed")
     n_levels = cfg.levels if levels is None else levels
-    rng = random.Random(seed)
+    rng = random.Random(cfg.twist_seed)
     q = cfg.q2
     want_psl = cfg.mode == "PSL"
     while True:
@@ -540,7 +550,7 @@ def twist_sequence(cfg: TowerConfig, seed: int, levels: Optional[int] = None) ->
     for n in range(2, n_levels + 1):
         if reduce_matrix(mats[n - 1], PrimePower(q, n - 1)) != mats[n - 2]:
             raise VerificationError("twist sequence is not reduction-compatible")
-    return TwistSequence(seed, tuple(mats))
+    return TwistSequence(cfg.twist_seed, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -571,43 +581,39 @@ class ProbeResult:
 
 
 def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
-                       up_to_level: Optional[int] = None,
-                       twist: Optional[TwistSequence] = None,
-                       word_cap: int = DEFAULT_PROBE_CAP) -> ProbeResult:
+                       up_to_level: Optional[int] = None) -> ProbeResult:
     """The nonempty reduced generator words up to max_word_len whose split
     image lies in every probed level's base stabilizer, in lexicographic
     order; words_tested counts all reduced words up to that length.
 
-    Membership means the matrix mod q2^n (twisted: g(n)^-1 M g(n)) is
-    projectively diagonal.  It holds at every level exactly when it holds at
-    the top level N, that is for the words of the reduced closed walks at
-    level N's base vertex, which the walk search finds on pair codes with
-    no graph built.  Each hit is then confirmed from its exact quaternion at
+    Membership means the matrix mod q2^n (twisted: g(n)^-1 M g(n), with
+    g(1..N) drawn from cfg's twist seed at N = up_to_level, which may exceed
+    cfg.levels) is projectively diagonal.  It holds at every level exactly
+    when it holds at the top level N, that is for the words of the reduced
+    closed walks at level N's base vertex, which the walk search finds on
+    pair codes with no graph built.  Each hit is then confirmed from its exact quaternion at
     every level, else VerificationError.  Survivors are finite evidence that
     the tower's fundamental-group intersection is nontrivial; an empty list
     certifies triviality up to this word-length horizon.  Twisted, that
     evidence holds only for max_word_len below about log_q1 of level N's
     vertex count (9.6 for (5,13) at N = 3): longer walks close at the base
     by chance.  At twist seed 42, (5,13) N = 3 keeps 0 words at length 8 but
-    1,632 at length 14.  Raises InvalidParameterError before any work if
-    the top level's step tables cannot fit in physical memory.
+    1,632 at length 14.  Raises WordLengthError above DEFAULT_PROBE_CAP, and
+    InvalidParameterError before any work if the top level's step tables
+    cannot fit in physical memory.
     """
     if max_word_len < 1:
         raise InvalidParameterError("max_word_len must be >= 1")
-    if max_word_len > word_cap:
+    if max_word_len > DEFAULT_PROBE_CAP:
         q1 = cfg.q1
         est = (q1 + 1) * (q1**max_word_len - 1) // (q1 - 1)
         raise WordLengthError(
-            f"max_word_len {max_word_len} exceeds cap {word_cap} "
-            f"(~{est} reduced words); raise word_cap explicitly to proceed"
+            f"max_word_len {max_word_len} exceeds cap {DEFAULT_PROBE_CAP} "
+            f"(~{est} reduced words)"
         )
     n_levels = cfg.levels if up_to_level is None else up_to_level
     if n_levels < 1:
         raise InvalidParameterError(f"up_to_level must be >= 1, got {n_levels}")
-    if twist is not None and len(twist.matrices) < n_levels:
-        raise InvalidParameterError(
-            f"twist sequence has {len(twist.matrices)} levels, need {n_levels}"
-        )
     _refuse(f"the probe's step tables at level {n_levels} of ({cfg.q1},{cfg.q2}) need",
             _probe_bytes(cfg, n_levels))
     gens = enumerate_generators(cfg.q1)
@@ -615,8 +621,9 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     d = cfg.q1 + 1
     pp = PrimePower(cfg.q2, n_levels)
     smats = tuple(proj_normalize(split(g, pp)) for g in gens.gens)
-    top = twist.matrices[n_levels - 1] if twist is not None else identity(pp)
-    step, base = _transitions("cartan", pp, smats, pairing, top)
+    twist = None if cfg.twist_seed is None else twist_sequence(cfg, n_levels).matrices
+    step, base = _transitions("cartan", pp, smats, pairing,
+                              identity(pp) if twist is None else twist[-1])
     layers = list(islice(_reduced_walks(step, base, pairing), (max_word_len + 3) // 2))
     words = sorted(tuple(w) for k in range(1, max_word_len + 1)
                    for w in _closed_words(layers, k, pairing).tolist())
@@ -626,7 +633,7 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
         for n in range(1, n_levels + 1):
             m = split(qt, PrimePower(cfg.q2, n))
             if twist is not None:
-                m = twist.matrices[n - 1].inverse() * m * twist.matrices[n - 1]
+                m = twist[n - 1].inverse() * m * twist[n - 1]
             if m.b or m.c:
                 raise VerificationError(f"word {letters} closes a walk at the base of level "
                                         f"{n_levels} but is not diagonal at level {n}")
@@ -638,20 +645,21 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
 
 
 def probe_with_reseed(cfg: TowerConfig, max_word_len: int = 4,
-                      up_to_level: Optional[int] = None, max_tries: int = 16):
-    """Twisted probe that reseeds while the conjugating sequence is degenerate
-    (a single generator stays diagonal under conjugation).  Returns
-    (probe, twist, reseeded_seeds)."""
+                      up_to_level: Optional[int] = None):
+    """Twisted probe that reseeds, trying seeds twist_seed, twist_seed + 1,
+    ..., while the conjugating sequence is degenerate (a single generator
+    stays diagonal under conjugation).  Returns (probe, twist,
+    reseeded_seeds), the twist drawn from the seed the probe used."""
     if cfg.twist_seed is None:
         return intersection_probe(cfg, max_word_len, up_to_level), None, ()
-    n_levels = cfg.levels if up_to_level is None else up_to_level
-    for seed in range(cfg.twist_seed, cfg.twist_seed + max_tries):
-        twist = twist_sequence(cfg, seed, levels=n_levels)
-        probe = intersection_probe(cfg, max_word_len, n_levels, twist)
+    for seed in range(cfg.twist_seed, cfg.twist_seed + _RESEED_TRIES):
+        reseeded = dataclasses.replace(cfg, twist_seed=seed)
+        probe = intersection_probe(reseeded, max_word_len, up_to_level)
         if not probe.has_length_one_survivor():
-            return probe, twist, tuple(range(cfg.twist_seed, seed))
+            return (probe, twist_sequence(reseeded, probe.up_to_level),
+                    tuple(range(cfg.twist_seed, seed)))
     raise VerificationError(
-        f"no non-degenerate twist seed found after {max_tries} tries from {cfg.twist_seed}"
+        f"no non-degenerate twist seed found after {_RESEED_TRIES} tries from {cfg.twist_seed}"
     )
 
 
@@ -688,15 +696,14 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     """Build levels 1..N with covering maps, verify girth / spectra / loop
     witness per level, and run the intersection probe.  Twisted towers are
     reseeded (and the skipped seeds recorded) if the drawn conjugator
-    degenerately keeps a torus generator diagonal.  Raises
+    degenerately keeps a torus generator diagonal, and the levels are built
+    from the seed the probe kept.  Raises
     InvalidParameterError before any work if the levels and the largest
     level's eigensolve cannot fit in physical memory."""
     _refuse_oversized(cfg, range(1, cfg.levels + 1), solve=True)
     probe, twist, reseeds = probe_with_reseed(cfg, probe_max_word_len)
-    effective = cfg if twist is None or twist.seed == cfg.twist_seed else (
-        TowerConfig(cfg.q1, cfg.q2, cfg.levels, cfg.variant, twist.seed)
-    )
-    levels = tuple(build_level(effective, n, twist) for n in range(1, cfg.levels + 1))
+    built = cfg if twist is None else dataclasses.replace(cfg, twist_seed=twist.seed)
+    levels = tuple(build_level(built, n) for n in range(1, cfg.levels + 1))
     coverings = tuple(
         natural_covering(levels[i + 1], levels[i]) for i in range(cfg.levels - 1)
     )

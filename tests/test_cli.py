@@ -246,6 +246,24 @@ def test_tower_export_dir(tmp_path, capsys):
         assert g.num_vertices == v
 
 
+def test_build_and_tower_export_the_same_twisted_level(tmp_path, capsys):
+    # one seed twists both commands: build's level 2 is byte for byte the
+    # level 2 that tower exports (seed 42 is not reseeded)
+    args = ["--q1", "5", "--q2", "13", "--twist-seed", "42"]
+    built = tmp_path / "built.edges"
+    assert main(["build", *args, "--level", "2", "--out", str(built)]) == EXIT_OK
+    export_dir = tmp_path / "tower"
+    assert main(["tower", *args, "--levels", "2", "--report", str(tmp_path / "tower.json"),
+                 "--export-dir", str(export_dir)]) == EXIT_OK
+    report = json.loads((tmp_path / "tower.json").read_text())
+    assert report["config"]["twist_seed_used"] == 42 and report["reseeds"] == []
+    text = built.read_bytes()
+    assert text == (export_dir / "level2.edges").read_bytes()
+    plain = tmp_path / "plain.edges"
+    assert main(["build", *args[:4], "--level", "2", "--out", str(plain)]) == EXIT_OK
+    assert text != plain.read_bytes()
+
+
 def test_usage_error_exit_code():
     assert main(["build", "--q1", "5"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

@@ -35,12 +35,12 @@ PROBE_MATRIX = [
 
 @pytest.mark.parametrize("q1,q2,top,longest,seeds", PROBE_MATRIX)
 def test_probe_matches_word_enumeration(q1, q2, top, longest, seeds):
-    cfg = TowerConfig(q1, q2, levels=top)
     for seed in seeds:
-        twist = twist_sequence(cfg, seed) if seed is not None else None
+        cfg = TowerConfig(q1, q2, levels=top, twist_seed=seed)
+        twist = twist_sequence(cfg) if seed is not None else None
         for n in range(1, top + 1):
             for length in range(1, longest + 1):
-                got = intersection_probe(cfg, length, n, twist)
+                got = intersection_probe(cfg, length, n)
                 want = word_enumeration_probe(cfg, length, n, twist)
                 assert got.survivors == want.survivors, (seed, n, length)
                 assert got.words_tested == want.words_tested

@@ -41,8 +41,8 @@ ORACLE_TOWERS = [
 
 def _levels(q1, q2, variant, top, seed):
     cfg = TowerConfig(q1, q2, levels=top, variant=variant, twist_seed=seed)
-    twist = twist_sequence(cfg, seed) if seed is not None else None
-    return cfg, twist, [build_level(cfg, n, twist) for n in range(1, top + 1)]
+    twist = twist_sequence(cfg) if seed is not None else None
+    return cfg, twist, [build_level(cfg, n) for n in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("q1,q2,variant,top,seed", ORACLE_TOWERS)
@@ -62,11 +62,11 @@ def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
 def test_tables_filled_in_point_chunks(monkeypatch):
     # 11 divides no P^1 size used here, so every permutation is filled over
     # several chunks ending in a partial one
-    cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
-    twist = twist_sequence(cfg, 42)
-    want = [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)]
+    configs = [TowerConfig(5, 13, levels=3), TowerConfig(5, 13, levels=3, twist_seed=42)]
+    want = [intersection_probe(cfg, 6) for cfg in configs]
+    assert [p.twisted for p in want] == [False, True]
     monkeypatch.setattr(tower, "_POINT_CHUNK", 11)
-    assert [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)] == want
+    assert [intersection_probe(cfg, 6) for cfg in configs] == want
     for tower_args in [(5, 13, "cartan", 2, 7), (13, 5, "borel", 3, None)]:
         cfg, twist, levels = _levels(*tower_args)
         for lvl in levels:
@@ -188,8 +188,7 @@ PINNED_EDGE_LISTS = [
 def test_edge_list_bytes_pinned(level, digest):
     q1, q2, variant, n, seed = level
     cfg = TowerConfig(q1, q2, levels=n, variant=variant, twist_seed=seed)
-    twist = twist_sequence(cfg, seed) if seed is not None else None
-    text = format_edgelist(build_level(cfg, n, twist).graph)
+    text = format_edgelist(build_level(cfg, n).graph)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -266,21 +265,22 @@ def test_swap_halves_peak_within_solve_bytes():
 def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):
     # Memory between the level-3 and level-4 estimates of the probe's step
     # tables: level 3 runs unchanged, level 4 is refused before any work.
-    cfg = TowerConfig(5, 13, levels=4, twist_seed=42)
-    need3, need4 = tower._probe_bytes(cfg, 3), tower._probe_bytes(cfg, 4)
+    configs = [TowerConfig(5, 13, levels=4), TowerConfig(5, 13, levels=4, twist_seed=42)]
+    need3, need4 = tower._probe_bytes(configs[0], 3), tower._probe_bytes(configs[0], 4)
     assert 0 < need3 < need4
-    twist = twist_sequence(cfg, 42)
-    want = [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)]
+    want = [intersection_probe(cfg, 6, 3) for cfg in configs]
+    assert [p.twisted for p in want] == [False, True]
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the memory check")
 
     monkeypatch.setattr(tower, "_physical_memory", lambda: (need3 + need4) // 2)
-    assert [intersection_probe(cfg, 6, 3), intersection_probe(cfg, 6, 3, twist)] == want
+    assert [intersection_probe(cfg, 6, 3) for cfg in configs] == want
     monkeypatch.setattr(tower, "_transitions", no_work)
-    for tw in (None, twist):
+    monkeypatch.setattr(tower, "twist_sequence", no_work)
+    for cfg in configs:
         with pytest.raises(InvalidParameterError, match=f"estimated {need4} bytes"):
-            intersection_probe(cfg, 6, 4, tw)
+            intersection_probe(cfg, 6, 4)
 
 
 def test_solve_bytes_dense_path():

@@ -50,7 +50,7 @@ def test_generators_q5():
 
 def test_generators_q13():
     gs = enumerate_generators(13)
-    assert len(gs) == 14
+    assert len(gs.gens) == 14
     coeffs = {g.coefficients() for g in gs.gens}
     expected = {(3, s * 2, 0, 0) for s in (1, -1)}
     expected |= {(3, 0, s * 2, 0) for s in (1, -1)}
@@ -62,7 +62,7 @@ def test_generators_q13():
 @pytest.mark.parametrize("q1", [5, 13, 17, 29, 37, 41])
 def test_generator_counts_and_closure(q1):
     gs = enumerate_generators(q1)
-    assert len(gs) == q1 + 1
+    assert len(gs.gens) == q1 + 1
     for i, g in enumerate(gs.gens):
         assert g.norm() == q1
         assert g.x0 > 0 and g.x0 % 2 == 1

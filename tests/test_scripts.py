@@ -16,9 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script,args,expect", [
     ("run_tower_experiment.py", ["--q1", "5", "--q2", "13", "--levels", "1"], "  1       182 "),
+    ("run_tower_experiment.py", ["--q1", "5", "--q2", "13", "--levels", "1", "--twist-seed", "42"],
+     "probe (len <= 4, twisted): 6 survivor(s)"),
     ("spectrum_histogram.py", ["--q1", "5", "--q2", "13", "--level", "1", "--bins", "8"],
      ": 182 vertices"),
-], ids=["run_tower_experiment", "spectrum_histogram"])
+], ids=["run_tower_experiment", "run_tower_experiment_twisted", "spectrum_histogram"])
 def test_script_runs(script, args, expect):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

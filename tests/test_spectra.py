@@ -25,12 +25,11 @@ from expander_forge.spectra import (
     RAMANUJAN_TOL,
     RESIDUAL_RTOL,
     adjacency,
-    extreme_eigenvalues,
     full_spectrum_histogram,
     nontrivial_ends,
     ramanujan_check,
 )
-from expander_forge.tower import TowerConfig, build_level, swap_and_fibers, twist_sequence
+from expander_forge.tower import TowerConfig, build_level, swap_and_fibers
 from oracles import arpack_nontrivial_ends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,7 +74,7 @@ def test_adjacency_rows_match_links():
 
 
 def test_k4_spectrum():
-    vals = extreme_eigenvalues(adjacency(complete_graph(4)), 4).values
+    vals = spectra._dense_values(adjacency(complete_graph(4)))
     assert np.allclose(vals, [-1, -1, -1, 3])
     report = ramanujan_check(complete_graph(4), 2)
     assert report.ramanujan
@@ -85,7 +84,7 @@ def test_k4_spectrum():
 
 
 def test_c6_spectrum():
-    vals = extreme_eigenvalues(adjacency(cycle_graph(6)), 6).values
+    vals = spectra._dense_values(adjacency(cycle_graph(6)))
     expected = sorted(2 * math.cos(2 * math.pi * k / 6) for k in range(6))
     assert np.allclose(vals, expected)
 
@@ -94,8 +93,8 @@ def test_petersen():
     report = ramanujan_check(petersen_graph(), 2)
     assert report.ramanujan
     assert abs(report.max_abs_nontrivial - 2.0) < 1e-9
-    both_ends = extreme_eigenvalues(adjacency(petersen_graph()), 6).values
-    assert np.allclose(both_ends, [-2, -2, -2, 1, 1, 3])
+    vals = spectra._dense_values(adjacency(petersen_graph()))
+    assert np.allclose(vals, [-2] * 4 + [1] * 5 + [3])
 
 
 def test_prism_not_ramanujan():
@@ -150,12 +149,7 @@ def test_histogram_examples():
     assert hl.fraction_inside == (182 - 1) / 182
 
 
-def test_extreme_eigenvalues_both_ends():
-    # C6 spectrum: -2, -1, -1, 1, 1, 2; an odd count takes the extra value on top.
-    a = adjacency(cycle_graph(6))
-    assert extreme_eigenvalues(a, 1).values == pytest.approx((2.0,))
-    assert extreme_eigenvalues(a, 2).values == pytest.approx((-2.0, 2.0))
-    assert extreme_eigenvalues(a, 3).values == pytest.approx((-2.0, 1.0, 2.0))
+def test_lanczos_nontrivial_ends_of_prism():
     # The Lanczos path returns the two nontrivial ends of the bipartite prism,
     # ascending, each residual-certified.
     prism = prism_graph(20)
@@ -257,16 +251,12 @@ def test_degenerate_verdicts(make, q, dense, iterative):
 
 
 def test_solver_parameter_errors():
-    a = adjacency(cycle_graph(6))
     k2 = SerreGraph.from_geometric_edges(2, [(0, 1)])
     with pytest.raises(InvalidParameterError):
         # no nontrivial spectrum
         nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1, threading.Event())
     with pytest.raises(InvalidParameterError):
         ramanujan_check(cycle_graph(6), 1, method="magic")
-    for how_many in (0, 7):
-        with pytest.raises(InvalidParameterError):
-            extreme_eigenvalues(a, how_many)
     import scipy.sparse as sp
 
     big = sp.identity(5000, format="csr")
@@ -426,8 +416,7 @@ def test_matvec_add_is_the_kernel_of_a_at_v():
 
 
 def _cartan(q1, q2, n, seed=None):
-    cfg = TowerConfig(q1, q2, levels=n, twist_seed=seed)
-    return build_level(cfg, n, None if seed is None else twist_sequence(cfg, seed))
+    return build_level(TowerConfig(q1, q2, levels=n, twist_seed=seed), n)
 
 
 def _prism_swaps(n):
@@ -645,18 +634,17 @@ def test_one_block_is_solved_on_the_calling_thread(monkeypatch, make, q):
 def test_dense_solve_missing_a_trivial_end_is_refused(monkeypatch, end):
     # A dense spectrum whose top is not q+1, or whose bottom is not -(q+1)
     # on a bipartite graph, never reaches the verdict.
-    solve = spectra.extreme_eigenvalues
+    solve = spectra._dense_values
 
-    def moved(a, how_many):
-        eig = solve(a, how_many)
-        values = list(eig.values)
+    def moved(a):
+        values = solve(a)
         if end == "top":
             values[-1] -= 1e-6
         else:
             values[0] += 1e-6
-        return spectra.EigenResult(tuple(values), eig.residuals, eig.method, 0, 0)
+        return values
 
-    monkeypatch.setattr(spectra, "extreme_eigenvalues", moved)
+    monkeypatch.setattr(spectra, "_dense_values", moved)
     with pytest.raises(ConvergenceError, match="missed a trivial eigenvalue"):
         ramanujan_check(prism_graph(20), 2, method="dense")
 
@@ -689,7 +677,7 @@ def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the swap was checked")
 
-    for name in ("nontrivial_ends", "extreme_eigenvalues", "_swap_halves", "adjacency"):
+    for name in ("nontrivial_ends", "_dense_values", "_swap_halves", "adjacency"):
         monkeypatch.setattr(spectra, name, no_solve)
     monkeypatch.setattr(SerreGraph, "connected", no_solve)
     for _, bad, message in _swap_variants(swap):

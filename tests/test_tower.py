@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -173,29 +174,36 @@ def test_loop_persists_down_coverings():
 
 def test_twist_sequence_determinism_and_compatibility():
     cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
-    t1 = twist_sequence(cfg, 42)
-    t2 = twist_sequence(cfg, 42)
+    t1 = twist_sequence(cfg)
+    t2 = twist_sequence(cfg)
     assert t1 == t2
-    assert len(t1.matrices) == 3
+    assert t1.seed == 42 and len(t1.matrices) == 3
     for n in (2, 3):
         assert reduce_matrix(t1.matrices[n - 1], PrimePower(13, n - 1)) == t1.matrices[n - 2]
-    t3 = twist_sequence(cfg, 43)
+    t3 = twist_sequence(dataclasses.replace(cfg, twist_seed=43))
     assert t3 != t1
+    # the draws come in order, so a longer sequence extends a shorter one
+    assert twist_sequence(cfg, 2).matrices == t1.matrices[:2]
+    assert twist_sequence(cfg, 5).matrices[:3] == t1.matrices
+
+
+def test_twist_sequence_needs_a_seed():
+    with pytest.raises(InvalidParameterError, match="twist seed"):
+        twist_sequence(TowerConfig(5, 13, levels=2))
 
 
 def test_twist_sequence_psl_mode():
     cfg = TowerConfig(5, 29, levels=2, twist_seed=11)
-    tw = twist_sequence(cfg, 11)
+    tw = twist_sequence(cfg)
     for m in tw.matrices:
         assert is_psl(m)
 
 
 def test_twisted_level_isomorphic_to_untwisted():
     cfg = TowerConfig(5, 13, levels=2, twist_seed=7)
-    tw = twist_sequence(cfg, 7)
     for n in (1, 2):
         plain = build_level(TowerConfig(5, 13, levels=2), n)
-        twisted = build_level(cfg, n, tw)
+        twisted = build_level(cfg, n)
         # identical key sets; the key-indexed transition structure agrees,
         # so relabeling by keys is a label-preserving isomorphism
         plain_keys, twisted_keys = plain.codes.tolist(), twisted.codes.tolist()
@@ -214,16 +222,21 @@ def test_twisted_level_isomorphic_to_untwisted():
         assert twisted_keys[0] != plain.pp.modulus  # ((0:1), (1:0)) has code m
 
 
-def test_identity_twist_reproduces_untwisted():
+def test_identity_twist_reproduces_untwisted(monkeypatch):
     from expander_forge.projgroup import identity
     from expander_forge.tower import TwistSequence
 
+    def identity_twist(cfg, levels=None):
+        n_levels = cfg.levels if levels is None else levels
+        return TwistSequence(cfg.twist_seed, tuple(identity(PrimePower(cfg.q2, n))
+                                                   for n in range(1, n_levels + 1)))
+
+    monkeypatch.setattr(tower, "twist_sequence", identity_twist)
     cfg = TowerConfig(5, 13, levels=2, twist_seed=0)
-    ident_twist = TwistSequence(0, tuple(identity(PrimePower(13, n)) for n in (1, 2)))
     plain_cfg = TowerConfig(5, 13, levels=2)
     for n in (1, 2):
         plain = build_level(plain_cfg, n)
-        twisted = build_level(cfg, n, ident_twist)
+        twisted = build_level(cfg, n)
         assert np.array_equal(twisted.codes, plain.codes)
         assert np.array_equal(twisted.graph.terminus, plain.graph.terminus)
         assert np.array_equal(twisted.graph.inv, plain.graph.inv)
@@ -231,15 +244,22 @@ def test_identity_twist_reproduces_untwisted():
 
 def test_twisted_covering_verifies():
     cfg = TowerConfig(5, 13, levels=2, twist_seed=7)
-    tw = twist_sequence(cfg, 7)
-    l1 = build_level(cfg, 1, tw)
-    l2 = build_level(cfg, 2, tw)
+    l1 = build_level(cfg, 1)
+    l2 = build_level(cfg, 2)
     cov = natural_covering(l2, l1)
     assert cov.verified
     # the standard-key loop vertex still persists down the twisted covering
     w2 = loop_witness(l2)
     w1 = loop_witness(l1)
     assert cov.morphism.vertex_map[w2.vertex] == w1.vertex
+
+
+def test_seeded_config_builds_the_twisted_level():
+    # The seed alone twists the level: the base vertex is the standard pair
+    # (code 13^2 = 169) moved by g(2).  test_level_tables checks the whole
+    # level against the tuple-state builder given twist_sequence(cfg).
+    lvl = build_level(TowerConfig(5, 13, levels=2, twist_seed=7), 2)
+    assert lvl.codes[0] == 22753 != lvl.pp.modulus
 
 
 def test_oracle_label_isomorphism_13_5():
@@ -264,7 +284,8 @@ def test_probe_untwisted_survivors():
 
 def test_probe_word_cap():
     cfg = TowerConfig(5, 13, levels=1)
-    with pytest.raises(WordLengthError):
+    with pytest.raises(WordLengthError,
+                       match=r"^max_word_len 9 exceeds cap 8 \(~2929686 reduced words\)$"):
         intersection_probe(cfg, max_word_len=9)
     probe = intersection_probe(cfg, max_word_len=1)
     assert probe.survivor_letters() == ((0,), (5,))
@@ -277,6 +298,40 @@ def test_probe_twisted_eliminates_gamma():
     assert twist.seed == 42
     assert not probe.has_length_one_survivor()
     assert probe.survivors == ()
+
+
+def test_seeded_probe_is_twisted_and_matches_the_reseeding_probe():
+    cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
+    probe = intersection_probe(cfg, 4)
+    assert probe.twisted and probe.up_to_level == 3
+    assert probe_with_reseed(cfg, 4) == (probe, twist_sequence(cfg), ())
+    plain = intersection_probe(dataclasses.replace(cfg, twist_seed=None), 4)
+    assert not plain.twisted and plain.has_length_one_survivor()
+
+
+def test_probe_deeper_than_the_config_draws_the_same_twist():
+    shallow = TowerConfig(5, 13, levels=2, twist_seed=42)
+    deep = TowerConfig(5, 13, levels=3, twist_seed=42)
+    probe = intersection_probe(shallow, 6, up_to_level=3)
+    assert probe.twisted and probe.up_to_level == 3
+    assert probe == intersection_probe(deep, 6)
+
+
+def test_degenerate_seed_is_reseeded_and_the_tower_built_from_the_next():
+    # at seed 17, g(1) conjugates a generator of (5,13) to a diagonal matrix
+    cfg = TowerConfig(5, 13, levels=1, twist_seed=17)
+    assert intersection_probe(cfg, 1).has_length_one_survivor()
+    reseeded = dataclasses.replace(cfg, twist_seed=18)
+    probe, twist, reseeds = probe_with_reseed(cfg, 1)
+    assert reseeds == (17,)
+    assert twist == twist_sequence(reseeded)
+    assert probe == intersection_probe(reseeded, 1)
+    result = build_tower(cfg, probe_max_word_len=1)
+    assert result.reseeds == (17,) and result.twist.seed == 18
+    assert result.config == cfg
+    (lvl,) = result.levels
+    assert lvl.config == reseeded
+    assert np.array_equal(lvl.codes, build_level(reseeded, 1).codes)
 
 
 def test_probe_membership_consistent_across_levels():
@@ -408,8 +463,7 @@ def test_level_components_match_traversal_oracles(q1, q2, variant, n, bipartite)
                          ids=["5-13", "13-5-twist7", "5-29-psl"])
 def test_swap_commutes_with_generators_and_fibers_follow_the_covering(q1, q2, seed):
     cfg = TowerConfig(q1, q2, levels=2, twist_seed=seed)
-    twist = None if seed is None else twist_sequence(cfg, seed)
-    lower, upper = (build_level(cfg, n, twist) for n in (1, 2))
+    lower, upper = (build_level(cfg, n) for n in (1, 2))
     vmap = np.asarray(natural_covering(upper, lower).morphism.vertex_map)
     (swap1, fibers1), (swap2, fibers2) = swap_and_fibers(lower), swap_and_fibers(upper)
     for lvl, swap, fibers in ((lower, swap1, fibers1), (upper, swap2, fibers2)):
