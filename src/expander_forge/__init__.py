@@ -14,7 +14,6 @@ from .errors import (
     InvalidWordError,
     LiftFailureError,
     NoSquareRootError,
-    NotInvertibleError,
     SingularMatrixError,
     VerificationError,
     WordLengthError,
@@ -26,7 +25,6 @@ from .modarith import (
     legendre,
     sqrt_minus_one,
     sqrt_mod_prime,
-    unit_inverse,
 )
 from .multigraph import CoveringCheck, GraphMorphism, SerreGraph, girth, is_covering
 from .projgroup import Mat2, is_psl, proj_normalize, reduce_matrix

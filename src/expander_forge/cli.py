@@ -26,7 +26,9 @@ runs on the same digit kernel.  JSON reports carry
 full repr precision (solver-derived floats are quantized to 12 significant
 digits first so reruns and different BLAS thread counts stay byte-identical).
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 internal verification
-failure; an output path that cannot be written exits 3 before any work.
+failure; an output path that cannot be written exits 3 before any work,
+and a loaded graph whose spectrum or DOT text cannot fit in physical
+memory exits 2 before any work.
 Timing lines go to stderr, never into reports.
 """
 
@@ -54,13 +56,8 @@ from .errors import (
 from .modarith import PrimePower
 from .multigraph import SerreGraph, girth
 from .quat import split
-from .spectra import RESIDUAL_RTOL, SpectralReport, ramanujan_check
-from .tower import (
-    TowerConfig,
-    build_level,
-    build_tower,
-    probe_with_reseed,
-)
+from .spectra import RESIDUAL_RTOL, SpectralReport, ramanujan_check, solve_bytes
+from .tower import TowerConfig, _refuse, build_level, build_tower, probe_with_reseed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -278,10 +275,6 @@ def _edge_columns(raw: bytes, start: int):
             col[rows:rows + len(block)] = values
         rows += len(block)
     return [col[:rows] for col in cols]
-
-
-def parse_edgelist(text: str) -> SerreGraph:
-    return _edge_list_graph(*_edge_list(text.encode()))
 
 
 def _edge_list(raw: bytes):
@@ -555,6 +548,10 @@ def cmd_spectrum(args) -> int:
     g = load_graph(args.infile)
     if not g.num_edges:
         raise InvalidParameterError("graph has no edges")
+    nv = g.num_vertices
+    need = solve_bytes(nv, g.num_edges)
+    _refuse(f"the spectrum of {nv} vertices needs",
+            max(need, 8 * nv * nv) if args.method == "dense" else need)
     degrees = set(g.degrees())
     if len(degrees) != 1:
         raise InvalidParameterError(f"graph is not regular (degrees {sorted(degrees)})")
@@ -632,6 +629,10 @@ def cmd_export(args) -> int:
     if args.out:
         _refuse_unwritable(args.out)
     g = load_graph(args.infile)
+    if args.format == "dot":
+        # per vertex: its int64 id and its line, in the pieces and joined
+        _refuse(f"the DOT text of {g.num_vertices} vertices needs",
+                (8 + 2 * (len(str(g.num_vertices)) + 4)) * g.num_vertices)
     if args.format == "edgelist":
         data = format_edgelist(g)
     elif args.format == "json":

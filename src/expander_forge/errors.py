@@ -9,10 +9,6 @@ class NoSquareRootError(ArithmeticError):
     """Requested a modular square root of a non-residue."""
 
 
-class NotInvertibleError(ArithmeticError):
-    """Requested the inverse of a non-unit residue."""
-
-
 class LiftFailureError(ArithmeticError):
     """Hensel lift preconditions not met (r^2 != a mod p, or 2r not a unit)."""
 

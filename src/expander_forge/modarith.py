@@ -1,19 +1,14 @@
 """Exact modular arithmetic over odd prime powers.
 
-Quadratic residues, modular square roots, Hensel lifting and unit inverses:
-everything needed to realize sqrt(-1) in Z/p^k and to invert residues when
-normalizing projective matrices.  All functions are pure and thread-safe.
+Quadratic residues, modular square roots and Hensel lifting: everything
+needed to realize sqrt(-1) in Z/p^k.  All functions are pure and
+thread-safe.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (
-    InvalidParameterError,
-    LiftFailureError,
-    NoSquareRootError,
-    NotInvertibleError,
-)
+from .errors import InvalidParameterError, LiftFailureError, NoSquareRootError
 
 # Witness set making Miller-Rabin deterministic for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -131,13 +126,6 @@ def hensel_lift_sqrt(r: int, a: int, pp: PrimePower) -> int:
         m = min(m * m, pp.modulus)
         x = (x + a % m * pow(x, -1, m)) * pow(2, -1, m) % m
     return x
-
-
-def unit_inverse(a: int, pp: PrimePower) -> int:
-    """Inverse of the unit a mod p**k; raises NotInvertibleError for non-units."""
-    if a % pp.p == 0:
-        raise NotInvertibleError(f"{a} is not a unit mod {pp.p}**{pp.k}")
-    return pow(a, -1, pp.modulus)
 
 
 @lru_cache(maxsize=None)

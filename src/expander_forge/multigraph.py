@@ -126,15 +126,6 @@ class SerreGraph:
                 ((self.origin[eb] != t) | (self.terminus[eb] != o),
                  "involution does not reverse edge {e}")]
 
-    @classmethod
-    def from_geometric_edges(cls, num_vertices, geom_edges, labels=None):
-        """Build from undirected edges (u, v); loops u == v are allowed.
-        Geometric edge i gives directed edges 2i (u -> v) and 2i+1."""
-        ends = np.array(geom_edges, dtype=np.int64).reshape(-1, 2)
-        lab = [-1] * len(ends) if labels is None else labels
-        return cls(num_vertices, ends.ravel(), ends[:, ::-1].ravel(),
-                   np.arange(2 * len(ends)) ^ 1, [x for x in lab for _ in (0, 1)])
-
     @property
     def num_edges(self) -> int:
         """Number of directed edges (twice the geometric edge count)."""

@@ -8,6 +8,7 @@ canonical sqrt(-1), with det(split(q)) = norm(q).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .errors import InvalidParameterError, InvalidWordError, WordLengthError
@@ -65,6 +66,7 @@ class GeneratorSet:
     inverse_pairing: tuple
 
 
+@lru_cache(maxsize=None)
 def enumerate_generators(q1: int) -> GeneratorSet:
     """All solutions of x0^2+x1^2+x2^2+x3^2 = q1, x0 odd positive, x1,x2,x3 even.
 

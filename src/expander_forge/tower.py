@@ -27,15 +27,17 @@ sequence extends a shorter one), which rebases the cartan tower at the
 conjugated stabilizers g(n) A(n) g(n)^-1: the graphs are unchanged up to
 relabeling, but the intersection probe - which words lie in every level's
 base stabilizer - now asks whether g(n)^-1 M g(n) is projectively
-diagonal instead of M.  Level n and a probe to depth n read the same g(n)
-from the seed.  One meet-in-the-middle search for reduced closed
-walks at the base vertex answers both the probe (on the top level's pair
-codes) and the girth of a vertex-transitive cayley level.  The probe is the
+diagonal instead of M.  A seed is degenerate when its g(1) conjugates a
+generator matrix mod q2 to a diagonal one, and the next seed is drawn
+instead; the rule is decided at level 1 alone, so level n and a probe to
+any depth read the same g(n) from one seed.  One meet-in-the-middle
+search for reduced closed walks at the base vertex answers both the probe
+(on the top level's pair codes) and the girth of a vertex-transitive
+cayley level.  The probe is the
 finite-horizon certificate separating the bounded-girth tower (a common
 loop survives every level) from the twisted tower (no word survives).
 """
 
-import dataclasses
 import math
 import os
 import random
@@ -526,31 +528,54 @@ class TwistSequence:
     matrices: tuple
 
 
+def _fixes(s: Mat2, x: int, y: int) -> bool:
+    """Whether s fixes the point (x:y): s (x, y) is a multiple of (x, y)."""
+    sa, sb, sc, sd = s.entries()
+    return ((sa * x + sb * y) * y - (sc * x + sd * y) * x) % s.pp.modulus == 0
+
+
 def twist_sequence(cfg: TowerConfig, levels: Optional[int] = None) -> TwistSequence:
-    """g(1), ..., g(levels), by default cfg.levels of them, drawn from
-    cfg.twist_seed: g(1) uniform over L(1); g(n+1) a uniform lift of g(n)
-    among the q2^3 projective preimages.  The draws come in order from one
-    generator, so a longer sequence extends a shorter one.  Raises
-    InvalidParameterError for an unseeded config."""
+    """g(1), ..., g(levels), by default cfg.levels of them, drawn from the
+    first seed kept among cfg.twist_seed, cfg.twist_seed + 1, ...: g(1)
+    uniform over L(1); g(n+1) a uniform lift of g(n) among the q2^3
+    projective preimages.  A seed is skipped as degenerate when its g(1)
+    conjugates one of the q1+1 generator matrices mod q2 to a diagonal one;
+    the rule reads level 1 only, so every depth keeps the same seed (the
+    sequence's seed).  The draws come in order from one generator, so a
+    longer sequence extends a shorter one.  Raises InvalidParameterError for
+    an unseeded config and VerificationError after _RESEED_TRIES skips."""
     if cfg.twist_seed is None:
         raise InvalidParameterError("a twist sequence needs a config with a twist seed")
     n_levels = cfg.levels if levels is None else levels
-    rng = random.Random(cfg.twist_seed)
-    q = cfg.q2
+    if n_levels < 1:
+        raise InvalidParameterError(f"a twist sequence needs levels >= 1, got {n_levels}")
+    q, pp1 = cfg.q2, PrimePower(cfg.q2, 1)
     want_psl = cfg.mode == "PSL"
-    while True:
-        t = tuple(rng.randrange(q) for _ in range(4))
-        det = (t[0] * t[3] - t[1] * t[2]) % q
-        if det and (not want_psl or legendre(det, q) == 1):
+    smats = [split(g, pp1) for g in enumerate_generators(cfg.q1).gens]
+    for seed in range(cfg.twist_seed, cfg.twist_seed + _RESEED_TRIES):
+        rng = random.Random(seed)
+        while True:
+            t = tuple(rng.randrange(q) for _ in range(4))
+            det = (t[0] * t[3] - t[1] * t[2]) % q
+            if det and (not want_psl or legendre(det, q) == 1):
+                break
+        g1 = proj_normalize(Mat2(*t, pp1))
+        # g^-1 s g is diagonal exactly when s fixes both columns of g as points
+        a, b, c, d = g1.entries()
+        if not any(_fixes(s, a, c) and _fixes(s, b, d) for s in smats):
             break
-    mats = [proj_normalize(Mat2(*t, PrimePower(q, 1)))]
+    else:
+        raise VerificationError(
+            f"no non-degenerate twist seed found after {_RESEED_TRIES} tries from {cfg.twist_seed}"
+        )
+    mats = [g1]
     for n in range(2, n_levels + 1):
         lift = (x + q ** (n - 1) * rng.randrange(q) for x in mats[-1].entries())
         mats.append(proj_normalize(Mat2(*lift, PrimePower(q, n))))
     for n in range(2, n_levels + 1):
         if reduce_matrix(mats[n - 1], PrimePower(q, n - 1)) != mats[n - 2]:
             raise VerificationError("twist sequence is not reduction-compatible")
-    return TwistSequence(cfg.twist_seed, tuple(mats))
+    return TwistSequence(seed, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +612,12 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     order; words_tested counts all reduced words up to that length.
 
     Membership means the matrix mod q2^n (twisted: g(n)^-1 M g(n), with
-    g(1..N) drawn from cfg's twist seed at N = up_to_level, which may exceed
-    cfg.levels) is projectively diagonal.  It holds at every level exactly
-    when it holds at the top level N, that is for the words of the reduced
-    closed walks at level N's base vertex, which the walk search finds on
-    pair codes with no graph built.  Each hit is then confirmed from its exact quaternion at
+    g(1..N) the twist_sequence of cfg at N = up_to_level, which may exceed
+    cfg.levels and skips degenerate seeds, so no length-one word survives)
+    is projectively diagonal.  It holds at every level exactly when it holds
+    at the top level N, that is for the words of the reduced closed walks at
+    level N's base vertex, which the walk search finds on pair codes with no
+    graph built.  Each hit is then confirmed from its exact quaternion at
     every level, else VerificationError.  Survivors are finite evidence that
     the tower's fundamental-group intersection is nontrivial; an empty list
     certifies triviality up to this word-length horizon.  Twisted, that
@@ -646,21 +672,16 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
 
 def probe_with_reseed(cfg: TowerConfig, max_word_len: int = 4,
                       up_to_level: Optional[int] = None):
-    """Twisted probe that reseeds, trying seeds twist_seed, twist_seed + 1,
-    ..., while the conjugating sequence is degenerate (a single generator
-    stays diagonal under conjugation).  Returns (probe, twist,
-    reseeded_seeds), the twist drawn from the seed the probe used."""
+    """One intersection probe, returned with the twist it read and the
+    seeds skipped before it: (probe, twist, reseeds), with twist None and
+    reseeds () for an unseeded config.  The seeds twist_seed, twist_seed + 1,
+    ..., up to the one kept are those whose g(1) is degenerate (see
+    twist_sequence), so no twisted probe keeps a length-one word."""
+    probe = intersection_probe(cfg, max_word_len, up_to_level)
     if cfg.twist_seed is None:
-        return intersection_probe(cfg, max_word_len, up_to_level), None, ()
-    for seed in range(cfg.twist_seed, cfg.twist_seed + _RESEED_TRIES):
-        reseeded = dataclasses.replace(cfg, twist_seed=seed)
-        probe = intersection_probe(reseeded, max_word_len, up_to_level)
-        if not probe.has_length_one_survivor():
-            return (probe, twist_sequence(reseeded, probe.up_to_level),
-                    tuple(range(cfg.twist_seed, seed)))
-    raise VerificationError(
-        f"no non-degenerate twist seed found after {_RESEED_TRIES} tries from {cfg.twist_seed}"
-    )
+        return probe, None, ()
+    twist = twist_sequence(cfg, probe.up_to_level)
+    return probe, twist, tuple(range(cfg.twist_seed, twist.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -694,16 +715,14 @@ class TowerResult:
 
 def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     """Build levels 1..N with covering maps, verify girth / spectra / loop
-    witness per level, and run the intersection probe.  Twisted towers are
-    reseeded (and the skipped seeds recorded) if the drawn conjugator
-    degenerately keeps a torus generator diagonal, and the levels are built
-    from the seed the probe kept.  Raises
-    InvalidParameterError before any work if the levels and the largest
-    level's eigensolve cannot fit in physical memory."""
+    witness per level, and run the intersection probe.  The levels and the
+    probe of a twisted tower read one twist, drawn from the first seed whose
+    g(1) is not degenerate (see twist_sequence); the skipped seeds are
+    recorded.  Raises InvalidParameterError before any work if the levels
+    and the largest level's eigensolve cannot fit in physical memory."""
     _refuse_oversized(cfg, range(1, cfg.levels + 1), solve=True)
     probe, twist, reseeds = probe_with_reseed(cfg, probe_max_word_len)
-    built = cfg if twist is None else dataclasses.replace(cfg, twist_seed=twist.seed)
-    levels = tuple(build_level(built, n) for n in range(1, cfg.levels + 1))
+    levels = tuple(build_level(cfg, n) for n in range(1, cfg.levels + 1))
     coverings = tuple(
         natural_covering(levels[i + 1], levels[i]) for i in range(cfg.levels - 1)
     )

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from expander_forge.cli import _edge_list, _edge_list_graph
 from expander_forge.errors import InvalidMorphismError
 from expander_forge.multigraph import SerreGraph
 
@@ -11,24 +13,38 @@ settings.register_profile("default", deadline=None)
 settings.load_profile("default")
 
 
+def from_geometric_edges(num_vertices, geom_edges, labels=None) -> SerreGraph:
+    """The graph of undirected edges (u, v); loops u == v are allowed.
+    Geometric edge i gives directed edges 2i (u -> v) and 2i+1."""
+    ends = np.array(geom_edges, dtype=np.int64).reshape(-1, 2)
+    lab = [-1] * len(ends) if labels is None else labels
+    return SerreGraph(num_vertices, ends.ravel(), ends[:, ::-1].ravel(),
+                      np.arange(2 * len(ends)) ^ 1, [x for x in lab for _ in (0, 1)])
+
+
+def parse_edgelist(text: str) -> SerreGraph:
+    """The graph of an edge list's text, read by the library's byte reader."""
+    return _edge_list_graph(*_edge_list(text.encode()))
+
+
 def cycle_graph(n: int) -> SerreGraph:
-    return SerreGraph.from_geometric_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_geometric_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> SerreGraph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return SerreGraph.from_geometric_edges(n, edges)
+    return from_geometric_edges(n, edges)
 
 
 def path_graph(n: int) -> SerreGraph:
-    return SerreGraph.from_geometric_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_geometric_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def petersen_graph() -> SerreGraph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
-    return SerreGraph.from_geometric_edges(10, edges)
+    return from_geometric_edges(10, edges)
 
 
 def prism_graph(n: int) -> SerreGraph:
@@ -36,28 +52,28 @@ def prism_graph(n: int) -> SerreGraph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
-    return SerreGraph.from_geometric_edges(2 * n, edges)
+    return from_geometric_edges(2 * n, edges)
 
 
 def loop_graph() -> SerreGraph:
-    return SerreGraph.from_geometric_edges(1, [(0, 0)])
+    return from_geometric_edges(1, [(0, 0)])
 
 
 def wedge_two_loops() -> SerreGraph:
-    return SerreGraph.from_geometric_edges(1, [(0, 0), (0, 0)])
+    return from_geometric_edges(1, [(0, 0), (0, 0)])
 
 
 def parallel_pair() -> SerreGraph:
-    return SerreGraph.from_geometric_edges(2, [(0, 1), (0, 1)])
+    return from_geometric_edges(2, [(0, 1), (0, 1)])
 
 
 def theta_graph() -> SerreGraph:
-    return SerreGraph.from_geometric_edges(2, [(0, 1), (0, 1), (0, 1)])
+    return from_geometric_edges(2, [(0, 1), (0, 1), (0, 1)])
 
 
 def lollipop_graph() -> SerreGraph:
     """Path 0-1-2-3 with a loop at 3; shortest cycle is the loop."""
-    return SerreGraph.from_geometric_edges(4, [(0, 1), (1, 2), (2, 3), (3, 3)])
+    return from_geometric_edges(4, [(0, 1), (1, 2), (2, 3), (3, 3)])
 
 
 def binary_tree(depth: int) -> SerreGraph:
@@ -65,7 +81,7 @@ def binary_tree(depth: int) -> SerreGraph:
     n = 2 ** (depth + 1) - 1
     for v in range(1, n):
         edges.append(((v - 1) // 2, v))
-    return SerreGraph.from_geometric_edges(n, edges)
+    return from_geometric_edges(n, edges)
 
 
 def small_girth_fixtures():
@@ -102,7 +118,7 @@ def random_multigraphs(draw):
     n = draw(st.integers(1, 8))
     m = draw(st.integers(0, 10))
     edges = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(m)]
-    return SerreGraph.from_geometric_edges(n, edges)
+    return from_geometric_edges(n, edges)
 
 
 @pytest.fixture

@@ -8,14 +8,16 @@ tables by the original pure-Python BFS over tuple states, Serre-graph
 validation by the original per-edge loop, the morphism and covering checks
 by the original loops over edges and vertex links, connectivity and
 bipartiteness by the original depth-first and breadth-first traversals, the
-intersection
-probe by the original depth-first enumeration of every reduced word,
-edge-list I/O and DOT export by the original string formatting and
-per-line int() conversion, and the nontrivial spectral ends of graphs too large for a dense
-solve by the original undeflated ARPACK solve with removal by value.
+intersection probe by the original depth-first enumeration of every reduced
+word, the raw g(1) of a twist seed by its own draw, edge-list I/O and DOT
+export by the original string formatting and per-line int() conversion,
+unit inverses by Python's pow, and the nontrivial spectral ends of graphs
+too large for a dense solve by the original undeflated ARPACK solve with
+removal by value.
 """
 
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -29,6 +31,18 @@ from expander_forge.multigraph import CoveringCheck, SerreGraph
 from expander_forge.projgroup import Mat2, identity, proj_normalize
 from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
 from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult
+
+
+class NotInvertibleError(ArithmeticError):
+    """Requested the inverse of a non-unit residue."""
+
+
+def unit_inverse(a: int, pp: PrimePower) -> int:
+    """Inverse of the unit a mod p**k by Python's pow; raises
+    NotInvertibleError for non-units."""
+    if a % pp.p == 0:
+        raise NotInvertibleError(f"{a} is not a unit mod {pp.p}**{pp.k}")
+    return pow(a, -1, pp.modulus)
 
 
 def vertex_links(g: SerreGraph):
@@ -437,6 +451,20 @@ def link_is_covering(f) -> CoveringCheck:
         if image != sorted(tgt_links[vm[v]]):
             return CoveringCheck(False, v, "link map is not bijective")
     return CoveringCheck(True)
+
+
+def raw_twist_draw(q1: int, q2: int, seed: int) -> Mat2:
+    """The g(1) that a twist seed draws before any degeneracy check: four
+    uniform residues mod q2 from random.Random(seed), redrawn until the
+    determinant is a unit (a square when q1 is a square mod q2, the PSL
+    mode), projectively normalized."""
+    rng = random.Random(seed)
+    psl = pow(q1, (q2 - 1) // 2, q2) == 1
+    while True:
+        t = [rng.randrange(q2) for _ in range(4)]
+        det = (t[0] * t[3] - t[1] * t[2]) % q2
+        if det and (not psl or pow(det, (q2 - 1) // 2, q2) == 1):
+            return proj_normalize(Mat2(*t, PrimePower(q2, 1)))
 
 
 # ---------------------------------------------------------------------------

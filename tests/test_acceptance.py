@@ -26,7 +26,8 @@ from expander_forge.tower import (
     natural_covering,
     probe_with_reseed,
 )
-from oracles import bfs_transition_table, brute_force_pgl2_cartan_graph, link_is_covering
+from oracles import (bfs_transition_table, brute_force_pgl2_cartan_graph, link_is_covering,
+                     raw_twist_draw)
 
 pytestmark = pytest.mark.acceptance
 
@@ -153,7 +154,10 @@ def test_criterion_7_intersection_dichotomy():
     probe, twist, reseeds = probe_with_reseed(twisted_cfg, max_word_len=4, up_to_level=3)
     assert not probe.has_length_one_survivor()
     assert probe.survivor_letters() == TWISTED_SURVIVORS_5_13_SEED42_LEN4
-    assert reseeds == ()
+    # seed 42 is kept: its raw g(1) conjugates no generator to a diagonal matrix
+    assert reseeds == () and twist.seed == 42
+    assert twist.matrices[0] == raw_twist_draw(5, 13, 42)
+    assert probe == intersection_probe(twisted_cfg, 4, 3)
     _passed(7, "probe: gamma survives untwisted, eliminated under twist seed 42", t0, 60.0)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cycle_graph, from_geometric_edges, parse_edgelist
 from expander_forge import cli
 from expander_forge.cli import (
     EXIT_IO,
@@ -18,9 +19,7 @@ from expander_forge.cli import (
     graph_to_json,
     load_graph,
     main,
-    parse_edgelist,
 )
-from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
 
 
@@ -264,6 +263,30 @@ def test_build_and_tower_export_the_same_twisted_level(tmp_path, capsys):
     assert text != plain.read_bytes()
 
 
+def test_degenerate_seed_gives_every_command_the_same_level(tmp_path, capsys):
+    # (5,13) seed 17 is degenerate at level 1, so build, tower at any depth
+    # and probe at any depth all read seed 18's twist
+    args = ["--q1", "5", "--q2", "13", "--twist-seed", "17"]
+    built, kept = tmp_path / "built.edges", tmp_path / "kept.edges"
+    assert main(["build", *args, "--level", "1", "--out", str(built)]) == EXIT_OK
+    assert main(["build", *args[:4], "--twist-seed", "18", "--level", "1",
+                 "--out", str(kept)]) == EXIT_OK
+    text = built.read_bytes()
+    assert text == kept.read_bytes()
+    for levels in ("1", "2"):
+        report_path, export_dir = tmp_path / f"tower{levels}.json", tmp_path / f"tower{levels}"
+        assert main(["tower", *args, "--levels", levels, "--report", str(report_path),
+                     "--export-dir", str(export_dir)]) == EXIT_OK
+        report = json.loads(report_path.read_text())
+        assert report["config"]["twist_seed"] == 17
+        assert report["config"]["twist_seed_used"] == 18 and report["reseeds"] == [17]
+        assert (export_dir / "level1.edges").read_bytes() == text
+    for level in ("1", "2"):
+        capsys.readouterr()
+        assert main(["probe", *args, "--level", level, "--max-word-len", "2"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("# reseeded: twist seed 17 was degenerate\n")
+
+
 def test_usage_error_exit_code():
     assert main(["build", "--q1", "5"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -387,7 +410,7 @@ def test_spectrum_refuses_graph_outside_the_claim(tmp_path, name, edges, message
     # The files are well formed, so export accepts them; spectrum refuses
     # them with one error line.  An edgeless file's name gives its V.
     nv = max(max(e) for e in edges) + 1 if edges else int(name.removeprefix("V="))
-    g = SerreGraph.from_geometric_edges(nv, edges)
+    g = from_geometric_edges(nv, edges)
     g.meta.update(q1=0, q2=0, n=0, variant="fixture", mode="NA", V=g.num_vertices)
     path = tmp_path / f"{name}.edges"
     path.write_text(format_edgelist(g))
@@ -417,6 +440,38 @@ def test_build_refuses_level_beyond_physical_memory(tmp_path):
     )
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "physical memory" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum"], ["export", "--format", "dot"], ["spectrum", "--method", "dense"],
+], ids=["spectrum", "export_dot", "spectrum_dense"])
+def test_loaded_graph_beyond_physical_memory_is_refused(command, tmp_path):
+    # A header of 10**12 vertices over one edge pair, and for the dense solve
+    # a cycle of 40,000 vertices, whose 12.8 GB matrix exceeds the machine's
+    # memory.  The child's address space is capped, so a missing check fails
+    # on allocation instead of exhausting the machine's memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    path = tmp_path / "graph.edges"
+    if command[-1] == "dense":
+        g = cycle_graph(40_000)
+        g.meta.update(q1=1, q2=0, n=0, variant="cycle", mode="NA", V=g.num_vertices)
+        path.write_text(format_edgelist(g))
+    else:
+        path.write_text("# expander-forge v1 q1=5 q2=13 n=1 variant=cartan mode=PGL "
+                        "V=1000000000000\n0 1 0 1\n1 0 0 0\n")
+    out = tmp_path / "out"
+    flag = "--report" if command[0] == "spectrum" else "--out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_forge", *command, "--in", str(path), flag, str(out)],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "physical memory" in proc.stderr and not proc.stdout
     assert not out.exists()
 
 

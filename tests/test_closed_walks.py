@@ -106,15 +106,22 @@ def test_probe_confirms_each_hit(monkeypatch):
 
 
 def test_probe_rejects_depth_below_one():
+    # seed 17 is degenerate at (5,13): the depth is refused before any seed
+    # is drawn, and a twist sequence has no depth below one either
     cfg = TowerConfig(5, 13, levels=2)
-    twisted = TowerConfig(5, 13, levels=2, twist_seed=42)
     for depth in (0, -1):
         with pytest.raises(InvalidParameterError, match="up_to_level"):
             intersection_probe(cfg, 2, up_to_level=depth)
         with pytest.raises(InvalidParameterError, match="up_to_level"):
             probe_with_reseed(cfg, 2, up_to_level=depth)
-        with pytest.raises(InvalidParameterError, match="up_to_level"):
-            probe_with_reseed(twisted, 2, up_to_level=depth)
+        for seed in (42, 17):
+            twisted = TowerConfig(5, 13, levels=2, twist_seed=seed)
+            with pytest.raises(InvalidParameterError, match="up_to_level"):
+                intersection_probe(twisted, 2, up_to_level=depth)
+            with pytest.raises(InvalidParameterError, match="up_to_level"):
+                probe_with_reseed(twisted, 2, up_to_level=depth)
+            with pytest.raises(InvalidParameterError, match="levels >= 1"):
+                twist_sequence(twisted, depth)
 
 
 @pytest.mark.parametrize("extra,digest", [

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_multigraphs
+from conftest import from_geometric_edges, parse_edgelist, random_multigraphs
 from expander_forge import cli
-from expander_forge.cli import format_edgelist, parse_edgelist
+from expander_forge.cli import format_edgelist
 from expander_forge.errors import InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
@@ -77,7 +77,7 @@ def test_digit_boundaries():
     labels = [-1, 2**63 - 1, -(2**63), 0, 9, 10, 99, 100, 999, 1000,
               10**18 - 1, 10**18, -9, -10]
     geom_labels = [labels[i % len(labels)] for i in range(len(edges))]
-    g = _with_meta(SerreGraph.from_geometric_edges(10**6, edges, geom_labels))
+    g = _with_meta(from_geometric_edges(10**6, edges, geom_labels))
     _assert_matches_oracles(g)
     tokens = set(format_edgelist(g).split()[9:])  # after the header
     assert {str(v) for v in labels} <= tokens

@@ -6,7 +6,6 @@ from expander_forge.errors import (
     InvalidParameterError,
     LiftFailureError,
     NoSquareRootError,
-    NotInvertibleError,
 )
 from expander_forge.modarith import (
     PrimePower,
@@ -15,8 +14,8 @@ from expander_forge.modarith import (
     legendre,
     sqrt_minus_one,
     sqrt_mod_prime,
-    unit_inverse,
 )
+from oracles import NotInvertibleError, unit_inverse
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 29, 97, 101, 997]
 

@@ -12,6 +12,7 @@ from conftest import (
     complete_graph,
     covering_verdict,
     cycle_graph,
+    from_geometric_edges,
     loop_graph,
     lollipop_graph,
     parallel_pair,
@@ -44,7 +45,7 @@ from oracles import (
 def test_link_sizes():
     g = loop_graph()
     assert len(vertex_links(g)[0]) == 2  # both directions of the loop originate at 0
-    iso = SerreGraph.from_geometric_edges(2, [(1, 1)])
+    iso = from_geometric_edges(2, [(1, 1)])
     assert g.degrees() == [2]
     assert vertex_links(iso)[0] == [] and iso.degrees() == [0, 2]
     k4 = complete_graph(4)
@@ -101,7 +102,7 @@ def test_girth_examples():
     assert girth(petersen_graph()) == 5
     assert girth(path_graph(5)) == math.inf
     assert girth(SerreGraph(0, [], [], [])) == math.inf
-    assert girth(SerreGraph.from_geometric_edges(6, [(0, 1), (1, 2), (3, 4)])) == math.inf
+    assert girth(from_geometric_edges(6, [(0, 1), (1, 2), (3, 4)])) == math.inf
 
 
 def test_girth_matches_brute_force_on_fixtures():
@@ -125,7 +126,7 @@ def test_connected_and_degrees():
     c6 = cycle_graph(6)
     assert c6.connected()
     assert c6.degrees() == [2] * 6
-    disjoint = SerreGraph.from_geometric_edges(4, [(0, 1), (2, 3)])
+    disjoint = from_geometric_edges(4, [(0, 1), (2, 3)])
     assert not disjoint.connected()
 
 
@@ -136,7 +137,7 @@ COMPONENT_FIXTURES = [
     ("c5", cycle_graph(5), True, False),
     ("c6", cycle_graph(6), True, True),
     ("path5", path_graph(5), True, True),
-    ("two triangles", SerreGraph.from_geometric_edges(
+    ("two triangles", from_geometric_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), False, False),
     ("loop", loop_graph(), True, False),
     ("parallel pair", parallel_pair(), True, True),
@@ -183,7 +184,7 @@ def test_covering_fails_on_path_collapse():
 
 def test_covering_fails_on_non_surjective():
     c3 = cycle_graph(3)
-    disjoint = SerreGraph.from_geometric_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    disjoint = from_geometric_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     vmap = (0, 1, 2)
     emap = tuple(range(6))
     check = is_covering(GraphMorphism(c3, disjoint, vmap, emap))
@@ -217,7 +218,7 @@ def _identity(g):
     return GraphMorphism(g, g, tuple(range(g.num_vertices)), tuple(range(g.num_edges)))
 
 
-_C3_WITH_ISOLATED = SerreGraph.from_geometric_edges(4, [(0, 1), (1, 2), (2, 0)])
+_C3_WITH_ISOLATED = from_geometric_edges(4, [(0, 1), (1, 2), (2, 0)])
 
 # (name, morphism, verdict of the link-by-link check)
 COVERING_PARITY = [
@@ -226,7 +227,7 @@ COVERING_PARITY = [
     ("identity loop", _identity(loop_graph()), (True, -1, "")),
     ("path collapse", GraphMorphism(path_graph(3), path_graph(2), (0, 1, 0), (0, 1, 1, 0)),
      (False, 1, "link map is not bijective")),
-    ("non-surjective", GraphMorphism(cycle_graph(3), SerreGraph.from_geometric_edges(
+    ("non-surjective", GraphMorphism(cycle_graph(3), from_geometric_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), (0, 1, 2), tuple(range(6))),
      (False, 3, "vertex map is not surjective")),
     ("parallel pair folded", GraphMorphism(parallel_pair(), parallel_pair(), (0, 1), (0, 1, 0, 1)),
@@ -284,7 +285,7 @@ def morphisms(draw):
             u, v = ends[i]
             edges.append((perm[v], perm[u]) if flip[j] else (perm[u], perm[v]))
             em[2 * i], em[2 * i + 1] = 2 * j + flip[j], 2 * j + 1 - flip[j]
-        f = GraphMorphism(g, SerreGraph.from_geometric_edges(n, edges), tuple(perm), tuple(em))
+        f = GraphMorphism(g, from_geometric_edges(n, edges), tuple(perm), tuple(em))
     else:
         # sheet a of vertex v is v + a*n; a twisted edge crosses sheets
         twist = [draw(st.booleans()) for _ in range(m)]
@@ -293,7 +294,7 @@ def morphisms(draw):
             for a in (0, 1):
                 edges.append((u + a * n, v + (a ^ twist[i]) * n))
                 em += [2 * i, 2 * i + 1]
-        lift = SerreGraph.from_geometric_edges(2 * n, edges)
+        lift = from_geometric_edges(2 * n, edges)
         f = GraphMorphism(lift, g, tuple(v % n for v in range(2 * n)), tuple(em))
     vm, em = list(f.vertex_map), list(f.edge_map)
     src, tgt = f.source, f.target
@@ -417,7 +418,7 @@ def simple_graphs(draw):
     n = draw(st.integers(0, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return SerreGraph.from_geometric_edges(n, draw(st.permutations(chosen)))
+    return from_geometric_edges(n, draw(st.permutations(chosen)))
 
 
 @pytest.mark.properties

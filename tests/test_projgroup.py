@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expander_forge.errors import InvalidParameterError, SingularMatrixError
-from expander_forge.modarith import PrimePower, unit_inverse
+from expander_forge.modarith import PrimePower
 from expander_forge.projgroup import (
     Mat2,
     act_on_points,
@@ -24,6 +24,7 @@ from expander_forge.projgroup import (
     unit_inverses,
 )
 from expander_forge.quat import Quaternion, enumerate_generators, split
+from oracles import unit_inverse
 
 PP13 = PrimePower(13, 1)
 

@@ -18,9 +18,12 @@ ROOT = Path(__file__).resolve().parent.parent
     ("run_tower_experiment.py", ["--q1", "5", "--q2", "13", "--levels", "1"], "  1       182 "),
     ("run_tower_experiment.py", ["--q1", "5", "--q2", "13", "--levels", "1", "--twist-seed", "42"],
      "probe (len <= 4, twisted): 6 survivor(s)"),
+    ("run_tower_experiment.py", ["--q1", "5", "--q2", "13", "--levels", "2", "--twist-seed", "17"],
+     "degenerate twist seeds skipped: [17]"),
     ("spectrum_histogram.py", ["--q1", "5", "--q2", "13", "--level", "1", "--bins", "8"],
      ": 182 vertices"),
-], ids=["run_tower_experiment", "run_tower_experiment_twisted", "spectrum_histogram"])
+], ids=["run_tower_experiment", "run_tower_experiment_twisted", "run_tower_experiment_reseeded",
+        "spectrum_histogram"])
 def test_script_runs(script, args, expect):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -41,3 +44,21 @@ def test_benchmark_traced_names_resolve():
     for module, function in traced:
         fn = getattr(importlib.import_module(f"expander_forge.{module}"), function, None)
         assert inspect.isfunction(fn), f"{module}.{function}"
+
+
+def test_traced_probe_is_one_probe_returning_a_triple(monkeypatch):
+    # perfbench/worker.py counts the words of each intersection_probe call
+    # and reads result[0].survivors from probe_with_reseed; a degenerate seed
+    # (17 at (5,13)) costs no second probe
+    from expander_forge import tower
+
+    calls = []
+    probe = tower.intersection_probe
+    monkeypatch.setattr(tower, "intersection_probe",
+                        lambda *args, **kwargs: calls.append(args) or probe(*args, **kwargs))
+    for seed, reseeds in ((42, ()), (17, (17,))):
+        calls.clear()
+        result = tower.probe_with_reseed(tower.TowerConfig(5, 13, levels=2, twist_seed=seed), 4)
+        assert type(result) is tuple and len(result) == 3
+        assert isinstance(result[0].survivors, tuple) and result[2] == reseeds
+        assert len(calls) == 1

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     complete_graph,
     cycle_graph,
+    from_geometric_edges,
     loop_graph,
     path_graph,
     petersen_graph,
@@ -131,7 +132,7 @@ def test_ramanujan_check_counts_components_once(monkeypatch, make, q, copies):
 def test_ramanujan_check_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
         ramanujan_check(path_graph(3), 1)  # not regular
-    disjoint = SerreGraph.from_geometric_edges(
+    disjoint = from_geometric_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
     with pytest.raises(InvalidParameterError):
@@ -215,9 +216,9 @@ def test_trivial_eigenvalue_guard(monkeypatch):
 DEGENERATE = [
     ("loop", loop_graph, 1,
      (2.0, 1, 2.0, 0.0, False, 2.0, True, "dense", 0.0, 0, 0), None),
-    ("triple-edge", lambda: SerreGraph.from_geometric_edges(2, [(0, 1)] * 3), 2,
+    ("triple-edge", lambda: from_geometric_edges(2, [(0, 1)] * 3), 2,
      (3.0, 1, -3.0, 0.0, True, 2 * math.sqrt(2), True, "dense", 0.0, 0, 0), None),
-    ("looped-pair", lambda: SerreGraph.from_geometric_edges(2, [(0, 0), (1, 1), (0, 1)]), 2,
+    ("looped-pair", lambda: from_geometric_edges(2, [(0, 0), (1, 1), (0, 1)]), 2,
      (3.0, 1, 1.0, 1.0, False, 2 * math.sqrt(2), True, "dense", 0.0, 0, 0),
      (3.0, 1, 1.0, 1.0, False, 2 * math.sqrt(2), True, "iterative", None, 1, 4)),
 ]
@@ -251,7 +252,7 @@ def test_degenerate_verdicts(make, q, dense, iterative):
 
 
 def test_solver_parameter_errors():
-    k2 = SerreGraph.from_geometric_edges(2, [(0, 1)])
+    k2 = from_geometric_edges(2, [(0, 1)])
     with pytest.raises(InvalidParameterError):
         # no nontrivial spectrum
         nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1, threading.Event())

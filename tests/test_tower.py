@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from expander_forge import spectra, tower
-from expander_forge.errors import InvalidParameterError, WordLengthError
+from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
 from expander_forge.modarith import PrimePower
 from expander_forge.multigraph import girth
 from expander_forge.projgroup import is_psl, reduce_matrix
 from expander_forge.quat import Quaternion
 from expander_forge.tower import (
     TowerConfig,
+    TwistSequence,
     build_level,
     build_tower,
     expected_vertices,
@@ -29,9 +30,29 @@ from oracles import (
     bfs_transition_table,
     brute_force_pgl2_cartan_graph,
     cayley_girth_by_relator,
+    raw_twist_draw,
     traversal_bipartite,
     traversal_connected,
+    word_enumeration_probe,
 )
+
+# The twist seeds in 0..299 whose raw g(1) conjugates a generator matrix mod
+# q2 to a diagonal one; the same sets as the seeds whose probe to depth 1
+# keeps a length-one word when drawn without the rule.
+RESEEDED_0_299 = {
+    (5, 13): (17, 21, 27, 36, 117, 143, 192, 213, 240, 257, 298),
+    (13, 5): (3, 5, 8, 19, 23, 31, 35, 36, 41, 45, 49, 58, 60, 63, 69, 79, 84, 86, 88, 95,
+              99, 100, 111, 123, 140, 142, 143, 147, 150, 153, 154, 158, 159, 165, 166, 172,
+              173, 180, 181, 182, 189, 198, 199, 201, 206, 213, 215, 217, 220, 224, 225, 228,
+              238, 240, 249, 250, 255, 265, 266, 277, 281, 284, 288, 290),
+}
+
+
+def _raw_degenerate(q1, q2, seed) -> bool:
+    """Whether seed's raw g(1) keeps a length-one word in the oracle probe
+    to depth 1."""
+    raw = TwistSequence(seed, (raw_twist_draw(q1, q2, seed),))
+    return bool(word_enumeration_probe(TowerConfig(q1, q2), 1, 1, twist=raw).survivors)
 
 
 def test_config_validation():
@@ -192,6 +213,49 @@ def test_twist_sequence_needs_a_seed():
         twist_sequence(TowerConfig(5, 13, levels=2))
 
 
+@pytest.mark.parametrize("q1,q2", [(5, 13), (13, 5)])
+def test_one_seed_draws_one_twist_at_every_depth(q1, q2, monkeypatch):
+    # build_level and the probe stop at _transitions, which is handed the
+    # base matrix g(n) each of them read; no level or walk is built
+    class Drawn(Exception):
+        pass
+
+    def record(variant, pp, smats, pairing, base_matrix):
+        seen.append(base_matrix)
+        raise Drawn
+
+    seen = []
+    monkeypatch.setattr(tower, "_transitions", record)
+    degenerate = [s for s in range(300 + tower._RESEED_TRIES) if _raw_degenerate(q1, q2, s)]
+    assert tuple(s for s in degenerate if s < 300) == RESEEDED_0_299[q1, q2]
+    for seed in range(300):
+        kept = next(s for s in range(seed, seed + tower._RESEED_TRIES) if s not in degenerate)
+        shorter = ()
+        for depth in (1, 2, 3):
+            cfg = TowerConfig(q1, q2, levels=depth, twist_seed=seed)
+            twist = twist_sequence(cfg)
+            assert twist.seed == kept and twist.matrices[0] == raw_twist_draw(q1, q2, kept)
+            assert twist.matrices[:depth - 1] == shorter
+            shorter = twist.matrices
+            for n in range(1, depth + 1):
+                with pytest.raises(Drawn):
+                    build_level(cfg, n)
+                assert seen.pop() == twist.matrices[n - 1]
+            with pytest.raises(Drawn):
+                intersection_probe(cfg, 1)
+            assert seen.pop() == twist.matrices[-1]
+
+
+def test_twist_sequence_gives_up_after_the_reseed_tries(monkeypatch):
+    cfg = TowerConfig(5, 13, levels=2, twist_seed=17)
+    assert twist_sequence(cfg).seed == 18
+    monkeypatch.setattr(tower, "_RESEED_TRIES", 1)
+    with pytest.raises(VerificationError, match="after 1 tries from 17"):
+        twist_sequence(cfg)
+    with pytest.raises(InvalidParameterError, match="levels >= 1"):
+        twist_sequence(cfg, 0)
+
+
 def test_twist_sequence_psl_mode():
     cfg = TowerConfig(5, 29, levels=2, twist_seed=11)
     tw = twist_sequence(cfg)
@@ -301,12 +365,16 @@ def test_probe_twisted_eliminates_gamma():
 
 
 def test_seeded_probe_is_twisted_and_matches_the_reseeding_probe():
-    cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
-    probe = intersection_probe(cfg, 4)
-    assert probe.twisted and probe.up_to_level == 3
-    assert probe_with_reseed(cfg, 4) == (probe, twist_sequence(cfg), ())
-    plain = intersection_probe(dataclasses.replace(cfg, twist_seed=None), 4)
-    assert not plain.twisted and plain.has_length_one_survivor()
+    # seed 17 is degenerate, so the seeded probe itself reads seed 18's twist
+    for seed, kept in ((42, 42), (17, 18)):
+        cfg = TowerConfig(5, 13, levels=3, twist_seed=seed)
+        probe = intersection_probe(cfg, 4)
+        assert probe.twisted and probe.up_to_level == 3
+        assert not probe.has_length_one_survivor()
+        assert probe_with_reseed(cfg, 4) == (probe, twist_sequence(cfg), tuple(range(seed, kept)))
+        assert probe == intersection_probe(dataclasses.replace(cfg, twist_seed=kept), 4)
+        plain = intersection_probe(dataclasses.replace(cfg, twist_seed=None), 4)
+        assert not plain.twisted and plain.has_length_one_survivor()
 
 
 def test_probe_deeper_than_the_config_draws_the_same_twist():
@@ -318,19 +386,20 @@ def test_probe_deeper_than_the_config_draws_the_same_twist():
 
 
 def test_degenerate_seed_is_reseeded_and_the_tower_built_from_the_next():
-    # at seed 17, g(1) conjugates a generator of (5,13) to a diagonal matrix
+    # at seed 17, the raw g(1) conjugates a generator of (5,13) to a diagonal
+    # matrix, and seed 18's does not
+    assert _raw_degenerate(5, 13, 17) and not _raw_degenerate(5, 13, 18)
     cfg = TowerConfig(5, 13, levels=1, twist_seed=17)
-    assert intersection_probe(cfg, 1).has_length_one_survivor()
     reseeded = dataclasses.replace(cfg, twist_seed=18)
     probe, twist, reseeds = probe_with_reseed(cfg, 1)
     assert reseeds == (17,)
-    assert twist == twist_sequence(reseeded)
-    assert probe == intersection_probe(reseeded, 1)
+    assert twist == twist_sequence(cfg) == twist_sequence(reseeded)
+    assert probe == intersection_probe(cfg, 1) == intersection_probe(reseeded, 1)
     result = build_tower(cfg, probe_max_word_len=1)
     assert result.reseeds == (17,) and result.twist.seed == 18
     assert result.config == cfg
     (lvl,) = result.levels
-    assert lvl.config == reseeded
+    assert lvl.config == cfg
     assert np.array_equal(lvl.codes, build_level(reseeded, 1).codes)
 
 
