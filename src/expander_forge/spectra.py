@@ -6,24 +6,25 @@ convention under which a (q+1)-regular graph has trivial eigenvalue q+1
 (and -(q+1) exactly when bipartite).  ramanujan_check has one verdict path.
 Up to DENSE_THRESHOLD vertices a dense solve takes the whole spectrum, and
 its two trivial ends are checked and dropped.  Above it, a plain three-term
-Lanczos recurrence runs on each block: A itself or, given a swap (a
-fixed-point-free involution of the vertices that is an automorphism,
-checked before any solve), its two halves, A on the swap-even and on the
-swap-odd vectors.  They are half-size symmetric matrices on one
-representative per orbit whose spectra together are A's (the standard
-symmetry-adapted reduction), rows ordered by a locality key.  A block is
-solved on the complement of its trivial eigenvectors: the all-ones vector
-and, when bipartite, the +-1 colouring, each in the block of its swap
-parity and checked to satisfy A x = lambda x exactly.  No basis is stored;
-a second pass replays the recurrence to form the two extreme Ritz vectors,
-whose residuals must lie within RESIDUAL_RTOL * ||A||, so a non-converged
-solve never masquerades as a verdict.  A step allocates nothing: three
-vectors rotate, and the CSR kernel that a @ v runs adds A v into a buffer
-prefilled with -beta v_prev.  The inner products are einsum reductions, not
-BLAS calls, so the Ritz values are the same at any BLAS thread count and no
-BLAS thread is woken.  A second block runs on one worker thread while the
-first runs on the caller's; the kernels release the GIL, which is what lets
-two threads pay, and the merged result is the sequential one.
+Lanczos recurrence runs on each block: A itself or, given the orbits of a
+swap (an involution of the vertices with no fixed point that is an
+automorphism, checked before any solve), its two halves, A on the
+swap-even and on the swap-odd vectors.  They are half-size symmetric
+matrices with one row per orbit, in the order the orbits are given, whose
+spectra together are A's (the standard symmetry-adapted reduction).  A
+block is solved on the complement of its trivial eigenvectors: the
+all-ones vector and, when bipartite, the +-1 colouring, each in the block
+of its swap parity and checked to satisfy A x = lambda x exactly.  No
+basis is stored; a second pass replays the recurrence to form the two
+extreme Ritz vectors, whose residuals must lie within RESIDUAL_RTOL *
+||A||, so a non-converged solve never masquerades as a verdict.  A step
+allocates nothing: three vectors rotate, and the CSR kernel that a @ v
+runs adds A v into a buffer prefilled with -beta v_prev.  The inner
+products are einsum reductions, not BLAS calls, so the Ritz values are
+the same at any BLAS thread count and no BLAS thread is woken.  A second
+block runs on one worker thread while the first runs on the caller's; the
+kernels release the GIL, which is what lets two threads pay, and the
+merged result is the sequential one.
 
 Both methods share one tail.  A nontrivial end within the residual bound of
 +-(q+1) raises, and q+1 (simple by Perron-Frobenius, the graph being
@@ -62,10 +63,7 @@ _SOLVE_VECTORS = 16
 def adjacency(g: SerreGraph) -> sp.csr_matrix:
     """Symmetric nonnegative integer matrix; A[u, v] = #directed edges u -> v."""
     data = np.ones(g.num_edges, dtype=np.float64)
-    a = sp.coo_matrix(
-        (data, (np.array(g.origin), np.array(g.terminus))),
-        shape=(g.num_vertices, g.num_vertices),
-    )
+    a = sp.coo_matrix((data, (g.origin, g.terminus)), shape=(g.num_vertices, g.num_vertices))
     return a.tocsr()
 
 
@@ -262,46 +260,44 @@ def _sorted_pairs(n: int, u, v) -> np.ndarray:
     return codes
 
 
-def _checked_swap(g: SerreGraph, swap) -> np.ndarray:
-    """swap as an id array, after checking on the graph's edge arrays that
-    it is a fixed-point-free involution of the vertices mapping the edges
-    onto the edges with multiplicity; else InvalidParameterError."""
+def _checked_orbits(g: SerreGraph, orbits) -> np.ndarray:
+    """orbits as an (h, 2) id array, after checking on the graph's edge
+    arrays that its rows hold every vertex exactly once and that the swap
+    exchanging each row's two vertices maps the edges onto the edges with
+    multiplicity; else InvalidParameterError."""
     n = g.num_vertices
-    s = np.asarray(swap)
-    if s.shape != (n,) or s.dtype.kind not in "iu":
-        raise InvalidParameterError(f"swap must be an integer array of {n} vertex ids")
-    if n and (s.min() < 0 or s.max() >= n):
-        raise InvalidParameterError("swap maps a vertex out of range")
-    s = s.astype(index_dtype(n), copy=False)
-    ids = np.arange(n, dtype=s.dtype)
-    for bad, what in ((s == ids, "fixes"), (s[s] != ids, "is not an involution at")):
-        hits = np.flatnonzero(bad)
-        if len(hits):
-            raise InvalidParameterError(f"swap {what} vertex {hits[0]}")
+    o = np.asarray(orbits)
+    if o.ndim != 2 or o.shape[1] != 2 or o.dtype.kind not in "iu":
+        raise InvalidParameterError("orbits must be an integer array of (representative, "
+                                    "partner) rows")
+    if o.size and (o.min() < 0 or o.max() >= n):
+        raise InvalidParameterError(f"orbits name a vertex out of range [0, {n})")
+    o = o.astype(index_dtype(n), copy=False)
+    hits = np.flatnonzero(np.bincount(o.ravel(), minlength=n) != 1)
+    if len(hits):
+        v = hits[0]
+        raise InvalidParameterError(
+            f"orbits hold vertex {v} {np.count_nonzero(o == v)} times, not once")
+    swap = np.empty(n, dtype=o.dtype)
+    swap[o[:, 0]], swap[o[:, 1]] = o[:, 1], o[:, 0]
     if not np.array_equal(_sorted_pairs(n, g.origin, g.terminus),
-                          _sorted_pairs(n, s[g.origin], s[g.terminus])):
-        raise InvalidParameterError("swap is not an automorphism: it does not map the "
-                                    "edges onto the edges with multiplicity")
-    return s
+                          _sorted_pairs(n, swap[g.origin], swap[g.terminus])):
+        raise InvalidParameterError("orbits are not those of an automorphism: their swap "
+                                    "does not map the edges onto the edges with multiplicity")
+    return o
 
 
-def _swap_halves(g: SerreGraph, swap, locality):
-    """(reps, even, odd): the adjacency on the swap-even and the swap-odd
-    vectors, as half-size matrices on the representatives reps, the lesser
-    vertex of each orbit {v, swap[v]}, in order of locality (ties by id).
-    Even entry (i, j) counts the edges from reps[i] to reps[j] or its swap;
-    the odd entry counts those to reps[j] less those to its swap.  Each is
-    A in the orthonormal basis (e_r +- e_swap(r)) / sqrt(2), which is
-    symmetric because swap is an automorphism; swap must be checked."""
-    n = g.num_vertices
-    key = np.asarray(locality)
-    if key.shape != (n,):
-        raise InvalidParameterError(f"locality must give one key to each of {n} vertices")
-    reps = np.flatnonzero(np.arange(n) < swap)
-    reps = reps[np.argsort(key[reps], kind="stable")]
-    h = len(reps)
-    row = np.empty(n, dtype=swap.dtype)
-    row[reps] = row[swap[reps]] = np.arange(h, dtype=swap.dtype)
+def _swap_halves(g: SerreGraph, orbits):
+    """(even, odd): the adjacency on the swap-even and the swap-odd vectors,
+    as half-size matrices whose row i is the checked orbit (r, s) =
+    orbits[i].  Even entry (i, j) counts the edges from r_i to r_j or s_j;
+    the odd entry counts those to r_j less those to s_j.  Each is A in the
+    orthonormal basis (e_r +- e_s) / sqrt(2), which is symmetric because
+    the swap is an automorphism."""
+    reps, partners = orbits.T
+    n, h = g.num_vertices, len(orbits)
+    row = np.empty(n, dtype=orbits.dtype)
+    row[reps] = row[partners] = np.arange(h, dtype=orbits.dtype)
     sign = np.full(n, -1.0)
     sign[reps] = 1.0
     out = sign[g.origin] > 0  # the edges leaving a representative
@@ -310,26 +306,26 @@ def _swap_halves(g: SerreGraph, swap, locality):
     even = sp.csr_matrix((np.ones(len(j)), (i, j)), shape=(h, h))
     odd = sp.csr_matrix((sign[t], (i, j)), shape=(h, h))
     odd.eliminate_zeros()
-    return reps, even, odd
+    return even, odd
 
 
-def _blocks(g: SerreGraph, q: int, sides, swap, locality) -> list:
+def _blocks(g: SerreGraph, q: int, sides, orbits) -> list:
     """The iterative solve's blocks, each (matrix, [(eigenvalue, +-1 vector)]):
-    A alone, or given a swap its halves (_swap_halves).  The trivial vectors,
-    all ones for q+1 and the colouring sides for -(q+1), go to the half of
-    their swap parity (an automorphism keeps or exchanges the sides of a
-    connected graph), restricted to its rows."""
+    A alone, or given checked orbits its swap halves (_swap_halves).  The
+    trivial vectors, all ones for q+1 and the colouring sides for -(q+1), go
+    to the half of their swap parity (an automorphism keeps or exchanges
+    the sides of a connected graph), restricted to the representatives."""
     # the halves first, so the V-vectors below miss their construction peak
-    halves = None if swap is None else _swap_halves(g, swap, locality)
+    halves = None if orbits is None else _swap_halves(g, orbits)
     pairs = [(q + 1, np.ones(g.num_vertices))]
     if sides is not None:
         pairs.append((-(q + 1), np.where(sides, 1.0, -1.0)))
     if halves is None:
         return [(adjacency(g), pairs)]
-    reps, even, odd = halves
-    blocks = [(even, []), (odd, [])]
+    reps, partners = orbits.T
+    blocks = [(half, []) for half in halves]
     for lam, x in pairs:
-        blocks[not np.array_equal(x[swap], x)][1].append((lam, x[reps]))
+        blocks[not np.array_equal(x[partners], x[reps])][1].append((lam, x[reps]))
     return blocks
 
 
@@ -372,8 +368,7 @@ def _solve_blocks(blocks, norm) -> EigenResult:
                        sum(e.steps for e in eigs), sum(e.matvecs for e in eigs))
 
 
-def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
-                    locality=None) -> SpectralReport:
+def ramanujan_check(g: SerreGraph, q: int, method="auto", orbits=None) -> SpectralReport:
     """Verdict: every nontrivial eigenvalue satisfies |lambda| <= 2*sqrt(q).
 
     Requires a connected (q+1)-regular graph.  The dense method checks that
@@ -383,21 +378,20 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
     +-(q+1) raises ConvergenceError, and the report takes q+1, simple, on
     top and -(q+1) at the bottom of a bipartite graph.  With no nontrivial
     eigenvalue, max|nontrivial| is 0 (dense) or the solve is refused
-    (iterative).  swap, a vertex permutation, is checked to be a
-    fixed-point-free involution and an automorphism before any solve, else
-    InvalidParameterError; it comes with locality, one sortable key per
-    vertex (all equal for id order), and neither comes alone.  Only the
-    iterative method solves on the swap halves.
+    (iterative).  orbits, an (h, 2) integer array, gives the orbits of a
+    swap of the vertices, one (representative, partner) row each in the row
+    order of the swap halves; before any solve its rows are checked to hold
+    every vertex exactly once and to be the orbits of an automorphism, else
+    InvalidParameterError.  Only the iterative method solves on the swap
+    halves.
     """
     if q < 1:
         raise InvalidParameterError(f"degree parameter q must be >= 1, got {q}")
     degs = set(g.degrees())
     if degs != {q + 1}:
         raise InvalidParameterError(f"graph is not {q + 1}-regular (degrees {sorted(degs)})")
-    if (swap is None) != (locality is None):
-        raise InvalidParameterError("swap and locality are given together or not at all")
-    if swap is not None:
-        swap = _checked_swap(g, swap)
+    if orbits is not None:
+        orbits = _checked_orbits(g, orbits)
     if not g.connected():
         raise InvalidParameterError("graph is not connected")
     sides = g.bipartition()
@@ -421,7 +415,7 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", swap=None,
             )
         nontrivial = vals[bip:-1]
     elif method == "iterative":
-        eig = _solve_blocks(_blocks(g, q, sides, swap, locality), q + 1)
+        eig = _solve_blocks(_blocks(g, q, sides, orbits), q + 1)
         nontrivial = eig.values
     else:
         raise InvalidParameterError(f"unknown method={method!r}")

@@ -280,14 +280,16 @@ def _vertex_ids(level: "TowerLevel") -> np.ndarray:
     return ids
 
 
-def swap_and_fibers(level: "TowerLevel"):
-    """(swap, fibers) of a cartan level.  swap[v] is the vertex whose pair is
-    v's pair in the other order, -1 if none: right multiplication by the Weyl
-    element normalising the Cartan, which commutes with every generator
-    because they act on both points alike.  fibers[v] is v's fiber of the
-    covering onto level 1 modulo the swap, coded by the unordered pair of
-    its points reduced mod q2; ramanujan_check orders the swap halves' rows
-    by it."""
+def swap_orbits(level: "TowerLevel") -> np.ndarray:
+    """The orbits of the point swap on a cartan level, one (representative,
+    partner) row each: the swap sends v to the vertex whose pair is v's pair
+    in the other order, which is right multiplication by the Weyl element
+    normalising the Cartan and commutes with every generator because they
+    act on both points alike.  The representative is the lesser vertex, and
+    the rows run by fiber over level 1 (the unordered pair of the points
+    reduced mod q2), then by representative; ramanujan_check takes them as
+    the row order of its swap halves, so that a row's neighbours lie in few
+    blocks."""
     if level.config.variant != "cartan":
         raise InvalidParameterError("the point swap applies to the cartan variant")
     npts = p1_size(level.pp)
@@ -295,7 +297,10 @@ def swap_and_fibers(level: "TowerLevel"):
     swap = _vertex_ids(level)[c1 * npts + c0]
     pp1 = PrimePower(level.pp.p, 1)
     r0, r1 = (reduce_point_codes(c, level.pp, pp1) for c in (c0, c1))
-    return swap, np.minimum(r0, r1) * p1_size(pp1) + np.maximum(r0, r1)
+    fibers = np.minimum(r0, r1) * p1_size(pp1) + np.maximum(r0, r1)
+    reps = np.flatnonzero(np.arange(len(swap)) < swap).astype(swap.dtype)
+    reps = reps[np.argsort(fibers[reps], kind="stable")]
+    return np.column_stack((reps, swap[reps]))
 
 
 def estimated_bytes(cfg: TowerConfig, n: int) -> int:
@@ -445,15 +450,13 @@ class LoopWitness:
     generator: int
 
 
-def loop_witness(level: TowerLevel, torus: Optional[TorusPair] = None) -> LoopWitness:
+def loop_witness(level: TowerLevel) -> LoopWitness:
     """The loop guaranteed at the standard base coset: gamma = a1 + b1*i is a
     generator whose split image is diagonal, hence fixes ((0:1), (1:0)) and
     the point (1:0).  Returns the base vertex and gamma's generator index."""
     if level.config.variant not in ("cartan", "borel"):
         raise InvalidParameterError("loop witness applies to the cartan and borel variants")
-    if torus is None:
-        torus = find_torus_pair(level.config.q1, level.config.q2)
-    coeffs = torus.gamma.coefficients()
+    coeffs = find_torus_pair(level.config.q1, level.config.q2).gamma.coefficients()
     try:
         idx = next(i for i, g in enumerate(level.generators.gens) if g.coefficients() == coeffs)
     except StopIteration:
@@ -726,7 +729,6 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     coverings = tuple(
         natural_covering(levels[i + 1], levels[i]) for i in range(cfg.levels - 1)
     )
-    torus = find_torus_pair(cfg.q1, cfg.q2)
     summaries = []
     for lvl in levels:
         g = lvl.graph
@@ -736,9 +738,9 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
             gir = _walk_girth(lambda f: lvl.table[f], 0, lvl.generators.inverse_pairing)
             wit, floor = None, lps_girth_floor(cfg.q1, g.num_vertices)
         else:
-            gir, wit, floor = girth(g), loop_witness(lvl, torus), None
-        swap, fibers = swap_and_fibers(lvl) if cfg.variant == "cartan" else (None, None)
-        spectral = ramanujan_check(g, cfg.q1, swap=swap, locality=fibers)
+            gir, wit, floor = girth(g), loop_witness(lvl), None
+        orbits = swap_orbits(lvl) if cfg.variant == "cartan" else None
+        spectral = ramanujan_check(g, cfg.q1, orbits=orbits)
         summaries.append(LevelSummary(
             n=lvl.n, vertices=g.num_vertices, directed_edges=g.num_edges, girth=gir,
             loop_count=g.geometric_loop_count(), bipartite=spectral.bipartite,

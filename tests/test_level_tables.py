@@ -251,10 +251,10 @@ def test_ramanujan_check_peak_within_solve_bytes(q1, q2, variant):
 def test_swap_halves_peak_within_solve_bytes():
     # the (5,13) cartan level 2 solved on its swap halves, as build_tower does
     lvl = build_level(TowerConfig(5, 13, levels=2), 2)
-    swap, fibers = tower.swap_and_fibers(lvl)
+    orbits = tower.swap_orbits(lvl)
     tracemalloc.start()
     try:
-        report = spectra.ramanujan_check(lvl.graph, 5, swap=swap, locality=fibers)
+        report = spectra.ramanujan_check(lvl.graph, 5, orbits=orbits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

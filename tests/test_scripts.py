@@ -2,7 +2,7 @@
 public names, and of the names the traced benchmark wraps."""
 
 import ast
-import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -44,6 +44,23 @@ def test_benchmark_traced_names_resolve():
     for module, function in traced:
         fn = getattr(importlib.import_module(f"expander_forge.{module}"), function, None)
         assert inspect.isfunction(fn), f"{module}.{function}"
+
+
+def test_benchmark_build_pipeline_runs(tmp_path):
+    # perfbench/worker.py's library pipeline, loaded by path and run on
+    # (5,13) level 2, so that a signature change to what it calls fails here
+    # and not first as a failed benchmark run
+    import expander_forge
+
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    facts = worker.build_pipeline(expander_forge, {"q1": 5, "q2": 13, "level": 2,
+                                                   "out": "top.edges"}, str(tmp_path))
+    assert facts == {"vertices": [182, 30758], "coverings_verified": [True], "girth": 1,
+                     "loop_witness": [0, 5], "loaded": [30758, 184548]}
+    assert (tmp_path / "top.edges").is_file()
 
 
 def test_traced_probe_is_one_probe_returning_a_triple(monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import (
     complete_graph,
@@ -19,6 +20,7 @@ from conftest import (
     prism_graph,
 )
 from expander_forge import multigraph, spectra
+from expander_forge.cli import format_edgelist, load_graph
 from expander_forge.errors import ConvergenceError, InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.spectra import (
@@ -30,7 +32,7 @@ from expander_forge.spectra import (
     nontrivial_ends,
     ramanujan_check,
 )
-from expander_forge.tower import TowerConfig, build_level, swap_and_fibers
+from expander_forge.tower import TowerConfig, build_level, swap_orbits
 from oracles import arpack_nontrivial_ends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _trivial(g, q):
     # the unit trivial vectors of the whole graph, its one block
-    [(a, pairs)] = spectra._blocks(g, q, g.bipartition(), None, None)
+    [(a, pairs)] = spectra._blocks(g, q, g.bipartition(), None)
     return spectra._trivial_vectors(a, pairs)
 
 
@@ -72,6 +74,26 @@ def test_adjacency_rows_match_links():
     sums = np.asarray(a.sum(axis=1)).ravel()
     assert np.array_equal(sums, np.full(182, 6.0))
     assert (a != a.T).nnz == 0
+
+
+def test_adjacency_is_built_on_the_graph_arrays_and_leaves_them(tmp_path):
+    # The CSR equals, array for array, the one built from copies of the edge
+    # arrays, shares no memory with them and leaves them unchanged; on a
+    # cayley level and on the same graph loaded from a file
+    built = build_level(TowerConfig(5, 13, variant="cayley"), 1).graph
+    path = tmp_path / "cayley-5-13-L1.edges"
+    path.write_text(format_edgelist(built))
+    for g in (built, load_graph(str(path))):
+        n = g.num_vertices
+        before = (g.origin.copy(), g.terminus.copy())
+        want = sp.coo_matrix((np.ones(g.num_edges), (np.array(g.origin), np.array(g.terminus))),
+                             shape=(n, n)).tocsr()
+        a = adjacency(g)
+        for part in ("indptr", "indices", "data"):
+            got, ref = getattr(a, part), getattr(want, part)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert not any(np.shares_memory(got, x) for x in (g.origin, g.terminus))
+        assert np.array_equal(g.origin, before[0]) and np.array_equal(g.terminus, before[1])
 
 
 def test_k4_spectrum():
@@ -205,10 +227,9 @@ def test_trivial_eigenvalue_guard(monkeypatch):
     monkeypatch.setattr(SerreGraph, "bipartition", wrong_colouring)
     with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
         ramanujan_check(prism_graph(20), 2, method="iterative")
-    for swap in _prism_swaps(20).values():
+    for orbits in _prism_orbits(20).values():
         with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
-            ramanujan_check(prism_graph(20), 2, method="iterative", swap=swap,
-                            locality=np.zeros(40))
+            ramanujan_check(prism_graph(20), 2, method="iterative", orbits=orbits)
 
 
 # (id, graph factory, q, dense report fields, iterative report fields or
@@ -369,14 +390,13 @@ def test_ritz_values_independent_of_blas_threads():
     # count are bitwise the same at one and two BLAS threads; the cartan
     # level's two swap halves are solved at once, on two threads.
     code = ("from expander_forge.spectra import ramanujan_check\n"
-            "from expander_forge.tower import TowerConfig, build_level, swap_and_fibers\n"
+            "from expander_forge.tower import TowerConfig, build_level, swap_orbits\n"
             "g = build_level(TowerConfig(5, 17, variant='cayley'), 1).graph\n"
             "r = ramanujan_check(g, 5)\n"
             "print(r.method, repr(r.max_abs_nontrivial), repr(r.lambda_bottom),\n"
             "      repr(r.max_residual), r.lanczos_steps)\n"
             "lvl = build_level(TowerConfig(5, 13, levels=2), 2)\n"
-            "swap, fibers = swap_and_fibers(lvl)\n"
-            "r = ramanujan_check(lvl.graph, 5, method='iterative', swap=swap, locality=fibers)\n"
+            "r = ramanujan_check(lvl.graph, 5, method='iterative', orbits=swap_orbits(lvl))\n"
             "print(r.method, repr(r.max_abs_nontrivial), repr(r.lambda_bottom),\n"
             "      repr(r.max_residual), r.lanczos_steps)\n")
     outs = []
@@ -397,8 +417,8 @@ def test_matvec_add_is_the_kernel_of_a_at_v():
     # bitwise; from a prefill it adds a @ v to it, checked where every sum
     # is exact (integer vectors, beta a power of two) on a built half.
     lvl = build_level(TowerConfig(5, 13), 1)
-    swap, fibers = swap_and_fibers(lvl)
-    _, even, odd = spectra._swap_halves(lvl.graph, spectra._checked_swap(lvl.graph, swap), fibers)
+    orbits = spectra._checked_orbits(lvl.graph, swap_orbits(lvl))
+    even, odd = spectra._swap_halves(lvl.graph, orbits)
     rng = np.random.default_rng(5)
     for half in (even, odd):
         n = half.shape[0]
@@ -420,14 +440,29 @@ def _cartan(q1, q2, n, seed=None):
     return build_level(TowerConfig(q1, q2, levels=n, twist_seed=seed), n)
 
 
-def _prism_swaps(n):
+def _orbits(swap):
+    # the orbits of an involution, one row each in order of the lesser
+    # vertex; a fixed point v is a row (v, v)
+    reps = np.flatnonzero(np.arange(len(swap)) <= swap)
+    return np.column_stack((reps, swap[reps]))
+
+
+def _swap(orbits, n):
+    # the involution exchanging the two vertices of each row
+    swap = np.arange(n)
+    swap[orbits[:, 0]], swap[orbits[:, 1]] = orbits[:, 1], orbits[:, 0]
+    return swap
+
+
+def _prism_orbits(n):
     # C_n x K_2: exchanging the two cycles changes the colour of every
     # vertex, turning both cycles by n/2 keeps it when n/2 is even
     ids = np.arange(2 * n)
-    return {"layers": (ids + n) % (2 * n), "turn": ids // n * n + (ids + n // 2) % n}
+    return {"layers": _orbits((ids + n) % (2 * n)),
+            "turn": _orbits(ids // n * n + (ids + n // 2) % n)}
 
 
-# (id, level factory); each level has a point swap and fibers
+# (id, level factory); each level has a point swap
 SWAPPED = [
     ("cartan-5-13-L1", lambda: _cartan(5, 13, 1)),
     ("cartan-13-5-L2", lambda: _cartan(13, 5, 2)),
@@ -442,8 +477,7 @@ def test_swap_halves_match_single_solve_and_dense(make):
     # and of the dense spectrum within 1e-9, and the same verdict.
     lvl = make()
     g, q = lvl.graph, lvl.degree - 1
-    swap, fibers = swap_and_fibers(lvl)
-    halves = ramanujan_check(g, q, method="iterative", swap=swap, locality=fibers)
+    halves = ramanujan_check(g, q, method="iterative", orbits=swap_orbits(lvl))
     single = ramanujan_check(g, q, method="iterative")
     dense = ramanujan_check(g, q, method="dense")
     assert halves.method == "iterative" and not halves.bipartite
@@ -463,10 +497,10 @@ def test_swap_halves_place_the_bipartition_by_parity(name):
     # The prism is bipartite; the colouring is odd under "layers" and even
     # under "turn", and the halves give the dense ends in either case.
     g = prism_graph(20)
-    swap = _prism_swaps(20)[name]
+    orbits = _prism_orbits(20)[name]
     sides = g.bipartition()
-    assert np.array_equal(sides[swap], sides) == (name == "turn")
-    report = ramanujan_check(g, 2, method="iterative", swap=swap, locality=np.zeros(40))
+    assert np.array_equal(sides[_swap(orbits, 40)], sides) == (name == "turn")
+    report = ramanujan_check(g, 2, method="iterative", orbits=orbits)
     dense = ramanujan_check(g, 2, method="dense")
     assert report.bipartite and report.lambda_bottom == -3.0
     assert report.max_abs_nontrivial == pytest.approx(dense.max_abs_nontrivial, abs=1e-9)
@@ -476,51 +510,67 @@ def test_swap_halves_place_the_bipartition_by_parity(name):
 
 def test_swap_halves_together_have_the_spectrum_of_a():
     # The even and odd halves are symmetric, and their spectra together are
-    # the adjacency spectrum, in the fiber row order and, with all keys
-    # equal, in id order.
+    # the adjacency spectrum, in the fiber row order and in id order.
     lvl = build_level(TowerConfig(5, 13), 1)
     g = lvl.graph
-    swap, fibers = swap_and_fibers(lvl)
-    swap = spectra._checked_swap(g, swap)
-    want = np.linalg.eigvalsh(adjacency(g).toarray())
-    for locality in (fibers, np.zeros(182)):
-        reps, even, odd = spectra._swap_halves(g, swap, locality)
-        assert len(reps) == g.num_vertices // 2
-        assert np.array_equal(np.sort(np.concatenate([reps, swap[reps]])), np.arange(182))
+    orbits = spectra._checked_orbits(g, swap_orbits(lvl))
+    a = adjacency(g).toarray()
+    want = np.linalg.eigvalsh(a)
+    for order in (orbits, orbits[np.argsort(orbits[:, 0])]):
+        even, odd = spectra._swap_halves(g, order)
+        assert even.shape == odd.shape == (g.num_vertices // 2,) * 2
+        assert np.array_equal(np.sort(order.ravel()), np.arange(182))
         for half in (even, odd):
             assert (half != half.T).nnz == 0
         got = np.sort(np.concatenate([np.linalg.eigvalsh(h.toarray()) for h in (even, odd)]))
         assert got == pytest.approx(want, abs=1e-9)
-        order = locality[reps] * 182 + reps
-        assert np.all(np.diff(order) >= 0)
+        r, s = order[:, 0], order[:, 1]
+        assert np.array_equal(even.toarray(), a[np.ix_(r, r)] + a[np.ix_(r, s)])
 
 
 def _level_halves(make):
     lvl = make()
-    return (lvl.graph, lvl.degree - 1) + swap_and_fibers(lvl)
+    return lvl.graph, lvl.degree - 1, swap_orbits(lvl)
 
 
-# (id, factory of (graph, q, swap, locality)): every SWAPPED level, and both
-# prism swaps, which place the bipartition in either half
+# (id, factory of (graph, q, orbits)): every SWAPPED level, and both prism
+# swaps, which place the bipartition in either half
 HALVES = [(name, lambda make=make: _level_halves(make)) for name, make in SWAPPED]
-HALVES += [(f"prism20-{name}",
-            lambda name=name: (prism_graph(20), 2, _prism_swaps(20)[name], np.zeros(40)))
+HALVES += [(f"prism20-{name}", lambda name=name: (prism_graph(20), 2, _prism_orbits(20)[name]))
            for name in ("layers", "turn")]
+
+
+@pytest.mark.parametrize("make", [h[1] for h in HALVES], ids=[h[0] for h in HALVES])
+def test_swap_halves_follow_the_row_order_given(make):
+    # Row i of each half is the orbit (r_i, s_i) in row i of the input,
+    # whatever the order of the rows and of the two vertices in a row: the
+    # even entry (i, j) counts the edges from r_i to r_j or s_j, the odd
+    # entry those to r_j less those to s_j.
+    g, _, orbits = make()
+    a = adjacency(g).toarray()
+    flipped = orbits.copy()
+    flipped[::2] = orbits[::2, ::-1]
+    shuffled = orbits[np.random.default_rng(17).permutation(len(orbits))]
+    for order in (orbits, orbits[::-1], shuffled, flipped):
+        even, odd = spectra._swap_halves(g, spectra._checked_orbits(g, order))
+        r, s = order[:, 0], order[:, 1]
+        assert np.array_equal(even.toarray(), a[np.ix_(r, r)] + a[np.ix_(r, s)])
+        assert np.array_equal(odd.toarray(), a[np.ix_(r, r)] - a[np.ix_(r, s)])
 
 
 @pytest.mark.parametrize("make", [h[1] for h in HALVES], ids=[h[0] for h in HALVES])
 def test_halves_ends_equal_the_sequential_solves(make):
     # The concurrent halves give, field for field and bitwise, the merge of
     # nontrivial_ends run one after the other on the even and odd halves.
-    g, q, swap, locality = make()
-    swap, sides = spectra._checked_swap(g, swap), g.bipartition()
-    blocks = spectra._blocks(g, q, sides, swap, locality)
-    reps, even, odd = spectra._swap_halves(g, swap, locality)
+    g, q, orbits = make()
+    orbits, sides = spectra._checked_orbits(g, orbits), g.bipartition()
+    blocks = spectra._blocks(g, q, sides, orbits)
+    even, odd = spectra._swap_halves(g, orbits)
     assert [(op != half).nnz for (op, _), half in zip(blocks, (even, odd))] == [0, 0]
     # all ones is even; the colouring goes to the half of its parity
     want = [[q + 1], []]
     if sides is not None:
-        want[int(not np.array_equal(sides[swap], sides))].append(-(q + 1))
+        want[int(not np.array_equal(sides[_swap(orbits, len(sides))], sides))].append(-(q + 1))
     assert [[lam for lam, _ in pairs] for _, pairs in blocks] == want
     eigs = [nontrivial_ends(op, spectra._trivial_vectors(op, pairs), q + 1, threading.Event())
             for op, pairs in blocks]
@@ -560,11 +610,10 @@ def test_halves_error_is_raised_after_the_worker_is_joined(monkeypatch, fails, m
     # An error in either half comes out, the even half's first; the worker
     # has finished by then, so no thread outlives the call.
     lvl = _cartan(5, 13, 1)
-    swap, fibers = swap_and_fibers(lvl)
     log = _failing_halves(monkeypatch, fails, wait=0.2)
     before = threading.active_count()
     with pytest.raises(ConvergenceError, match=message):
-        ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers)
+        ramanujan_check(lvl.graph, 5, method="iterative", orbits=swap_orbits(lvl))
     assert threading.active_count() == before
     assert sorted(name for name, _ in log) == ["even", "odd"]
     threads = dict(log)
@@ -578,7 +627,6 @@ def test_an_interrupt_in_the_even_half_cancels_the_odd_half(monkeypatch):
     # solve: it is cancelled at its first step, so the interrupt gets out at
     # once, not after a whole solve of the odd half.
     lvl = _cartan(5, 13, 1)
-    swap, fibers = swap_and_fibers(lvl)
     solve, odd_errors = spectra.nontrivial_ends, []
 
     def half(a, trivial, norm, cancel):
@@ -594,17 +642,16 @@ def test_an_interrupt_in_the_even_half_cancels_the_odd_half(monkeypatch):
     monkeypatch.setattr(spectra, "nontrivial_ends", half)
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers)
+        ramanujan_check(lvl.graph, 5, method="iterative", orbits=swap_orbits(lvl))
     assert time.perf_counter() - started < 5
     assert odd_errors == ["the solve was cancelled"]
 
 
 def test_halves_leave_no_thread_behind(monkeypatch):
     lvl = _cartan(5, 13, 1)
-    swap, fibers = swap_and_fibers(lvl)
     log = _failing_halves(monkeypatch, ())
     before = threading.active_count()
-    report = ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers)
+    report = ramanujan_check(lvl.graph, 5, method="iterative", orbits=swap_orbits(lvl))
     assert report.method == "iterative"
     assert threading.active_count() == before
     assert len({thread for _, thread in log}) == 2
@@ -650,55 +697,45 @@ def test_dense_solve_missing_a_trivial_end_is_refused(monkeypatch, end):
         ramanujan_check(prism_graph(20), 2, method="dense")
 
 
-def _swap_variants(swap):
-    """(id, bad swap, message) for a valid swap: a fixed point, a 3-cycle
-    through three orbits, and two orbits re-paired."""
-    a, b, c = (int(v) for v in np.flatnonzero(np.arange(len(swap)) < swap)[:3])
-    fixed = swap.copy()
-    fixed[[a, swap[a]]] = [a, swap[a]]
-    cycled = swap.copy()
-    cycled[[a, b, c]] = swap[[b, c, a]]
-    repaired = swap.copy()
-    repaired[[a, swap[b], b, swap[a]]] = [swap[b], a, swap[a], b]
-    wrapped = swap.copy()
-    wrapped[a] = -1
-    return [("fixed", fixed, f"swap fixes vertex {a}"),
-            ("cycle", cycled, "swap is not an involution at vertex"),
-            ("repaired", repaired, "swap is not an automorphism"),
-            ("out of range", wrapped, "out of range"),
-            ("short", swap[:-1], "integer array of"),
-            ("float", swap.astype(float), "integer array of")]
+def _orbit_variants(orbits, n):
+    """(id, bad orbits, message) for the valid orbits of n vertices whose
+    first two rows are (a, sa) and (b, sb), with a < sa: a fixed point
+    written as a row (a, a), a row left out, a row given twice, two orbits
+    re-paired, ids out of range, and arrays that are no integer (., 2)."""
+    (a, sa), (b, sb) = (tuple(int(v) for v in row) for row in orbits[:2])
+    fixed = orbits.copy()
+    fixed[0] = a
+    repaired = orbits.copy()
+    repaired[:2] = [(a, sb), (b, sa)]
+    wrapped, beyond = orbits.copy(), orbits.copy()
+    wrapped[0, 0], beyond[0, 1] = -1, n
+    return [("fixed", fixed, f"orbits hold vertex {a} 2 times, not once"),
+            ("missing", orbits[1:], f"orbits hold vertex {a} 0 times, not once"),
+            ("twice", np.vstack([orbits, orbits[:1]]), f"orbits hold vertex {a} 2 times"),
+            ("repaired", repaired, "not those of an automorphism"),
+            ("negative", wrapped, "out of range"),
+            ("beyond", beyond, "out of range"),
+            ("flat", orbits.ravel(), "integer array of"),
+            ("three columns", np.column_stack([orbits, orbits[:, :1]]), "integer array of"),
+            ("float", orbits.astype(float), "integer array of")]
 
 
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
     lvl = build_level(TowerConfig(5, 13), 1)
-    swap, fibers = swap_and_fibers(lvl)
+    orbits = swap_orbits(lvl)
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("a solve started before the swap was checked")
+        raise AssertionError("a solve started before the orbits were checked")
 
     for name in ("nontrivial_ends", "_dense_values", "_swap_halves", "adjacency"):
         monkeypatch.setattr(spectra, name, no_solve)
     monkeypatch.setattr(SerreGraph, "connected", no_solve)
-    for _, bad, message in _swap_variants(swap):
+    for _, bad, message in _orbit_variants(orbits, 182):
         with pytest.raises(InvalidParameterError, match=message):
-            ramanujan_check(lvl.graph, 5, method=method, swap=bad, locality=fibers)
-    # the prism's reflection i -> -i fixes vertex 0
-    prism = prism_graph(20)
+            ramanujan_check(lvl.graph, 5, method=method, orbits=bad)
+    # the prism's reflection i -> -i fixes vertex 0, so it has a row (0, 0)
     ids = np.arange(40)
-    with pytest.raises(InvalidParameterError, match="swap fixes vertex 0"):
-        ramanujan_check(prism, 2, method=method, swap=ids // 20 * 20 + (-ids) % 20,
-                        locality=np.zeros(40))
-
-
-def test_locality_must_key_every_vertex():
-    lvl = build_level(TowerConfig(5, 13), 1)
-    swap, fibers = swap_and_fibers(lvl)
-    with pytest.raises(InvalidParameterError, match="one key to each of 182 vertices"):
-        ramanujan_check(lvl.graph, 5, method="iterative", swap=swap, locality=fibers[:-1])
-    # neither comes alone, whatever the method
-    for method in ("dense", "iterative"):
-        for alone in ({"swap": swap}, {"locality": fibers}):
-            with pytest.raises(InvalidParameterError, match="together or not at all"):
-                ramanujan_check(lvl.graph, 5, method=method, **alone)
+    with pytest.raises(InvalidParameterError, match="orbits hold vertex 0 2 times"):
+        ramanujan_check(prism_graph(20), 2, method=method,
+                        orbits=_orbits(ids // 20 * 20 + (-ids) % 20))

@@ -8,7 +8,7 @@ from expander_forge import spectra, tower
 from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
 from expander_forge.modarith import PrimePower
 from expander_forge.multigraph import girth
-from expander_forge.projgroup import is_psl, reduce_matrix
+from expander_forge.projgroup import is_psl, p1_size, reduce_matrix
 from expander_forge.quat import Quaternion
 from expander_forge.tower import (
     TowerConfig,
@@ -22,7 +22,7 @@ from expander_forge.tower import (
     lps_girth_floor,
     natural_covering,
     probe_with_reseed,
-    swap_and_fibers,
+    swap_orbits,
     twist_sequence,
     two_squares,
 )
@@ -534,25 +534,39 @@ def test_swap_commutes_with_generators_and_fibers_follow_the_covering(q1, q2, se
     cfg = TowerConfig(q1, q2, levels=2, twist_seed=seed)
     lower, upper = (build_level(cfg, n) for n in (1, 2))
     vmap = np.asarray(natural_covering(upper, lower).morphism.vertex_map)
-    (swap1, fibers1), (swap2, fibers2) = swap_and_fibers(lower), swap_and_fibers(upper)
-    for lvl, swap, fibers in ((lower, swap1, fibers1), (upper, swap2, fibers2)):
-        assert np.array_equal(spectra._checked_swap(lvl.graph, swap), swap)
+    orbits1, orbits2 = swap_orbits(lower), swap_orbits(upper)
+    swaps = []
+    for lvl, orbits in ((lower, orbits1), (upper, orbits2)):
+        assert np.array_equal(spectra._checked_orbits(lvl.graph, orbits), orbits)
+        assert np.all(orbits[:, 0] < orbits[:, 1])  # the lesser vertex represents
+        swap = np.empty(lvl.graph.num_vertices, dtype=orbits.dtype)
+        swap[orbits[:, 0]], swap[orbits[:, 1]] = orbits[:, 1], orbits[:, 0]
         assert np.array_equal(lvl.table[swap], swap[lvl.table])
-        assert np.array_equal(fibers[swap], fibers)
-    # a level-1 fiber modulo the swap is one orbit of level 1
-    assert len(np.unique(fibers1)) == lower.graph.num_vertices // 2
-    assert np.array_equal(fibers2, fibers1[vmap])
-    assert np.array_equal(swap1[vmap], vmap[swap2])
+        swaps.append(swap)
+    # a level-1 fiber modulo the swap is one orbit of level 1, and the rows
+    # run by the unordered pair of its points
+    npts = p1_size(lower.pp)
+    c0, c1 = np.divmod(lower.codes[orbits1[:, 0]], npts)
+    assert np.all(np.diff(np.minimum(c0, c1) * npts + np.maximum(c0, c1)) > 0)
+    # level 2's rows run by the level-1 orbit under both of their vertices,
+    # then by representative
+    row1 = np.empty(lower.graph.num_vertices, dtype=np.int64)
+    row1[orbits1[:, 0]] = row1[orbits1[:, 1]] = np.arange(len(orbits1))
+    fibers = row1[vmap[orbits2[:, 0]]]
+    assert np.array_equal(fibers, row1[vmap[orbits2[:, 1]]])
+    step = np.diff(fibers)
+    assert np.all((step > 0) | ((step == 0) & (np.diff(orbits2[:, 0]) > 0)))
+    assert np.array_equal(swaps[0][vmap], vmap[swaps[1]])
 
 
 def test_swap_and_fibers_rejects_other_variants():
     for variant in ("borel", "cayley"):
         with pytest.raises(InvalidParameterError, match="cartan"):
-            swap_and_fibers(build_level(TowerConfig(5, 13, variant=variant), 1))
+            swap_orbits(build_level(TowerConfig(5, 13, variant=variant), 1))
 
 
 def test_build_tower_solves_cartan_levels_on_swap_halves(monkeypatch):
-    # cartan levels hand their swap and fibers to the check; other variants none
+    # cartan levels hand their swap orbits to the check; other variants none
     seen = []
     check = tower.ramanujan_check
 
@@ -563,6 +577,5 @@ def test_build_tower_solves_cartan_levels_on_swap_halves(monkeypatch):
     monkeypatch.setattr(tower, "ramanujan_check", recording)
     build_tower(TowerConfig(13, 5, levels=2))
     build_tower(TowerConfig(5, 13, variant="borel"))
-    on = {"swap": True, "locality": True}
-    off = {"swap": False, "locality": False}
+    on, off = {"orbits": True}, {"orbits": False}
     assert seen == [(30, on), (750, on), (14, off)]
