@@ -17,14 +17,20 @@ non-ASCII digit) makes its line malformed.  Writing and reading run as numpy
 byte kernels over bounded pieces: chunks of _CHUNK_ROWS (2**15) rows written,
 blocks of about _BLOCK_BYTES (2**17) bytes read, cut at a line end.  The
 pieces run two at a time, the first of each pair on the calling thread and
-the second on one worker thread, and are joined in file order; a file of
-one piece starts no thread.  A malformed file's error names its first
-malformed line: the earlier block of a failing pair wins, no later block
-starts, and the worker is joined before the error is raised.  DOT export
-runs on the same digit kernel.  JSON reports carry
-``"schema": 1``; integers round-trip exactly and floats are serialized with
-full repr precision (solver-derived floats are quantized to 12 significant
-digits first so reruns and different BLAS thread counts stay byte-identical).
+the second on one worker thread, in file order; a file of one piece starts
+no thread.  `build`, `tower --export-dir` and `export --format edgelist`
+stream the chunks to the file, or stdout, as they are made, so no text of
+the whole list exists; any other text is written in slices of _WRITE_SLICE
+characters.  The blocks read fill four int32 columns, and a column widens
+to int64 only when a value outside int32 arrives, so no value is wrapped.
+A malformed file's error names its first malformed line: the earlier block
+of a failing pair wins, no later block starts, and the worker is joined
+before the error is raised.  A failed write also joins the worker and
+leaves the target as it was, or absent.  DOT export runs on the same digit
+kernel.  JSON reports carry ``"schema": 1``; integers round-trip exactly
+and floats are serialized with full repr precision (solver-derived floats
+are quantized to 12 significant digits first so reruns and different BLAS
+thread counts stay byte-identical).
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 internal verification
 failure; an output path that cannot be written exits 3 before any work,
 and a loaded graph whose spectrum or DOT text cannot fit in physical
@@ -33,6 +39,7 @@ Timing lines go to stderr, never into reports.
 """
 
 import argparse
+import contextlib
 import errno
 import itertools
 import json
@@ -69,6 +76,8 @@ HEADER_PREFIX = "# expander-forge v1"
 _META_FIELDS = ("q1", "q2", "n", "variant", "mode", "V")
 _CHUNK_ROWS = 1 << 15
 _BLOCK_BYTES = 1 << 17
+_WRITE_SLICE = 1 << 20  # characters of a str handed to the file at a time
+_INT32 = np.iinfo(np.int32)
 
 # 10**k for the places k < 19, where a uint64 sum of digits cannot wrap
 _PLACE = 10 ** np.arange(19, dtype=np.uint64)
@@ -102,12 +111,22 @@ def _chunks(*cols):
         yield [col[start:start + _CHUNK_ROWS] for col in cols]
 
 
+def _in_file_order(o, lab) -> bool:
+    """Whether the edges are in file order, (origin, label) with ties in
+    edge-id order, checked _CHUNK_ROWS edges at a time."""
+    for start in range(0, len(o), _CHUNK_ROWS):
+        oc, lc = o[start:start + _CHUNK_ROWS + 1], lab[start:start + _CHUNK_ROWS + 1]
+        if not np.all((oc[1:] > oc[:-1]) | ((oc[1:] == oc[:-1]) & (lc[1:] >= lc[:-1]))):
+            return False
+    return True
+
+
 def _file_order_rows(g: SerreGraph):
-    """The edges in file order, (origin, label) with ties in edge-id order,
-    as chunks of (origin, terminus, label, new inverse id) arrays.  Edges
-    already in that order, as on every built level, are sliced unsorted."""
+    """The edges in file order as chunks of (origin, terminus, label, new
+    inverse id) arrays.  Edges already in that order, as on every built
+    level and every file read back, are sliced unsorted."""
     o, lab = g.origin, g.label
-    if np.all((o[1:] > o[:-1]) | ((o[1:] == o[:-1]) & (lab[1:] >= lab[:-1]))):
+    if _in_file_order(o, lab):
         yield from _chunks(o, g.terminus, lab, g.inv)
         return
     perm = np.lexsort((lab, o))
@@ -188,10 +207,15 @@ def _format_rows(cols) -> str:
     return str(buf, "ascii")
 
 
+def _edgelist_pieces(g: SerreGraph):
+    """The edge list of g as str pieces in file order: the header line, then
+    one piece per chunk of rows."""
+    yield _header_line(g.meta) + "\n"
+    yield from _in_pairs(_format_rows, _file_order_rows(g))
+
+
 def format_edgelist(g: SerreGraph) -> str:
-    parts = [_header_line(g.meta) + "\n"]
-    parts += _in_pairs(_format_rows, _file_order_rows(g))
-    return "".join(parts)
+    return "".join(_edgelist_pieces(g))
 
 
 def _vertex_count(value, where: str) -> int:
@@ -261,16 +285,25 @@ def _blocks(raw: bytes, start: int):
         start = stop
 
 
+def _fits_int32(a) -> bool:
+    return a.min(initial=0) >= _INT32.min and a.max(initial=0) <= _INT32.max
+
+
 def _edge_columns(raw: bytes, start: int):
-    """The edge lines of raw from start on as four int64 columns.  Each
-    block's rows are copied, in file order, into columns sized by the line
-    ends from start on, one before every line, and trimmed to the rows."""
+    """The edge lines of raw from start on as four columns.  Each block's
+    rows are copied, in file order, into columns sized by the line ends from
+    start on, one before every line, and trimmed to the rows.  A column is
+    int32 until a block brings it a value outside int32; it is then widened
+    to int64, so no value is ever wrapped."""
     lines, cr = raw.count(b"\n", start), raw.count(b"\r", start)
     if cr:
         lines += cr - raw.count(b"\r\n", start)
-    cols = [np.empty(lines, dtype=np.int64) for _ in range(4)]
+    cols = [np.empty(lines, dtype=np.int32) for _ in range(4)]
     rows = 0
     for block in _in_pairs(_parse_block, _blocks(raw, start)):
+        if not _fits_int32(block):
+            cols = [col if _fits_int32(values) else col.astype(np.int64, copy=False)
+                    for col, values in zip(cols, block.T)]
         for col, values in zip(cols, block.T):
             col[rows:rows + len(block)] = values
         rows += len(block)
@@ -287,7 +320,10 @@ def _edge_list(raw: bytes):
     meta = {}
     for tok in header[len(HEADER_PREFIX):].split():
         k, _, v = tok.partition("=")
-        meta[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v
+        try:
+            meta[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v
+        except ValueError:  # more digits than int() converts
+            raise InvalidParameterError(f"header value {k}= has {len(v)} digits") from None
     return meta, _edge_columns(raw, head.end())
 
 
@@ -396,6 +432,10 @@ def load_graph(path: str) -> SerreGraph:
             obj = json.loads(raw)
         except RecursionError:
             raise InvalidParameterError(f"{path}: JSON nested too deep") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer of more digits than int() converts
+            raise InvalidParameterError(f"{path}: JSON integer too long") from None
         return graph_from_json(obj)
     meta, cols = _edge_list(raw)
     del raw, first  # the graph's checks can reuse the file's memory
@@ -416,17 +456,47 @@ def _refuse_unwritable(path: str):
         raise OSError(errno.EACCES, os.strerror(errno.EACCES), directory)
 
 
-def atomic_write(path: str, data: str):
+def _write_pieces(fh, pieces):
+    """Write the str pieces to fh in order.  pieces is closed however this
+    ends, so a generator of them stops where it stands and its _in_pairs
+    worker is joined before an error leaves."""
+    with contextlib.closing(pieces):
+        for piece in pieces:
+            fh.write(piece)
+
+
+def _atomic_stream(path: str, pieces):
+    """Write the str pieces to a temporary file beside path and rename it to
+    path when all are written.  On any error the temporary file is removed
+    and path keeps its old bytes, or stays absent."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-forge-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            _write_pieces(fh, pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _slices(text: str):
+    """text in slices of _WRITE_SLICE characters, so that writing it makes
+    no encoded copy of the whole."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        yield text[start:start + _WRITE_SLICE]
+
+
+def atomic_write(path: str, data: str):
+    """The str data written to path by _atomic_stream, a slice at a time."""
+    _atomic_stream(path, _slices(data))
+
+
+def write_edgelist(path: str, g: SerreGraph):
+    """The edge list of g written to path as it is formatted, a chunk at a
+    time: no text of the whole list is made."""
+    _atomic_stream(path, _edgelist_pieces(g))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +607,7 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     lvl = build_level(cfg, args.level)
     _t(f"build level {args.level}", t0)
-    atomic_write(args.out, format_edgelist(lvl.graph))
+    write_edgelist(args.out, lvl.graph)
     print(f"vertices={lvl.graph.num_vertices} directed_edges={lvl.graph.num_edges}")
     return EXIT_OK
 
@@ -604,7 +674,7 @@ def cmd_tower(args) -> int:
     print(f"probe: {len(result.probe.survivors)} survivor(s) up to length "
           f"{result.probe.max_word_len}")
     for path, lvl in zip(exports, result.levels):
-        atomic_write(path, format_edgelist(lvl.graph))
+        write_edgelist(path, lvl.graph)
     return EXIT_OK
 
 
@@ -634,15 +704,13 @@ def cmd_export(args) -> int:
         _refuse(f"the DOT text of {g.num_vertices} vertices needs",
                 (8 + 2 * (len(str(g.num_vertices)) + 4)) * g.num_vertices)
     if args.format == "edgelist":
-        data = format_edgelist(g)
-    elif args.format == "json":
-        data = dump_report(graph_to_json(g))
+        pieces = _edgelist_pieces(g)
     else:
-        data = format_dot(g)
+        pieces = _slices(dump_report(graph_to_json(g)) if args.format == "json" else format_dot(g))
     if args.out:
-        atomic_write(args.out, data)
+        _atomic_stream(args.out, pieces)
     else:
-        sys.stdout.write(data)
+        _write_pieces(sys.stdout, pieces)
     return EXIT_OK
 
 

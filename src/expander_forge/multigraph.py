@@ -27,7 +27,12 @@ __all__ = ["SerreGraph", "GraphMorphism", "CoveringCheck", "girth", "is_covering
            "index_dtype"]
 
 _INT32_IDS = 2**31
-_VALIDATE_CHUNK = 1 << 20
+# ids checked at a time: a check's scratch, about 30 bytes an id, stays
+# within a chunk whatever the graph's size
+_VALIDATE_CHUNK = 1 << 15
+# ids counted at a time by _origin_counts, whose bincount of an unsorted
+# chunk spans every vertex, so its chunks are larger
+_COUNT_CHUNK = 1 << 20
 _GIRTH_CELLS = 1 << 18
 
 
@@ -51,12 +56,12 @@ def _first_failure(count: int, checks):
 
 
 def _origin_counts(origin, n: int) -> np.ndarray:
-    """np.bincount(origin, minlength=n), counted _VALIDATE_CHUNK ids at a
-    time from each chunk's least id, so the int64 copy that bincount makes
-    of an int32 array stays one chunk long."""
+    """np.bincount(origin, minlength=n), counted _COUNT_CHUNK ids at a time
+    from each chunk's least id, so the int64 copy that bincount makes of an
+    int32 array stays one chunk long."""
     counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, len(origin), _VALIDATE_CHUNK):
-        chunk = origin[start:start + _VALIDATE_CHUNK]
+    for start in range(0, len(origin), _COUNT_CHUNK):
+        chunk = origin[start:start + _COUNT_CHUNK]
         low = int(chunk.min())
         part = np.bincount(chunk - low)
         counts[low:low + len(part)] += part

@@ -593,13 +593,20 @@ class ProbeHit:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """A probe's result, with the twist sequence g(1..up_to_level) it read,
+    or None for an untwisted probe."""
+
     q1: int
     q2: int
     max_word_len: int
     up_to_level: int
-    twisted: bool
+    twist: Optional[TwistSequence]
     words_tested: int
     survivors: tuple
+
+    @property
+    def twisted(self) -> bool:
+        return self.twist is not None
 
     def survivor_letters(self):
         return tuple(h.word.letters for h in self.survivors)
@@ -650,9 +657,9 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     d = cfg.q1 + 1
     pp = PrimePower(cfg.q2, n_levels)
     smats = tuple(proj_normalize(split(g, pp)) for g in gens.gens)
-    twist = None if cfg.twist_seed is None else twist_sequence(cfg, n_levels).matrices
+    twist = None if cfg.twist_seed is None else twist_sequence(cfg, n_levels)
     step, base = _transitions("cartan", pp, smats, pairing,
-                              identity(pp) if twist is None else twist[-1])
+                              identity(pp) if twist is None else twist.matrices[-1])
     layers = list(islice(_reduced_walks(step, base, pairing), (max_word_len + 3) // 2))
     words = sorted(tuple(w) for k in range(1, max_word_len + 1)
                    for w in _closed_words(layers, k, pairing).tolist())
@@ -662,29 +669,28 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
         for n in range(1, n_levels + 1):
             m = split(qt, PrimePower(cfg.q2, n))
             if twist is not None:
-                m = twist[n - 1].inverse() * m * twist[n - 1]
+                g = twist.matrices[n - 1]
+                m = g.inverse() * m * g
             if m.b or m.c:
                 raise VerificationError(f"word {letters} closes a walk at the base of level "
                                         f"{n_levels} but is not diagonal at level {n}")
         survivors.append(ProbeHit(FreeWord(letters), qt))
     tested = sum(d * (d - 1) ** (k - 1) for k in range(1, max_word_len + 1))
     return ProbeResult(q1=cfg.q1, q2=cfg.q2, max_word_len=max_word_len, up_to_level=n_levels,
-                       twisted=twist is not None, words_tested=tested,
-                       survivors=tuple(survivors))
+                       twist=twist, words_tested=tested, survivors=tuple(survivors))
 
 
 def probe_with_reseed(cfg: TowerConfig, max_word_len: int = 4,
                       up_to_level: Optional[int] = None):
     """One intersection probe, returned with the twist it read and the
-    seeds skipped before it: (probe, twist, reseeds), with twist None and
-    reseeds () for an unseeded config.  The seeds twist_seed, twist_seed + 1,
-    ..., up to the one kept are those whose g(1) is degenerate (see
-    twist_sequence), so no twisted probe keeps a length-one word."""
+    seeds skipped before it: (probe, probe.twist, reseeds), with reseeds ()
+    for an unseeded config.  The seeds twist_seed, twist_seed + 1, ..., up
+    to the one kept are those whose g(1) is degenerate (see twist_sequence),
+    so no twisted probe keeps a length-one word."""
     probe = intersection_probe(cfg, max_word_len, up_to_level)
-    if cfg.twist_seed is None:
+    if probe.twist is None:
         return probe, None, ()
-    twist = twist_sequence(cfg, probe.up_to_level)
-    return probe, twist, tuple(range(cfg.twist_seed, twist.seed))
+    return probe, probe.twist, tuple(range(cfg.twist_seed, probe.twist.seed))
 
 
 # ---------------------------------------------------------------------------

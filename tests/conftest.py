@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ def from_geometric_edges(num_vertices, geom_edges, labels=None) -> SerreGraph:
 def parse_edgelist(text: str) -> SerreGraph:
     """The graph of an edge list's text, read by the library's byte reader."""
     return _edge_list_graph(*_edge_list(text.encode()))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak): the call's result and the peak of the memory
+    tracemalloc traced during it, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def cycle_graph(n: int) -> SerreGraph:

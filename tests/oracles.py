@@ -30,7 +30,7 @@ from expander_forge.modarith import PrimePower, sqrt_minus_one
 from expander_forge.multigraph import CoveringCheck, SerreGraph
 from expander_forge.projgroup import Mat2, identity, proj_normalize
 from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
-from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult
+from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult, TwistSequence
 
 
 class NotInvertibleError(ArithmeticError):
@@ -553,7 +553,7 @@ def word_enumeration_probe(cfg, max_word_len=4, up_to_level=None, twist=None,
         q2=cfg.q2,
         max_word_len=max_word_len,
         up_to_level=n_levels,
-        twisted=twist is not None,
+        twist=None if twist is None else TwistSequence(twist.seed, twist.matrices[:n_levels]),
         words_tested=words_tested,
         survivors=tuple(survivors),
     )

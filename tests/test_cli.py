@@ -153,7 +153,7 @@ def test_spectrum_missing_file(tmp_path):
     assert main(["spectrum", "--in", str(tmp_path / "nope.edges")]) == EXIT_IO
 
 
-def test_export_round_trip(level1_file, tmp_path):
+def test_export_round_trip(level1_file, tmp_path, capsys, monkeypatch):
     json_path = tmp_path / "lvl1.json"
     back_path = tmp_path / "back.edges"
     assert main(["export", "--in", str(level1_file), "--format", "json",
@@ -161,6 +161,11 @@ def test_export_round_trip(level1_file, tmp_path):
     assert main(["export", "--in", str(json_path), "--format", "edgelist",
                  "--out", str(back_path)]) == EXIT_OK
     assert back_path.read_bytes() == level1_file.read_bytes()
+    # streamed to stdout in chunks of 7 rows
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    capsys.readouterr()
+    assert main(["export", "--in", str(json_path), "--format", "edgelist"]) == EXIT_OK
+    assert capsys.readouterr().out == level1_file.read_text()
 
 
 def test_export_dot_renders_loops(level1_file, tmp_path, capsys):
@@ -206,6 +211,24 @@ def test_probe_twisted(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "0 survive" in out
+
+
+def test_probe_command_draws_the_twist_once(monkeypatch, capsys):
+    # seed 17 is degenerate at (5,13), so the one draw also skips a seed
+    from expander_forge import tower
+
+    draws = []
+    draw = tower.twist_sequence
+    monkeypatch.setattr(tower, "twist_sequence", lambda *args: draws.append(args) or draw(*args))
+    for seed in ("42", "17"):
+        draws.clear()
+        assert main(["probe", "--q1", "5", "--q2", "13", "--level", "3", "--max-word-len", "4",
+                     "--twist-seed", seed]) == EXIT_OK
+        assert len(draws) == 1
+    assert capsys.readouterr().out.count("# reseeded: twist seed 17 was degenerate") == 1
+    probe, twist, reseeds = tower.probe_with_reseed(TowerConfig(5, 13, levels=3, twist_seed=17))
+    assert twist is probe.twist and probe.twisted and reseeds == (17,)
+    assert twist.seed == 18 and len(twist.matrices) == 3
 
 
 def test_tower_single_level_report(tmp_path, capsys):
@@ -343,6 +366,10 @@ def test_malformed_edge_list(tmp_path, capsys):
         f"{header} V=2\n0 1 0 1\n1 0 0 \xff\xfe\n".encode("latin-1"),
         b'{"format": "expander-forge-graph", "meta": {"x": "\xff"}}',
         b'{"a":' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+        # integers of more digits than int() converts
+        f"{header} V={'9' * 5000}\n0 1 0 1\n1 0 0 0\n",
+        json.dumps(dict(graph, num_vertices=0)).replace('"num_vertices": 0',
+                                                        f'"num_vertices": {"9" * 5000}').encode(),
     ]
     for i, row in enumerate(rows):
         bad = tmp_path / f"bad{i}"

@@ -1,7 +1,10 @@
 """The block-wise edge-list writer and reader against the original string
-writer and per-line reader kept in oracles.py."""
+writer and per-line reader kept in oracles.py; failed streamed writes; and
+the memory the writes, the read and the graph checks hold."""
 
+import errno
 import itertools
+import os
 import threading
 import time
 
@@ -10,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_geometric_edges, parse_edgelist, random_multigraphs
-from expander_forge import cli
+from conftest import from_geometric_edges, parse_edgelist, random_multigraphs, traced_peak
+from expander_forge import cli, multigraph
 from expander_forge.cli import format_edgelist
-from expander_forge.errors import InvalidParameterError
+from expander_forge.errors import GraphConstructionError, InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
 from oracles import line_edge_rows, string_format_dot, string_format_edgelist
@@ -283,3 +286,168 @@ def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
     assert sorted(here) == [False, True] and here == first
     worker = next(thread for (_, thread, _), h in zip(blocks[1:], here) if not h)
     assert threading.active_count() == before and not worker.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# streamed writes that fail
+
+
+class _FailingFile:
+    """A file whose second write raises OSError (ENOSPC)."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, piece):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(piece)
+
+
+def _fail_second_chunk(monkeypatch):
+    # 7 rows a chunk; every chunk after the first raises, so the pair of
+    # chunks 0 and 1 fails on the worker thread
+    format_rows = cli._format_rows
+
+    def failing(cols):
+        if cols[0][0] > 0:
+            raise RuntimeError("chunk after the first")
+        return format_rows(cols)
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli, "_format_rows", failing)
+    return RuntimeError
+
+
+def _fail_second_write(monkeypatch):
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FailingFile(fdopen(fd, mode)))
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    return OSError
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None])
+@pytest.mark.parametrize("failure", [_fail_second_chunk, _fail_second_write])
+def test_failed_streamed_write_leaves_the_target_and_no_thread(monkeypatch, tmp_path, old,
+                                                               failure):
+    # The error leaves the writer with the target as it was, no temporary
+    # file, and the pieces' worker thread joined: the traceback still holds
+    # the writer's frames, so an unclosed generator would keep it alive.
+    g = build_level(TowerConfig(5, 13), 1).graph
+    target = tmp_path / "level1.edges"
+    if old is not None:
+        target.write_bytes(old)
+    error = failure(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(error) as raised:
+        cli.write_edgelist(str(target), g)
+    assert threading.active_count() == before
+    assert raised.value.__traceback__ is not None
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else [target.name])
+    if old is not None:
+        assert target.read_bytes() == old
+
+
+# ---------------------------------------------------------------------------
+# memory: the (5,17) cartan level 2, 530,604 directed edges, 10.9 MB of text
+
+
+@pytest.fixture(scope="module")
+def level_5_17(tmp_path_factory):
+    g = build_level(TowerConfig(5, 17, levels=2), 2).graph
+    path = tmp_path_factory.mktemp("level2") / "level2.edges"
+    cli.write_edgelist(str(path), g)
+    return g, path
+
+
+def _held(a) -> int:
+    """The bytes of the array a or of the array it is a view of."""
+    return (a if a.base is None else a.base).nbytes
+
+
+def test_atomic_write_holds_a_slice_not_the_text(level_5_17, tmp_path):
+    _, path = level_5_17
+    text = path.read_text()
+    assert len(text) > 8 * cli._WRITE_SLICE
+    out = tmp_path / "copy.edges"
+    _, peak = traced_peak(cli.atomic_write, str(out), text)
+    # one slice and its encoded copy
+    assert peak <= 2 * cli._WRITE_SLICE + (1 << 16)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_streamed_write_peak_does_not_grow_with_the_list(level_5_17, tmp_path):
+    # 184,548 and 530,604 edges, several pairs of chunks each
+    small = build_level(TowerConfig(5, 13, levels=2), 2).graph
+    big, path = level_5_17
+    peaks = []
+    for g in (small, big):
+        out = tmp_path / "streamed.edges"
+        _, peak = traced_peak(cli.write_edgelist, str(out), g)
+        assert out.read_text() == format_edgelist(g)
+        peaks.append(peak)
+    assert out.read_bytes() == path.read_bytes()
+    assert peaks[1] <= peaks[0] + (1 << 20) and peaks[1] < path.stat().st_size
+
+
+def test_load_holds_the_file_the_graph_and_a_fixed_scratch(level_5_17):
+    # the scratch: two blocks parsed at once, about 24 bytes per byte each
+    _, path = level_5_17
+    g, peak = traced_peak(cli.load_graph, str(path))
+    arrays = sum(_held(a) for a in (g.origin, g.terminus, g.label, g.inv))
+    assert peak <= path.stat().st_size + arrays + 64 * cli._BLOCK_BYTES
+
+
+def test_graph_checks_on_int32_columns_hold_no_edge_length_array(level_5_17):
+    g, _ = level_5_17
+    cols = [a.copy() for a in (g.origin, g.terminus, g.inv, g.label)]
+    assert {a.dtype for a in cols} == {np.dtype(np.int32)}
+    checked, peak = traced_peak(SerreGraph, g.num_vertices, *cols)
+    assert peak < 4 * g.num_edges and peak <= 32 * multigraph._VALIDATE_CHUNK
+    assert all(a is b for a, b in zip((checked.origin, checked.terminus, checked.inv,
+                                       checked.label), cols))
+
+
+def test_loaded_level_has_the_built_arrays(level_5_17):
+    built, path = level_5_17
+    loaded = cli.load_graph(str(path))
+    for name in ("origin", "terminus", "label", "inv"):
+        a, b = getattr(built, name), getattr(loaded, name)
+        assert b.dtype == a.dtype == np.int32 and np.array_equal(b, a), name
+
+
+@pytest.mark.parametrize("body,message", [
+    (f"0 {2**32 + 1} 0 1\n1 0 0 0\n", "edge 0 has endpoint out of range"),
+    (f"0 1 0 1\n{-(2**32) + 1} 0 0 0\n", "involution does not reverse edge 0"),
+    (f"0 1 0 {2**32 + 1}\n1 0 0 0\n", "edge 0 has inverse id out of range"),
+    (f"0 1 0 1\n1 0 0 {2**32}\n", "involution not involutive at edge 0"),
+])
+def test_ids_past_int32_are_widened_not_wrapped(tmp_path, body, message):
+    # each id wrapped to int32 would make the graph valid
+    path = tmp_path / "g.edges"
+    path.write_text(f"# expander-forge v1 V=2\n{body}")
+    with pytest.raises(GraphConstructionError, match=f"^{message}$"):
+        cli.load_graph(str(path))
+
+
+def test_labels_past_int32_keep_their_values(monkeypatch, tmp_path):
+    # One line a block: the first blocks' labels fit int32, and a later one
+    # widens the label column halfway through the file.
+    labels = [0, 2**31 - 1, -(2**31), 2**31, -(2**31) - 1, 2**63 - 1, -(2**63), 7]
+    text = "# expander-forge v1 q1=0 q2=0 n=0 variant=fixture mode=NA V=2\n" + "".join(
+        f"{e % 2} {1 - e % 2} {x} {e ^ 1}\n" for e, x in enumerate(labels))
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
+    g = cli.load_graph(str(path))
+    assert g.label.dtype == np.int64 and g.label.tolist() == labels
+    assert g.origin.dtype == g.terminus.dtype == g.inv.dtype == np.int32
+    assert np.array_equal(_rows(g), line_edge_rows(text))
+    assert format_edgelist(g) == string_format_edgelist(g)

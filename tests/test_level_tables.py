@@ -5,12 +5,11 @@ and the probe's step tables."""
 
 import dataclasses
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import covering_verdict
+from conftest import covering_verdict, traced_peak
 from expander_forge import multigraph, spectra, tower
 from expander_forge.cli import format_edgelist
 from expander_forge.errors import InvalidMorphismError, InvalidParameterError, VerificationError
@@ -239,12 +238,7 @@ def test_ramanujan_check_peak_within_solve_bytes(q1, q2, variant):
     # level 2: 15,000 vertices of degree 14, bipartite, which peaks in the
     # double-cover component count; and 30,758 vertices of degree 6 with loops
     g = build_level(TowerConfig(q1, q2, levels=2, variant=variant), 2).graph
-    tracemalloc.start()
-    try:
-        spectra.ramanujan_check(g, q1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(spectra.ramanujan_check, g, q1)
     assert peak <= spectra.solve_bytes(g.num_vertices, g.num_edges)
 
 
@@ -252,12 +246,7 @@ def test_swap_halves_peak_within_solve_bytes():
     # the (5,13) cartan level 2 solved on its swap halves, as build_tower does
     lvl = build_level(TowerConfig(5, 13, levels=2), 2)
     orbits = tower.swap_orbits(lvl)
-    tracemalloc.start()
-    try:
-        report = spectra.ramanujan_check(lvl.graph, 5, orbits=orbits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: spectra.ramanujan_check(lvl.graph, 5, orbits=orbits))
     assert report.method == "iterative"
     assert peak <= spectra.solve_bytes(lvl.graph.num_vertices, lvl.graph.num_edges)
 

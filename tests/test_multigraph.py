@@ -478,7 +478,7 @@ def test_bipartition_matches_traversal_oracle_random(g):
 def test_origin_counts_match_bincount(monkeypatch, chunk):
     # counted a chunk at a time from the chunk's least id, sorted or not,
     # with vertices of no edge at either end
-    monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
+    monkeypatch.setattr(multigraph, "_COUNT_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     for origin in (rng.integers(2, 40, size=200, dtype=np.int32),
                    np.sort(rng.integers(0, 37, size=101)), np.zeros(0, dtype=np.int32)):
