@@ -12,7 +12,6 @@ from .errors import (
     InvalidMorphismError,
     InvalidParameterError,
     InvalidWordError,
-    LiftFailureError,
     NoSquareRootError,
     SingularMatrixError,
     VerificationError,
@@ -20,11 +19,9 @@ from .errors import (
 )
 from .modarith import (
     PrimePower,
-    hensel_lift_sqrt,
     is_prime,
     legendre,
     sqrt_minus_one,
-    sqrt_mod_prime,
 )
 from .multigraph import CoveringCheck, GraphMorphism, SerreGraph, girth, is_covering
 from .projgroup import Mat2, is_psl, proj_normalize, reduce_matrix
@@ -46,14 +43,12 @@ from .tower import (
     CoveringMap,
     LoopWitness,
     ProbeResult,
-    TorusPair,
     TowerConfig,
     TowerLevel,
     TowerResult,
     TwistSequence,
     build_level,
     build_tower,
-    find_torus_pair,
     intersection_probe,
     loop_witness,
     lps_girth_floor,

@@ -10,7 +10,9 @@ Edge list (one directed edge per line, ids implicit from line order)::
 Lines are ordered by (src, gen_idx); ids are 0-based; re-reading a file
 reproduces the graph exactly, involution included.  Blank lines before the
 header are skipped; a header value ``-?[0-9]+`` is an integer, any other a
-string.  Each edge line holds four tokens ``-?[0-9]+``, values in
+string, and a key given twice is refused; a header is written only from
+metadata that reads back as itself, with V the graph's vertex count.  Each
+edge line holds four tokens ``-?[0-9]+``, values in
 int64, separated by spaces or tabs; LF, CRLF and CR end lines, and lines of
 only spaces and tabs are skipped.  Any other byte (a ``+``, ``_``, a
 non-ASCII digit) makes its line malformed.  Writing and reading run as numpy
@@ -86,6 +88,9 @@ _INT64_MAX = np.uint64(2**63 - 1)
 _HEADER_LINE = re.compile(rb"(?:[ \t]*[\r\n])*([^\r\n]*)")
 _LINE_END = re.compile(rb"[\r\n]")
 _NON_SPACE = re.compile(rb"\S")
+# A header value: an integer's ASCII digits, or any other token.
+_INTEGER = re.compile(r"-?[0-9]+")
+_TOKEN = re.compile(r"[^\s=\ud800-\udfff]*")
 
 
 def _quant(x: float) -> float:
@@ -98,9 +103,17 @@ def _quant(x: float) -> float:
 
 
 def _header_line(meta: dict) -> str:
-    for f in _META_FIELDS:
-        if f not in meta:
-            raise InvalidParameterError(f"graph metadata missing field {f!r}")
+    """The header of meta's fields; each value must read back as itself: an
+    int, or a str of no whitespace, '=' or surrogate that is not an
+    integer's digits."""
+    for k in _META_FIELDS:
+        if k not in meta:
+            raise InvalidParameterError(f"graph metadata missing field {k!r}")
+        v = meta[k]
+        if not (type(v) is int or type(v) is str and _TOKEN.fullmatch(v)
+                and not _INTEGER.fullmatch(v)):
+            raise InvalidParameterError(f"graph metadata {k}={v!r} does not read back "
+                                        "from an edge-list header")
     fields = " ".join(f"{k}={meta[k]}" for k in _META_FIELDS)
     return f"{HEADER_PREFIX} {fields}"
 
@@ -210,6 +223,9 @@ def _format_rows(cols) -> str:
 def _edgelist_pieces(g: SerreGraph):
     """The edge list of g as str pieces in file order: the header line, then
     one piece per chunk of rows."""
+    if g.meta.get("V", g.num_vertices) != g.num_vertices:
+        raise InvalidParameterError(f"graph metadata V={g.meta['V']!r} is not the graph's "
+                                    f"{g.num_vertices} vertices")
     yield _header_line(g.meta) + "\n"
     yield from _in_pairs(_format_rows, _file_order_rows(g))
 
@@ -320,8 +336,10 @@ def _edge_list(raw: bytes):
     meta = {}
     for tok in header[len(HEADER_PREFIX):].split():
         k, _, v = tok.partition("=")
+        if k in meta:
+            raise InvalidParameterError(f"header repeats {k}=")
         try:
-            meta[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v
+            meta[k] = int(v) if _INTEGER.fullmatch(v) else v
         except ValueError:  # more digits than int() converts
             raise InvalidParameterError(f"header value {k}= has {len(v)} digits") from None
     return meta, _edge_columns(raw, head.end())

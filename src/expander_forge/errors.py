@@ -9,10 +9,6 @@ class NoSquareRootError(ArithmeticError):
     """Requested a modular square root of a non-residue."""
 
 
-class LiftFailureError(ArithmeticError):
-    """Hensel lift preconditions not met (r^2 != a mod p, or 2r not a unit)."""
-
-
 class InvalidWordError(ValueError):
     """A generator word is not reduced (contains an adjacent inverse pair)."""
 

@@ -1,14 +1,13 @@
 """Exact modular arithmetic over odd prime powers.
 
-Quadratic residues, modular square roots and Hensel lifting: everything
-needed to realize sqrt(-1) in Z/p^k.  All functions are pure and
-thread-safe.
+Primality, the Legendre symbol and the one square root the construction
+needs: sqrt(-1) in Z/p^k.  All functions are pure and thread-safe.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InvalidParameterError, LiftFailureError, NoSquareRootError
+from .errors import InvalidParameterError, NoSquareRootError, VerificationError
 
 # Witness set making Miller-Rabin deterministic for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -73,69 +72,24 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """The smaller square root r of a mod p, 0 < r < p.
-
-    Uses the exponentiation shortcut for p = 3 (mod 4) and Tonelli-Shanks
-    otherwise.  Raises NoSquareRootError when a is not a nonzero residue.
-    """
-    if legendre(a, p) != 1:
-        raise NoSquareRootError(f"{a} has no square root mod {p}")
-    a %= p
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)
-
-
-def hensel_lift_sqrt(r: int, a: int, pp: PrimePower) -> int:
-    """Lift a square root r of a mod p to a root mod p**k with r' = r (mod p).
-
-    Newton iteration x -> (x + a/x)/2, doubling the working precision each
-    step.  Raises LiftFailureError if r is not a unit root of a mod p.
-    """
-    p = pp.p
-    if r % p == 0 or (r * r - a) % p != 0:
-        raise LiftFailureError(f"{r} is not a unit square root of {a} mod {p}")
-    x = r % p
-    m = p
-    while m < pp.modulus:
-        m = min(m * m, pp.modulus)
-        x = (x + a % m * pow(x, -1, m)) * pow(2, -1, m) % m
-    return x
-
-
 @lru_cache(maxsize=None)
 def sqrt_minus_one(pp: PrimePower) -> int:
-    """The canonical sqrt(-1) mod p**k: the Hensel lift of the smaller root mod p.
+    """The canonical sqrt(-1) mod p**k: the lift of the smaller root mod p.
 
-    Fixing one root makes every construction downstream reproducible; the two
-    choices give relabeled but isomorphic graphs.  Requires p = 1 (mod 4).
+    The root mod p is z**((p-1)/4) for the least non-residue z; Newton's
+    step x -> x - (x**2 + 1) / (2x) lifts it, doubling the precision each
+    time.  Fixing one root makes every construction downstream
+    reproducible; the two choices give relabeled but isomorphic graphs.
+    Requires p = 1 (mod 4).
     """
-    if pp.p % 4 != 1:
-        raise NoSquareRootError(f"-1 is not a square mod {pp.p}")
-    r = sqrt_mod_prime(-1, pp.p)
-    return hensel_lift_sqrt(r, -1, pp) if pp.k > 1 else r
+    p, m = pp.p, pp.modulus
+    if p % 4 != 1:
+        raise NoSquareRootError(f"-1 is not a square mod {p}")
+    z = next(z for z in range(2, p) if legendre(z, p) == -1)
+    r = pow(z, (p - 1) // 4, p)
+    x = r = min(r, p - r)
+    for _ in range(pp.k.bit_length()):
+        x = (x - (x * x + 1) * pow(2 * x, -1, m)) % m
+    if (x * x + 1) % m or x % p != r:
+        raise VerificationError(f"{x} is not the lift of sqrt(-1) = {r} mod {p} to mod {m}")
+    return x

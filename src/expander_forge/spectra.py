@@ -252,19 +252,12 @@ def nontrivial_ends(a, trivial, norm, cancel) -> EigenResult:
                        m, 2 * m + len(ends))
 
 
-def _sorted_pairs(n: int, u, v) -> np.ndarray:
-    """The codes u[i]*n + v[i], sorted: the multiset of the pairs."""
-    codes = np.multiply(u, n, dtype=np.int64)
-    codes += v
-    codes.sort()
-    return codes
-
-
 def _checked_orbits(g: SerreGraph, orbits) -> np.ndarray:
-    """orbits as an (h, 2) id array, after checking on the graph's edge
-    arrays that its rows hold every vertex exactly once and that the swap
-    exchanging each row's two vertices maps the edges onto the edges with
-    multiplicity; else InvalidParameterError."""
+    """orbits as an (h, 2) id array, after checking that its rows hold every
+    vertex exactly once and that the swap exchanging each row's two vertices
+    maps the edges onto the edges with multiplicity: on the regular g, that
+    the sorted neighbour row of swap[v] is swap of the row of v.  Else
+    InvalidParameterError."""
     n = g.num_vertices
     o = np.asarray(orbits)
     if o.ndim != 2 or o.shape[1] != 2 or o.dtype.kind not in "iu":
@@ -280,8 +273,8 @@ def _checked_orbits(g: SerreGraph, orbits) -> np.ndarray:
             f"orbits hold vertex {v} {np.count_nonzero(o == v)} times, not once")
     swap = np.empty(n, dtype=o.dtype)
     swap[o[:, 0]], swap[o[:, 1]] = o[:, 1], o[:, 0]
-    if not np.array_equal(_sorted_pairs(n, g.origin, g.terminus),
-                          _sorted_pairs(n, swap[g.origin], swap[g.terminus])):
+    rows = np.sort(g.terminus[np.argsort(g.origin, kind="stable")].reshape(n, -1), axis=1)
+    if not np.array_equal(rows[swap], np.sort(swap[rows], axis=1)):
         raise InvalidParameterError("orbits are not those of an automorphism: their swap "
                                     "does not map the edges onto the edges with multiplicity")
     return o

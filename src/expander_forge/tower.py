@@ -413,19 +413,7 @@ def build_level(cfg: TowerConfig, n: int) -> TowerLevel:
 
 
 # ---------------------------------------------------------------------------
-# torus elements and the loop witness
-
-
-@dataclass(frozen=True)
-class TorusPair:
-    """Commuting elements a1+b1*i (norm q1) and a2+b2*i (norm q2).
-
-    Both lie in the subalgebra spanned by 1 and i, so their split images are
-    diagonal at every level; gamma is itself one of the q1+1 generators.
-    """
-
-    gamma: Quaternion
-    delta: Quaternion
+# the torus generator and the loop witness
 
 
 def two_squares(q: int):
@@ -438,12 +426,6 @@ def two_squares(q: int):
     raise InvalidParameterError(f"{q} is not a sum of an odd and an even square")
 
 
-def find_torus_pair(q1: int, q2: int) -> TorusPair:
-    a1, b1 = two_squares(q1)
-    a2, b2 = two_squares(q2)
-    return TorusPair(Quaternion(a1, b1, 0, 0), Quaternion(a2, b2, 0, 0))
-
-
 @dataclass(frozen=True)
 class LoopWitness:
     vertex: int
@@ -451,12 +433,13 @@ class LoopWitness:
 
 
 def loop_witness(level: TowerLevel) -> LoopWitness:
-    """The loop guaranteed at the standard base coset: gamma = a1 + b1*i is a
-    generator whose split image is diagonal, hence fixes ((0:1), (1:0)) and
-    the point (1:0).  Returns the base vertex and gamma's generator index."""
+    """The loop guaranteed at the standard base coset: gamma = a + b*i, with
+    (a, b) = two_squares(q1), is a generator whose split image is diagonal,
+    hence fixes ((0:1), (1:0)) and the point (1:0).  Returns the base vertex
+    and gamma's generator index."""
     if level.config.variant not in ("cartan", "borel"):
         raise InvalidParameterError("loop witness applies to the cartan and borel variants")
-    coeffs = find_torus_pair(level.config.q1, level.config.q2).gamma.coefficients()
+    coeffs = (*two_squares(level.config.q1), 0, 0)
     try:
         idx = next(i for i, g in enumerate(level.generators.gens) if g.coefficients() == coeffs)
     except StopIteration:

@@ -5,6 +5,7 @@ PASS line (run with `pytest tests/test_acceptance.py -v -s` to see them);
 a pytest failure is the corresponding FAIL line.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -196,6 +197,12 @@ def test_criterion_9_determinism(tmp_path):
     assert outputs[0][0] == outputs[1][0], "reports differ between runs/thread counts"
     assert outputs[0][1] == outputs[1][1]
     assert outputs[0][2] == outputs[1][2]
+    # and equal to the bytes recorded when this run was first pinned
+    assert [hashlib.sha256(b).hexdigest() for b in outputs[0]] == [
+        "61e5d234ee31fe1cb34ae237dbc2033e7e58daeed0dcc6b3f3115776c2bf4dab",
+        "e2ef737100fd813142b245b65c26ffca5aaae4ff402fe57b8ee282a5a3007164",
+        "de0e7599fa10b582948990653d17f7397723904347c1e75559893e374e71d3dc",
+    ]
     report = json.loads(outputs[0][0])
     assert [lvl["girth"] for lvl in report["levels"]] == [1, 1]
     assert all(c["verified"] for c in report["coverings"])

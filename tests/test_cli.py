@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import resource
@@ -310,6 +311,40 @@ def test_degenerate_seed_gives_every_command_the_same_level(tmp_path, capsys):
         assert capsys.readouterr().out.startswith("# reseeded: twist seed 17 was degenerate\n")
 
 
+# sha256 of each output, recorded when these commands were first pinned;
+# an output's bytes change only with a change named in CHANGES.md.  The
+# probe's stdout is pinned in test_closed_walks.py.
+PINNED_OUTPUTS = {
+    "cartan1.edges": "e2ef737100fd813142b245b65c26ffca5aaae4ff402fe57b8ee282a5a3007164",
+    "borel2.edges": "c6c13ed5d80bade3fb347164b6982a565cb4d46035751cf5f12cca930dec6084",
+    "cayley1.edges": "0749d4096e265863ae1f69de147686dd51f6f0d1b2260f3868e9ed90cdacb048",
+    "cartan1.json": "b84847230729444a8875f8aa3d7fa4b3d402f5c25bee02dea1eea13efe74e976",
+    "cartan1.dot": "664046f3afd05965f9e14c0049b0a52b7d62acfa20e96cc9f89c7391e96ff874",
+    "tower-cayley-5-17.json": "b1213aaba1a5dbcdc1cb7c54145704e1db8586025efefc0d7cdd1b77d59c473a",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path):
+    got = {}
+
+    def run(path, argv):
+        assert main(argv) == EXIT_OK, path.name
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for variant, n in (("cartan", 1), ("borel", 2), ("cayley", 1)):
+        path = tmp_path / f"{variant}{n}.edges"
+        run(path, ["build", "--q1", "5", "--q2", "13", "--level", str(n), "--variant", variant,
+                   "--out", str(path)])
+    for fmt in ("json", "dot"):
+        path = tmp_path / f"cartan1.{fmt}"
+        run(path, ["export", "--in", str(tmp_path / "cartan1.edges"), "--format", fmt,
+                   "--out", str(path)])
+    path = tmp_path / "tower-cayley-5-17.json"
+    run(path, ["tower", "--q1", "5", "--q2", "17", "--levels", "1", "--variant", "cayley",
+               "--report", str(path)])
+    assert got == PINNED_OUTPUTS
+
+
 def test_usage_error_exit_code():
     assert main(["build", "--q1", "5"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -354,6 +389,8 @@ def test_malformed_edge_list(tmp_path, capsys):
         f"{header} V=\u00b2\n0 1 0 1\n1 0 0 0\n",  # a digit to isdigit(), not to int()
         f"{header} V=\u0663\n0 1 0 1\n1 0 0 0\n",  # an Arabic-Indic 3
         f"{header} V=2\n0 1 1-2 1\n1 0 0 0\n",
+        f"{header} V=2 V=3\n0 1 0 1\n1 0 0 0\n",  # a key given twice
+        f"{header} q1=5 V=2\n0 1 0 1\n1 0 0 0\n",
         dict(graph, edges=[[0, 1, 0, 2**40], [1, 0, 0, 0]]),
         dict(graph, edges=[[0, 1, 0, 1], [-1, 0, 0, 0]]),
         {k: v for k, v in graph.items() if k != "edges"},
@@ -383,6 +420,51 @@ def test_malformed_edge_list(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, row
             assert not captured.out, row
+
+
+GOOD_META = {"q1": 5, "q2": 13, "n": 1, "variant": "cartan", "mode": "PGL", "V": 2}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("V", 7, "V=7 is not the graph's 2 vertices"),
+    ("V", "2", "V='2' is not the graph's 2 vertices"),
+    ("variant", "cartan\nx", "variant='cartan\\nx' does not read back"),
+    ("variant", "a b", "does not read back"),
+    ("variant", "a\u00a0b", "does not read back"),  # a no-break space
+    ("mode", "x=y", "does not read back"),
+    ("mode", "12", "mode='12' does not read back"),  # would read back as an int
+    ("n", True, "n=True does not read back"),
+    ("n", 1.5, "does not read back"),
+    ("n", None, "does not read back"),
+    ("variant", "\ud800", "does not read back"),  # no UTF-8 encoding
+])
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "present"])
+def test_export_refuses_a_header_that_does_not_read_back(tmp_path, capsys, field, value,
+                                                         message, old):
+    # The edge list's header is the only record of V and the metadata, so
+    # a value it would not give back as itself is refused before any line,
+    # and the target keeps its bytes or stays absent.
+    src = tmp_path / "g.json"
+    graph = {"format": "expander-forge-graph", "schema": 1,
+             "meta": dict(GOOD_META, **{field: value}),
+             "num_vertices": 2, "edges": [[0, 1, 0, 1], [1, 0, 0, 0]]}
+    src.write_text(json.dumps(graph))
+    out = tmp_path / "g.edges"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["export", "--in", str(src), "--format", "edgelist", "--out", str(out)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph metadata ") and message in err, err
+    assert (out.read_bytes() if out.exists() else None) == old
+    assert not list(tmp_path.glob(".tmp-forge-*"))
+    assert main(["export", "--in", str(src), "--format", "edgelist"]) == EXIT_USAGE
+    assert not capsys.readouterr().out
+    # the good metadata writes a file that reads back to the same graph
+    src.write_text(json.dumps(dict(graph, meta=GOOD_META)))
+    assert main(["export", "--in", str(src), "--format", "edgelist", "--out", str(out)]) \
+        == EXIT_OK
+    assert load_graph(str(out)).meta == GOOD_META
 
 
 def test_deep_json_is_refused_by_path(tmp_path, capsys):

@@ -128,6 +128,9 @@ def test_probe_rejects_depth_below_one():
     ([], "e19fcd86ff6e72f7595816587178c81fe141f3500bfed3999fb8cb9d229cf094"),
     (["--twist-seed", "42"],
      "2582865465f4df6e312a3629ec2b20fde9ec4f1c4862012914f7466988a74e2e"),
+    # degenerate at level 1, so the probe reads seed 18 and says so
+    (["--twist-seed", "17"],
+     "208341829ba3934e1c793247d7eabc9c45d43d4ffc49f918da3abaa5b484e16e"),
 ])
 def test_probe_word_length_8_bytes_pinned(extra, digest, capsys):
     rc = main(["probe", "--q1", "5", "--q2", "13", "--level", "3",

@@ -2,22 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expander_forge.errors import (
-    InvalidParameterError,
-    LiftFailureError,
-    NoSquareRootError,
-)
-from expander_forge.modarith import (
-    PrimePower,
-    hensel_lift_sqrt,
-    is_prime,
-    legendre,
-    sqrt_minus_one,
-    sqrt_mod_prime,
-)
+from expander_forge.errors import InvalidParameterError, NoSquareRootError
+from expander_forge.modarith import PrimePower, is_prime, legendre, sqrt_minus_one
 from oracles import NotInvertibleError, unit_inverse
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 29, 97, 101, 997]
+# p = 1 (mod 4), up to the largest such prime below 2**64
+SPLIT_PRIMES = [5, 13, 17, 29, 97, 101, 1009, 65537, 1099511627873, 18446744073709551557]
 
 
 def test_is_prime_small():
@@ -60,23 +51,18 @@ def test_legendre_rejects_bad_modulus():
 
 
 def test_sqrt_mod_prime_examples():
-    assert sqrt_mod_prime(-1, 13) == 5  # roots {5, 8}, smaller one
-    assert sqrt_mod_prime(-1, 5) == 2   # roots {2, 3}
-    assert sqrt_mod_prime(4, 13) == 2
-    with pytest.raises(NoSquareRootError):
-        sqrt_mod_prime(5, 13)
-    with pytest.raises(NoSquareRootError):
-        sqrt_mod_prime(0, 13)
+    assert sqrt_minus_one(PrimePower(13, 1)) == 5  # roots {5, 8}, smaller one
+    assert sqrt_minus_one(PrimePower(5, 1)) == 2   # roots {2, 3}
+    for p in (3, 7, 11, 19):
+        with pytest.raises(NoSquareRootError):
+            sqrt_minus_one(PrimePower(p, 1))
 
 
 def test_hensel_lift_examples():
-    assert hensel_lift_sqrt(5, -1, PrimePower(13, 2)) == 70  # 70^2 = 4900 = -1 (mod 169)
-    assert hensel_lift_sqrt(2, -1, PrimePower(5, 2)) == 7    # 49 = -1 (mod 25)
-    assert hensel_lift_sqrt(5, -1, PrimePower(13, 1)) == 5   # k = 1: unchanged
-    with pytest.raises(LiftFailureError):
-        hensel_lift_sqrt(6, -1, PrimePower(13, 2))
-    with pytest.raises(LiftFailureError):
-        hensel_lift_sqrt(13, 0, PrimePower(13, 2))
+    assert sqrt_minus_one(PrimePower(13, 2)) == 70  # 70^2 = 4900 = -1 (mod 169)
+    assert sqrt_minus_one(PrimePower(5, 2)) == 7    # 49 = -1 (mod 25)
+    with pytest.raises(NoSquareRootError):
+        sqrt_minus_one(PrimePower(7, 3))
 
 
 def test_unit_inverse_examples():
@@ -102,16 +88,17 @@ def test_sqrt_minus_one_canonical():
 
 @pytest.mark.properties
 def test_sqrt_correct_exhaustive_small_primes():
-    # Every residue with legendre +1 has a root, squared back exactly,
-    # for all odd primes up to 1000.
-    for p in range(3, 1000, 2):
+    # For every p = 1 (mod 4) below 1000 and k <= 4, sqrt(-1) mod p^k squares
+    # to -1 and reduces mod p to the smaller root, found by brute force.
+    for p in range(5, 1000, 4):
         if not is_prime(p):
             continue
-        for a in range(1, p):
-            if legendre(a, p) == 1:
-                r = sqrt_mod_prime(a, p)
-                assert 0 < r < p and r <= p - r
-                assert r * r % p == a
+        r = next(x for x in range(1, p) if x * x % p == p - 1)
+        for k in range(1, 5):
+            m = p**k
+            s = sqrt_minus_one(PrimePower(p, k))
+            assert 0 < s < m and s * s % m == m - 1
+            assert s % p == r
 
 
 @pytest.mark.properties
@@ -133,12 +120,12 @@ def test_unit_inverse_property(p, k, a):
 
 @pytest.mark.properties
 @settings(max_examples=200)
-@given(st.sampled_from(ODD_PRIMES), st.integers(1, 5), st.integers(-10**4, 10**4))
-def test_hensel_lift_property(p, k, a):
-    if legendre(a, p) != 1:
-        return
-    pp = PrimePower(p, k)
-    r = sqrt_mod_prime(a, p)
-    lifted = hensel_lift_sqrt(r, a, pp)
-    assert lifted * lifted % pp.modulus == a % pp.modulus
-    assert lifted % p == r
+@given(st.sampled_from(SPLIT_PRIMES), st.integers(1, 6), st.integers(1, 6))
+def test_hensel_lift_property(p, k, j):
+    # the root mod p^k squares to -1 and reduces to the root mod p^j, j <= k:
+    # the roots of a tower's levels agree under its covering maps
+    j = min(j, k)
+    lifted = sqrt_minus_one(PrimePower(p, k))
+    assert lifted * lifted % p**k == p**k - 1
+    assert lifted % p**j == sqrt_minus_one(PrimePower(p, j))
+    assert lifted % p <= p // 2

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -739,3 +740,42 @@ def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
     with pytest.raises(InvalidParameterError, match="orbits hold vertex 0 2 times"):
         ramanujan_check(prism_graph(20), 2, method=method,
                         orbits=_orbits(ids // 20 * 20 + (-ids) % 20))
+
+
+def _matchings(vertices):
+    # every pairing of the vertices into rows of two
+    if not vertices:
+        yield []
+        return
+    a, rest = vertices[0], vertices[1:]
+    for i, b in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(a, b)] + tail
+
+
+@pytest.mark.parametrize("g", [
+    prism_graph(4),  # the cube
+    # a 3-regular path of loops and double edges, reflected by v -> 5 - v
+    from_geometric_edges(6, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (3, 4), (4, 5),
+                             (5, 5)]),
+], ids=["cube", "looped-path"])
+def test_swap_check_is_the_edge_multiset_statement(g):
+    # For every pairing of the vertices, the neighbour-row check accepts
+    # exactly when the swap maps the multiset of (origin, terminus) pairs
+    # onto itself.  Neither graph lists its edges in origin order.
+    assert set(g.degrees()) == {3} and np.any(np.diff(g.origin) < 0)
+    pairs = Counter(zip(g.origin.tolist(), g.terminus.tolist()))
+    accepted = 0
+    for rows in _matchings(list(range(g.num_vertices))):
+        orbits = np.array(rows)
+        swap = _swap(orbits, g.num_vertices)
+        want = Counter(zip(swap[g.origin].tolist(), swap[g.terminus].tolist())) == pairs
+        try:
+            spectra._checked_orbits(g, orbits)
+            got = True
+        except InvalidParameterError as e:
+            assert "not those of an automorphism" in str(e)
+            got = False
+        assert got == want, rows
+        accepted += got
+    assert accepted >= 1

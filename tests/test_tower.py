@@ -16,7 +16,6 @@ from expander_forge.tower import (
     build_level,
     build_tower,
     expected_vertices,
-    find_torus_pair,
     intersection_probe,
     loop_witness,
     lps_girth_floor,
@@ -77,10 +76,9 @@ def test_two_squares():
     assert two_squares(5) == (1, 2)
     assert two_squares(13) == (3, 2)
     assert two_squares(29) == (5, 2)
-    torus = find_torus_pair(5, 13)
-    assert torus.gamma == Quaternion(1, 2, 0, 0)
-    assert torus.delta == Quaternion(3, 2, 0, 0)
-    assert torus.gamma * torus.delta == torus.delta * torus.gamma
+    assert two_squares(17) == (1, 4)
+    with pytest.raises(InvalidParameterError):
+        two_squares(7)
 
 
 @pytest.mark.parametrize("q1,q2,variant,n,count", [
@@ -136,7 +134,7 @@ def test_girth_one_with_loop_witness():
             assert wit.vertex == 0  # untwisted base is discovered first
             e = lvl.edge_id(wit.vertex, wit.generator)
             assert lvl.graph.terminus[e] == wit.vertex
-            gamma = find_torus_pair(q1, q2).gamma
+            gamma = Quaternion(*two_squares(q1), 0, 0)
             assert lvl.generators.gens[wit.generator] == gamma
 
 
