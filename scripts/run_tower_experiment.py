@@ -28,7 +28,7 @@ def main():
     result = build_tower(cfg, probe_max_word_len=args.probe_len)
     elapsed = time.perf_counter() - t0
 
-    print(f"tower ({cfg.q1},{cfg.q2}) {cfg.variant} mode={result.mode} "
+    print(f"tower ({cfg.q1},{cfg.q2}) {cfg.variant} mode={cfg.mode} "
           f"levels={cfg.levels} twist={cfg.twist_seed}  [{elapsed:.1f}s]")
     print(f"{'n':>3} {'V':>9} {'girth':>5} {'loops':>5} {'lam_top':>9} "
           f"{'max|nt|':>12} {'bound':>9} {'ram':>5} {'method':>9}")

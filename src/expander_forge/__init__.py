@@ -26,7 +26,6 @@ from .modarith import (
 from .multigraph import CoveringCheck, GraphMorphism, SerreGraph, girth, is_covering
 from .projgroup import Mat2, is_psl, proj_normalize, reduce_matrix
 from .quat import (
-    FreeWord,
     GeneratorSet,
     Quaternion,
     enumerate_generators,

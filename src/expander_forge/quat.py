@@ -1,23 +1,21 @@
-"""Integer Hamilton quaternions, norm-q1 generator sets, and free words.
+"""Integer Hamilton quaternions, norm-q1 generator sets, and reduced words.
 
 The algebra has i^2 = j^2 = -1 and ij = -ji = k.  Generator sets collect the
 q1 + 1 integer quaternions of norm q1 with odd positive real part and even
 imaginary parts; the set is closed under conjugation, which realizes formal
-inverses.  `split` maps a quaternion to a 2x2 matrix over Z/q^n via the
-canonical sqrt(-1), with det(split(q)) = norm(q).
+inverses.  A word is the tuple of its letters, generator indices, and is
+reduced when no letter is followed by its conjugate's.  `split` maps a
+quaternion to a 2x2 matrix over Z/q^n via the canonical sqrt(-1), with
+det(split(q)) = norm(q).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import InvalidParameterError, InvalidWordError, WordLengthError
+from .errors import InvalidParameterError, InvalidWordError
 from .modarith import PrimePower, is_prime, sqrt_minus_one
 from .projgroup import Mat2
-
-# Exact integer arithmetic never overflows in Python; the cap only bounds the
-# cost of word evaluation and enumeration.
-DEFAULT_WORD_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -118,30 +116,19 @@ def split(q: Quaternion, pp: PrimePower) -> Mat2:
     )
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    """A reduced word over generator indices (no adjacent inverse pair)."""
-
-    letters: tuple
-
-
 def is_reduced(letters, pairing) -> bool:
     return all(pairing[a] != b for a, b in zip(letters, letters[1:]))
 
 
-def evaluate_word(w: FreeWord, gens: GeneratorSet, max_len: int = DEFAULT_WORD_CAP) -> Quaternion:
-    """Product of the generators named by w; norm is q1**len(w).
-
-    Raises InvalidWordError for non-reduced words and WordLengthError beyond
-    the cap (which bounds coefficient growth, norm q1**len).
-    """
-    if len(w.letters) > max_len:
-        raise WordLengthError(f"word of length {len(w.letters)} exceeds cap {max_len}")
-    if not all(0 <= a < len(gens.gens) for a in w.letters):
+def evaluate_word(letters: tuple, gens: GeneratorSet) -> Quaternion:
+    """Product of the generators named by the letters; norm is
+    q1**len(letters).  Raises InvalidWordError for a letter out of range or
+    a word that is not reduced."""
+    if not all(0 <= a < len(gens.gens) for a in letters):
         raise InvalidWordError(f"letters out of range for {len(gens.gens)} generators")
-    if not is_reduced(w.letters, gens.inverse_pairing):
-        raise InvalidWordError(f"word {w.letters} is not reduced")
+    if not is_reduced(letters, gens.inverse_pairing):
+        raise InvalidWordError(f"word {letters} is not reduced")
     out = ONE
-    for a in w.letters:
+    for a in letters:
         out = out * gens.gens[a]
     return out

@@ -81,7 +81,6 @@ class SpectralReport:
     """Extreme eigenvalues and the Ramanujan verdict for a (q+1)-regular graph."""
 
     q: int
-    n_vertices: int
     lambda_top: float
     lambda_top_multiplicity: int
     lambda_bottom: float
@@ -361,10 +360,11 @@ def _solve_blocks(blocks, norm) -> EigenResult:
                        sum(e.steps for e in eigs), sum(e.matvecs for e in eigs))
 
 
-def ramanujan_check(g: SerreGraph, q: int, method="auto", orbits=None) -> SpectralReport:
+def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport:
     """Verdict: every nontrivial eigenvalue satisfies |lambda| <= 2*sqrt(q).
 
-    Requires a connected (q+1)-regular graph.  The dense method checks that
+    Requires a connected regular graph, whose degree q+1 must be at least 2;
+    q is read from it.  The dense method checks that
     its spectrum ends within RESIDUAL_RTOL * ||A|| of the trivial values and
     drops them; the iterative one merges the ends of its blocks (_blocks,
     _solve_blocks).  Then one tail: a nontrivial end within that slack of
@@ -378,11 +378,12 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", orbits=None) -> Spectr
     InvalidParameterError.  Only the iterative method solves on the swap
     halves.
     """
-    if q < 1:
-        raise InvalidParameterError(f"degree parameter q must be >= 1, got {q}")
     degs = set(g.degrees())
-    if degs != {q + 1}:
-        raise InvalidParameterError(f"graph is not {q + 1}-regular (degrees {sorted(degs)})")
+    if len(degs) != 1:
+        raise InvalidParameterError(f"graph is not regular (degrees {sorted(degs)})")
+    q = degs.pop() - 1
+    if q < 1:
+        raise InvalidParameterError(f"graph has degree {q + 1}; the verdict needs degree >= 2")
     if orbits is not None:
         orbits = _checked_orbits(g, orbits)
     if not g.connected():
@@ -421,7 +422,6 @@ def ramanujan_check(g: SerreGraph, q: int, method="auto", orbits=None) -> Spectr
 
     return SpectralReport(
         q=q,
-        n_vertices=n,
         lambda_top=float(q + 1),
         lambda_top_multiplicity=1,
         # the bottom of the whole spectrum; q+1 when it has nothing else

@@ -54,7 +54,7 @@ from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype, is_coveri
 from .projgroup import (Mat2, act_on_points, identity, is_psl, matrix_codes, matrix_entries,
                         p1_size, proj_normalize, reduce_matrix, reduce_matrix_codes,
                         reduce_point_codes, unit_inverses)
-from .quat import FreeWord, GeneratorSet, Quaternion, enumerate_generators, evaluate_word, split
+from .quat import GeneratorSet, Quaternion, enumerate_generators, evaluate_word, split
 from .spectra import SpectralReport, ramanujan_check, solve_bytes
 
 VARIANTS = ("cartan", "borel", "cayley")
@@ -349,7 +349,7 @@ def _probe_bytes(cfg: TowerConfig, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TowerLevel:
-    """One level: the graph, its generator matrices S(n), and the modulus.
+    """One level: the graph, its generators, and the modulus.
 
     table[v, i] is the vertex reached from v by generator i; the graph's
     edge arrays are derived from it and the generator pairing.  codes[v] is
@@ -361,17 +361,12 @@ class TowerLevel:
     pp: PrimePower
     graph: SerreGraph
     generators: GeneratorSet
-    generator_matrices: tuple
     table: np.ndarray
     codes: np.ndarray
 
     @property
     def degree(self) -> int:
         return self.config.q1 + 1
-
-    def edge_id(self, v: int, gen_index: int) -> int:
-        """Edges are laid out one block of q1+1 per vertex, in generator order."""
-        return v * self.degree + gen_index
 
 
 def build_level(cfg: TowerConfig, n: int) -> TowerLevel:
@@ -409,7 +404,7 @@ def build_level(cfg: TowerConfig, n: int) -> TowerLevel:
     meta = {"q1": cfg.q1, "q2": cfg.q2, "n": n, "variant": cfg.variant,
             "mode": cfg.mode, "V": nv}
     graph = SerreGraph(nv, origin, table.reshape(-1), inv, label, meta=meta)
-    return TowerLevel(cfg, n, pp, graph, gens, smats, table, codes)
+    return TowerLevel(cfg, n, pp, graph, gens, table, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +445,7 @@ def loop_witness(level: TowerLevel) -> LoopWitness:
     if not len(found):
         raise VerificationError(f"standard base vertex not present in level {level.n}")
     v = int(found[0])
-    e = level.edge_id(v, idx)
-    if level.graph.terminus[e] != v:
+    if level.table[v, idx] != v:
         raise VerificationError(f"edge for generator {idx} at the base vertex is not a loop")
     return LoopWitness(v, idx)
 
@@ -462,20 +456,22 @@ def loop_witness(level: TowerLevel) -> LoopWitness:
 
 @dataclass(frozen=True)
 class CoveringMap:
-    """A verified label-preserving covering from level n+1 onto level n."""
+    """A verified label-preserving covering from level n+1 onto level n,
+    given by its vertex map; the edge map follows from it (natural_covering)."""
 
     source_n: int
     target_n: int
-    morphism: GraphMorphism
+    vertex_map: np.ndarray
     verified: bool
 
 
 def natural_covering(upper: TowerLevel, lower: TowerLevel) -> CoveringMap:
     """Vertex map = entrywise reduction of the vertex codes one level down;
-    the edge map matches generator labels.  Checks that every reduced code is
-    a vertex of the lower level, then verifies the pair with is_covering.
-    Raises VerificationError naming the first failing vertex (a bug sentinel,
-    never expected for constructed levels)."""
+    the edge map matches generator labels, e -> vertex_map[e // d] * d + e % d
+    with d = q1+1.  Checks that every reduced code is a vertex of the lower
+    level, then verifies the pair with is_covering, and returns the vertex
+    map alone.  Raises VerificationError naming the first failing vertex (a
+    bug sentinel, never expected for constructed levels)."""
     if upper.config != lower.config:
         raise InvalidParameterError("levels come from different tower configs")
     if upper.n != lower.n + 1:
@@ -492,14 +488,13 @@ def natural_covering(upper: TowerLevel, lower: TowerLevel) -> CoveringMap:
         raise fail(missing[0], f"reduced code missing from level {lower.n}")
     d = upper.degree
     emap = (vmap[:, None] * d + np.arange(d, dtype=vmap.dtype)).reshape(-1)
-    morphism = GraphMorphism(upper.graph, lower.graph, vmap, emap)
     try:
-        check = is_covering(morphism)
+        check = is_covering(GraphMorphism(upper.graph, lower.graph, vmap, emap))
     except InvalidMorphismError as exc:
         raise fail(exc.vertex, str(exc)) from None
     if not check.ok:
         raise fail(check.witness, check.reason)
-    return CoveringMap(upper.n, lower.n, morphism, True)
+    return CoveringMap(upper.n, lower.n, vmap, True)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +565,7 @@ def twist_sequence(cfg: TowerConfig, levels: Optional[int] = None) -> TwistSeque
 
 @dataclass(frozen=True)
 class ProbeHit:
-    word: FreeWord
+    word: tuple
     quaternion: Quaternion
 
 
@@ -579,8 +574,6 @@ class ProbeResult:
     """A probe's result, with the twist sequence g(1..up_to_level) it read,
     or None for an untwisted probe."""
 
-    q1: int
-    q2: int
     max_word_len: int
     up_to_level: int
     twist: Optional[TwistSequence]
@@ -592,10 +585,10 @@ class ProbeResult:
         return self.twist is not None
 
     def survivor_letters(self):
-        return tuple(h.word.letters for h in self.survivors)
+        return tuple(h.word for h in self.survivors)
 
     def has_length_one_survivor(self) -> bool:
-        return any(len(h.word.letters) == 1 for h in self.survivors)
+        return any(len(h.word) == 1 for h in self.survivors)
 
 
 def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
@@ -623,12 +616,12 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     """
     if max_word_len < 1:
         raise InvalidParameterError("max_word_len must be >= 1")
+    # (q1+1) q1^(k-1) reduced words of each length k
+    tested = (cfg.q1 + 1) * (cfg.q1**max_word_len - 1) // (cfg.q1 - 1)
     if max_word_len > DEFAULT_PROBE_CAP:
-        q1 = cfg.q1
-        est = (q1 + 1) * (q1**max_word_len - 1) // (q1 - 1)
         raise WordLengthError(
             f"max_word_len {max_word_len} exceeds cap {DEFAULT_PROBE_CAP} "
-            f"(~{est} reduced words)"
+            f"(~{tested} reduced words)"
         )
     n_levels = cfg.levels if up_to_level is None else up_to_level
     if n_levels < 1:
@@ -637,7 +630,6 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
             _probe_bytes(cfg, n_levels))
     gens = enumerate_generators(cfg.q1)
     pairing = gens.inverse_pairing
-    d = cfg.q1 + 1
     pp = PrimePower(cfg.q2, n_levels)
     smats = tuple(proj_normalize(split(g, pp)) for g in gens.gens)
     twist = None if cfg.twist_seed is None else twist_sequence(cfg, n_levels)
@@ -648,7 +640,7 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
                    for w in _closed_words(layers, k, pairing).tolist())
     survivors = []
     for letters in words:
-        qt = evaluate_word(FreeWord(letters), gens, max_len=max_word_len)
+        qt = evaluate_word(letters, gens)
         for n in range(1, n_levels + 1):
             m = split(qt, PrimePower(cfg.q2, n))
             if twist is not None:
@@ -657,23 +649,22 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
             if m.b or m.c:
                 raise VerificationError(f"word {letters} closes a walk at the base of level "
                                         f"{n_levels} but is not diagonal at level {n}")
-        survivors.append(ProbeHit(FreeWord(letters), qt))
-    tested = sum(d * (d - 1) ** (k - 1) for k in range(1, max_word_len + 1))
-    return ProbeResult(q1=cfg.q1, q2=cfg.q2, max_word_len=max_word_len, up_to_level=n_levels,
-                       twist=twist, words_tested=tested, survivors=tuple(survivors))
+        survivors.append(ProbeHit(letters, qt))
+    return ProbeResult(max_word_len=max_word_len, up_to_level=n_levels, twist=twist,
+                       words_tested=tested, survivors=tuple(survivors))
 
 
 def probe_with_reseed(cfg: TowerConfig, max_word_len: int = 4,
                       up_to_level: Optional[int] = None):
-    """One intersection probe, returned with the twist it read and the
-    seeds skipped before it: (probe, probe.twist, reseeds), with reseeds ()
-    for an unseeded config.  The seeds twist_seed, twist_seed + 1, ..., up
-    to the one kept are those whose g(1) is degenerate (see twist_sequence),
-    so no twisted probe keeps a length-one word."""
+    """One intersection probe, returned with the seeds skipped before the
+    twist it read: (probe, reseeds), with reseeds () for an unseeded config.
+    The seeds twist_seed, twist_seed + 1, ..., up to the one kept are those
+    whose g(1) is degenerate (see twist_sequence), so no twisted probe keeps
+    a length-one word."""
     probe = intersection_probe(cfg, max_word_len, up_to_level)
     if probe.twist is None:
-        return probe, None, ()
-    return probe, probe.twist, tuple(range(cfg.twist_seed, probe.twist.seed))
+        return probe, ()
+    return probe, tuple(range(cfg.twist_seed, probe.twist.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +678,6 @@ class LevelSummary:
     directed_edges: int
     girth: float
     loop_count: int
-    bipartite: bool
     witness: Optional[LoopWitness]
     spectral: SpectralReport
     girth_floor: Optional[int]
@@ -696,8 +686,6 @@ class LevelSummary:
 @dataclass(frozen=True)
 class TowerResult:
     config: TowerConfig
-    mode: str
-    twist: Optional[TwistSequence]
     levels: tuple
     coverings: tuple
     summaries: tuple
@@ -713,7 +701,7 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     recorded.  Raises InvalidParameterError before any work if the levels
     and the largest level's eigensolve cannot fit in physical memory."""
     _refuse_oversized(cfg, range(1, cfg.levels + 1), solve=True)
-    probe, twist, reseeds = probe_with_reseed(cfg, probe_max_word_len)
+    probe, reseeds = probe_with_reseed(cfg, probe_max_word_len)
     levels = tuple(build_level(cfg, n) for n in range(1, cfg.levels + 1))
     coverings = tuple(
         natural_covering(levels[i + 1], levels[i]) for i in range(cfg.levels - 1)
@@ -729,11 +717,10 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
         else:
             gir, wit, floor = girth(g), loop_witness(lvl), None
         orbits = swap_orbits(lvl) if cfg.variant == "cartan" else None
-        spectral = ramanujan_check(g, cfg.q1, orbits=orbits)
+        spectral = ramanujan_check(g, orbits=orbits)
         summaries.append(LevelSummary(
             n=lvl.n, vertices=g.num_vertices, directed_edges=g.num_edges, girth=gir,
-            loop_count=g.geometric_loop_count(), bipartite=spectral.bipartite,
-            witness=wit, spectral=spectral, girth_floor=floor))
-    return TowerResult(config=cfg, mode=cfg.mode, twist=twist, levels=levels,
-                       coverings=coverings, summaries=tuple(summaries), probe=probe,
-                       reseeds=reseeds)
+            loop_count=g.geometric_loop_count(), witness=wit, spectral=spectral,
+            girth_floor=floor))
+    return TowerResult(config=cfg, levels=levels, coverings=coverings,
+                       summaries=tuple(summaries), probe=probe, reseeds=reseeds)

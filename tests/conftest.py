@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from expander_forge.cli import _edge_list, _edge_list_graph
 from expander_forge.errors import InvalidMorphismError
-from expander_forge.multigraph import SerreGraph
+from expander_forge.multigraph import GraphMorphism, SerreGraph
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -38,6 +38,15 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def covering_morphism(upper, lower, vertex_map) -> GraphMorphism:
+    """The morphism from built level upper onto lower of a covering's
+    vertex map, with the label-preserving edge map it implies: edge e goes
+    to vertex_map[e // d] * d + e % d."""
+    d = upper.degree
+    edge_map = (np.asarray(vertex_map)[:, None] * d + np.arange(d)).reshape(-1)
+    return GraphMorphism(upper.graph, lower.graph, vertex_map, edge_map)
 
 
 def cycle_graph(n: int) -> SerreGraph:

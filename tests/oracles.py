@@ -29,7 +29,7 @@ from expander_forge.errors import (InvalidMorphismError, InvalidParameterError,
 from expander_forge.modarith import PrimePower, sqrt_minus_one
 from expander_forge.multigraph import CoveringCheck, SerreGraph
 from expander_forge.projgroup import Mat2, identity, proj_normalize
-from expander_forge.quat import ONE, FreeWord, enumerate_generators, split
+from expander_forge.quat import ONE, enumerate_generators, split
 from expander_forge.tower import DEFAULT_PROBE_CAP, ProbeHit, ProbeResult, TwistSequence
 
 
@@ -541,7 +541,7 @@ def word_enumeration_probe(cfg, max_word_len=4, up_to_level=None, twist=None,
             quats.append(quats[-1] * gens.gens[i])
             words_tested += 1
             if survives(quats[-1]):
-                survivors.append(ProbeHit(FreeWord(tuple(letters)), quats[-1]))
+                survivors.append(ProbeHit(tuple(letters), quats[-1]))
             if len(letters) < max_word_len:
                 rec()
             letters.pop()
@@ -549,8 +549,6 @@ def word_enumeration_probe(cfg, max_word_len=4, up_to_level=None, twist=None,
 
     rec()
     return ProbeResult(
-        q1=cfg.q1,
-        q2=cfg.q2,
         max_word_len=max_word_len,
         up_to_level=n_levels,
         twist=None if twist is None else TwistSequence(twist.seed, twist.matrices[:n_levels]),

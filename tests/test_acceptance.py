@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import covering_morphism
 from expander_forge.multigraph import girth
-from expander_forge.quat import Quaternion, enumerate_generators
+from expander_forge.quat import Quaternion, enumerate_generators, split
 from expander_forge.spectra import ramanujan_check
 from expander_forge.tower import (
     TowerConfig,
@@ -71,9 +72,9 @@ def test_criterion_2_level1_cartan_5_13():
     wit = loop_witness(lvl)
     assert wit.vertex == 0
     assert lvl.generators.gens[wit.generator] == Quaternion(1, 2, 0, 0)
-    assert g.terminus[lvl.edge_id(wit.vertex, wit.generator)] == wit.vertex
+    assert g.terminus[wit.vertex * lvl.degree + wit.generator] == wit.vertex
     assert g.bipartition() is None
-    report = ramanujan_check(g, 5, method="dense")
+    report = ramanujan_check(g, method="dense")
     assert abs(report.lambda_top - 6.0) <= 1e-9
     assert report.lambda_top_multiplicity == 1
     assert report.max_abs_nontrivial <= 2 * math.sqrt(5) + 1e-8
@@ -87,7 +88,7 @@ def test_criterion_3_level2_cartan_5_13():
     l1 = build_level(cfg, 1)
     l2 = build_level(cfg, 2)
     assert l2.graph.num_vertices == 30758
-    report = ramanujan_check(l2.graph, 5, method="iterative")
+    report = ramanujan_check(l2.graph, method="iterative")
     assert report.method == "iterative"
     assert abs(report.ramanujan_bound - 4.4721359550) < 1e-10
     assert report.max_abs_nontrivial <= report.ramanujan_bound + 1e-8
@@ -95,7 +96,7 @@ def test_criterion_3_level2_cartan_5_13():
     assert report.max_residual <= 1e-10
     assert girth(l2.graph) == 1
     cov = natural_covering(l2, l1)
-    check = link_is_covering(cov.morphism)
+    check = link_is_covering(covering_morphism(l2, l1, cov.vertex_map))
     assert check.ok and check.witness == -1
     _passed(3, "level-2 cartan (5,13): 30758 vertices, iterative Ramanujan, covering", t0, 120.0)
 
@@ -108,8 +109,8 @@ def test_criterion_4_psl_mode_5_29():
     assert lvl.graph.num_vertices == 870
     from expander_forge.projgroup import is_psl
 
-    assert all(is_psl(m) for m in lvl.generator_matrices)
-    report = ramanujan_check(lvl.graph, 5)
+    assert all(is_psl(split(s, lvl.pp)) for s in lvl.generators.gens)
+    report = ramanujan_check(lvl.graph)
     assert report.ramanujan
     assert girth(lvl.graph) == 1
     _passed(4, "PSL mode (5,29): 870 vertices, S(1) in PSL, Ramanujan, girth 1", t0, 10.0)
@@ -121,7 +122,7 @@ def test_criterion_5_cayley_variant_5_13():
     g = lvl.graph
     assert g.num_vertices == 2184
     assert g.bipartition() is not None
-    report = ramanujan_check(g, 5, method="dense")
+    report = ramanujan_check(g, method="dense")
     assert report.ramanujan
     assert abs(report.lambda_top - 6.0) <= 1e-9
     assert abs(report.lambda_bottom + 6.0) <= 1e-9
@@ -148,11 +149,12 @@ def test_criterion_7_intersection_dichotomy():
     untwisted = intersection_probe(cfg, max_word_len=4, up_to_level=3)
     survivors = untwisted.survivor_letters()
     length_one = {h.quaternion.coefficients() for h in untwisted.survivors
-                  if len(h.word.letters) == 1}
+                  if len(h.word) == 1}
     assert length_one == {(1, 2, 0, 0), (1, -2, 0, 0)}  # gamma and its conjugate
     assert survivors == UNTWISTED_SURVIVORS_5_13_LEN4
     twisted_cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
-    probe, twist, reseeds = probe_with_reseed(twisted_cfg, max_word_len=4, up_to_level=3)
+    probe, reseeds = probe_with_reseed(twisted_cfg, max_word_len=4, up_to_level=3)
+    twist = probe.twist
     assert not probe.has_length_one_survivor()
     assert probe.survivor_letters() == TWISTED_SURVIVORS_5_13_SEED42_LEN4
     # seed 42 is kept: its raw g(1) conjugates no generator to a diagonal matrix

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, from_geometric_edges, parse_edgelist
-from expander_forge import cli
+from conftest import cycle_graph, from_geometric_edges, parse_edgelist, traced_peak
+from expander_forge import cli, tower
 from expander_forge.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    dump_report,
     format_edgelist,
     graph_from_json,
     graph_to_json,
@@ -227,9 +228,9 @@ def test_probe_command_draws_the_twist_once(monkeypatch, capsys):
                      "--twist-seed", seed]) == EXIT_OK
         assert len(draws) == 1
     assert capsys.readouterr().out.count("# reseeded: twist seed 17 was degenerate") == 1
-    probe, twist, reseeds = tower.probe_with_reseed(TowerConfig(5, 13, levels=3, twist_seed=17))
-    assert twist is probe.twist and probe.twisted and reseeds == (17,)
-    assert twist.seed == 18 and len(twist.matrices) == 3
+    probe, reseeds = tower.probe_with_reseed(TowerConfig(5, 13, levels=3, twist_seed=17))
+    assert probe.twisted and reseeds == (17,)
+    assert probe.twist.seed == 18 and len(probe.twist.matrices) == 3
 
 
 def test_tower_single_level_report(tmp_path, capsys):
@@ -321,6 +322,12 @@ PINNED_OUTPUTS = {
     "cartan1.json": "b84847230729444a8875f8aa3d7fa4b3d402f5c25bee02dea1eea13efe74e976",
     "cartan1.dot": "664046f3afd05965f9e14c0049b0a52b7d62acfa20e96cc9f89c7391e96ff874",
     "tower-cayley-5-17.json": "b1213aaba1a5dbcdc1cb7c54145704e1db8586025efefc0d7cdd1b77d59c473a",
+    "cayley-5-17-1.edges": "52a32c0ee855104ab16c9bd0efbe7973e598f2c2157b347b9744bd4cbfa84a17",
+    "spectrum-cartan1.json": "5e2f6b1915b5b79bfdbe4948ae32d32664699512e451a9f87b15eee4a20e6486",
+    "spectrum-cayley-5-17-1.json":
+        "c0daede6e223f86eefe17679aa661a632ca6d5f7af107717211956b2ebc38c85",
+    # seed 17 is degenerate at level 1: twist_seed_used 18, reseeds [17]
+    "tower-5-13-2-seed17.json": "9612631b6d926e04387708df2e663d5b110deec33c269c45e31c33dd90ad55de",
 }
 
 
@@ -341,6 +348,17 @@ def test_output_bytes_are_pinned(tmp_path):
                    "--out", str(path)])
     path = tmp_path / "tower-cayley-5-17.json"
     run(path, ["tower", "--q1", "5", "--q2", "17", "--levels", "1", "--variant", "cayley",
+               "--report", str(path)])
+    path = tmp_path / "cayley-5-17-1.edges"
+    run(path, ["build", "--q1", "5", "--q2", "17", "--level", "1", "--variant", "cayley",
+               "--out", str(path)])
+    # the dense verdict of the cartan list, and the iterative, bipartite one
+    # of the cayley list (4,896 vertices)
+    for name in ("cartan1", "cayley-5-17-1"):
+        path = tmp_path / f"spectrum-{name}.json"
+        run(path, ["spectrum", "--in", str(tmp_path / f"{name}.edges"), "--report", str(path)])
+    path = tmp_path / "tower-5-13-2-seed17.json"
+    run(path, ["tower", "--q1", "5", "--q2", "13", "--levels", "2", "--twist-seed", "17",
                "--report", str(path)])
     assert got == PINNED_OUTPUTS
 
@@ -514,6 +532,7 @@ def test_edge_list_layouts_accepted(tmp_path, capsys, body, label):
      "graph is not connected"),
     ("V=3", [], "graph has no edges"),
     ("V=0", [], "graph has no edges"),
+    ("matching", [(0, 1)], "graph has degree 1; the verdict needs degree >= 2"),
 ])
 def test_spectrum_refuses_graph_outside_the_claim(tmp_path, name, edges, message):
     # The files are well formed, so export accepts them; spectrum refuses
@@ -582,6 +601,63 @@ def test_loaded_graph_beyond_physical_memory_is_refused(command, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "physical memory" in proc.stderr and not proc.stdout
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["cartan", "cayley"])
+def test_json_estimates_cover_the_traced_peaks(tmp_path, variant):
+    # the JSON text that export writes, per edge, and the parse of a JSON
+    # file, per byte, written as export writes it and without whitespace;
+    # (5,13) level 1 has 1,092 and 13,104 edges
+    g = build_level(TowerConfig(5, 13, variant=variant), 1).graph
+    text, peak = traced_peak(lambda: dump_report(graph_to_json(g)))
+    assert peak <= cli._JSON_EDGE_BYTES * g.num_edges
+    path = tmp_path / "g.json"
+    for data in (text, json.dumps(json.loads(text), separators=(",", ":"))):
+        path.write_text(data)
+        loaded, peak = traced_peak(load_graph, str(path))
+        assert peak <= cli._JSON_LOAD_FACTOR * path.stat().st_size
+        assert format_edgelist(loaded) == format_edgelist(g)
+
+
+def test_json_beyond_physical_memory_is_refused(level1_file, tmp_path, monkeypatch, capsys):
+    # Below the estimate, exit 2 with no output and before the JSON work;
+    # at it, the command runs.
+    def no_work(*args, **kwargs):
+        raise AssertionError("JSON work started before the memory check")
+
+    out, js = tmp_path / "out", tmp_path / "g.json"
+    need = cli._JSON_EDGE_BYTES * 1092
+    monkeypatch.setattr(tower, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(cli, "graph_to_json", no_work)
+    for argv in (["export", "--in", str(level1_file), "--format", "json"],
+                 ["export", "--in", str(level1_file), "--format", "json", "--out", str(out)]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the JSON text of 1092 edges needs an estimated "
+                                       f"{need} bytes") and captured.err.count("\n") == 1
+        assert "physical memory" in captured.err and not captured.out
+        assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(tower, "_physical_memory", lambda: need)
+    assert main(["export", "--in", str(level1_file), "--format", "json",
+                 "--out", str(js)]) == EXIT_OK
+    # a JSON file is refused for its size before it is parsed
+    need = cli._JSON_LOAD_FACTOR * js.stat().st_size
+    monkeypatch.setattr(tower, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(json, "loads", no_work)
+    for argv in (["export", "--in", str(js), "--format", "edgelist", "--out", str(out)],
+                 ["spectrum", "--in", str(js), "--report", str(out)]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: parsing the {js.stat().st_size} bytes of JSON "
+                                       f"in {js} needs an estimated {need} bytes")
+        assert captured.err.count("\n") == 1
+        assert "physical memory" in captured.err and not captured.out
+        assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(tower, "_physical_memory", lambda: need)
+    assert main(["export", "--in", str(js), "--format", "edgelist", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == level1_file.read_bytes()
 
 
 def test_probe_refuses_level_beyond_physical_memory():

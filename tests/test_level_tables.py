@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import covering_verdict, traced_peak
+from conftest import covering_morphism, covering_verdict, traced_peak
 from expander_forge import multigraph, spectra, tower
 from expander_forge.cli import format_edgelist
 from expander_forge.errors import InvalidMorphismError, InvalidParameterError, VerificationError
@@ -54,8 +54,9 @@ def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
         assert np.array_equal(lvl.graph.terminus, lvl.table.reshape(-1))
     for upper, lower in zip(levels[1:], levels):
         cov = natural_covering(upper, lower)
-        assert cov.verified
-        assert link_is_covering(cov.morphism) == is_covering(cov.morphism) == CoveringCheck(True)
+        assert cov.verified and (cov.source_n, cov.target_n) == (upper.n, lower.n)
+        f = covering_morphism(upper, lower, cov.vertex_map)
+        assert link_is_covering(f) == is_covering(f) == CoveringCheck(True)
 
 
 def test_tables_filled_in_point_chunks(monkeypatch):
@@ -92,7 +93,7 @@ def _two_switch(level, v, x, i):
 
 def test_covering_check_names_corrupted_vertex():
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
-    f = natural_covering(l2, l1).morphism
+    f = covering_morphism(l2, l1, natural_covering(l2, l1).vertex_map)
     vmap = f.vertex_map
     v, i = 417, 0
     w = l2.table[v, i]
@@ -103,7 +104,7 @@ def test_covering_check_names_corrupted_vertex():
              if vmap[x] != vmap[v] and l2.table[x, i] > v and l2.table[x, i] != w)
     assert w > v
     corrupted = _two_switch(l2, v, x, i)
-    e = l2.edge_id(v, i)
+    e = v * l2.degree + i
     reason = f"edge {e} does not commute with origin/terminus"
     with pytest.raises(InvalidMorphismError, match=f"^{reason}$"):
         link_is_covering(GraphMorphism(corrupted.graph, l1.graph, vmap, f.edge_map))
@@ -114,7 +115,7 @@ def test_covering_check_names_corrupted_vertex():
 
 def test_covering_check_names_missing_codes_and_missed_vertices():
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
-    vmap = natural_covering(l2, l1).morphism.vertex_map
+    vmap = natural_covering(l2, l1).vertex_map
     w = 7
     # lower vertex w recoded as ((0:1), (0:1)), a pair no vertex has
     lower = dataclasses.replace(l1, codes=np.where(np.arange(30) == w, 0, l1.codes))
@@ -141,7 +142,7 @@ def test_covering_check_matches_link_oracle_on_levels(monkeypatch, chunk):
     # that the first failure lies past several chunk boundaries
     monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
-    f = natural_covering(l2, l1).morphism
+    f = covering_morphism(l2, l1, natural_covering(l2, l1).vertex_map)
     vm, em = f.vertex_map, f.edge_map
 
     def changed(values, index, value):
@@ -238,7 +239,8 @@ def test_ramanujan_check_peak_within_solve_bytes(q1, q2, variant):
     # level 2: 15,000 vertices of degree 14, bipartite, which peaks in the
     # double-cover component count; and 30,758 vertices of degree 6 with loops
     g = build_level(TowerConfig(q1, q2, levels=2, variant=variant), 2).graph
-    _, peak = traced_peak(spectra.ramanujan_check, g, q1)
+    report, peak = traced_peak(spectra.ramanujan_check, g)
+    assert report.q == q1
     assert peak <= spectra.solve_bytes(g.num_vertices, g.num_edges)
 
 
@@ -246,7 +248,7 @@ def test_swap_halves_peak_within_solve_bytes():
     # the (5,13) cartan level 2 solved on its swap halves, as build_tower does
     lvl = build_level(TowerConfig(5, 13, levels=2), 2)
     orbits = tower.swap_orbits(lvl)
-    report, peak = traced_peak(lambda: spectra.ramanujan_check(lvl.graph, 5, orbits=orbits))
+    report, peak = traced_peak(lambda: spectra.ramanujan_check(lvl.graph, orbits=orbits))
     assert report.method == "iterative"
     assert peak <= spectra.solve_bytes(lvl.graph.num_vertices, lvl.graph.num_edges)
 

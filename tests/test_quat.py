@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expander_forge.errors import InvalidParameterError, InvalidWordError, WordLengthError
+from expander_forge.errors import InvalidParameterError, InvalidWordError
 from expander_forge.modarith import PrimePower
 from expander_forge.projgroup import proj_normalize
 from expander_forge.quat import (
     ONE,
-    FreeWord,
     Quaternion,
     enumerate_generators,
     evaluate_word,
@@ -109,18 +108,17 @@ def test_split_conjugate_gives_scalar():
 
 def test_evaluate_word():
     gs = enumerate_generators(5)
-    assert evaluate_word(FreeWord(()), gs) == ONE
+    assert evaluate_word((), gs) == ONE
     # (1+2i)(1+2j) = 1 + 2i + 2j + 4k
-    w = FreeWord((5, 4))
-    out = evaluate_word(w, gs)
+    out = evaluate_word((5, 4), gs)
     assert out == Quaternion(1, 2, 2, 4)
     assert out.norm() == 25
     with pytest.raises(InvalidWordError):
-        evaluate_word(FreeWord((5, 0)), gs)  # g then its conjugate
+        evaluate_word((5, 0), gs)  # g then its conjugate
     with pytest.raises(InvalidWordError):
-        evaluate_word(FreeWord((0, 99)), gs)
-    with pytest.raises(WordLengthError):
-        evaluate_word(FreeWord(tuple([5, 4] * 10)), gs)
+        evaluate_word((0, 99), gs)
+    # no length cap: a word of length 20 has norm 5**20
+    assert evaluate_word((5, 4) * 10, gs).norm() == 5**20
 
 
 # --- invariant suites ------------------------------------------------------

@@ -63,10 +63,11 @@ def test_benchmark_build_pipeline_runs(tmp_path):
     assert (tmp_path / "top.edges").is_file()
 
 
-def test_traced_probe_is_one_probe_returning_a_triple(monkeypatch):
+def test_traced_probe_is_one_probe_returning_the_probe_first(monkeypatch):
     # perfbench/worker.py counts the words of each intersection_probe call
-    # and reads result[0].survivors from probe_with_reseed; a degenerate seed
-    # (17 at (5,13)) costs no second probe
+    # and reads result[0].survivors from probe_with_reseed, which returns
+    # (probe, reseeds); a degenerate seed (17 at (5,13)) costs no second
+    # probe
     from expander_forge import tower
 
     calls = []
@@ -76,6 +77,6 @@ def test_traced_probe_is_one_probe_returning_a_triple(monkeypatch):
     for seed, reseeds in ((42, ()), (17, (17,))):
         calls.clear()
         result = tower.probe_with_reseed(tower.TowerConfig(5, 13, levels=2, twist_seed=seed), 4)
-        assert type(result) is tuple and len(result) == 3
-        assert isinstance(result[0].survivors, tuple) and result[2] == reseeds
+        assert type(result) is tuple and len(result) == 2
+        assert isinstance(result[0].survivors, tuple) and result[1] == reseeds
         assert len(calls) == 1

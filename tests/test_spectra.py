@@ -100,7 +100,7 @@ def test_adjacency_is_built_on_the_graph_arrays_and_leaves_them(tmp_path):
 def test_k4_spectrum():
     vals = spectra._dense_values(adjacency(complete_graph(4)))
     assert np.allclose(vals, [-1, -1, -1, 3])
-    report = ramanujan_check(complete_graph(4), 2)
+    report = ramanujan_check(complete_graph(4))
     assert report.ramanujan
     assert abs(report.max_abs_nontrivial - 1.0) < 1e-9
     assert report.lambda_top_multiplicity == 1
@@ -114,7 +114,7 @@ def test_c6_spectrum():
 
 
 def test_petersen():
-    report = ramanujan_check(petersen_graph(), 2)
+    report = ramanujan_check(petersen_graph())
     assert report.ramanujan
     assert abs(report.max_abs_nontrivial - 2.0) < 1e-9
     vals = spectra._dense_values(adjacency(petersen_graph()))
@@ -123,7 +123,7 @@ def test_petersen():
 
 def test_prism_not_ramanujan():
     # C20 x K2: eigenvalue 2cos(pi/10) + 1 > 2*sqrt(2)
-    report = ramanujan_check(prism_graph(20), 2)
+    report = ramanujan_check(prism_graph(20))
     assert not report.ramanujan
     assert abs(report.max_abs_nontrivial - (2 * math.cos(math.pi / 10) + 1)) < 1e-9
     assert report.bipartite
@@ -148,18 +148,23 @@ def test_ramanujan_check_counts_components_once(monkeypatch, make, q, copies):
 
     monkeypatch.setattr(multigraph, "_component_count", counting)
     g = make()
-    ramanujan_check(g, q)
+    assert ramanujan_check(g).q == q
     assert calls == [c * g.num_vertices for c in copies]
 
 
 def test_ramanujan_check_rejects_bad_input():
-    with pytest.raises(InvalidParameterError):
-        ramanujan_check(path_graph(3), 1)  # not regular
+    with pytest.raises(InvalidParameterError, match=r"^graph is not regular \(degrees \[1, 2\]\)$"):
+        ramanujan_check(path_graph(3))
+    # q is the degree less one, and the verdict needs q >= 1
+    for g, degree in ((from_geometric_edges(2, [(0, 1)]), 1), (SerreGraph(3, [], [], [], []), 0)):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^graph has degree {degree}; the verdict needs degree >= 2$"):
+            ramanujan_check(g)
     disjoint = from_geometric_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
-    with pytest.raises(InvalidParameterError):
-        ramanujan_check(disjoint, 1)
+    with pytest.raises(InvalidParameterError, match="^graph is not connected$"):
+        ramanujan_check(disjoint)
 
 
 def test_histogram_examples():
@@ -186,7 +191,7 @@ def test_lanczos_nontrivial_ends_of_prism():
 
 def test_trivial_removal_dense():
     # K4: trivial 3, nontrivial spectrum {-1, -1, -1}.
-    report = ramanujan_check(complete_graph(4), 2, method="dense")
+    report = ramanujan_check(complete_graph(4), method="dense")
     assert report.lambda_top == pytest.approx(3.0)
     assert report.lambda_bottom == pytest.approx(-1.0)
     assert report.max_abs_nontrivial == pytest.approx(1.0)
@@ -210,10 +215,10 @@ def test_trivial_eigenvalue_guard(monkeypatch):
 
     monkeypatch.setattr(spectra, "_trivial_vectors", perturbed_ones)
     with pytest.raises(ConvergenceError):
-        ramanujan_check(petersen_graph(), 2, method="iterative")
+        ramanujan_check(petersen_graph(), method="iterative")
     monkeypatch.setattr(spectra, "_trivial_vectors", colouring_dropped)
     with pytest.raises(ConvergenceError, match="trivial eigenvalue leaked"):
-        ramanujan_check(prism_graph(20), 2, method="iterative")
+        ramanujan_check(prism_graph(20), method="iterative")
 
     # A wrong colouring fails the exact check A s = -(q+1) s, with and
     # without a swap.
@@ -227,10 +232,10 @@ def test_trivial_eigenvalue_guard(monkeypatch):
 
     monkeypatch.setattr(SerreGraph, "bipartition", wrong_colouring)
     with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
-        ramanujan_check(prism_graph(20), 2, method="iterative")
+        ramanujan_check(prism_graph(20), method="iterative")
     for orbits in _prism_orbits(20).values():
         with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
-            ramanujan_check(prism_graph(20), 2, method="iterative", orbits=orbits)
+            ramanujan_check(prism_graph(20), method="iterative", orbits=orbits)
 
 
 # (id, graph factory, q, dense report fields, iterative report fields or
@@ -259,10 +264,10 @@ def test_degenerate_verdicts(make, q, dense, iterative):
     for method, want in (("dense", dense), ("iterative", iterative)):
         if want is None:
             with pytest.raises(InvalidParameterError, match="no nontrivial spectrum"):
-                ramanujan_check(g, q, method=method)
+                ramanujan_check(g, method=method)
             continue
-        report = ramanujan_check(g, q, method=method)
-        assert (report.q, report.n_vertices) == (q, g.num_vertices)
+        report = ramanujan_check(g, method=method)
+        assert report.q == q
         for name, value in zip(fields, want):
             got = getattr(report, name)
             if name == "max_residual" and value is None:
@@ -279,7 +284,7 @@ def test_solver_parameter_errors():
         # no nontrivial spectrum
         nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1, threading.Event())
     with pytest.raises(InvalidParameterError):
-        ramanujan_check(cycle_graph(6), 1, method="magic")
+        ramanujan_check(cycle_graph(6), method="magic")
     import scipy.sparse as sp
 
     big = sp.identity(5000, format="csr")
@@ -297,8 +302,8 @@ def test_dense_vs_iterative_agreement():
     # non-bipartite 182-vertex cartan level.
     for cfg in (TowerConfig(5, 13, variant="cayley"), TowerConfig(5, 13)):
         lvl = build_level(cfg, 1)
-        dense = ramanujan_check(lvl.graph, 5, method="dense")
-        iterative = ramanujan_check(lvl.graph, 5, method="iterative")
+        dense = ramanujan_check(lvl.graph, method="dense")
+        iterative = ramanujan_check(lvl.graph, method="iterative")
         assert abs(dense.lambda_top - iterative.lambda_top) < 1e-8
         assert abs(dense.lambda_bottom - iterative.lambda_bottom) < 1e-8
         assert abs(dense.max_abs_nontrivial - iterative.max_abs_nontrivial) < 1e-8
@@ -344,7 +349,8 @@ def test_lanczos_ends_match_reference(make, q):
     eig = nontrivial_ends(adjacency(g), _trivial(g, q), q + 1, threading.Event())
     assert eig.values == pytest.approx(ref, abs=1e-9)
     assert max(eig.residuals) <= RESIDUAL_RTOL * (q + 1)
-    report = ramanujan_check(g, q, method="iterative")
+    report = ramanujan_check(g, method="iterative")
+    assert report.q == q and report.ramanujan_bound == 2 * math.sqrt(q)
     assert (report.lambda_top, report.lambda_top_multiplicity) == (q + 1, 1)
     assert report.lambda_bottom == (-(q + 1) if report.bipartite else eig.values[0])
     assert report.max_abs_nontrivial == pytest.approx(max(map(abs, ref)), abs=1e-9)
@@ -383,7 +389,7 @@ def test_ritz_vectors_orthogonal_to_trivial(monkeypatch):
 def test_lanczos_step_cap(monkeypatch):
     monkeypatch.setattr(spectra, "LANCZOS_MAX_STEPS", 3)
     with pytest.raises(ConvergenceError, match="in 3 steps"):
-        ramanujan_check(build_level(TowerConfig(5, 13), 1).graph, 5, method="iterative")
+        ramanujan_check(build_level(TowerConfig(5, 13), 1).graph, method="iterative")
 
 
 def test_ritz_values_independent_of_blas_threads():
@@ -393,11 +399,11 @@ def test_ritz_values_independent_of_blas_threads():
     code = ("from expander_forge.spectra import ramanujan_check\n"
             "from expander_forge.tower import TowerConfig, build_level, swap_orbits\n"
             "g = build_level(TowerConfig(5, 17, variant='cayley'), 1).graph\n"
-            "r = ramanujan_check(g, 5)\n"
+            "r = ramanujan_check(g)\n"
             "print(r.method, repr(r.max_abs_nontrivial), repr(r.lambda_bottom),\n"
             "      repr(r.max_residual), r.lanczos_steps)\n"
             "lvl = build_level(TowerConfig(5, 13, levels=2), 2)\n"
-            "r = ramanujan_check(lvl.graph, 5, method='iterative', orbits=swap_orbits(lvl))\n"
+            "r = ramanujan_check(lvl.graph, method='iterative', orbits=swap_orbits(lvl))\n"
             "print(r.method, repr(r.max_abs_nontrivial), repr(r.lambda_bottom),\n"
             "      repr(r.max_residual), r.lanczos_steps)\n")
     outs = []
@@ -478,9 +484,9 @@ def test_swap_halves_match_single_solve_and_dense(make):
     # and of the dense spectrum within 1e-9, and the same verdict.
     lvl = make()
     g, q = lvl.graph, lvl.degree - 1
-    halves = ramanujan_check(g, q, method="iterative", orbits=swap_orbits(lvl))
-    single = ramanujan_check(g, q, method="iterative")
-    dense = ramanujan_check(g, q, method="dense")
+    halves = ramanujan_check(g, method="iterative", orbits=swap_orbits(lvl))
+    single = ramanujan_check(g, method="iterative")
+    dense = ramanujan_check(g, method="dense")
     assert halves.method == "iterative" and not halves.bipartite
     for other in (single, dense):
         assert halves.max_abs_nontrivial == pytest.approx(other.max_abs_nontrivial, abs=1e-9)
@@ -501,8 +507,8 @@ def test_swap_halves_place_the_bipartition_by_parity(name):
     orbits = _prism_orbits(20)[name]
     sides = g.bipartition()
     assert np.array_equal(sides[_swap(orbits, 40)], sides) == (name == "turn")
-    report = ramanujan_check(g, 2, method="iterative", orbits=orbits)
-    dense = ramanujan_check(g, 2, method="dense")
+    report = ramanujan_check(g, method="iterative", orbits=orbits)
+    dense = ramanujan_check(g, method="dense")
     assert report.bipartite and report.lambda_bottom == -3.0
     assert report.max_abs_nontrivial == pytest.approx(dense.max_abs_nontrivial, abs=1e-9)
     assert report.ramanujan == dense.ramanujan
@@ -614,7 +620,7 @@ def test_halves_error_is_raised_after_the_worker_is_joined(monkeypatch, fails, m
     log = _failing_halves(monkeypatch, fails, wait=0.2)
     before = threading.active_count()
     with pytest.raises(ConvergenceError, match=message):
-        ramanujan_check(lvl.graph, 5, method="iterative", orbits=swap_orbits(lvl))
+        ramanujan_check(lvl.graph, method="iterative", orbits=swap_orbits(lvl))
     assert threading.active_count() == before
     assert sorted(name for name, _ in log) == ["even", "odd"]
     threads = dict(log)
@@ -643,7 +649,7 @@ def test_an_interrupt_in_the_even_half_cancels_the_odd_half(monkeypatch):
     monkeypatch.setattr(spectra, "nontrivial_ends", half)
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        ramanujan_check(lvl.graph, 5, method="iterative", orbits=swap_orbits(lvl))
+        ramanujan_check(lvl.graph, method="iterative", orbits=swap_orbits(lvl))
     assert time.perf_counter() - started < 5
     assert odd_errors == ["the solve was cancelled"]
 
@@ -652,7 +658,7 @@ def test_halves_leave_no_thread_behind(monkeypatch):
     lvl = _cartan(5, 13, 1)
     log = _failing_halves(monkeypatch, ())
     before = threading.active_count()
-    report = ramanujan_check(lvl.graph, 5, method="iterative", orbits=swap_orbits(lvl))
+    report = ramanujan_check(lvl.graph, method="iterative", orbits=swap_orbits(lvl))
     assert report.method == "iterative"
     assert threading.active_count() == before
     assert len({thread for _, thread in log}) == 2
@@ -673,8 +679,9 @@ def test_one_block_is_solved_on_the_calling_thread(monkeypatch, make, q):
 
     monkeypatch.setattr(spectra, "nontrivial_ends", logged)
     g = make()
-    report = ramanujan_check(g, q, method="iterative")
+    report = ramanujan_check(g, method="iterative")
     n = g.num_vertices
+    assert report.q == q
     assert log == [((n, n), 1 + report.bipartite, threading.current_thread(), before)]
     assert threading.active_count() == before
 
@@ -695,7 +702,7 @@ def test_dense_solve_missing_a_trivial_end_is_refused(monkeypatch, end):
 
     monkeypatch.setattr(spectra, "_dense_values", moved)
     with pytest.raises(ConvergenceError, match="missed a trivial eigenvalue"):
-        ramanujan_check(prism_graph(20), 2, method="dense")
+        ramanujan_check(prism_graph(20), method="dense")
 
 
 def _orbit_variants(orbits, n):
@@ -734,11 +741,11 @@ def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
     monkeypatch.setattr(SerreGraph, "connected", no_solve)
     for _, bad, message in _orbit_variants(orbits, 182):
         with pytest.raises(InvalidParameterError, match=message):
-            ramanujan_check(lvl.graph, 5, method=method, orbits=bad)
+            ramanujan_check(lvl.graph, method=method, orbits=bad)
     # the prism's reflection i -> -i fixes vertex 0, so it has a row (0, 0)
     ids = np.arange(40)
     with pytest.raises(InvalidParameterError, match="orbits hold vertex 0 2 times"):
-        ramanujan_check(prism_graph(20), 2, method=method,
+        ramanujan_check(prism_graph(20), method=method,
                         orbits=_orbits(ids // 20 * 20 + (-ids) % 20))
 
 

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import covering_morphism
 from expander_forge import spectra, tower
 from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
 from expander_forge.modarith import PrimePower
 from expander_forge.multigraph import girth
 from expander_forge.projgroup import is_psl, p1_size, reduce_matrix
-from expander_forge.quat import Quaternion
+from expander_forge.quat import Quaternion, split
 from expander_forge.tower import (
     TowerConfig,
     TwistSequence,
@@ -45,6 +46,11 @@ RESEEDED_0_299 = {
               173, 180, 181, 182, 189, 198, 199, 201, 206, 213, 215, 217, 220, 224, 225, 228,
               238, 240, 249, 250, 255, 265, 266, 277, 281, 284, 288, 290),
 }
+
+
+def _generator_matrices(lvl):
+    """The level's generators split mod q2^n."""
+    return [split(s, lvl.pp) for s in lvl.generators.gens]
 
 
 def _raw_degenerate(q1, q2, seed) -> bool:
@@ -106,13 +112,13 @@ def test_cayley_psl_mode_count():
     lvl = build_level(cfg, 1)
     assert lvl.graph.num_vertices == 29 * 28 * 30 // 2  # |PSL2(F29)|
     assert lvl.graph.bipartition() is None
-    assert all(is_psl(m) for m in lvl.generator_matrices)
+    assert all(is_psl(m) for m in _generator_matrices(lvl))
 
 
 def test_cayley_pgl_is_bipartite():
     lvl = build_level(TowerConfig(5, 13, variant="cayley"), 1)
     assert lvl.graph.bipartition() is not None
-    assert not any(is_psl(m) for m in lvl.generator_matrices)
+    assert not any(is_psl(m) for m in _generator_matrices(lvl))
 
 
 def test_build_level_deterministic():
@@ -132,10 +138,17 @@ def test_girth_one_with_loop_witness():
             assert girth(lvl.graph) == 1
             wit = loop_witness(lvl)
             assert wit.vertex == 0  # untwisted base is discovered first
-            e = lvl.edge_id(wit.vertex, wit.generator)
-            assert lvl.graph.terminus[e] == wit.vertex
+            assert lvl.graph.terminus[wit.vertex * lvl.degree + wit.generator] == wit.vertex
             gamma = Quaternion(*two_squares(q1), 0, 0)
             assert lvl.generators.gens[wit.generator] == gamma
+            # the witness checks the loop's own edge: with gamma's edge at
+            # the base moved elsewhere, it refuses, though its conjugate's
+            # edge is still a loop
+            table = lvl.table.copy()
+            table[wit.vertex, wit.generator] = 1
+            assert table[wit.vertex, lvl.generators.inverse_pairing[wit.generator]] == wit.vertex
+            with pytest.raises(VerificationError, match="is not a loop"):
+                loop_witness(dataclasses.replace(lvl, table=table))
 
 
 def test_loop_witness_rejects_cayley():
@@ -165,7 +178,7 @@ def test_covering_composition_matches_direct_reduction():
     l3 = build_level(cfg, 3)
     c32 = natural_covering(l3, l2)
     c21 = natural_covering(l2, l1)
-    composed = c21.morphism.vertex_map[c32.morphism.vertex_map]
+    composed = c21.vertex_map[c32.vertex_map]
 
     def point_mod5(code):
         # decode (x : 1) or (1 : 5t) mod 125, reduce both coordinates mod 5
@@ -186,9 +199,10 @@ def test_loop_persists_down_coverings():
     cov = natural_covering(l2, l1)
     w2 = loop_witness(l2)
     w1 = loop_witness(l1)
-    assert cov.morphism.vertex_map[w2.vertex] == w1.vertex
-    e2 = l2.edge_id(w2.vertex, w2.generator)
-    assert cov.morphism.edge_map[e2] == l1.edge_id(w1.vertex, w1.generator)
+    assert cov.vertex_map[w2.vertex] == w1.vertex
+    e2 = w2.vertex * l2.degree + w2.generator
+    e1 = w1.vertex * l1.degree + w1.generator
+    assert covering_morphism(l2, l1, cov.vertex_map).edge_map[e2] == e1
 
 
 def test_twist_sequence_determinism_and_compatibility():
@@ -313,7 +327,7 @@ def test_twisted_covering_verifies():
     # the standard-key loop vertex still persists down the twisted covering
     w2 = loop_witness(l2)
     w1 = loop_witness(l1)
-    assert cov.morphism.vertex_map[w2.vertex] == w1.vertex
+    assert cov.vertex_map[w2.vertex] == w1.vertex
 
 
 def test_seeded_config_builds_the_twisted_level():
@@ -338,7 +352,7 @@ def test_probe_untwisted_survivors():
     probe = intersection_probe(cfg, max_word_len=2, up_to_level=2)
     assert probe.survivor_letters() == ((0,), (0, 0), (5,), (5, 5))
     assert probe.words_tested == 6 + 6 * 5
-    gamma_hits = [h for h in probe.survivors if len(h.word.letters) == 1]
+    gamma_hits = [h for h in probe.survivors if len(h.word) == 1]
     assert {h.quaternion.coefficients() for h in gamma_hits} == {
         (1, 2, 0, 0), (1, -2, 0, 0)
     }
@@ -355,9 +369,9 @@ def test_probe_word_cap():
 
 def test_probe_twisted_eliminates_gamma():
     cfg = TowerConfig(5, 13, levels=3, twist_seed=42)
-    probe, twist, reseeds = probe_with_reseed(cfg, max_word_len=4, up_to_level=3)
+    probe, reseeds = probe_with_reseed(cfg, max_word_len=4, up_to_level=3)
     assert reseeds == ()
-    assert twist.seed == 42
+    assert probe.twist.seed == 42
     assert not probe.has_length_one_survivor()
     assert probe.survivors == ()
 
@@ -369,7 +383,8 @@ def test_seeded_probe_is_twisted_and_matches_the_reseeding_probe():
         probe = intersection_probe(cfg, 4)
         assert probe.twisted and probe.up_to_level == 3
         assert not probe.has_length_one_survivor()
-        assert probe_with_reseed(cfg, 4) == (probe, twist_sequence(cfg), tuple(range(seed, kept)))
+        assert probe_with_reseed(cfg, 4) == (probe, tuple(range(seed, kept)))
+        assert probe.twist == twist_sequence(cfg)
         assert probe == intersection_probe(dataclasses.replace(cfg, twist_seed=kept), 4)
         plain = intersection_probe(dataclasses.replace(cfg, twist_seed=None), 4)
         assert not plain.twisted and plain.has_length_one_survivor()
@@ -389,12 +404,12 @@ def test_degenerate_seed_is_reseeded_and_the_tower_built_from_the_next():
     assert _raw_degenerate(5, 13, 17) and not _raw_degenerate(5, 13, 18)
     cfg = TowerConfig(5, 13, levels=1, twist_seed=17)
     reseeded = dataclasses.replace(cfg, twist_seed=18)
-    probe, twist, reseeds = probe_with_reseed(cfg, 1)
+    probe, reseeds = probe_with_reseed(cfg, 1)
     assert reseeds == (17,)
-    assert twist == twist_sequence(cfg) == twist_sequence(reseeded)
+    assert probe.twist == twist_sequence(cfg) == twist_sequence(reseeded)
     assert probe == intersection_probe(cfg, 1) == intersection_probe(reseeded, 1)
     result = build_tower(cfg, probe_max_word_len=1)
-    assert result.reseeds == (17,) and result.twist.seed == 18
+    assert result.reseeds == (17,) and result.probe.twist.seed == 18
     assert result.config == cfg
     (lvl,) = result.levels
     assert lvl.config == cfg
@@ -441,7 +456,7 @@ def test_build_tower_degenerate_single_level():
 def test_build_tower_twisted_single_level():
     result = build_tower(TowerConfig(5, 13, levels=1, twist_seed=42))
     assert result.reseeds == ()
-    assert result.twist is not None and result.twist.seed == 42
+    assert result.probe.twist is not None and result.probe.twist.seed == 42
     s = result.summaries[0]
     assert s.girth == 1 and s.spectral.ramanujan
     assert not result.probe.has_length_one_survivor()
@@ -456,13 +471,13 @@ def test_build_tower_cayley_records_girth_floor():
     assert s.girth_floor == 7
     assert s.girth >= s.girth_floor
     assert s.witness is None
-    assert s.bipartite
+    assert s.spectral.bipartite
     assert s.spectral.ramanujan
 
 
 def test_build_tower_psl_5_29():
     result = build_tower(TowerConfig(5, 29, levels=1))
-    assert result.mode == "PSL"
+    assert result.config.mode == "PSL"
     s = result.summaries[0]
     assert s.vertices == 870
     assert s.girth == 1
@@ -488,7 +503,7 @@ def test_mode_matches_is_psl_for_all_generators():
     for q1, q2 in [(5, 13), (5, 29), (13, 5), (13, 29), (17, 13)]:
         cfg = TowerConfig(q1, q2)
         lvl = build_level(cfg, 1)
-        flags = [is_psl(m) for m in lvl.generator_matrices]
+        flags = [is_psl(m) for m in _generator_matrices(lvl)]
         if cfg.mode == "PSL":
             assert all(flags)
         else:
@@ -531,7 +546,7 @@ def test_level_components_match_traversal_oracles(q1, q2, variant, n, bipartite)
 def test_swap_commutes_with_generators_and_fibers_follow_the_covering(q1, q2, seed):
     cfg = TowerConfig(q1, q2, levels=2, twist_seed=seed)
     lower, upper = (build_level(cfg, n) for n in (1, 2))
-    vmap = np.asarray(natural_covering(upper, lower).morphism.vertex_map)
+    vmap = natural_covering(upper, lower).vertex_map
     orbits1, orbits2 = swap_orbits(lower), swap_orbits(upper)
     swaps = []
     for lvl, orbits in ((lower, orbits1), (upper, orbits2)):
@@ -568,9 +583,9 @@ def test_build_tower_solves_cartan_levels_on_swap_halves(monkeypatch):
     seen = []
     check = tower.ramanujan_check
 
-    def recording(g, q, **kwargs):
+    def recording(g, **kwargs):
         seen.append((g.num_vertices, {k: v is not None for k, v in kwargs.items()}))
-        return check(g, q, **kwargs)
+        return check(g, **kwargs)
 
     monkeypatch.setattr(tower, "ramanujan_check", recording)
     build_tower(TowerConfig(13, 5, levels=2))
