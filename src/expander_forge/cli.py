@@ -12,37 +12,39 @@ reproduces the graph exactly, involution included.  Blank lines before the
 header are skipped; a header value ``-?[0-9]+`` is an integer, any other a
 string, and a key given twice is refused; a header is written only from
 metadata that reads back as itself, with V the graph's vertex count.  Each
-edge line holds four tokens ``-?[0-9]+``, values in
-int64, separated by spaces or tabs; LF, CRLF and CR end lines, and lines of
-only spaces and tabs are skipped.  Any other byte (a ``+``, ``_``, a
-non-ASCII digit) makes its line malformed.  Writing and reading run as numpy
-byte kernels over bounded pieces: chunks of _CHUNK_ROWS (2**15) rows written,
-blocks of about _BLOCK_BYTES (2**17) bytes read, cut at a line end.  The
-pieces run two at a time, the first of each pair on the calling thread and
-the second on one worker thread, in file order; a file of one piece starts
-no thread.  `build`, `tower --export-dir` and `export --format edgelist`
-stream the chunks to the file, or stdout, as they are made, so no text of
-the whole list exists; any other text is written in slices of _WRITE_SLICE
-characters.  The blocks read fill four int32 columns, and a column widens
-to int64 only when a value outside int32 arrives, so no value is wrapped.
-A malformed file's error names its first malformed line: the earlier block
-of a failing pair wins, no later block starts, and the worker is joined
-before the error is raised.  A failed write also joins the worker and
-leaves the target as it was, or absent.  DOT export runs on the same digit
-kernel.  JSON reports carry ``"schema": 1``; integers round-trip exactly
-and floats are serialized with full repr precision (solver-derived floats
-are quantized to 12 significant digits first so reruns and different BLAS
-thread counts stay byte-identical).
+edge line holds four tokens ``-?[0-9]+``, values in int64, separated by
+spaces or tabs; LF, CRLF and CR end lines, and lines of only spaces and tabs
+are skipped.  Any other byte (a ``+``, ``_``, a non-ASCII digit) makes its
+line malformed.  Writing and reading run as numpy byte kernels over bounded
+pieces: chunks of _CHUNK_ROWS (2**15) rows written, blocks of about
+_BLOCK_BYTES (2**17) bytes read, cut at a line end, two at a time in file
+order, the first of each pair on the calling thread and the second on one
+worker thread (a file of one piece starts no thread).  The JSON graph
+text's edge rows, between the head and tail json.dumps writes, and DOT's
+lines run on the same digit kernel.  `build`, `tower --export-dir` and
+`export` to an edge list or JSON stream the chunks to the file, or stdout,
+as they are made, so no text of the whole graph exists; any other text is
+written in slices of _WRITE_SLICE characters.  The blocks read fill four
+int32 columns, and a column widens to int64 only when a value outside int32
+arrives, so no value is wrapped.  A malformed file's error names its first
+malformed line: the earlier block of a failing pair wins, no later block
+starts, and the worker is joined before the error is raised.  A failed
+write also joins the worker and leaves the target as it was, or absent.
+JSON reports carry ``"schema": 1``; integers round-trip exactly and floats
+are serialized with full repr precision (solver-derived floats are quantized
+to 12 significant digits first so reruns and different BLAS thread counts
+stay byte-identical).
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 internal verification
-failure; an output path that cannot be written exits 3 before any work,
-and a JSON file to parse, or a loaded graph's spectrum, DOT or JSON text,
-that cannot fit in physical memory exits 2 before any work.
+failure; an output path that cannot be written exits 3 before any work, and
+a JSON file to parse, or a loaded graph's spectrum or DOT text, that cannot
+fit in physical memory exits 2 before any work.
 Timing lines go to stderr, never into reports.
 """
 
 import argparse
 import contextlib
 import errno
+import functools
 import itertools
 import json
 import math
@@ -80,10 +82,8 @@ _CHUNK_ROWS = 1 << 15
 _BLOCK_BYTES = 1 << 17
 _WRITE_SLICE = 1 << 20  # characters of a str handed to the file at a time
 _INT32 = np.iinfo(np.int32)
-# Peak bytes by tracemalloc on built levels: the JSON text export writes,
-# 526 to 610 an edge (more for longer ids) on 1,092 to 530,604 edges; and
-# parsing a JSON file, 5.0 to 5.8 times its size as written, 15.8 unspaced.
-_JSON_EDGE_BYTES = 700
+# Peak bytes by tracemalloc of parsing a JSON file on built levels of 1,092
+# to 530,604 edges: 5.0 to 5.8 times its size as written, 15.8 unspaced.
 _JSON_LOAD_FACTOR = 20
 
 # 10**k for the places k < 19, where a uint64 sum of digits cannot wrap
@@ -150,8 +150,7 @@ def _file_order_rows(g: SerreGraph):
     perm = np.lexsort((lab, o))
     pos = np.empty_like(perm)
     pos[perm] = np.arange(len(perm))
-    for start in range(0, len(perm), _CHUNK_ROWS):
-        p = perm[start:start + _CHUNK_ROWS]
+    for (p,) in _chunks(perm):
         yield o[p], g.terminus[p], lab[p], pos[g.inv[p]]
 
 
@@ -169,18 +168,18 @@ def _in_pairs(fn, items):
             yield from (future.result() for future in there)
 
 
-def _decimal(vals, gap, lead=0):
-    """(buf, end): the signed integers vals, at least one, in decimal in the
-    uint8 array buf, after lead bytes and each followed by gap bytes (one
+def _decimal(vals, gap, lead=b""):
+    """(buf, end): the bytes lead, then the signed integers vals, at least
+    one, in decimal in the uint8 array buf, each followed by gap bytes (one
     count for all, or one per value); value i's gap starts at buf[end[i]].
-    The lead and gap bytes are left for the caller to write.
+    The gap bytes are left for the caller to write.
 
     Each place's digit is computed once, lowest place first, and the widths
     are counted in the same passes.  The places are then written highest
     first into a buffer padded on the left by the largest digit count, at
     fixed offsets from each value's end: a short value's leading zeros land
-    on the pad, or on bytes that a lower place, the minus signs (written
-    last) or the caller writes again.  So no pass compacts anything."""
+    on the pad, or on bytes that a lower place, the lead, the minus signs
+    (written last) or the caller writes again.  So no pass compacts anything."""
     neg = vals < 0
     mag = np.abs(vals).view(f"u{vals.itemsize}")  # |v| exactly, the least int included
     top = int(mag.max(initial=0))
@@ -192,19 +191,20 @@ def _decimal(vals, gap, lead=0):
     width += 1
     for k in range(places):
         rest = mag // ten
-        digit = rest * ten
-        np.subtract(mag, digit, out=digit)
-        digits.append(digit.astype(np.uint8) + np.uint8(ord("0")))
+        np.subtract(mag, rest * ten, out=mag)  # the digit at place k
+        digits.append(mag.astype(np.uint8) + np.uint8(ord("0")))
         if k + 1 < places:
             width += rest != 0
         mag = rest
     end = np.add(width, gap, dtype=np.int64)
     np.cumsum(end, out=end)
-    buf = np.empty(places + lead + int(end[-1]), dtype=np.uint8)
-    end += lead - gap
+    buf = np.empty(places + len(lead) + int(end[-1]), dtype=np.uint8)
+    end -= gap
+    end += len(lead)
     for k in reversed(range(places)):
         buf[places - 1 - k:][end] = digits[k]
     buf = buf[places:]
+    buf[:len(lead)] = np.frombuffer(lead, np.uint8)
     if neg.any():
         buf[end[neg] - width[neg]] = ord("-")
     return buf, end
@@ -216,27 +216,49 @@ def _put(buf, at, text: bytes):
         buf[j:][at] = byte
 
 
-def _format_rows(cols) -> str:
-    """One chunk of edge lines: each row's four values in decimal, a space
-    after the first three and a newline after the last."""
-    buf, end = _decimal(np.stack(cols, axis=1).ravel(), 1)
-    buf[end] = ord(" ")
-    buf[end[3::4]] = ord("\n")
-    return str(buf, "ascii")
+# Row templates (prefix, the literal after each value, separator): a row is
+# the prefix, then each value in decimal followed by its literal.
+_EDGE_LINES = ("", (" ", " ", " ", "\n"), "")
+_JSON_ROWS = ("\n    [\n      ", (",\n      ",) * 3 + ("\n    ]",), ",")
+_DOT_VERTICES = ("  ", (";\n",), "")
 
 
-def _edgelist_pieces(g: SerreGraph):
-    """The edge list of g as str pieces in file order: the header line, then
-    one piece per chunk of rows."""
-    if g.meta.get("V", g.num_vertices) != g.num_vertices:
-        raise InvalidParameterError(f"graph metadata V={g.meta['V']!r} is not the graph's "
-                                    f"{g.num_vertices} vertices")
-    yield _header_line(g.meta) + "\n"
-    yield from _in_pairs(_format_rows, _file_order_rows(g))
+def _rows_text(template, chunk) -> str:
+    """The rows of chunk i, chunk = (i, cols), in template, joined by its
+    separator, which also leads every chunk but the first: the gap after
+    each row's last value holds the next row's separator and prefix, cut
+    off after the last row."""
+    (i, cols), (prefix, after, sep) = chunk, template
+    lead = (sep if i else "") + prefix
+    texts = [text.encode() for text in after[:-1] + (after[-1] + sep + prefix,)]
+    gap = np.tile(np.array([len(text) for text in texts], dtype=np.uint8), len(cols[0]))
+    buf, end = _decimal(np.stack(cols, axis=1).ravel(), gap, lead=lead.encode())
+    for k, text in enumerate(texts):
+        _put(buf, end[k::len(texts)], text)
+    return str(buf[:len(buf) - len(sep + prefix)], "ascii")
+
+
+def _graph_pieces(g: SerreGraph, fmt: str):
+    """The edge list (fmt "edgelist") or JSON graph text (fmt "json") of g as
+    str pieces: a head, the edges in file order as rows, one piece per chunk
+    formatted two at a time, and a tail; json.dumps writes the JSON's ends."""
+    if fmt == "json":
+        text = dump_report({"format": "expander-forge-graph", "schema": SCHEMA_VERSION,
+                            "meta": dict(g.meta), "num_vertices": g.num_vertices, "edges": []})
+        head, template = text.removesuffix("]\n}\n"), _JSON_ROWS
+        tail = "\n  ]\n}\n" if g.num_edges else "]\n}\n"
+    else:
+        if g.meta.get("V", g.num_vertices) != g.num_vertices:
+            raise InvalidParameterError(f"graph metadata V={g.meta['V']!r} is not the "
+                                        f"graph's {g.num_vertices} vertices")
+        head, template, tail = _header_line(g.meta) + "\n", _EDGE_LINES, ""
+    yield head
+    yield from _in_pairs(functools.partial(_rows_text, template), enumerate(_file_order_rows(g)))
+    yield tail
 
 
 def format_edgelist(g: SerreGraph) -> str:
-    return "".join(_edgelist_pieces(g))
+    return "".join(_graph_pieces(g, "edgelist"))
 
 
 def _vertex_count(value, where: str) -> int:
@@ -358,19 +380,6 @@ def _edge_list_graph(meta: dict, cols) -> SerreGraph:
     return SerreGraph(nv, origin, terminus, inv, label, meta=meta)
 
 
-def graph_to_json(g: SerreGraph) -> dict:
-    edges = []
-    for cols in _file_order_rows(g):
-        edges += np.stack(cols, axis=1).tolist()
-    return {
-        "format": "expander-forge-graph",
-        "schema": SCHEMA_VERSION,
-        "meta": dict(g.meta),
-        "num_vertices": g.num_vertices,
-        "edges": edges,
-    }
-
-
 def graph_from_json(obj: dict) -> SerreGraph:
     if not isinstance(obj, dict) or obj.get("format") != "expander-forge-graph":
         raise InvalidParameterError("not an expander-forge graph JSON object")
@@ -385,22 +394,8 @@ def graph_from_json(obj: dict) -> SerreGraph:
         raise InvalidParameterError('graph JSON "edges" must be a list of 4-integer rows')
     if not isinstance(obj.get("meta", {}), dict):
         raise InvalidParameterError('graph JSON "meta" must be an object')
-    return SerreGraph(
-        nv,
-        [e[0] for e in edges],
-        [e[1] for e in edges],
-        [e[3] for e in edges],
-        [e[2] for e in edges],
-        meta=obj.get("meta", {}),
-    )
-
-
-def _dot_vertices(cols) -> str:
-    """'  v;' per vertex id v in cols = (ids,), each on its own line."""
-    buf, end = _decimal(cols[0], 4, lead=2)
-    buf[:2] = ord(" ")
-    _put(buf, end, b";\n  ")
-    return str(buf[:-2], "ascii")
+    origin, terminus, label, inv = zip(*edges) if edges else [()] * 4
+    return SerreGraph(nv, origin, terminus, inv, label, meta=obj.get("meta", {}))
 
 
 def _dot_edges(cols) -> str:
@@ -416,8 +411,7 @@ def _dot_edges(cols) -> str:
     gap = np.full(len(vals), 6)  # the lengths of the texts put below
     gap[first] = 4
     gap[first + 1] = np.where(labelled, 9, 4)
-    buf, end = _decimal(vals, gap, lead=2)
-    buf[:2] = ord(" ")
+    buf, end = _decimal(vals, gap, lead=b"  ")
     _put(buf, end[first], b" -- ")
     _put(buf, end[first + 1][labelled], b' [label="')
     _put(buf, end[first + 1][~labelled], b";\n  ")
@@ -431,7 +425,8 @@ def format_dot(g: SerreGraph) -> str:
     forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)
     edges = g.origin[forward], g.terminus[forward], g.label[forward]
     parts = ["graph expander_forge {\n"]
-    parts += _in_pairs(_dot_vertices, _chunks(np.arange(g.num_vertices)))
+    parts += _in_pairs(functools.partial(_rows_text, _DOT_VERTICES),
+                       enumerate(_chunks(np.arange(g.num_vertices))))
     parts += _in_pairs(_dot_edges, _chunks(*edges))
     parts.append("}\n")
     return "".join(parts)
@@ -521,7 +516,7 @@ def atomic_write(path: str, data: str):
 def write_edgelist(path: str, g: SerreGraph):
     """The edge list of g written to path as it is formatted, a chunk at a
     time: no text of the whole list is made."""
-    _atomic_stream(path, _edgelist_pieces(g))
+    _atomic_stream(path, _graph_pieces(g, "edgelist"))
 
 
 # ---------------------------------------------------------------------------
@@ -721,15 +716,17 @@ def cmd_export(args) -> int:
         _refuse_unwritable(args.out)
     g = load_graph(args.infile)
     if args.format == "dot":
-        # per vertex: its int64 id and its line, in the pieces and joined
-        _refuse(f"the DOT text of {g.num_vertices} vertices needs",
-                (8 + 2 * (len(str(g.num_vertices)) + 4)) * g.num_vertices)
-    if args.format == "json":
-        _refuse(f"the JSON text of {g.num_edges} edges needs", _JSON_EDGE_BYTES * g.num_edges)
-    if args.format == "edgelist":
-        pieces = _edgelist_pieces(g)
+        # per vertex its int64 id and per forward edge (one in two) its int64 id
+        # and three gathered ids, each with its line in the pieces and joined; and
+        # two chunks of edges in flight, a line and 192 bytes a row (170 traced)
+        digits = len(str(g.num_vertices))
+        line = 19 + 2 * digits + len(str(max(int(g.label.max(initial=0)), 0)))  # an edge's
+        _refuse(f"the DOT text of {g.num_vertices} vertices and {g.num_edges // 2} edges needs",
+                (16 + 2 * digits) * g.num_vertices + (16 + line) * g.num_edges
+                + (192 + line) * min(g.num_edges // 2, 2 * _CHUNK_ROWS))
+        pieces = _slices(format_dot(g))
     else:
-        pieces = _slices(dump_report(graph_to_json(g)) if args.format == "json" else format_dot(g))
+        pieces = _graph_pieces(g, args.format)
     if args.out:
         _atomic_stream(args.out, pieces)
     else:

@@ -363,8 +363,8 @@ def _solve_blocks(blocks, norm) -> EigenResult:
 def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport:
     """Verdict: every nontrivial eigenvalue satisfies |lambda| <= 2*sqrt(q).
 
-    Requires a connected regular graph, whose degree q+1 must be at least 2;
-    q is read from it.  The dense method checks that
+    Requires a connected regular graph of at least one vertex, whose degree
+    q+1 must be at least 2; q is read from it.  The dense method checks that
     its spectrum ends within RESIDUAL_RTOL * ||A|| of the trivial values and
     drops them; the iterative one merges the ends of its blocks (_blocks,
     _solve_blocks).  Then one tail: a nontrivial end within that slack of
@@ -378,6 +378,8 @@ def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport
     InvalidParameterError.  Only the iterative method solves on the swap
     halves.
     """
+    if not g.num_vertices:
+        raise InvalidParameterError("graph has no vertices")
     degs = set(g.degrees())
     if len(degs) != 1:
         raise InvalidParameterError(f"graph is not regular (degrees {sorted(degs)})")

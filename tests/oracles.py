@@ -10,7 +10,8 @@ by the original loops over edges and vertex links, connectivity and
 bipartiteness by the original depth-first and breadth-first traversals, the
 intersection probe by the original depth-first enumeration of every reduced
 word, the raw g(1) of a twist seed by its own draw, edge-list I/O and DOT
-export by the original string formatting and per-line int() conversion,
+export by the original string formatting and per-line int() conversion, the
+JSON graph object by the original Python list of each edge's row,
 unit inverses by Python's pow, and the nontrivial spectral ends of graphs
 too large for a dense solve by the original undeflated ARPACK solve with
 removal by value.
@@ -23,7 +24,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from expander_forge.cli import _CHUNK_ROWS, _file_order_rows, _header_line
+from expander_forge.cli import SCHEMA_VERSION, _CHUNK_ROWS, _file_order_rows, _header_line
 from expander_forge.errors import (InvalidMorphismError, InvalidParameterError,
                                    VerificationError, WordLengthError)
 from expander_forge.modarith import PrimePower, sqrt_minus_one
@@ -568,6 +569,22 @@ def string_format_edgelist(g: SerreGraph) -> str:
         flat = np.stack(cols, axis=1).ravel().tolist()
         parts.append(("%d %d %d %d\n" * len(cols[0])) % tuple(flat))
     return "".join(parts)
+
+
+def graph_to_json(g: SerreGraph) -> dict:
+    """The JSON graph object of g, its edges a list of one Python list of
+    ints per edge in file order; dump_report of it is the JSON export's
+    text."""
+    edges = []
+    for cols in _file_order_rows(g):
+        edges += np.stack(cols, axis=1).tolist()
+    return {
+        "format": "expander-forge-graph",
+        "schema": SCHEMA_VERSION,
+        "meta": dict(g.meta),
+        "num_vertices": g.num_vertices,
+        "edges": edges,
+    }
 
 
 def string_format_dot(g: SerreGraph) -> str:

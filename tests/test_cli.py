@@ -18,11 +18,11 @@ from expander_forge.cli import (
     dump_report,
     format_edgelist,
     graph_from_json,
-    graph_to_json,
     load_graph,
     main,
 )
 from expander_forge.tower import TowerConfig, build_level
+from oracles import graph_to_json, string_format_dot
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +145,10 @@ def test_load_graph_reads_bytes(tmp_path, capsys):
         assert main(["export", "--in", str(bad), "--format", "json"]) == EXIT_USAGE
         assert message in capsys.readouterr().err
     edges, js = tmp_path / "g.edges", tmp_path / "g.json"
+    edges.write_text(text)
+    assert main(["export", "--in", str(edges), "--format", "json", "--out", str(js)]) == EXIT_OK
+    js.write_text("\n\t " + json.dumps(json.loads(js.read_text())))
     edges.write_bytes(b"\r\n \n" + text.replace("\n", "\r\n").encode())
-    js.write_text("\n\t " + json.dumps(graph_to_json(g)))
     for path in (edges, js):
         assert format_edgelist(load_graph(str(path))) == text
 
@@ -189,9 +191,12 @@ def test_export_borel_dot(tmp_path, capsys):
     assert dot.count(";") >= 14
 
 
-def test_graph_json_schema(level1_file):
+def test_graph_json_schema(level1_file, tmp_path):
     g = load_graph(str(level1_file))
-    obj = graph_to_json(g)
+    path = tmp_path / "g.json"
+    assert main(["export", "--in", str(level1_file), "--format", "json",
+                 "--out", str(path)]) == EXIT_OK
+    obj = json.loads(path.read_text())
     assert obj["schema"] == 1
     assert obj["format"] == "expander-forge-graph"
     g2 = graph_from_json(obj)
@@ -328,6 +333,9 @@ PINNED_OUTPUTS = {
         "c0daede6e223f86eefe17679aa661a632ca6d5f7af107717211956b2ebc38c85",
     # seed 17 is degenerate at level 1: twist_seed_used 18, reseeds [17]
     "tower-5-13-2-seed17.json": "9612631b6d926e04387708df2e663d5b110deec33c269c45e31c33dd90ad55de",
+    # 184,548 edges: six chunks of rows, formatted on both threads
+    "cartan2.edges": "de0e7599fa10b582948990653d17f7397723904347c1e75559893e374e71d3dc",
+    "cartan2.json": "21403b69ab56372d797c4a468d50be0ced54b1d49f23a7fa2f8de6461a31a72f",
 }
 
 
@@ -338,13 +346,14 @@ def test_output_bytes_are_pinned(tmp_path):
         assert main(argv) == EXIT_OK, path.name
         got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    for variant, n in (("cartan", 1), ("borel", 2), ("cayley", 1)):
+    for variant, n in (("cartan", 1), ("borel", 2), ("cayley", 1), ("cartan", 2)):
         path = tmp_path / f"{variant}{n}.edges"
         run(path, ["build", "--q1", "5", "--q2", "13", "--level", str(n), "--variant", variant,
                    "--out", str(path)])
-    for fmt in ("json", "dot"):
-        path = tmp_path / f"cartan1.{fmt}"
-        run(path, ["export", "--in", str(tmp_path / "cartan1.edges"), "--format", fmt,
+    for name in ("cartan1.json", "cartan1.dot", "cartan2.json"):
+        path = tmp_path / name
+        stem, fmt = name.split(".")
+        run(path, ["export", "--in", str(tmp_path / f"{stem}.edges"), "--format", fmt,
                    "--out", str(path)])
     path = tmp_path / "tower-cayley-5-17.json"
     run(path, ["tower", "--q1", "5", "--q2", "17", "--levels", "1", "--variant", "cayley",
@@ -603,45 +612,63 @@ def test_loaded_graph_beyond_physical_memory_is_refused(command, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant,n", [("cartan", 1), ("cayley", 1), ("cartan", 2)])
+def test_dot_estimate_covers_the_traced_peak(variant, n, tmp_path, monkeypatch, capsys):
+    # The estimate export --format dot refuses by, read from its message, is
+    # at least format_dot's traced peak on the loaded graph.  (5,13) cartan
+    # level 1 has 546 forward edges, a part of one chunk, and level 2 has
+    # 92,274, three chunks.
+    path = tmp_path / "g.edges"
+    cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, variant=variant, levels=n),
+                                              n).graph)
+    g = load_graph(str(path))
+    text, peak = traced_peak(cli.format_dot, g)
+    assert text == string_format_dot(g)
+    monkeypatch.setattr(tower, "_physical_memory", lambda: 0)
+    assert main(["export", "--in", str(path), "--format", "dot"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the DOT text of {g.num_vertices} vertices and "
+                          f"{g.num_edges // 2} edges needs an estimated ")
+    assert peak <= int(err.split("an estimated ")[1].split()[0])
+
+
 @pytest.mark.parametrize("variant", ["cartan", "cayley"])
 def test_json_estimates_cover_the_traced_peaks(tmp_path, variant):
-    # the JSON text that export writes, per edge, and the parse of a JSON
-    # file, per byte, written as export writes it and without whitespace;
-    # (5,13) level 1 has 1,092 and 13,104 edges
-    g = build_level(TowerConfig(5, 13, variant=variant), 1).graph
-    text, peak = traced_peak(lambda: dump_report(graph_to_json(g)))
-    assert peak <= cli._JSON_EDGE_BYTES * g.num_edges
-    path = tmp_path / "g.json"
-    for data in (text, json.dumps(json.loads(text), separators=(",", ":"))):
+    # The JSON export of a loaded graph holds the chunks formatted at once,
+    # not its text: one bound, two chunks at 256 bytes a row, covers 1,092
+    # and 184,548 edges ((5,13) cartan levels 1 and 2; cayley level 1 has
+    # 13,104).  The parse of a level-1 JSON file is within its estimate per
+    # byte, written as export writes it and without whitespace.
+    edges, path = tmp_path / "g.edges", tmp_path / "g.json"
+    for n in (1, 2) if variant == "cartan" else (1,):
+        cli.write_edgelist(str(edges), build_level(TowerConfig(5, 13, variant=variant,
+                                                               levels=n), n).graph)
+        g = load_graph(str(edges))
+        _, peak = traced_peak(cli._atomic_stream, str(path), cli._graph_pieces(g, "json"))
+        assert peak <= 2 * cli._CHUNK_ROWS * 256
+        text = path.read_text()
+        assert text == dump_report(graph_to_json(g))
+        if n == 1:
+            level1, level1_text = g, text
+    for data in (level1_text, json.dumps(json.loads(level1_text), separators=(",", ":"))):
         path.write_text(data)
         loaded, peak = traced_peak(load_graph, str(path))
         assert peak <= cli._JSON_LOAD_FACTOR * path.stat().st_size
-        assert format_edgelist(loaded) == format_edgelist(g)
+        assert format_edgelist(loaded) == format_edgelist(level1)
 
 
 def test_json_beyond_physical_memory_is_refused(level1_file, tmp_path, monkeypatch, capsys):
-    # Below the estimate, exit 2 with no output and before the JSON work;
-    # at it, the command runs.
+    # A JSON file is refused for its size before it is parsed: below the
+    # estimate, exit 2 with no output and before json.loads; at it, the
+    # command runs.
     def no_work(*args, **kwargs):
         raise AssertionError("JSON work started before the memory check")
 
     out, js = tmp_path / "out", tmp_path / "g.json"
-    need = cli._JSON_EDGE_BYTES * 1092
-    monkeypatch.setattr(tower, "_physical_memory", lambda: need - 1)
-    monkeypatch.setattr(cli, "graph_to_json", no_work)
-    for argv in (["export", "--in", str(level1_file), "--format", "json"],
-                 ["export", "--in", str(level1_file), "--format", "json", "--out", str(out)]):
-        assert main(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: the JSON text of 1092 edges needs an estimated "
-                                       f"{need} bytes") and captured.err.count("\n") == 1
-        assert "physical memory" in captured.err and not captured.out
-        assert not out.exists()
-    monkeypatch.undo()
-    monkeypatch.setattr(tower, "_physical_memory", lambda: need)
+    # the JSON text is streamed, so its export is not refused for memory
+    monkeypatch.setattr(tower, "_physical_memory", lambda: 0)
     assert main(["export", "--in", str(level1_file), "--format", "json",
                  "--out", str(js)]) == EXIT_OK
-    # a JSON file is refused for its size before it is parsed
     need = cli._JSON_LOAD_FACTOR * js.stat().st_size
     monkeypatch.setattr(tower, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(json, "loads", no_work)

@@ -1,9 +1,11 @@
-"""The block-wise edge-list writer and reader against the original string
-writer and per-line reader kept in oracles.py; failed streamed writes; and
-the memory the writes, the read and the graph checks hold."""
+"""The block-wise edge-list writer and reader, and the JSON and DOT writers
+on the same digit kernel, against the original string writers and per-line
+reader kept in oracles.py; failed streamed writes; and the memory the
+writes, the read and the graph checks hold."""
 
 import errno
 import itertools
+import json
 import os
 import threading
 import time
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import from_geometric_edges, parse_edgelist, random_multigraphs, traced_peak
 from expander_forge import cli, multigraph
-from expander_forge.cli import format_edgelist
+from expander_forge.cli import dump_report, format_edgelist
 from expander_forge.errors import GraphConstructionError, InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
-from oracles import line_edge_rows, string_format_dot, string_format_edgelist
+from oracles import graph_to_json, line_edge_rows, string_format_dot, string_format_edgelist
 
 META = dict(q1=0, q2=0, n=0, variant="fixture", mode="NA")
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -32,6 +34,11 @@ def _with_meta(g: SerreGraph) -> SerreGraph:
 
 def _rows(g: SerreGraph) -> np.ndarray:
     return np.stack([g.origin, g.terminus, g.label, g.inv], axis=1)
+
+
+def _json_text(g: SerreGraph) -> str:
+    """The JSON graph text that export writes for g."""
+    return "".join(cli._graph_pieces(g, "json"))
 
 
 def _assert_matches_oracles(g: SerreGraph):
@@ -168,7 +175,7 @@ def test_shuffled_graph_writes_the_text_of_its_sorted_twin(monkeypatch):
         sorts.clear()
         assert format_edgelist(twin) == text
         assert sorts == [g.num_edges]
-        assert cli.graph_to_json(twin) == cli.graph_to_json(g)
+        assert _json_text(twin) == _json_text(g)
 
 
 # int64 values with the extremes, 0, -1 and 19-digit magnitudes drawn often
@@ -189,20 +196,63 @@ def test_writers_match_oracles_at_every_chunk_size(g, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CHUNK_ROWS", chunk)
             assert format_edgelist(g) == string_format_edgelist(g)
+            assert _json_text(g) == dump_report(graph_to_json(g))
             assert cli.format_dot(g) == string_format_dot(g)
     flat = np.stack(cols, axis=1).ravel().tolist()
-    assert cli._format_rows(cols) == ("%d %d %d %d\n" * len(rows)) % tuple(flat)
+    lines = ("%d %d %d %d\n" * len(rows)) % tuple(flat)
+    assert cli._rows_text(cli._EDGE_LINES, (0, cols)) == cli._rows_text(cli._EDGE_LINES, (1, cols))
+    assert cli._rows_text(cli._EDGE_LINES, (0, cols)) == lines
+    # the rows as json.dumps indents them two levels down; a chunk after
+    # the first starts with the row separator
+    nested = json.dumps({"edges": rows}, indent=2)[len('{\n  "edges": ['):-len("\n  ]\n}")]
+    assert cli._rows_text(cli._JSON_ROWS, (0, cols)) == nested
+    assert cli._rows_text(cli._JSON_ROWS, (1, cols)) == "," + nested
+
+
+def test_json_export_matches_oracle_on_built_levels(monkeypatch):
+    # (5,13) cartan level 2 has 184,548 rows: six chunks, joined by the
+    # row separator, the odd ones formatted on the worker thread
+    log = _thread_log(monkeypatch, "_rows_text")
+    for variant, n, chunks in (("cartan", 1, 1), ("cayley", 1, 1), ("cartan", 2, 6)):
+        g = build_level(TowerConfig(5, 13, variant=variant, levels=n), n).graph
+        log.clear()
+        assert _json_text(g) == dump_report(graph_to_json(g))
+        assert len(log) == chunks
+    here = sorted(thread is threading.main_thread() for _, thread, _ in log)
+    assert here == [False] * 3 + [True] * 3
+
+
+def test_json_export_matches_oracle_on_unsorted_edgeless_and_unusual_meta(monkeypatch):
+    # Edges out of file order take the sort branch.  An edgeless graph, with
+    # or without meta, is json.dumps's own text.  Meta of non-ASCII text,
+    # quotes and nested values is escaped by json.dumps.
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
+    unsorted = from_geometric_edges(4, [(3, 0), (2, 1), (1, 1), (0, 3), (0, 2)],
+                                    labels=[4, -1, 2**63 - 1, 0, -(2**63)])
+    meta = {"name": "Ramanujan–Petersson ✓ \U0001f600", "quote": '"a"\n\\',
+            "nested": {"list": [1, 2.5, None, True, {"empty": [], "obj": {}}], "": "[]"}}
+    graphs = [unsorted, SerreGraph(3, [], [], [], []),
+              SerreGraph(0, [], [], [], [], meta=dict(META, V=0)),
+              SerreGraph(2, [0, 1], [1, 0], [1, 0], [0, 0], meta=meta),
+              SerreGraph(1, [], [], [], [], meta=meta)]
+    for g in graphs:
+        text = _json_text(g)
+        assert text == dump_report(graph_to_json(g))
+        assert json.loads(text)["meta"] == g.meta
+    assert sorts == [10, 10]  # the export's and the oracle's
 
 
 def _thread_log(monkeypatch, name):
     """Wrap cli.<name> to log (item, thread, thread count) per call, on
-    either thread."""
+    either thread; the item is the call's last argument."""
     log = []
     fn = getattr(cli, name)
 
-    def logged(item):
-        log.append((item, threading.current_thread(), threading.active_count()))
-        return fn(item)
+    def logged(*args):
+        log.append((args[-1], threading.current_thread(), threading.active_count()))
+        return fn(*args)
 
     monkeypatch.setattr(cli, name, logged)
     return log
@@ -270,7 +320,7 @@ def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
     g = build_level(TowerConfig(5, 13), 1).graph
     text = format_edgelist(g)
     before = threading.active_count()
-    chunks = _thread_log(monkeypatch, "_format_rows")
+    chunks = _thread_log(monkeypatch, "_rows_text")
     blocks = _thread_log(monkeypatch, "_parse_block")
     assert format_edgelist(g) == text
     back = parse_edgelist(text)
@@ -314,15 +364,15 @@ class _FailingFile:
 def _fail_second_chunk(monkeypatch):
     # 7 rows a chunk; every chunk after the first raises, so the pair of
     # chunks 0 and 1 fails on the worker thread
-    format_rows = cli._format_rows
+    rows_text = cli._rows_text
 
-    def failing(cols):
-        if cols[0][0] > 0:
+    def failing(template, chunk):
+        if chunk[0] > 0:
             raise RuntimeError("chunk after the first")
-        return format_rows(cols)
+        return rows_text(template, chunk)
 
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(cli, "_format_rows", failing)
+    monkeypatch.setattr(cli, "_rows_text", failing)
     return RuntimeError
 
 
@@ -384,7 +434,8 @@ def test_atomic_write_holds_a_slice_not_the_text(level_5_17, tmp_path):
 
 
 def test_streamed_write_peak_does_not_grow_with_the_list(level_5_17, tmp_path):
-    # 184,548 and 530,604 edges, several pairs of chunks each
+    # 184,548 and 530,604 edges, several pairs of chunks each; the JSON
+    # text streams the same way
     small = build_level(TowerConfig(5, 13, levels=2), 2).graph
     big, path = level_5_17
     peaks = []
@@ -395,6 +446,11 @@ def test_streamed_write_peak_does_not_grow_with_the_list(level_5_17, tmp_path):
         peaks.append(peak)
     assert out.read_bytes() == path.read_bytes()
     assert peaks[1] <= peaks[0] + (1 << 20) and peaks[1] < path.stat().st_size
+    out, peaks = tmp_path / "streamed.json", []
+    for g in (small, big):
+        _, peak = traced_peak(cli._atomic_stream, str(out), cli._graph_pieces(g, "json"))
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + (1 << 20) and peaks[1] < out.stat().st_size
 
 
 def test_load_holds_the_file_the_graph_and_a_fixed_scratch(level_5_17):

@@ -167,6 +167,12 @@ def test_ramanujan_check_rejects_bad_input():
         ramanujan_check(disjoint)
 
 
+def test_ramanujan_check_refuses_a_graph_of_no_vertices():
+    # vacuously regular, but with no spectrum to judge
+    with pytest.raises(InvalidParameterError, match="^graph has no vertices$"):
+        ramanujan_check(SerreGraph(0, [], [], [], []))
+
+
 def test_histogram_examples():
     h = full_spectrum_histogram(adjacency(cycle_graph(6)), 1)
     assert h.fraction_inside == 1.0
