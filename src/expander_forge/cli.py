@@ -21,12 +21,17 @@ _BLOCK_BYTES (2**17) bytes read, cut at a line end, two at a time in file
 order, the first of each pair on the calling thread and the second on one
 worker thread (a file of one piece starts no thread).  The JSON graph
 text's edge rows, between the head and tail json.dumps writes, and DOT's
-lines run on the same digit kernel.  `build`, `tower --export-dir` and
-`export` to an edge list or JSON stream the chunks to the file, or stdout,
-as they are made, so no text of the whole graph exists; any other text is
-written in slices of _WRITE_SLICE characters.  The blocks read fill four
-int32 columns, and a column widens to int64 only when a value outside int32
-arrives, so no value is wrapped.  A malformed file's error names its first
+lines run on the same digit kernel.  It writes a chunk's digits straight
+into one buffer of its text, a column and a place at a time, with int32
+offsets, so a chunk's scratch is a small multiple of its text: a traced peak
+of at most 60 bytes a row for edge lines (18 of text) and 75 for DOT edge
+rows (28) on 6-digit ids, the text and its str copy included.  A block read
+holds at most 10 bytes per byte.  `build`, `tower --export-dir` and
+`export` to an edge list, JSON or DOT stream the chunks to the file, or
+stdout, as they are made, so no text of the whole graph exists; any other
+text is written in slices of _WRITE_SLICE characters.  The blocks read
+fill four int32 columns, and a column widens to int64 only when a value
+outside int32 arrives, so no value is wrapped.  A malformed file's error names its first
 malformed line: the earlier block of a failing pair wins, no later block
 starts, and the worker is joined before the error is raised.  A failed
 write also joins the worker and leaves the target as it was, or absent.
@@ -36,7 +41,7 @@ to 12 significant digits first so reruns and different BLAS thread counts
 stay byte-identical).
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 internal verification
 failure; an output path that cannot be written exits 3 before any work, and
-a JSON file to parse, or a loaded graph's spectrum or DOT text, that cannot
+a JSON file to parse, or a loaded graph's spectrum or DOT export, that cannot
 fit in physical memory exits 2 before any work.
 Timing lines go to stderr, never into reports.
 """
@@ -65,7 +70,7 @@ from .errors import (
     WordLengthError,
 )
 from .modarith import PrimePower
-from .multigraph import SerreGraph, girth
+from .multigraph import SerreGraph, girth, index_dtype
 from .quat import split
 from .spectra import RESIDUAL_RTOL, SpectralReport, ramanujan_check, solve_bytes
 from .tower import TowerConfig, _refuse, build_level, build_tower, probe_with_reseed
@@ -86,8 +91,6 @@ _INT32 = np.iinfo(np.int32)
 # to 530,604 edges: 5.0 to 5.8 times its size as written, 15.8 unspaced.
 _JSON_LOAD_FACTOR = 20
 
-# 10**k for the places k < 19, where a uint64 sum of digits cannot wrap
-_PLACE = 10 ** np.arange(19, dtype=np.uint64)
 _INT64_MAX = np.uint64(2**63 - 1)
 # Lines of spaces and tabs, then the header line.
 _HEADER_LINE = re.compile(rb"(?:[ \t]*[\r\n])*([^\r\n]*)")
@@ -168,50 +171,57 @@ def _in_pairs(fn, items):
             yield from (future.result() for future in there)
 
 
-def _decimal(vals, gap, lead=b""):
-    """(buf, end): the bytes lead, then the signed integers vals, at least
-    one, in decimal in the uint8 array buf, each followed by gap bytes (one
-    count for all, or one per value); value i's gap starts at buf[end[i]].
-    The gap bytes are left for the caller to write.
+def _magnitudes(vals):
+    """|vals| exactly, the least int included, as uint32 when all fit."""
+    mag = np.abs(vals).view(f"u{vals.itemsize}")
+    if mag.itemsize > 4 and mag.max(initial=0) < 2**32:
+        mag = mag.astype(np.uint32)  # same digits, cheaper division
+    return mag
 
-    Each place's digit is computed once, lowest place first, and the widths
-    are counted in the same passes.  The places are then written highest
-    first into a buffer padded on the left by the largest digit count, at
-    fixed offsets from each value's end: a short value's leading zeros land
-    on the pad, or on bytes that a lower place, the lead, the minus signs
-    (written last) or the caller writes again.  So no pass compacts anything."""
-    neg = vals < 0
-    mag = np.abs(vals).view(f"u{vals.itemsize}")  # |v| exactly, the least int included
-    top = int(mag.max(initial=0))
-    if top < 2**32:
-        mag = mag.astype(np.uint32, copy=False)  # same digits, cheaper division
-    ten = mag.dtype.type(10)
-    places = len(str(top))
-    digits, width = [], neg.astype(np.uint8)
+
+def _widths(vals):
+    """The decimal width of each of the signed integers vals, its minus sign
+    included, as uint8."""
+    mag = _magnitudes(vals)
+    width = (vals < 0).view(np.uint8)
     width += 1
-    for k in range(places):
-        rest = mag // ten
-        np.subtract(mag, rest * ten, out=mag)  # the digit at place k
-        digits.append(mag.astype(np.uint8) + np.uint8(ord("0")))
-        if k + 1 < places:
-            width += rest != 0
-        mag = rest
-    end = np.add(width, gap, dtype=np.int64)
-    np.cumsum(end, out=end)
-    buf = np.empty(places + len(lead) + int(end[-1]), dtype=np.uint8)
-    end -= gap
-    end += len(lead)
-    for k in reversed(range(places)):
-        buf[places - 1 - k:][end] = digits[k]
-    buf = buf[places:]
-    buf[:len(lead)] = np.frombuffer(lead, np.uint8)
+    for k in range(1, len(str(mag.max(initial=0)))):
+        width += mag >= 10**k
+    return width
+
+
+def _put_decimal(buf, end, vals, width):
+    """Write the signed integers vals in decimal into the uint8 array buf,
+    value i in the width[i] bytes before offset end[i].
+
+    The places are written highest first, one pass a place over all values.
+    Each value's offset starts at its first digit and steps right once its
+    digits reach the place, so a short value's leading zeros land on its
+    first digit, which a lower place writes again."""
+    neg = vals < 0
+    mag = _magnitudes(vals)
+    digits = width - neg
+    quotient, char = np.empty_like(mag), np.empty(len(mag), np.uint8)
+    longer = np.empty(len(mag), bool)
+    at = np.subtract(end, digits, dtype=np.intp)
+    shortest = int(digits.min(initial=0))
+    for k in reversed(range(int(digits.max(initial=0)))):
+        place = mag.dtype.type(10**k)
+        np.floor_divide(mag, place, out=quotient)
+        np.add(quotient, ord("0"), out=char, casting="unsafe")
+        buf[at] = char
+        mag -= np.multiply(quotient, place, out=quotient)
+        if k >= shortest:
+            at += np.greater(digits, k, out=longer)  # the values with a digit at k
+        else:
+            at += 1
     if neg.any():
-        buf[end[neg] - width[neg]] = ord("-")
-    return buf, end
+        buf[(end - width)[neg]] = ord("-")
 
 
 def _put(buf, at, text: bytes):
     """Write text into the uint8 array buf at every offset in at."""
+    at = at.astype(np.intp)
     for j, byte in enumerate(text):
         buf[j:][at] = byte
 
@@ -225,16 +235,28 @@ _DOT_VERTICES = ("  ", (";\n",), "")
 
 def _rows_text(template, chunk) -> str:
     """The rows of chunk i, chunk = (i, cols), in template, joined by its
-    separator, which also leads every chunk but the first: the gap after
-    each row's last value holds the next row's separator and prefix, cut
-    off after the last row."""
+    separator, which also leads every chunk but the first: the literal
+    after each row's last value holds the next row's separator and prefix,
+    cut off after the last row.
+
+    The row ends are summed from the widths, in int32, and each row is
+    then written from its end back, one column at a time, into one buffer."""
     (i, cols), (prefix, after, sep) = chunk, template
-    lead = (sep if i else "") + prefix
+    lead = ((sep if i else "") + prefix).encode()
     texts = [text.encode() for text in after[:-1] + (after[-1] + sep + prefix,)]
-    gap = np.tile(np.array([len(text) for text in texts], dtype=np.uint8), len(cols[0]))
-    buf, end = _decimal(np.stack(cols, axis=1).ravel(), gap, lead=lead.encode())
-    for k, text in enumerate(texts):
-        _put(buf, end[k::len(texts)], text)
+    widths = [_widths(col) for col in cols]
+    end = np.full(len(cols[0]), sum(map(len, texts)), dtype=np.int32)
+    end[0] += len(lead)
+    for width in widths:
+        end += width
+    np.cumsum(end, out=end)
+    buf = np.empty(int(end[-1]), dtype=np.uint8)
+    buf[:len(lead)] = np.frombuffer(lead, np.uint8)
+    for col, width, text in reversed(list(zip(cols, widths, texts))):
+        end -= len(text)
+        _put(buf, end, text)
+        _put_decimal(buf, end, col, width)
+        end -= width
     return str(buf[:len(buf) - len(sep + prefix)], "ascii")
 
 
@@ -273,41 +295,60 @@ def _parse_block(b: np.ndarray) -> np.ndarray:
     Positions below are into b padded with a newline on each side, so the
     lines are the spans between consecutive line ends and every token has a
     byte outside it on either side.  A token's magnitude is summed from its
-    last byte back, one place a pass over all tokens; a position before the
-    token reads the zero of a non-digit byte.  The first line that breaks
-    the grammar, or holds a value outside int64, is named in the error."""
+    highest place down, one place a pass over all tokens; a position before
+    the token reads the zero of a non-digit byte.  The first line that breaks
+    the grammar, or holds a value outside int64, is named in the error.
+
+    Positions are held in int32 for a block under 2 GiB, and each byte mask
+    is dropped once read."""
     pad = np.full(len(b) + 2, ord("\n"), dtype=np.uint8)
     pad[1:-1] = b
-    value = pad - np.uint8(ord("0"))
+    pos = index_dtype(len(pad))
+    minus = pad == ord("-")
+    is_eol = pad == ord("\n")
+    is_eol |= pad == ord("\r")
+    eol = np.flatnonzero(is_eol).astype(pos)
+    ok = pad == ord(" ")
+    ok |= pad == ord("\t")
+    ok |= is_eol
+    del is_eol
+    value = pad  # each byte's digit value, 0 at any other byte
+    value -= np.uint8(ord("0"))
     digit = value < 10
     value *= digit
-    minus = pad == ord("-")
-    tok = digit | minus
-    is_eol = (pad == ord("\n")) | (pad == ord("\r"))
-    bad = ~(tok | is_eol | (pad == ord(" ")) | (pad == ord("\t")))
-    edges = np.flatnonzero(tok[1:] != tok[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    lens = ends - starts
-    longest = int(lens.max(initial=0))
-    last, before = ends - 1, starts - 1
-    mag = np.zeros(len(starts), dtype=np.uint64)
-    for place in range(min(longest, 19)):
-        mag += np.take(value, np.maximum(last - place, before)) * _PLACE[place]
-    neg = minus[starts]
+    ok |= digit
+    ok |= minus
+    first = int(ok.argmin())  # the first byte of no token, space, tab or line end
+    bad_pos = [np.flatnonzero(~ok[first:first + 1]) + first]
+    del ok
     m = np.flatnonzero(minus)
-    bad_pos = [
-        np.flatnonzero(bad),
-        m[tok[m - 1] | ~digit[m + 1]],  # a minus not leading a digit string
-        starts[mag > _INT64_MAX + neg],
-    ]
+    lone = ~digit[m + 1]
+    tok = digit
+    tok |= minus
+    lone |= tok[m - 1]
+    bad_pos.append(m[lone])  # a minus not leading a digit string
+    edges = np.flatnonzero(tok[1:] != tok[:-1])  # each token's byte before it, its last byte
+    neg = minus[1:][edges[0::2]]
+    del tok, minus
+    before, last = edges[0::2].astype(pos), edges[1::2].astype(pos)
+    del edges
+    longest = int((last - before).max(initial=0))
+    mag = np.zeros(len(before), dtype=np.uint64)
+    at, d = np.empty(len(before), np.intp), np.empty(len(before), np.uint8)
+    for place in reversed(range(min(longest, 19))):  # 19 places cannot wrap a uint64
+        np.subtract(last, place, out=at)
+        np.take(value, np.maximum(at, before, out=at), out=d, mode="clip")
+        mag *= np.uint64(10)
+        mag += d
+    del at, d
+    bad_pos.append(before[mag > _INT64_MAX + neg] + 1)
     if longest > 19:
         # a nonzero digit at place 19 or beyond means a value of 10**19 or more
-        nonzero = np.cumsum(value > 0)
-        wide = np.flatnonzero(lens > 19)
-        high = nonzero[ends[wide] - 20] - nonzero[starts[wide] - 1]
-        bad_pos.append(starts[wide[high > 0]])
-    eol = np.flatnonzero(is_eol)
-    counts = np.diff(np.searchsorted(starts, eol))
+        nonzero = np.cumsum(value > 0, dtype=pos)
+        wide = np.flatnonzero(last - before > 19)
+        high = nonzero[last[wide] - 19] - nonzero[before[wide]]
+        bad_pos.append(before[wide[high > 0]] + 1)
+    counts = np.diff(np.searchsorted(before, eol))
     bad_lines = [np.flatnonzero((counts != 0) & (counts != 4))]
     bad_lines += [np.searchsorted(eol, p[:1]) - 1 for p in bad_pos]
     bad_lines = np.concatenate(bad_lines)
@@ -315,7 +356,8 @@ def _parse_block(b: np.ndarray) -> np.ndarray:
         line = bad_lines.min()
         text = b[eol[line]:eol[line + 1] - 1].tobytes().decode("utf-8")
         raise InvalidParameterError(f"malformed edge line: {text!r}")
-    return np.where(neg, -mag, mag).view(np.int64).reshape(-1, 4)
+    np.negative(mag, out=mag, where=neg)
+    return mag.view(np.int64).reshape(-1, 4)
 
 
 def _blocks(raw: bytes, start: int):
@@ -403,33 +445,50 @@ def _dot_edges(cols) -> str:
     when label >= 0, each on its own line."""
     origin, terminus, label = cols
     labelled = label >= 0
-    count = 2 + labelled
-    first = np.cumsum(count) - count  # each row's first value
-    vals = np.empty(first[-1] + count[-1], dtype=np.int64)
-    vals[first], vals[first + 1] = origin, terminus
-    vals[first[labelled] + 2] = label[labelled]
-    gap = np.full(len(vals), 6)  # the lengths of the texts put below
-    gap[first] = 4
-    gap[first + 1] = np.where(labelled, 9, 4)
-    buf, end = _decimal(vals, gap, lead=b"  ")
-    _put(buf, end[first], b" -- ")
-    _put(buf, end[first + 1][labelled], b' [label="')
-    _put(buf, end[first + 1][~labelled], b";\n  ")
-    _put(buf, end[first[labelled] + 2], b'"];\n  ')
+    label = label[labelled]
+    w_origin, w_terminus, w_label = _widths(origin), _widths(terminus), _widths(label)
+    end = np.full(len(origin), 8, dtype=np.int32)  # ' -- ' and ';\n  '
+    end[0] += 2  # the lead '  '
+    end += w_origin
+    end += w_terminus
+    end[labelled] += w_label + 11  # ' [label="' and '"];\n  ' for ';\n  '
+    np.cumsum(end, out=end)
+    buf = np.empty(int(end[-1]), dtype=np.uint8)
+    buf[:2] = ord(" ")
+    tail = end[labelled] - 6
+    _put(buf, tail, b'"];\n  ')
+    _put_decimal(buf, tail, label, w_label)
+    tail -= w_label + 9
+    _put(buf, tail, b' [label="')
+    end[labelled] = tail
+    del tail
+    bare = ~labelled
+    end[bare] -= 4
+    _put(buf, end[bare], b";\n  ")
+    _put_decimal(buf, end, terminus, w_terminus)
+    end -= w_terminus + 4
+    _put(buf, end, b" -- ")
+    _put_decimal(buf, end, origin, w_origin)
     return str(buf[:-2], "ascii")
 
 
-def format_dot(g: SerreGraph) -> str:
-    """DOT output with loops and parallel edges kept as separate statements:
-    every vertex, then every edge e with e < inv(e), in id order."""
+def _dot_pieces(g: SerreGraph):
+    """The DOT text of g as str pieces, loops and parallel edges kept as
+    separate statements: a head, every vertex, then every edge e with
+    e < inv(e), in id order, one piece per chunk formatted two at a time,
+    and a tail."""
     forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)
     edges = g.origin[forward], g.terminus[forward], g.label[forward]
-    parts = ["graph expander_forge {\n"]
-    parts += _in_pairs(functools.partial(_rows_text, _DOT_VERTICES),
-                       enumerate(_chunks(np.arange(g.num_vertices))))
-    parts += _in_pairs(_dot_edges, _chunks(*edges))
-    parts.append("}\n")
-    return "".join(parts)
+    del forward
+    yield "graph expander_forge {\n"
+    yield from _in_pairs(functools.partial(_rows_text, _DOT_VERTICES),
+                         enumerate(_chunks(np.arange(g.num_vertices))))
+    yield from _in_pairs(_dot_edges, _chunks(*edges))
+    yield "}\n"
+
+
+def format_dot(g: SerreGraph) -> str:
+    return "".join(_dot_pieces(g))
 
 
 def load_graph(path: str) -> SerreGraph:
@@ -717,14 +776,15 @@ def cmd_export(args) -> int:
     g = load_graph(args.infile)
     if args.format == "dot":
         # per vertex its int64 id and per forward edge (one in two) its int64 id
-        # and three gathered ids, each with its line in the pieces and joined; and
-        # two chunks of edges in flight, a line and 192 bytes a row (170 traced)
+        # and three gathered ids; and two chunks in flight, each row a line and
+        # 40 bytes for a vertex, 80 for an edge (at most 34 and 74 traced)
         digits = len(str(g.num_vertices))
         line = 19 + 2 * digits + len(str(max(int(g.label.max(initial=0)), 0)))  # an edge's
         _refuse(f"the DOT text of {g.num_vertices} vertices and {g.num_edges // 2} edges needs",
-                (16 + 2 * digits) * g.num_vertices + (16 + line) * g.num_edges
-                + (192 + line) * min(g.num_edges // 2, 2 * _CHUNK_ROWS))
-        pieces = _slices(format_dot(g))
+                8 * g.num_vertices + 16 * g.num_edges
+                + (44 + digits) * min(g.num_vertices, 2 * _CHUNK_ROWS)
+                + (80 + line) * min(g.num_edges // 2, 2 * _CHUNK_ROWS))
+        pieces = _dot_pieces(g)
     else:
         pieces = _graph_pieces(g, args.format)
     if args.out:

@@ -272,7 +272,10 @@ def _checked_orbits(g: SerreGraph, orbits) -> np.ndarray:
             f"orbits hold vertex {v} {np.count_nonzero(o == v)} times, not once")
     swap = np.empty(n, dtype=o.dtype)
     swap[o[:, 0]], swap[o[:, 1]] = o[:, 1], o[:, 0]
-    rows = np.sort(g.terminus[np.argsort(g.origin, kind="stable")].reshape(n, -1), axis=1)
+    rows = g.terminus
+    if np.any(g.origin[1:] < g.origin[:-1]):  # else in origin order, as built or read back
+        rows = rows[np.argsort(g.origin, kind="stable")]
+    rows = np.sort(rows.reshape(n, -1), axis=1)
     if not np.array_equal(rows[swap], np.sort(swap[rows], axis=1)):
         raise InvalidParameterError("orbits are not those of an automorphism: their swap "
                                     "does not map the edges onto the edges with multiplicity")

@@ -181,6 +181,29 @@ def test_export_dot_renders_loops(level1_file, tmp_path, capsys):
     assert dot.count(" -- ") == 1092 // 2
 
 
+def test_export_dot_streams_its_pieces(tmp_path, monkeypatch):
+    # The DOT export writes each piece as it is made, never the joined text:
+    # the head, the vertex chunk, the three chunks of forward edges and the
+    # tail of (5,13) cartan level 2, two chunks in flight.
+    path, out = tmp_path / "g.edges", tmp_path / "g.dot"
+    cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, levels=2), 2).graph)
+    g = load_graph(str(path))
+    writes = []
+    write_pieces = cli._write_pieces
+
+    def logged(fh, pieces):
+        write_pieces(fh, (writes.append(len(p)) or p for p in pieces))
+
+    def joined(g):
+        raise AssertionError("the DOT text was joined")
+
+    monkeypatch.setattr(cli, "_write_pieces", logged)
+    monkeypatch.setattr(cli, "format_dot", joined)
+    assert main(["export", "--in", str(path), "--format", "dot", "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == string_format_dot(g)
+    assert len(writes) == 6 and max(writes) < out.stat().st_size // 2
+
+
 def test_export_borel_dot(tmp_path, capsys):
     path = tmp_path / "borel.edges"
     main(["build", "--q1", "5", "--q2", "13", "--level", "1",
@@ -615,15 +638,16 @@ def test_loaded_graph_beyond_physical_memory_is_refused(command, tmp_path):
 @pytest.mark.parametrize("variant,n", [("cartan", 1), ("cayley", 1), ("cartan", 2)])
 def test_dot_estimate_covers_the_traced_peak(variant, n, tmp_path, monkeypatch, capsys):
     # The estimate export --format dot refuses by, read from its message, is
-    # at least format_dot's traced peak on the loaded graph.  (5,13) cartan
-    # level 1 has 546 forward edges, a part of one chunk, and level 2 has
-    # 92,274, three chunks.
-    path = tmp_path / "g.edges"
+    # at least the traced peak of the streamed DOT export of the loaded
+    # graph.  (5,13) cartan level 1 has 546 forward edges, a part of one
+    # chunk, and level 2 has 30,758 vertices and 92,274 forward edges, one
+    # and three chunks.
+    path, out = tmp_path / "g.edges", tmp_path / "g.dot"
     cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, variant=variant, levels=n),
                                               n).graph)
     g = load_graph(str(path))
-    text, peak = traced_peak(cli.format_dot, g)
-    assert text == string_format_dot(g)
+    _, peak = traced_peak(cli._atomic_stream, str(out), cli._dot_pieces(g))
+    assert out.read_text() == string_format_dot(g)
     monkeypatch.setattr(tower, "_physical_memory", lambda: 0)
     assert main(["export", "--in", str(path), "--format", "dot"]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import from_geometric_edges, parse_edgelist, random_multigraphs, traced_peak
 from expander_forge import cli, multigraph
-from expander_forge.cli import dump_report, format_edgelist
+from expander_forge.cli import _header_line, dump_report, format_edgelist
 from expander_forge.errors import GraphConstructionError, InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
@@ -207,6 +207,93 @@ def test_writers_match_oracles_at_every_chunk_size(g, data):
     nested = json.dumps({"edges": rows}, indent=2)[len('{\n  "edges": ['):-len("\n  ]\n}")]
     assert cli._rows_text(cli._JSON_ROWS, (0, cols)) == nested
     assert cli._rows_text(cli._JSON_ROWS, (1, cols)) == "," + nested
+
+
+def _extreme_graph(geometric_edges: int, seed: int) -> SerreGraph:
+    """A random graph of 100 vertices with the given count of geometric
+    edges, each a row in the DOT text, its labels drawn from the int64
+    extremes, small values and -1, and its edges out of file order."""
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, 100, (geometric_edges, 2))
+    labels = rng.choice([-(2**63), -(2**31) - 1, -10, -1, -1, 0, 9, 10, 2**31, 2**63 - 1],
+                        geometric_edges)
+    return _with_meta(from_geometric_edges(100, ends.tolist(), labels.tolist()))
+
+
+@pytest.mark.parametrize("rows", [cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+def test_kernels_match_oracles_at_a_chunk_edge(rows):
+    # One full chunk, and one row past it.  A graph of `rows` geometric
+    # edges has 2 * rows edge lines and `rows` DOT edge rows; `rows`
+    # vertices make as many DOT vertex rows.
+    g = _extreme_graph(rows, rows)
+    assert format_edgelist(g) == string_format_edgelist(g)
+    assert _json_text(g) == dump_report(graph_to_json(g))
+    assert cli.format_dot(g) == string_format_dot(g)
+    vertices = SerreGraph(rows, [], [], [], [])
+    assert cli.format_dot(vertices) == string_format_dot(vertices)
+    # and the edge-line and JSON row kernels on `rows` rows of int64 values
+    cols = list(np.random.default_rng(rows).choice(
+        [-(2**63), -(2**63) + 1, -1, 0, 1, 9, 10, 99, 10**18, 2**63 - 1], (4, rows)))
+    flat = np.stack(cols, axis=1).ravel().tolist()
+    assert cli._rows_text(cli._EDGE_LINES, (1, cols)) == ("%d %d %d %d\n" * rows) % tuple(flat)
+    nested = json.dumps({"edges": np.stack(cols, axis=1).tolist()}, indent=2)
+    assert cli._rows_text(cli._JSON_ROWS, (0, cols)) == nested[len('{\n  "edges": ['):
+                                                              -len("\n  ]\n}")]
+
+
+def test_kernels_match_oracles_on_a_graph_of_no_edges():
+    g = _with_meta(SerreGraph(5, [], [], [], []))
+    text = format_edgelist(g)
+    assert text == string_format_edgelist(g) == _header_line(g.meta) + "\n"
+    assert _json_text(g) == dump_report(graph_to_json(g))
+    assert cli.format_dot(g) == string_format_dot(g)
+    for eol in ("\n", "\r\n"):
+        back = parse_edgelist(text.replace("\n", eol) + eol + " \t" + eol)
+        assert back.num_vertices == 5 and back.num_edges == 0 and back.meta == g.meta
+
+
+def test_crlf_file_reads_as_its_lf_twin(monkeypatch):
+    # CRLF line ends on a list of two full blocks and more, with the blocks
+    # cut on every kind of line end
+    g = _extreme_graph(cli._CHUNK_ROWS + 1, 7)
+    text = format_edgelist(g)
+    crlf = text.replace("\n", "\r\n")
+    assert len(crlf) > 2 * cli._BLOCK_BYTES
+    assert np.array_equal(_rows(parse_edgelist(crlf)), line_edge_rows(crlf))
+    assert np.array_equal(_rows(parse_edgelist(crlf)), _rows(parse_edgelist(text)))
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1000)
+    back = parse_edgelist(crlf)
+    assert np.array_equal(_rows(back), line_edge_rows(text))
+    assert format_edgelist(back) == text
+
+
+# Each malformed line, and whether the per-line oracle refuses it too: it
+# reads tokens by int(), which takes a '+', '_' or non-ASCII digit.
+MALFORMED = [
+    ("0 1 2 x", True), ("0 1 2", True), ("0 1 2 3 4", True), ("0 1 2 -", True),
+    ("0 1 2 3-", True), ("0 1 2 --3", True), ("0 1 2 - 3", True), ("0 1, 2 3", True),
+    ("9223372036854775808 0 0 0", True), ("0 -9223372036854775809 0 0", True),
+    ("0 0 0 10000000000000000000", True), ("0 0 0 00000" + "1" + "0" * 19, True),
+    ("0 1 2 +3", False), ("0 1 2 1_0", False), ("0 1 2 \u0663", False), ("0\x0b1 2 3", False),
+]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("line,oracle", MALFORMED)
+def test_malformed_line_messages_are_unchanged(line, oracle, eol):
+    # The malformed line follows valid lines holding the int64 extremes and
+    # leading zeros, and precedes one more malformed line.
+    good = ["-9223372036854775808 9223372036854775807 0 1",
+            "0000000000000000000000000000009 -0 00 1", "1 0 0 0"]
+    text = eol.join([_header_line(dict(META, V=2))] + good + [line, "0 x 0 0", ""])
+    message = f"malformed edge line: {line!r}"
+    with pytest.raises(InvalidParameterError) as err:
+        parse_edgelist(text)
+    assert str(err.value) == message
+    if oracle:
+        with pytest.raises(InvalidParameterError) as err:
+            line_edge_rows(text)
+        assert str(err.value) == message
 
 
 def test_json_export_matches_oracle_on_built_levels(monkeypatch):
@@ -453,8 +540,33 @@ def test_streamed_write_peak_does_not_grow_with_the_list(level_5_17, tmp_path):
     assert peaks[1] <= peaks[0] + (1 << 20) and peaks[1] < out.stat().st_size
 
 
+def test_text_kernels_hold_a_small_multiple_of_their_text(level_5_17):
+    # One full chunk of the level's ids: 18 bytes of edge lines a row, 58
+    # of JSON rows and 28 of DOT edge rows; and one block read of about
+    # 131 kB.  Each peak is the kernel's scratch and its text.
+    g, path = level_5_17
+    rows = cli._CHUNK_ROWS
+    cols = next(cli._file_order_rows(g))
+    assert len(cols[0]) == rows and {c.dtype for c in cols} == {np.dtype(np.int32)}
+    _, peak = traced_peak(cli._rows_text, cli._EDGE_LINES, (1, cols))
+    assert peak <= 60 * rows
+    text, peak = traced_peak(cli._rows_text, cli._JSON_ROWS, (1, cols))
+    assert peak <= 2 * len(text) + 16 * rows
+    forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)[:rows]
+    _, peak = traced_peak(cli._dot_edges, [g.origin[forward], g.terminus[forward],
+                                           g.label[forward]])
+    assert peak <= 75 * rows
+    # the whole list, two chunks in flight
+    _, peak = traced_peak(cli.write_edgelist, str(path), g)
+    assert peak <= 4.5 * 2**20
+    raw = path.read_bytes()
+    block = next(cli._blocks(raw, raw.index(b"\n")))
+    _, peak = traced_peak(cli._parse_block, block)
+    assert peak <= 10 * len(block)
+
+
 def test_load_holds_the_file_the_graph_and_a_fixed_scratch(level_5_17):
-    # the scratch: two blocks parsed at once, about 24 bytes per byte each
+    # the scratch: two blocks parsed at once, about 9 bytes per byte each
     _, path = level_5_17
     g, peak = traced_peak(cli.load_graph, str(path))
     arrays = sum(_held(a) for a in (g.origin, g.terminus, g.label, g.inv))

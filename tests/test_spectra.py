@@ -755,6 +755,38 @@ def test_wrong_swap_is_refused_before_any_solve(monkeypatch, method):
                         orbits=_orbits(ids // 20 * 20 + (-ids) % 20))
 
 
+def test_shuffled_edge_ids_get_the_same_swap_verdict(monkeypatch):
+    # A built level lists its edges in origin order, so the neighbour rows
+    # are read without a sort.  The same edges under shuffled ids are sorted
+    # first, and get the same verdict and the same refusals.
+    lvl = build_level(TowerConfig(5, 13), 1)
+    g, orbits = lvl.graph, swap_orbits(lvl)
+    new = np.random.default_rng(5).permutation(g.num_edges)  # edge e gets id new[e]
+
+    def moved(a):
+        out = np.empty_like(a)
+        out[new] = a
+        return out
+
+    twin = SerreGraph(g.num_vertices, moved(g.origin), moved(g.terminus), moved(new[g.inv]),
+                      moved(g.label))
+    assert np.any(np.diff(twin.origin) < 0)
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: sorts.append(len(a)) or argsort(a, **kw))
+    reports = []
+    for graph, sorted_ids in ((g, []), (twin, [g.num_edges])):
+        sorts.clear()
+        assert np.array_equal(spectra._checked_orbits(graph, orbits), orbits)
+        assert sorts == sorted_ids
+        reports.append(ramanujan_check(graph, method="iterative", orbits=orbits))
+        for _, bad, message in _orbit_variants(orbits, g.num_vertices):
+            with pytest.raises(InvalidParameterError, match=message):
+                spectra._checked_orbits(graph, bad)
+    assert reports[0].ramanujan and reports[1].ramanujan
+    assert reports[1].max_abs_nontrivial == pytest.approx(reports[0].max_abs_nontrivial,
+                                                          abs=1e-9)
+
+
 def _matchings(vertices):
     # every pairing of the vertices into rows of two
     if not vertices:
