@@ -17,24 +17,21 @@ spaces or tabs; LF, CRLF and CR end lines, and lines of only spaces and tabs
 are skipped.  Any other byte (a ``+``, ``_``, a non-ASCII digit) makes its
 line malformed.  Writing and reading run as numpy byte kernels over bounded
 pieces: chunks of _CHUNK_ROWS (2**15) rows written, blocks of about
-_BLOCK_BYTES (2**17) bytes read, cut at a line end, two at a time in file
-order, the first of each pair on the calling thread and the second on one
-worker thread (a file of one piece starts no thread).  The JSON graph
-text's edge rows, between the head and tail json.dumps writes, and DOT's
-lines run on the same digit kernel.  It writes a chunk's digits straight
-into one buffer of its text, a column and a place at a time, with int32
-offsets, so a chunk's scratch is a small multiple of its text: a traced peak
-of at most 60 bytes a row for edge lines (18 of text) and 75 for DOT edge
-rows (28) on 6-digit ids, the text and its str copy included.  A block read
-holds at most 10 bytes per byte.  `build`, `tower --export-dir` and
+_BLOCK_BYTES (2**17) bytes read, cut at a line end, one at a time in file
+order on the calling thread.  The JSON graph text's edge rows, between the
+head and tail json.dumps writes, and DOT's lines run on the same digit
+kernel.  It writes a chunk's digits straight into one buffer of its text, a
+column and a place at a time, with int32 offsets, so a chunk's scratch is a
+small multiple of its text: a traced peak of at most 60 bytes a row for edge
+lines (18 of text) and 75 for DOT edge rows (28) on 6-digit ids, the text
+and its str copy included.  A block read holds at most 10 bytes per byte.  `build`, `tower --export-dir` and
 `export` to an edge list, JSON or DOT stream the chunks to the file, or
 stdout, as they are made, so no text of the whole graph exists; any other
 text is written in slices of _WRITE_SLICE characters.  The blocks read
 fill four int32 columns, and a column widens to int64 only when a value
-outside int32 arrives, so no value is wrapped.  A malformed file's error names its first
-malformed line: the earlier block of a failing pair wins, no later block
-starts, and the worker is joined before the error is raised.  A failed
-write also joins the worker and leaves the target as it was, or absent.
+outside int32 arrives, so no value is wrapped.  A malformed file's error
+names its first malformed line, and no later block starts.  A failed write
+leaves the target as it was, or absent.
 JSON reports carry ``"schema": 1``; integers round-trip exactly and floats
 are serialized with full repr precision (solver-derived floats are quantized
 to 12 significant digits first so reruns and different BLAS thread counts
@@ -47,10 +44,7 @@ Timing lines go to stderr, never into reports.
 """
 
 import argparse
-import contextlib
 import errno
-import functools
-import itertools
 import json
 import math
 import os
@@ -58,7 +52,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -157,20 +150,6 @@ def _file_order_rows(g: SerreGraph):
         yield o[p], g.terminus[p], lab[p], pos[g.inv[p]]
 
 
-def _in_pairs(fn, items):
-    """Yield fn(item) for each of items, in order.  Items 0, 2, 4, ... run on
-    the calling thread and items 1, 3, 5, ... on one worker thread, a pair at
-    a time; a single item starts no thread.  An error in either item of a
-    pair starts no later item, and it is raised after the worker is joined,
-    the earlier item's first."""
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for here in items:
-            there = [worker.submit(fn, item) for item in itertools.islice(items, 1)]
-            yield fn(here)
-            yield from (future.result() for future in there)
-
-
 def _magnitudes(vals):
     """|vals| exactly, the least int included, as uint32 when all fit."""
     mag = np.abs(vals).view(f"u{vals.itemsize}")
@@ -233,15 +212,15 @@ _JSON_ROWS = ("\n    [\n      ", (",\n      ",) * 3 + ("\n    ]",), ",")
 _DOT_VERTICES = ("  ", (";\n",), "")
 
 
-def _rows_text(template, chunk) -> str:
-    """The rows of chunk i, chunk = (i, cols), in template, joined by its
+def _rows_text(template, i, cols) -> str:
+    """The rows of chunk i, the columns cols, in template, joined by its
     separator, which also leads every chunk but the first: the literal
     after each row's last value holds the next row's separator and prefix,
     cut off after the last row.
 
     The row ends are summed from the widths, in int32, and each row is
     then written from its end back, one column at a time, into one buffer."""
-    (i, cols), (prefix, after, sep) = chunk, template
+    prefix, after, sep = template
     lead = ((sep if i else "") + prefix).encode()
     texts = [text.encode() for text in after[:-1] + (after[-1] + sep + prefix,)]
     widths = [_widths(col) for col in cols]
@@ -262,8 +241,8 @@ def _rows_text(template, chunk) -> str:
 
 def _graph_pieces(g: SerreGraph, fmt: str):
     """The edge list (fmt "edgelist") or JSON graph text (fmt "json") of g as
-    str pieces: a head, the edges in file order as rows, one piece per chunk
-    formatted two at a time, and a tail; json.dumps writes the JSON's ends."""
+    str pieces: a head, the edges in file order as rows, one piece per chunk,
+    and a tail; json.dumps writes the JSON's ends."""
     if fmt == "json":
         text = dump_report({"format": "expander-forge-graph", "schema": SCHEMA_VERSION,
                             "meta": dict(g.meta), "num_vertices": g.num_vertices, "edges": []})
@@ -275,7 +254,8 @@ def _graph_pieces(g: SerreGraph, fmt: str):
                                         f"graph's {g.num_vertices} vertices")
         head, template, tail = _header_line(g.meta) + "\n", _EDGE_LINES, ""
     yield head
-    yield from _in_pairs(functools.partial(_rows_text, template), enumerate(_file_order_rows(g)))
+    for i, cols in enumerate(_file_order_rows(g)):
+        yield _rows_text(template, i, cols)
     yield tail
 
 
@@ -385,7 +365,7 @@ def _edge_columns(raw: bytes, start: int):
         lines += cr - raw.count(b"\r\n", start)
     cols = [np.empty(lines, dtype=np.int32) for _ in range(4)]
     rows = 0
-    for block in _in_pairs(_parse_block, _blocks(raw, start)):
+    for block in map(_parse_block, _blocks(raw, start)):
         if not _fits_int32(block):
             cols = [col if _fits_int32(values) else col.astype(np.int64, copy=False)
                     for col, values in zip(cols, block.T)]
@@ -475,15 +455,14 @@ def _dot_edges(cols) -> str:
 def _dot_pieces(g: SerreGraph):
     """The DOT text of g as str pieces, loops and parallel edges kept as
     separate statements: a head, every vertex, then every edge e with
-    e < inv(e), in id order, one piece per chunk formatted two at a time,
-    and a tail."""
+    e < inv(e), in id order, one piece per chunk, and a tail."""
     forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)
     edges = g.origin[forward], g.terminus[forward], g.label[forward]
     del forward
     yield "graph expander_forge {\n"
-    yield from _in_pairs(functools.partial(_rows_text, _DOT_VERTICES),
-                         enumerate(_chunks(np.arange(g.num_vertices))))
-    yield from _in_pairs(_dot_edges, _chunks(*edges))
+    for i, cols in enumerate(_chunks(np.arange(g.num_vertices))):
+        yield _rows_text(_DOT_VERTICES, i, cols)
+    yield from map(_dot_edges, _chunks(*edges))
     yield "}\n"
 
 
@@ -535,15 +514,6 @@ def _refuse_unwritable(path: str):
         raise OSError(errno.EACCES, os.strerror(errno.EACCES), directory)
 
 
-def _write_pieces(fh, pieces):
-    """Write the str pieces to fh in order.  pieces is closed however this
-    ends, so a generator of them stops where it stands and its _in_pairs
-    worker is joined before an error leaves."""
-    with contextlib.closing(pieces):
-        for piece in pieces:
-            fh.write(piece)
-
-
 def _atomic_stream(path: str, pieces):
     """Write the str pieces to a temporary file beside path and rename it to
     path when all are written.  On any error the temporary file is removed
@@ -552,7 +522,7 @@ def _atomic_stream(path: str, pieces):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-forge-")
     try:
         with os.fdopen(fd, "w") as fh:
-            _write_pieces(fh, pieces)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -776,21 +746,21 @@ def cmd_export(args) -> int:
     g = load_graph(args.infile)
     if args.format == "dot":
         # per vertex its int64 id and per forward edge (one in two) its int64 id
-        # and three gathered ids; and two chunks in flight, each row a line and
-        # 40 bytes for a vertex, 80 for an edge (at most 34 and 74 traced)
+        # and three gathered ids; and the one chunk in flight, each row a line
+        # and 40 bytes for a vertex, 80 for an edge (at most 34 and 74 traced)
         digits = len(str(g.num_vertices))
         line = 19 + 2 * digits + len(str(max(int(g.label.max(initial=0)), 0)))  # an edge's
         _refuse(f"the DOT text of {g.num_vertices} vertices and {g.num_edges // 2} edges needs",
                 8 * g.num_vertices + 16 * g.num_edges
-                + (44 + digits) * min(g.num_vertices, 2 * _CHUNK_ROWS)
-                + (80 + line) * min(g.num_edges // 2, 2 * _CHUNK_ROWS))
+                + (44 + digits) * min(g.num_vertices, _CHUNK_ROWS)
+                + (80 + line) * min(g.num_edges // 2, _CHUNK_ROWS))
         pieces = _dot_pieces(g)
     else:
         pieces = _graph_pieces(g, args.format)
     if args.out:
         _atomic_stream(args.out, pieces)
     else:
-        _write_pieces(sys.stdout, pieces)
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -181,23 +182,38 @@ def test_export_dot_renders_loops(level1_file, tmp_path, capsys):
     assert dot.count(" -- ") == 1092 // 2
 
 
+class _LoggedFile:
+    """A file that logs the length of each str piece written to it."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.writes.append(len(piece))
+            self.fh.write(piece)
+
+
 def test_export_dot_streams_its_pieces(tmp_path, monkeypatch):
     # The DOT export writes each piece as it is made, never the joined text:
     # the head, the vertex chunk, the three chunks of forward edges and the
-    # tail of (5,13) cartan level 2, two chunks in flight.
+    # tail of (5,13) cartan level 2, one chunk in flight.
     path, out = tmp_path / "g.edges", tmp_path / "g.dot"
     cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, levels=2), 2).graph)
     g = load_graph(str(path))
     writes = []
-    write_pieces = cli._write_pieces
-
-    def logged(fh, pieces):
-        write_pieces(fh, (writes.append(len(p)) or p for p in pieces))
+    fdopen = os.fdopen
 
     def joined(g):
         raise AssertionError("the DOT text was joined")
 
-    monkeypatch.setattr(cli, "_write_pieces", logged)
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _LoggedFile(fdopen(fd, mode), writes))
     monkeypatch.setattr(cli, "format_dot", joined)
     assert main(["export", "--in", str(path), "--format", "dot", "--out", str(out)]) == EXIT_OK
     assert out.read_text() == string_format_dot(g)
@@ -356,7 +372,7 @@ PINNED_OUTPUTS = {
         "c0daede6e223f86eefe17679aa661a632ca6d5f7af107717211956b2ebc38c85",
     # seed 17 is degenerate at level 1: twist_seed_used 18, reseeds [17]
     "tower-5-13-2-seed17.json": "9612631b6d926e04387708df2e663d5b110deec33c269c45e31c33dd90ad55de",
-    # 184,548 edges: six chunks of rows, formatted on both threads
+    # 184,548 edges: six chunks of rows
     "cartan2.edges": "de0e7599fa10b582948990653d17f7397723904347c1e75559893e374e71d3dc",
     "cartan2.json": "21403b69ab56372d797c4a468d50be0ced54b1d49f23a7fa2f8de6461a31a72f",
 }

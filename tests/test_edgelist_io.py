@@ -8,7 +8,6 @@ import itertools
 import json
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -95,8 +94,8 @@ def test_digit_boundaries():
 
 
 def _block_recorder(monkeypatch):
-    """Record every block _parse_block is given, on either thread, as
-    (offset in the file's bytes, bytes)."""
+    """Record every block _parse_block is given, in call order, as (offset
+    in the file's bytes, bytes)."""
     blocks = []
     parse_block = cli._parse_block
 
@@ -110,8 +109,8 @@ def _block_recorder(monkeypatch):
 
 
 def _tiled(blocks, start) -> bool:
-    """Whether the (offset, bytes) blocks, sorted, follow each other from
-    start with no gap or overlap."""
+    """Whether the (offset, bytes) blocks follow each other from start with
+    no gap or overlap."""
     return [at for at, _ in blocks] == list(
         itertools.accumulate([len(b) for _, b in blocks[:-1]], initial=start))
 
@@ -132,8 +131,7 @@ def test_blocks_do_not_change_bytes_or_the_named_line(monkeypatch):
     assert format_edgelist(g) == text
     back = parse_edgelist(text)
     assert np.array_equal(_rows(back), _rows(g))
-    # the blocks tile the text after the header, each parsed once
-    blocks.sort()
+    # the blocks tile the text after the header, each parsed once, in order
     assert len(blocks) > 300 and _tiled(blocks, text.index("\n"))
     assert b"".join(b for _, b in blocks) == text[text.index("\n"):].encode()
     for eol in ("\r\n", "\r"):
@@ -142,14 +140,12 @@ def test_blocks_do_not_change_bytes_or_the_named_line(monkeypatch):
     with pytest.raises(InvalidParameterError) as chunked:
         parse_edgelist("".join(bad))
     # The error names the first malformed line.  Every block before the one
-    # holding it was parsed, and at most one block after it was started:
-    # the other half of its pair, on the other thread.
+    # holding it was parsed, in order, and no block after it was started.
     assert str(chunked.value) == str(whole.value)
-    blocks.sort()
     assert _tiled(blocks, text.index("\n"))
     failing = next(i for i, (_, b) in enumerate(blocks) if b"0 1 2 x\n" in b)
     assert blocks[failing][1].count(b"\n") <= 2
-    assert len(blocks) - failing - 1 <= 1
+    assert len(blocks) == failing + 1
 
 
 def test_shuffled_graph_writes_the_text_of_its_sorted_twin(monkeypatch):
@@ -200,13 +196,13 @@ def test_writers_match_oracles_at_every_chunk_size(g, data):
             assert cli.format_dot(g) == string_format_dot(g)
     flat = np.stack(cols, axis=1).ravel().tolist()
     lines = ("%d %d %d %d\n" * len(rows)) % tuple(flat)
-    assert cli._rows_text(cli._EDGE_LINES, (0, cols)) == cli._rows_text(cli._EDGE_LINES, (1, cols))
-    assert cli._rows_text(cli._EDGE_LINES, (0, cols)) == lines
+    assert cli._rows_text(cli._EDGE_LINES, 0, cols) == cli._rows_text(cli._EDGE_LINES, 1, cols)
+    assert cli._rows_text(cli._EDGE_LINES, 0, cols) == lines
     # the rows as json.dumps indents them two levels down; a chunk after
     # the first starts with the row separator
     nested = json.dumps({"edges": rows}, indent=2)[len('{\n  "edges": ['):-len("\n  ]\n}")]
-    assert cli._rows_text(cli._JSON_ROWS, (0, cols)) == nested
-    assert cli._rows_text(cli._JSON_ROWS, (1, cols)) == "," + nested
+    assert cli._rows_text(cli._JSON_ROWS, 0, cols) == nested
+    assert cli._rows_text(cli._JSON_ROWS, 1, cols) == "," + nested
 
 
 def _extreme_graph(geometric_edges: int, seed: int) -> SerreGraph:
@@ -235,9 +231,9 @@ def test_kernels_match_oracles_at_a_chunk_edge(rows):
     cols = list(np.random.default_rng(rows).choice(
         [-(2**63), -(2**63) + 1, -1, 0, 1, 9, 10, 99, 10**18, 2**63 - 1], (4, rows)))
     flat = np.stack(cols, axis=1).ravel().tolist()
-    assert cli._rows_text(cli._EDGE_LINES, (1, cols)) == ("%d %d %d %d\n" * rows) % tuple(flat)
+    assert cli._rows_text(cli._EDGE_LINES, 1, cols) == ("%d %d %d %d\n" * rows) % tuple(flat)
     nested = json.dumps({"edges": np.stack(cols, axis=1).tolist()}, indent=2)
-    assert cli._rows_text(cli._JSON_ROWS, (0, cols)) == nested[len('{\n  "edges": ['):
+    assert cli._rows_text(cli._JSON_ROWS, 0, cols) == nested[len('{\n  "edges": ['):
                                                               -len("\n  ]\n}")]
 
 
@@ -298,15 +294,16 @@ def test_malformed_line_messages_are_unchanged(line, oracle, eol):
 
 def test_json_export_matches_oracle_on_built_levels(monkeypatch):
     # (5,13) cartan level 2 has 184,548 rows: six chunks, joined by the
-    # row separator, the odd ones formatted on the worker thread
+    # row separator, each formatted on the calling thread with no other
+    # thread started
     log = _thread_log(monkeypatch, "_rows_text")
+    before = threading.active_count()
     for variant, n, chunks in (("cartan", 1, 1), ("cayley", 1, 1), ("cartan", 2, 6)):
         g = build_level(TowerConfig(5, 13, variant=variant, levels=n), n).graph
         log.clear()
         assert _json_text(g) == dump_report(graph_to_json(g))
         assert len(log) == chunks
-    here = sorted(thread is threading.main_thread() for _, thread, _ in log)
-    assert here == [False] * 3 + [True] * 3
+    assert {entry[1:] for entry in log} == {(threading.main_thread(), before)}
 
 
 def test_json_export_matches_oracle_on_unsorted_edgeless_and_unusual_meta(monkeypatch):
@@ -332,8 +329,8 @@ def test_json_export_matches_oracle_on_unsorted_edgeless_and_unusual_meta(monkey
 
 
 def _thread_log(monkeypatch, name):
-    """Wrap cli.<name> to log (item, thread, thread count) per call, on
-    either thread; the item is the call's last argument."""
+    """Wrap cli.<name> to log (item, thread, thread count) per call; the
+    item is the call's last argument."""
     log = []
     fn = getattr(cli, name)
 
@@ -349,58 +346,47 @@ def _thread_log(monkeypatch, name):
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
 def test_two_thread_parse_matches_oracle(monkeypatch, block, eol):
     # Blank and blank-looking lines after every line put one at many block
-    # cuts; a CRLF cut after its CR starts the next block with the LF.
+    # cuts; a CRLF cut after its CR starts the next block with the LF.  The
+    # blocks are parsed one at a time, in file order.  (The name is kept
+    # from when they were parsed two at a time, on two threads.)
     g = build_level(TowerConfig(5, 13), 1).graph
     lines = format_edgelist(g).splitlines()
     text = eol.join(x for i, line in enumerate(lines)
                     for x in (line, ["", " \t", "", " "][i % 4])) + eol
     monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
-    log = _thread_log(monkeypatch, "_parse_block")
+    blocks = _block_recorder(monkeypatch)
     back = parse_edgelist(text)
     assert np.array_equal(_rows(back), line_edge_rows(text))
     assert np.array_equal(_rows(back), _rows(g))
-    assert len({thread for _, thread, _ in log}) == 2
+    assert len(blocks) > 1 and _tiled(blocks, len(lines[0]))
 
 
-def _bad_text(g, bad_rows):
-    """g's edge list with the edge lines at bad_rows ending in x."""
-    lines = format_edgelist(g).splitlines(keepends=True)
+def _bad_text(g, bad_rows, eol="\n"):
+    """g's edge list with the edge lines at bad_rows ending in x, its lines
+    ended by eol."""
+    lines = format_edgelist(g).splitlines()
     for r in bad_rows:
-        lines[1 + r] = lines[1 + r].replace("\n", " x\n")
-    return "".join(lines)
+        lines[1 + r] += " x"
+    return eol.join(lines) + eol
 
 
-@pytest.mark.parametrize("bad_rows,worker_first", [((0, 1), False), ((0, 1), True),
-                                                   ((1, 2), False)])
-def test_the_earlier_of_two_malformed_blocks_is_named(monkeypatch, bad_rows, worker_first):
-    # One edge line a block: blocks 0 and 1 are a pair, block 0 here and
-    # block 1 on the worker, whichever fails first; a failed pair starts no
-    # later block.  With blocks 1 and 2 bad, block 1's pair fails, so block
-    # 2 never starts.
+@pytest.mark.parametrize("bad_rows,crlf", [((0, 1), False), ((0, 1), True), ((1, 2), False),
+                                           ((2, 3), False), ((2, 3), True)])
+def test_the_earlier_of_two_malformed_blocks_is_named(monkeypatch, bad_rows, crlf):
+    # One edge line a block, so edge line k is block k, and the first bad
+    # block is the last one parsed: no later block starts.  In a CRLF file
+    # the header's line end is a block of its own, before edge line 0.
     g = build_level(TowerConfig(5, 13), 1).graph
-    text = _bad_text(g, bad_rows)
+    text = _bad_text(g, bad_rows, "\r\n" if crlf else "\n")
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
-    parse_block, log = cli._parse_block, []
-
-    def parse(b):
-        log.append((b.tobytes(), threading.current_thread()))
-        if worker_first and threading.current_thread() is threading.main_thread():
-            time.sleep(0.2)
-        return parse_block(b)
-
-    monkeypatch.setattr(cli, "_parse_block", parse)
-    before = threading.active_count()
+    blocks = _block_recorder(monkeypatch)
     with pytest.raises(InvalidParameterError) as err:
         parse_edgelist(text)
     first = text.splitlines()[1 + bad_rows[0]]
     assert str(err.value) == f"malformed edge line: {first!r}"
-    assert threading.active_count() == before
-    assert len(log) == 2 * (bad_rows[0] // 2 + 1)
-    threads = {b.strip().decode(): thread for b, thread in log}
-    # an even block runs here, an odd one on the worker
-    assert (threads[first] is threading.main_thread()) == (bad_rows[0] % 2 == 0)
-    worker = next(thread for _, thread in log if thread is not threading.main_thread())
-    assert not worker.is_alive()
+    assert len(blocks) == bad_rows[0] + 1 + crlf
+    assert _tiled(blocks, text.index("\r" if crlf else "\n"))
+    assert first.encode() in blocks[-1][1]
 
 
 def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
@@ -415,14 +401,23 @@ def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
     assert len(chunks) == len(blocks) == 1
     assert [log[0][1:] for log in (chunks, blocks)] == [(threading.main_thread(), before)] * 2
     assert threading.active_count() == before
-    # two blocks: the second runs on one worker, joined on return
+    # Many chunks and blocks start no thread either: the 1,092 edge lines
+    # and JSON rows are 11 chunks each, the DOT text's 182 vertices and 546
+    # edges 2 and 6, and the list is read in 2 blocks.  Every call runs on
+    # the calling thread, with no other thread alive.
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
     monkeypatch.setattr(cli, "_BLOCK_BYTES", len(text) // 2)
-    parse_edgelist(text)
-    here = [thread is threading.main_thread() for _, thread, _ in blocks[1:]]
-    first = [b.tobytes() == text[text.index("\n"):][:len(b)].encode() for b, _, _ in blocks[1:]]
-    assert sorted(here) == [False, True] and here == first
-    worker = next(thread for (_, thread, _), h in zip(blocks[1:], here) if not h)
-    assert threading.active_count() == before and not worker.is_alive()
+    dot_edges = _thread_log(monkeypatch, "_dot_edges")
+    chunks.clear()
+    blocks.clear()
+    assert format_edgelist(g) == text
+    assert _json_text(g) == dump_report(graph_to_json(g))
+    assert cli.format_dot(g) == string_format_dot(g)
+    assert np.array_equal(_rows(parse_edgelist(text)), _rows(g))
+    assert [len(log) for log in (chunks, dot_edges, blocks)] == [11 + 11 + 2, 6, 2]
+    calls = chunks + dot_edges + blocks
+    assert {entry[1:] for entry in calls} == {(threading.main_thread(), before)}
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +442,19 @@ class _FailingFile:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return self.fh.write(piece)
 
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
 
 def _fail_second_chunk(monkeypatch):
-    # 7 rows a chunk; every chunk after the first raises, so the pair of
-    # chunks 0 and 1 fails on the worker thread
+    # 7 rows a chunk; every chunk after the first raises
     rows_text = cli._rows_text
 
-    def failing(template, chunk):
-        if chunk[0] > 0:
+    def failing(template, i, cols):
+        if i > 0:
             raise RuntimeError("chunk after the first")
-        return rows_text(template, chunk)
+        return rows_text(template, i, cols)
 
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(cli, "_rows_text", failing)
@@ -475,8 +473,8 @@ def _fail_second_write(monkeypatch):
 def test_failed_streamed_write_leaves_the_target_and_no_thread(monkeypatch, tmp_path, old,
                                                                failure):
     # The error leaves the writer with the target as it was, no temporary
-    # file, and the pieces' worker thread joined: the traceback still holds
-    # the writer's frames, so an unclosed generator would keep it alive.
+    # file, and no thread started, while the traceback still holds the
+    # writer's frames and the pieces' unfinished generator.
     g = build_level(TowerConfig(5, 13), 1).graph
     target = tmp_path / "level1.edges"
     if old is not None:
@@ -521,8 +519,8 @@ def test_atomic_write_holds_a_slice_not_the_text(level_5_17, tmp_path):
 
 
 def test_streamed_write_peak_does_not_grow_with_the_list(level_5_17, tmp_path):
-    # 184,548 and 530,604 edges, several pairs of chunks each; the JSON
-    # text streams the same way
+    # 184,548 and 530,604 edges, several chunks each; the JSON text streams
+    # the same way
     small = build_level(TowerConfig(5, 13, levels=2), 2).graph
     big, path = level_5_17
     peaks = []
@@ -548,15 +546,15 @@ def test_text_kernels_hold_a_small_multiple_of_their_text(level_5_17):
     rows = cli._CHUNK_ROWS
     cols = next(cli._file_order_rows(g))
     assert len(cols[0]) == rows and {c.dtype for c in cols} == {np.dtype(np.int32)}
-    _, peak = traced_peak(cli._rows_text, cli._EDGE_LINES, (1, cols))
+    _, peak = traced_peak(cli._rows_text, cli._EDGE_LINES, 1, cols)
     assert peak <= 60 * rows
-    text, peak = traced_peak(cli._rows_text, cli._JSON_ROWS, (1, cols))
+    text, peak = traced_peak(cli._rows_text, cli._JSON_ROWS, 1, cols)
     assert peak <= 2 * len(text) + 16 * rows
     forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)[:rows]
     _, peak = traced_peak(cli._dot_edges, [g.origin[forward], g.terminus[forward],
                                            g.label[forward]])
     assert peak <= 75 * rows
-    # the whole list, two chunks in flight
+    # the whole list, one chunk in flight
     _, peak = traced_peak(cli.write_edgelist, str(path), g)
     assert peak <= 4.5 * 2**20
     raw = path.read_bytes()
@@ -566,7 +564,7 @@ def test_text_kernels_hold_a_small_multiple_of_their_text(level_5_17):
 
 
 def test_load_holds_the_file_the_graph_and_a_fixed_scratch(level_5_17):
-    # the scratch: two blocks parsed at once, about 9 bytes per byte each
+    # the scratch: one block parsed at a time, about 9 bytes per byte
     _, path = level_5_17
     g, peak = traced_peak(cli.load_graph, str(path))
     arrays = sum(_held(a) for a in (g.origin, g.terminus, g.label, g.inv))
