@@ -6,24 +6,14 @@ regularity, spectra, girth, covering maps, and stabilizer-intersection
 probes.
 """
 
-from .errors import (
-    ConvergenceError,
-    GraphConstructionError,
-    InvalidMorphismError,
-    InvalidParameterError,
-    InvalidWordError,
-    NoSquareRootError,
-    SingularMatrixError,
-    VerificationError,
-    WordLengthError,
-)
+from .errors import InvalidParameterError, VerificationError
 from .modarith import (
     PrimePower,
     is_prime,
     legendre,
     sqrt_minus_one,
 )
-from .multigraph import CoveringCheck, GraphMorphism, SerreGraph, girth, is_covering
+from .multigraph import CoveringCheck, SerreGraph, girth, is_covering
 from .projgroup import Mat2, is_psl, proj_normalize, reduce_matrix
 from .quat import (
     GeneratorSet,

@@ -37,9 +37,10 @@ are serialized with full repr precision (solver-derived floats are quantized
 to 12 significant digits first so reruns and different BLAS thread counts
 stay byte-identical).
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 internal verification
-failure; an output path that cannot be written exits 3 before any work, and
-a JSON file to parse, or a loaded graph's spectrum or DOT export, that cannot
-fit in physical memory exits 2 before any work.
+failure, a solve that did not converge included; an output path that cannot
+be written exits 3 before any work, and a JSON file to parse, or a loaded
+graph's spectrum or DOT export, that cannot fit in physical memory exits 2
+before any work.
 Timing lines go to stderr, never into reports.
 """
 
@@ -55,13 +56,7 @@ import time
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    GraphConstructionError,
-    InvalidParameterError,
-    VerificationError,
-    WordLengthError,
-)
+from .errors import InvalidParameterError, VerificationError
 from .modarith import PrimePower
 from .multigraph import SerreGraph, girth, index_dtype
 from .quat import split
@@ -199,10 +194,12 @@ def _put_decimal(buf, end, vals, width):
 
 
 def _put(buf, at, text: bytes):
-    """Write text into the uint8 array buf at every offset in at."""
+    """Write text into the uint8 array buf at every offset in at; buf is
+    filled with spaces, so the spaces of text are skipped."""
     at = at.astype(np.intp)
     for j, byte in enumerate(text):
-        buf[j:][at] = byte
+        if byte != ord(" "):
+            buf[j:][at] = byte
 
 
 # Row templates (prefix, the literal after each value, separator): a row is
@@ -219,7 +216,8 @@ def _rows_text(template, i, cols) -> str:
     cut off after the last row.
 
     The row ends are summed from the widths, in int32, and each row is
-    then written from its end back, one column at a time, into one buffer."""
+    then written from its end back, one column at a time, into one buffer
+    of spaces."""
     prefix, after, sep = template
     lead = ((sep if i else "") + prefix).encode()
     texts = [text.encode() for text in after[:-1] + (after[-1] + sep + prefix,)]
@@ -229,7 +227,7 @@ def _rows_text(template, i, cols) -> str:
     for width in widths:
         end += width
     np.cumsum(end, out=end)
-    buf = np.empty(int(end[-1]), dtype=np.uint8)
+    buf = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
     buf[:len(lead)] = np.frombuffer(lead, np.uint8)
     for col, width, text in reversed(list(zip(cols, widths, texts))):
         end -= len(text)
@@ -433,8 +431,7 @@ def _dot_edges(cols) -> str:
     end += w_terminus
     end[labelled] += w_label + 11  # ' [label="' and '"];\n  ' for ';\n  '
     np.cumsum(end, out=end)
-    buf = np.empty(int(end[-1]), dtype=np.uint8)
-    buf[:2] = ord(" ")
+    buf = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
     tail = end[labelled] - 6
     _put(buf, tail, b'"];\n  ')
     _put_decimal(buf, tail, label, w_label)
@@ -464,10 +461,6 @@ def _dot_pieces(g: SerreGraph):
         yield _rows_text(_DOT_VERTICES, i, cols)
     yield from map(_dot_edges, _chunks(*edges))
     yield "}\n"
-
-
-def format_dot(g: SerreGraph) -> str:
-    return "".join(_dot_pieces(g))
 
 
 def load_graph(path: str) -> SerreGraph:
@@ -826,14 +819,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidParameterError, WordLengthError, GraphConstructionError,
-            json.JSONDecodeError) as exc:
+    except (InvalidParameterError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (VerificationError, ConvergenceError) as exc:
+    except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

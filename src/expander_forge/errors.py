@@ -1,42 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per failing exit code."""
 
 
 class InvalidParameterError(ValueError):
-    """A parameter violates a documented precondition (bad prime, bad range)."""
-
-
-class NoSquareRootError(ArithmeticError):
-    """Requested a modular square root of a non-residue."""
-
-
-class InvalidWordError(ValueError):
-    """A generator word is not reduced (contains an adjacent inverse pair)."""
-
-
-class WordLengthError(ValueError):
-    """A word or enumeration request exceeds the configured length cap."""
-
-
-class SingularMatrixError(ArithmeticError):
-    """A 2x2 residue matrix is not invertible (determinant not a unit)."""
-
-
-class InvalidMorphismError(ValueError):
-    """Maps passed as a graph morphism do not commute with the structure maps;
-    vertex is the source vertex where the check failed (-1: map lengths)."""
-
-    def __init__(self, message, vertex=-1):
-        super().__init__(message)
-        self.vertex = vertex
-
-
-class GraphConstructionError(ValueError):
-    """Edge data violates the Serre-graph axioms (e.g. an involution fixed point)."""
+    """An input violates a documented precondition: a bad prime or range, a
+    non-residue, an unreduced word, a length over its cap, a singular
+    matrix or edge data that is not a Serre graph.  The CLI exits 2."""
 
 
 class VerificationError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, never expected."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative eigensolver did not reach the requested residual tolerance."""
+    """A check of the program's own output failed, or a solve did not
+    converge; indicates a bug, never expected.  The CLI exits 4."""

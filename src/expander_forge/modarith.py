@@ -7,7 +7,7 @@ needs: sqrt(-1) in Z/p^k.  All functions are pure and thread-safe.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InvalidParameterError, NoSquareRootError, VerificationError
+from .errors import InvalidParameterError, VerificationError
 
 # Witness set making Miller-Rabin deterministic for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -84,7 +84,7 @@ def sqrt_minus_one(pp: PrimePower) -> int:
     """
     p, m = pp.p, pp.modulus
     if p % 4 != 1:
-        raise NoSquareRootError(f"-1 is not a square mod {p}")
+        raise InvalidParameterError(f"-1 is not a square mod {p}")
     z = next(z for z in range(2, p) if legendre(z, p) == -1)
     r = pow(z, (p - 1) // 4, p)
     x = r = min(r, p - r)

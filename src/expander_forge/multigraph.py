@@ -8,9 +8,9 @@ loop as a closed path of length 1 and a parallel pair as one of length 2,
 and a path may never traverse inv(e) right after e; it is a breadth-first
 search over the edge arrays, a batch of sources at a time.  Connectivity and
 bipartiteness are component counts by scipy's csgraph.  Graph validation
-and the morphism and covering checks are array identities, scanned a chunk
-at a time for the first failing id, so their messages and witnesses are
-those of a check run one edge or vertex at a time.
+and the covering check, morphism axioms included, are array identities,
+scanned a chunk at a time for the first failing id, so their messages and
+witnesses are those of a check run one edge or vertex at a time.
 """
 
 import functools
@@ -21,10 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GraphConstructionError, InvalidMorphismError
+from .errors import InvalidParameterError
 
-__all__ = ["SerreGraph", "GraphMorphism", "CoveringCheck", "girth", "is_covering",
-           "index_dtype"]
+__all__ = ["SerreGraph", "CoveringCheck", "girth", "is_covering", "index_dtype"]
 
 _INT32_IDS = 2**31
 # ids checked at a time: a check's scratch, about 30 bytes an id, stays
@@ -78,7 +77,7 @@ def _id_array(values, labels=False):
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         if labels:
-            raise GraphConstructionError("edge labels must fit in 64 bits") from None
+            raise InvalidParameterError("edge labels must fit in 64 bits") from None
         lo, hi = -(2**63), 2**63
         return np.fromiter((v if lo <= v < hi else -1 for v in values),
                            dtype=np.int64, count=len(values))
@@ -105,12 +104,12 @@ class SerreGraph:
         self._components = None
         ne = len(self.origin)
         if not (len(self.terminus) == len(self.inv) == len(self.label) == ne):
-            raise GraphConstructionError("edge arrays have mismatched lengths")
+            raise InvalidParameterError("edge arrays have mismatched lengths")
         if ne % 2:
-            raise GraphConstructionError("directed edge count must be even")
+            raise InvalidParameterError("directed edge count must be even")
         e, message = _first_failure(ne, self._edge_checks)
         if e >= 0:
-            raise GraphConstructionError(
+            raise InvalidParameterError(
                 message.format(e=e, o=self.origin[e], t=self.terminus[e]))
         ids = index_dtype(max(self.num_vertices, ne))
         self.origin, self.terminus, self.inv = (
@@ -136,8 +135,9 @@ class SerreGraph:
         """Number of directed edges (twice the geometric edge count)."""
         return len(self.origin)
 
-    def degrees(self):
-        return _origin_counts(self.origin, self.num_vertices).tolist()
+    def degrees(self) -> np.ndarray:
+        """The number of edges out of each vertex."""
+        return _origin_counts(self.origin, self.num_vertices)
 
     def _vertex_components(self) -> int:
         """Number of connected components, counted once and kept."""
@@ -192,11 +192,6 @@ def girth(g: SerreGraph):
     origin, terminus = g.origin, g.terminus
     if np.any(origin == terminus):
         return 1
-    forward = np.arange(g.num_edges) < g.inv
-    lo, hi = np.sort(np.stack([origin[forward], terminus[forward]]).astype(np.int64), axis=0)
-    pairs = lo * g.num_vertices + hi
-    if len(np.unique(pairs)) < len(pairs):
-        return 2
     nv, ids = g.num_vertices, origin.dtype
     # the search runs on CSR positions: edges sorted by origin, each with its
     # terminus and the position of its reverse
@@ -211,7 +206,8 @@ def girth(g: SerreGraph):
     for s0 in range(0, nv, batch):
         row = np.arange(min(batch, nv - s0), dtype=ids)
         vertex, back = s0 + row, np.full(len(row), -1, dtype=ids)
-        # a source keeps -1: with no loop or parallel pair only a reverse leads back
+        # a source arrives by no edge, and is never entered again: only
+        # vertices above it are
         dist = np.full(len(row) * nv, -1, dtype=np.int32)
         d = 0
         while len(row) and 2 * d + 1 < best:
@@ -243,50 +239,6 @@ def girth(g: SerreGraph):
 
 
 @dataclass(frozen=True)
-class GraphMorphism:
-    """Vertex and edge maps between Serre graphs, commuting with o, t, inv."""
-
-    source: SerreGraph
-    target: SerreGraph
-    vertex_map: tuple
-    edge_map: tuple
-
-    def validate(self):
-        """The maps as integer arrays.  Raises InvalidMorphismError unless
-        both are in range and commute with origin, terminus and the
-        involution; the message names the first failing edge, and the error
-        carries its origin."""
-        src, tgt = self.source, self.target
-        if len(self.vertex_map) != src.num_vertices or len(self.edge_map) != src.num_edges:
-            raise InvalidMorphismError("map lengths do not match the source graph")
-        vm, em = _id_array(self.vertex_map), _id_array(self.edge_map)
-        v, message = _first_failure(len(vm), lambda a, b: [
-            ((vm[a:b] < 0) | (vm[a:b] >= tgt.num_vertices), "vertex map image out of range")])
-        if v >= 0:
-            raise InvalidMorphismError(message, v)
-        if len(em) and not tgt.num_edges:
-            raise InvalidMorphismError("edge map image out of range", int(src.origin[0]))
-        e, message = _first_failure(len(em), lambda a, b: self._edge_checks(vm, em, a, b))
-        if e >= 0:
-            raise InvalidMorphismError(message.format(e=e), int(src.origin[e]))
-        return vm, em
-
-    def _edge_checks(self, vm, em, start, stop):
-        """The checks of source edges start..stop-1 for _first_failure.  The
-        gathers are np.take, which is faster than indexing here."""
-        src, tgt = self.source, self.target
-        fe = em[start:stop]
-        out = (fe < 0) | (fe >= tgt.num_edges)
-        fb = np.where(out, 0, fe).astype(np.intp)
-        ends = ((np.take(tgt.origin, fb) != np.take(vm, src.origin[start:stop]))
-                | (np.take(tgt.terminus, fb) != np.take(vm, src.terminus[start:stop])))
-        return [(out, "edge map image out of range"),
-                (ends, "edge {e} does not commute with origin/terminus"),
-                (np.take(em, src.inv[start:stop]) != np.take(tgt.inv, fb),
-                 "edge {e} does not commute with the involution")]
-
-
-@dataclass(frozen=True)
 class CoveringCheck:
     """Verdict of a covering-map verification, with a witness on failure."""
 
@@ -295,17 +247,44 @@ class CoveringCheck:
     reason: str = ""
 
 
-def is_covering(f: GraphMorphism) -> CoveringCheck:
-    """Whether f is surjective on vertices and bijective on every vertex link.
+def is_covering(source: SerreGraph, target: SerreGraph, vertex_map, edge_map) -> CoveringCheck:
+    """Whether the maps are a morphism from source onto target, commuting
+    with origin, terminus and the involution, that is surjective on vertices
+    and bijective on every vertex link.
 
-    Raises InvalidMorphismError if f is not a morphism; otherwise the verdict
-    names the least target vertex missed or else the least source vertex
-    whose link map is not bijective."""
-    vm, em = f.validate()
-    src, tgt = f.source, f.target
-    hit = np.zeros(tgt.num_vertices, dtype=bool)
+    A failed verdict names the first failure: map lengths that do not match
+    the source (witness -1), a vertex image out of range (that vertex), an
+    edge whose image is out of range or does not commute (its origin; the
+    reason names the edge), the least target vertex missed, or else the
+    least source vertex whose link map is not bijective."""
+    if len(vertex_map) != source.num_vertices or len(edge_map) != source.num_edges:
+        return CoveringCheck(False, -1, "map lengths do not match the source graph")
+    vm, em = _id_array(vertex_map), _id_array(edge_map)
+    v, message = _first_failure(len(vm), lambda a, b: [
+        ((vm[a:b] < 0) | (vm[a:b] >= target.num_vertices), "vertex map image out of range")])
+    if v >= 0:
+        return CoveringCheck(False, v, message)
+    if len(em) and not target.num_edges:
+        return CoveringCheck(False, int(source.origin[0]), "edge map image out of range")
+
+    def edge_checks(start, stop):
+        # the gathers are np.take, which is faster than indexing here
+        fe = em[start:stop]
+        out = (fe < 0) | (fe >= target.num_edges)
+        fb = np.where(out, 0, fe).astype(np.intp)
+        ends = ((np.take(target.origin, fb) != np.take(vm, source.origin[start:stop]))
+                | (np.take(target.terminus, fb) != np.take(vm, source.terminus[start:stop])))
+        return [(out, "edge map image out of range"),
+                (ends, "edge {e} does not commute with origin/terminus"),
+                (np.take(em, source.inv[start:stop]) != np.take(target.inv, fb),
+                 "edge {e} does not commute with the involution")]
+
+    e, message = _first_failure(len(em), edge_checks)
+    if e >= 0:
+        return CoveringCheck(False, int(source.origin[e]), message.format(e=e))
+    hit = np.zeros(target.num_vertices, dtype=bool)
     hit[vm] = True
-    v, message = _first_failure(tgt.num_vertices,
+    v, message = _first_failure(target.num_vertices,
                                 lambda a, b: [(~hit[a:b], "vertex map is not surjective")])
     if v >= 0:
         return CoveringCheck(False, v, message)
@@ -313,18 +292,18 @@ def is_covering(f: GraphMorphism) -> CoveringCheck:
     # numbered from 0.  Give v a block of max(deg(v), deg(vm[v])) slots and
     # let each edge of v fill the slot its image's number names: v's link
     # maps bijectively exactly when its block is full.
-    tdeg = _origin_counts(tgt.origin, tgt.num_vertices)
-    number = np.empty(tgt.num_edges, dtype=np.int64)
-    number[np.argsort(tgt.origin, kind="stable")] = (
-        np.arange(tgt.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg))
-    size = _origin_counts(src.origin, src.num_vertices)
+    tdeg = _origin_counts(target.origin, target.num_vertices)
+    number = np.empty(target.num_edges, dtype=np.int64)
+    number[np.argsort(target.origin, kind="stable")] = (
+        np.arange(target.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg))
+    size = _origin_counts(source.origin, source.num_vertices)
     np.maximum(size, np.take(tdeg, vm), out=size)
     start = np.cumsum(size)
     start -= size
     filled = np.zeros(int(size.sum()), dtype=bool)
-    for a in range(0, src.num_edges, _VALIDATE_CHUNK):
+    for a in range(0, source.num_edges, _VALIDATE_CHUNK):
         chunk = slice(a, a + _VALIDATE_CHUNK)
-        filled[np.take(start, src.origin[chunk]) + np.take(number, em[chunk])] = True
+        filled[np.take(start, source.origin[chunk]) + np.take(number, em[chunk])] = True
     slot, message = _first_failure(len(filled),
                                    lambda a, b: [(~filled[a:b], "link map is not bijective")])
     if slot >= 0:

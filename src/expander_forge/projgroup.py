@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularMatrixError
+from .errors import InvalidParameterError
 from .modarith import PrimePower, legendre
 
 __all__ = [
@@ -58,7 +58,7 @@ class Mat2:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, getattr(self, name) % m)
         if self.det() % self.pp.p == 0:
-            raise SingularMatrixError(
+            raise InvalidParameterError(
                 f"matrix {self.entries()} is singular mod {self.pp.p}"
             )
 
@@ -102,7 +102,7 @@ def proj_normalize(m: Mat2) -> Mat2:
         if e % p:
             s = pow(e, -1, mod)
             return Mat2(m.a * s, m.b * s, m.c * s, m.d * s, m.pp)
-    raise SingularMatrixError("no unit entry found")  # unreachable for valid Mat2
+    raise InvalidParameterError("no unit entry found")  # unreachable for valid Mat2
 
 
 def is_psl(m: Mat2) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import InvalidParameterError, InvalidWordError
+from .errors import InvalidParameterError
 from .modarith import PrimePower, is_prime, sqrt_minus_one
 from .projgroup import Mat2
 
@@ -122,12 +122,12 @@ def is_reduced(letters, pairing) -> bool:
 
 def evaluate_word(letters: tuple, gens: GeneratorSet) -> Quaternion:
     """Product of the generators named by the letters; norm is
-    q1**len(letters).  Raises InvalidWordError for a letter out of range or
-    a word that is not reduced."""
+    q1**len(letters).  Raises InvalidParameterError for a letter out of
+    range or a word that is not reduced."""
     if not all(0 <= a < len(gens.gens) for a in letters):
-        raise InvalidWordError(f"letters out of range for {len(gens.gens)} generators")
+        raise InvalidParameterError(f"letters out of range for {len(gens.gens)} generators")
     if not is_reduced(letters, gens.inverse_pairing):
-        raise InvalidWordError(f"word {letters} is not reduced")
+        raise InvalidParameterError(f"word {letters} is not reduced")
     out = ONE
     for a in letters:
         out = out * gens.gens[a]

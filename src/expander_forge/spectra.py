@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse._sparsetools import csr_matvec
 
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import InvalidParameterError, VerificationError
 from .multigraph import SerreGraph, index_dtype
 
 DENSE_THRESHOLD = 4096
@@ -157,7 +157,7 @@ def _lanczos(a, trivial, ops: _Reductions, cancel, coefficients=None):
     beta_j = ||w||.  a is a float64 CSR matrix.  Given the (alphas, betas) of an earlier run,
     it replays that run and takes them instead of the two inner products, so
     its vectors are bitwise the earlier run's.  Once the threading.Event
-    cancel is set, the next step raises ConvergenceError.  v_j is only valid
+    cancel is set, the next step raises VerificationError.  v_j is only valid
     until the next step, which overwrites it."""
     v = _deterministic_start(a.shape[0])
     ops.project(v, trivial)
@@ -165,7 +165,7 @@ def _lanczos(a, trivial, ops: _Reductions, cancel, coefficients=None):
     v_prev, w, beta = np.zeros_like(v), np.empty_like(v), 0.0
     for j in itertools.count():
         if cancel.is_set():
-            raise ConvergenceError("the solve was cancelled")
+            raise VerificationError("the solve was cancelled")
         np.multiply(v_prev, -beta, out=w)
         _matvec_add(a, v, w)
         alpha = ops.dot(w, v) if coefficients is None else coefficients[0][j]
@@ -196,13 +196,13 @@ def nontrivial_ends(a, trivial, norm, cancel) -> EigenResult:
     The first pass runs the Lanczos recurrence and, every _CHECK_EVERY
     steps, stops once both extreme Ritz pairs of the tridiagonal matrix have
     residual estimate beta_m |s_m| <= 0.1 * RESIDUAL_RTOL * ||A||; reaching
-    LANCZOS_MAX_STEPS raises ConvergenceError.  The second pass replays the
+    LANCZOS_MAX_STEPS raises VerificationError.  The second pass replays the
     recurrence with the first pass's coefficients to form the two Ritz
     vectors, each of which must have ||Av - lambda v|| <= RESIDUAL_RTOL *
     ||A|| and be orthogonal to trivial within RESIDUAL_RTOL, or
-    ConvergenceError is raised.  That certifies a true eigenvalue within the
+    VerificationError is raised.  That certifies a true eigenvalue within the
     residual of each value, not that the values are the extreme ones.
-    Setting the threading.Event cancel ends the solve with ConvergenceError
+    Setting the threading.Event cancel ends the solve with VerificationError
     at its next Lanczos step.
     """
     a = sp.csr_matrix(a, dtype=np.float64)  # the matvec kernel's input; no copy of one
@@ -224,7 +224,7 @@ def nontrivial_ends(a, trivial, norm, cancel) -> EigenResult:
             if all(beta * abs(s[-1]) <= stop for _, s in ends):
                 break
             if m >= LANCZOS_MAX_STEPS:
-                raise ConvergenceError(
+                raise VerificationError(
                     f"Lanczos did not converge in {m} steps: residual estimates "
                     f"{[beta * abs(s[-1]) for _, s in ends]} exceed {stop:.3e}")
 
@@ -239,12 +239,12 @@ def nontrivial_ends(a, trivial, norm, cancel) -> EigenResult:
         _matvec_add(a, y, r)
         res = math.sqrt(ops.dot(r, r))
         if not res <= RESIDUAL_RTOL * norm:
-            raise ConvergenceError(
+            raise VerificationError(
                 f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||A|| = "
                 f"{RESIDUAL_RTOL * norm:.3e} for eigenvalue {lam}")
         overlap = max((abs(ops.dot(y, u)) for u in trivial), default=0.0)
         if not overlap <= RESIDUAL_RTOL:
-            raise ConvergenceError(
+            raise VerificationError(
                 f"Ritz vector of {lam} overlaps a trivial eigenvector by {overlap:.3e}")
         residuals.append(res)
     return EigenResult(tuple(lam for lam, _ in ends), tuple(residuals), "iterative",
@@ -327,11 +327,11 @@ def _blocks(g: SerreGraph, q: int, sides, orbits) -> list:
 def _trivial_vectors(op, pairs) -> list:
     """The unit vectors x / sqrt(len(x)) of the (eigenvalue, +-1 vector x)
     pairs, after checking op x == eigenvalue * x exactly for each, else
-    ConvergenceError."""
+    VerificationError."""
     vecs = []
     for lam, x in pairs:
         if not np.array_equal(op @ x, lam * x):
-            raise ConvergenceError(f"a trivial vector is not an eigenvector of {lam}")
+            raise VerificationError(f"a trivial vector is not an eigenvector of {lam}")
         vecs.append(x / math.sqrt(len(x)))
     return vecs
 
@@ -371,7 +371,7 @@ def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport
     its spectrum ends within RESIDUAL_RTOL * ||A|| of the trivial values and
     drops them; the iterative one merges the ends of its blocks (_blocks,
     _solve_blocks).  Then one tail: a nontrivial end within that slack of
-    +-(q+1) raises ConvergenceError, and the report takes q+1, simple, on
+    +-(q+1) raises VerificationError, and the report takes q+1, simple, on
     top and -(q+1) at the bottom of a bipartite graph.  With no nontrivial
     eigenvalue, max|nontrivial| is 0 (dense) or the solve is refused
     (iterative).  orbits, an (h, 2) integer array, gives the orbits of a
@@ -383,10 +383,11 @@ def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport
     """
     if not g.num_vertices:
         raise InvalidParameterError("graph has no vertices")
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise InvalidParameterError(f"graph is not regular (degrees {sorted(degs)})")
-    q = degs.pop() - 1
+    degrees = g.degrees()
+    if degrees.min() != degrees.max():
+        raise InvalidParameterError(
+            f"graph is not regular (degrees {np.unique(degrees).tolist()})")
+    q = int(degrees[0]) - 1
     if q < 1:
         raise InvalidParameterError(f"graph has degree {q + 1}; the verdict needs degree >= 2")
     if orbits is not None:
@@ -408,7 +409,7 @@ def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport
         vals = _dense_values(adjacency(g))
         eig = EigenResult(tuple(vals), (0.0,) * n, "dense", 0, 0)
         if abs(vals[-1] - (q + 1)) > slack or (bip and abs(vals[0] + (q + 1)) > slack):
-            raise ConvergenceError(
+            raise VerificationError(
                 f"solve missed a trivial eigenvalue: ends {vals[0]!r}, {vals[-1]!r} "
                 f"for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
             )
@@ -420,7 +421,7 @@ def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport
         raise InvalidParameterError(f"unknown method={method!r}")
     max_abs = max((abs(v) for v in nontrivial), default=0.0)
     if max_abs >= q + 1 - slack:
-        raise ConvergenceError(
+        raise VerificationError(
             f"a trivial eigenvalue leaked into the nontrivial ends {nontrivial[0]!r}, "
             f"{nontrivial[-1]!r} for q+1 = {q + 1}{' (bipartite)' if bip else ''}"
         )

@@ -48,9 +48,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidMorphismError, InvalidParameterError, VerificationError, WordLengthError
+from .errors import InvalidParameterError, VerificationError
 from .modarith import PrimePower, is_prime, legendre
-from .multigraph import GraphMorphism, SerreGraph, girth, index_dtype, is_covering
+from .multigraph import SerreGraph, girth, index_dtype, is_covering
 from .projgroup import (Mat2, act_on_points, identity, is_psl, matrix_codes, matrix_entries,
                         p1_size, proj_normalize, reduce_matrix, reduce_matrix_codes,
                         reduce_point_codes, unit_inverses)
@@ -488,10 +488,7 @@ def natural_covering(upper: TowerLevel, lower: TowerLevel) -> CoveringMap:
         raise fail(missing[0], f"reduced code missing from level {lower.n}")
     d = upper.degree
     emap = (vmap[:, None] * d + np.arange(d, dtype=vmap.dtype)).reshape(-1)
-    try:
-        check = is_covering(GraphMorphism(upper.graph, lower.graph, vmap, emap))
-    except InvalidMorphismError as exc:
-        raise fail(exc.vertex, str(exc)) from None
+    check = is_covering(upper.graph, lower.graph, vmap, emap)
     if not check.ok:
         raise fail(check.witness, check.reason)
     return CoveringMap(upper.n, lower.n, vmap, True)
@@ -610,8 +607,8 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     evidence holds only for max_word_len below about log_q1 of level N's
     vertex count (9.6 for (5,13) at N = 3): longer walks close at the base
     by chance.  At twist seed 42, (5,13) N = 3 keeps 0 words at length 8 but
-    1,632 at length 14.  Raises WordLengthError above DEFAULT_PROBE_CAP, and
-    InvalidParameterError before any work if the top level's step tables
+    1,632 at length 14.  Raises InvalidParameterError above
+    DEFAULT_PROBE_CAP, and before any work if the top level's step tables
     cannot fit in physical memory.
     """
     if max_word_len < 1:
@@ -619,7 +616,7 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     # (q1+1) q1^(k-1) reduced words of each length k
     tested = (cfg.q1 + 1) * (cfg.q1**max_word_len - 1) // (cfg.q1 - 1)
     if max_word_len > DEFAULT_PROBE_CAP:
-        raise WordLengthError(
+        raise InvalidParameterError(
             f"max_word_len {max_word_len} exceeds cap {DEFAULT_PROBE_CAP} "
             f"(~{tested} reduced words)"
         )

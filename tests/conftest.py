@@ -6,9 +6,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from expander_forge.cli import _edge_list, _edge_list_graph
-from expander_forge.errors import InvalidMorphismError
-from expander_forge.multigraph import GraphMorphism, SerreGraph
+from expander_forge.cli import _dot_pieces, _edge_list, _edge_list_graph
+from expander_forge.multigraph import SerreGraph
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -28,6 +27,11 @@ def parse_edgelist(text: str) -> SerreGraph:
     return _edge_list_graph(*_edge_list(text.encode()))
 
 
+def format_dot(g: SerreGraph) -> str:
+    """The DOT text of g, joined from the pieces the export streams."""
+    return "".join(_dot_pieces(g))
+
+
 def traced_peak(fn, *args):
     """(fn(*args), peak): the call's result and the peak of the memory
     tracemalloc traced during it, in bytes."""
@@ -40,13 +44,14 @@ def traced_peak(fn, *args):
     return result, peak
 
 
-def covering_morphism(upper, lower, vertex_map) -> GraphMorphism:
-    """The morphism from built level upper onto lower of a covering's
-    vertex map, with the label-preserving edge map it implies: edge e goes
-    to vertex_map[e // d] * d + e % d."""
+def covering_morphism(upper, lower, vertex_map):
+    """(source, target, vertex map, edge map), the arguments of is_covering,
+    from built level upper onto lower for a covering's vertex map, with the
+    label-preserving edge map it implies: edge e goes to
+    vertex_map[e // d] * d + e % d."""
     d = upper.degree
     edge_map = (np.asarray(vertex_map)[:, None] * d + np.arange(d)).reshape(-1)
-    return GraphMorphism(upper.graph, lower.graph, vertex_map, edge_map)
+    return upper.graph, lower.graph, vertex_map, edge_map
 
 
 def cycle_graph(n: int) -> SerreGraph:
@@ -123,16 +128,6 @@ def small_girth_fixtures():
         ("path4", path_graph(4), math.inf),
         ("tree", binary_tree(2), math.inf),
     ]
-
-
-def covering_verdict(check, f):
-    """(ok, witness, reason) of a covering check on morphism f, or
-    ("error", message) when it raises InvalidMorphismError."""
-    try:
-        c = check(f)
-    except InvalidMorphismError as exc:
-        return "error", str(exc)
-    return c.ok, c.witness, c.reason
 
 
 @st.composite

@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from expander_forge.cli import SCHEMA_VERSION, _CHUNK_ROWS, _file_order_rows, _header_line
-from expander_forge.errors import (InvalidMorphismError, InvalidParameterError,
-                                   VerificationError, WordLengthError)
+from expander_forge.errors import InvalidParameterError, VerificationError
 from expander_forge.modarith import PrimePower, sqrt_minus_one
 from expander_forge.multigraph import CoveringCheck, SerreGraph
 from expander_forge.projgroup import Mat2, identity, proj_normalize
@@ -413,33 +412,29 @@ def _as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
-def link_validate(f):
-    """GraphMorphism.validate by the original per-vertex and per-edge loops."""
-    src, tgt = f.source, f.target
-    if len(f.vertex_map) != src.num_vertices or len(f.edge_map) != src.num_edges:
-        raise InvalidMorphismError("map lengths do not match the source graph")
-    vm, em = _as_list(f.vertex_map), _as_list(f.edge_map)
-    for v in vm:
-        if not 0 <= v < tgt.num_vertices:
-            raise InvalidMorphismError("vertex map image out of range")
+def link_is_covering(src, tgt, vertex_map, edge_map) -> CoveringCheck:
+    """is_covering by the original loops: the morphism axioms edge by edge,
+    surjectivity vertex by vertex, then each link's sorted image against the
+    sorted target link."""
+    if len(vertex_map) != src.num_vertices or len(edge_map) != src.num_edges:
+        return CoveringCheck(False, -1, "map lengths do not match the source graph")
+    vm, em = _as_list(vertex_map), _as_list(edge_map)
+    for v, w in enumerate(vm):
+        if not 0 <= w < tgt.num_vertices:
+            return CoveringCheck(False, v, "vertex map image out of range")
     s_o, s_t, s_i = src.origin.tolist(), src.terminus.tolist(), src.inv.tolist()
     t_o, t_t, t_i = tgt.origin.tolist(), tgt.terminus.tolist(), tgt.inv.tolist()
     for e in range(src.num_edges):
         fe = em[e]
         if not 0 <= fe < tgt.num_edges:
-            raise InvalidMorphismError("edge map image out of range")
-        if t_o[fe] != vm[s_o[e]] or t_t[fe] != vm[s_t[e]]:
-            raise InvalidMorphismError(f"edge {e} does not commute with origin/terminus")
-        if em[s_i[e]] != t_i[fe]:
-            raise InvalidMorphismError(f"edge {e} does not commute with the involution")
-
-
-def link_is_covering(f) -> CoveringCheck:
-    """is_covering by the original loops: surjectivity vertex by vertex, then
-    each link's sorted image against the sorted target link."""
-    link_validate(f)
-    src, tgt = f.source, f.target
-    vm, em = _as_list(f.vertex_map), _as_list(f.edge_map)
+            reason = "edge map image out of range"
+        elif t_o[fe] != vm[s_o[e]] or t_t[fe] != vm[s_t[e]]:
+            reason = f"edge {e} does not commute with origin/terminus"
+        elif em[s_i[e]] != t_i[fe]:
+            reason = f"edge {e} does not commute with the involution"
+        else:
+            continue
+        return CoveringCheck(False, s_o[e], reason)
     hit = [False] * tgt.num_vertices
     for v in vm:
         hit[v] = True
@@ -487,7 +482,7 @@ def word_enumeration_probe(cfg, max_word_len=4, up_to_level=None, twist=None,
     if max_word_len > word_cap:
         q1 = cfg.q1
         est = (q1 + 1) * (q1**max_word_len - 1) // (q1 - 1)
-        raise WordLengthError(
+        raise InvalidParameterError(
             f"max_word_len {max_word_len} exceeds cap {word_cap} "
             f"(~{est} reduced words); raise word_cap explicitly to proceed"
         )

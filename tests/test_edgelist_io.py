@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_geometric_edges, parse_edgelist, random_multigraphs, traced_peak
+from conftest import (from_geometric_edges, format_dot, parse_edgelist, random_multigraphs,
+                      traced_peak)
 from expander_forge import cli, multigraph
 from expander_forge.cli import _header_line, dump_report, format_edgelist
-from expander_forge.errors import GraphConstructionError, InvalidParameterError
+from expander_forge.errors import InvalidParameterError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.tower import TowerConfig, build_level
 from oracles import graph_to_json, line_edge_rows, string_format_dot, string_format_edgelist
@@ -193,7 +194,7 @@ def test_writers_match_oracles_at_every_chunk_size(g, data):
             mp.setattr(cli, "_CHUNK_ROWS", chunk)
             assert format_edgelist(g) == string_format_edgelist(g)
             assert _json_text(g) == dump_report(graph_to_json(g))
-            assert cli.format_dot(g) == string_format_dot(g)
+            assert format_dot(g) == string_format_dot(g)
     flat = np.stack(cols, axis=1).ravel().tolist()
     lines = ("%d %d %d %d\n" * len(rows)) % tuple(flat)
     assert cli._rows_text(cli._EDGE_LINES, 0, cols) == cli._rows_text(cli._EDGE_LINES, 1, cols)
@@ -224,9 +225,9 @@ def test_kernels_match_oracles_at_a_chunk_edge(rows):
     g = _extreme_graph(rows, rows)
     assert format_edgelist(g) == string_format_edgelist(g)
     assert _json_text(g) == dump_report(graph_to_json(g))
-    assert cli.format_dot(g) == string_format_dot(g)
+    assert format_dot(g) == string_format_dot(g)
     vertices = SerreGraph(rows, [], [], [], [])
-    assert cli.format_dot(vertices) == string_format_dot(vertices)
+    assert format_dot(vertices) == string_format_dot(vertices)
     # and the edge-line and JSON row kernels on `rows` rows of int64 values
     cols = list(np.random.default_rng(rows).choice(
         [-(2**63), -(2**63) + 1, -1, 0, 1, 9, 10, 99, 10**18, 2**63 - 1], (4, rows)))
@@ -242,7 +243,7 @@ def test_kernels_match_oracles_on_a_graph_of_no_edges():
     text = format_edgelist(g)
     assert text == string_format_edgelist(g) == _header_line(g.meta) + "\n"
     assert _json_text(g) == dump_report(graph_to_json(g))
-    assert cli.format_dot(g) == string_format_dot(g)
+    assert format_dot(g) == string_format_dot(g)
     for eol in ("\n", "\r\n"):
         back = parse_edgelist(text.replace("\n", eol) + eol + " \t" + eol)
         assert back.num_vertices == 5 and back.num_edges == 0 and back.meta == g.meta
@@ -412,7 +413,7 @@ def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
     blocks.clear()
     assert format_edgelist(g) == text
     assert _json_text(g) == dump_report(graph_to_json(g))
-    assert cli.format_dot(g) == string_format_dot(g)
+    assert format_dot(g) == string_format_dot(g)
     assert np.array_equal(_rows(parse_edgelist(text)), _rows(g))
     assert [len(log) for log in (chunks, dot_edges, blocks)] == [11 + 11 + 2, 6, 2]
     calls = chunks + dot_edges + blocks
@@ -599,7 +600,7 @@ def test_ids_past_int32_are_widened_not_wrapped(tmp_path, body, message):
     # each id wrapped to int32 would make the graph valid
     path = tmp_path / "g.edges"
     path.write_text(f"# expander-forge v1 V=2\n{body}")
-    with pytest.raises(GraphConstructionError, match=f"^{message}$"):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
         cli.load_graph(str(path))
 
 

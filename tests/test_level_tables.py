@@ -9,11 +9,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import covering_morphism, covering_verdict, traced_peak
+from conftest import covering_morphism, traced_peak
 from expander_forge import multigraph, spectra, tower
 from expander_forge.cli import format_edgelist
-from expander_forge.errors import InvalidMorphismError, InvalidParameterError, VerificationError
-from expander_forge.multigraph import CoveringCheck, GraphMorphism, SerreGraph, is_covering
+from expander_forge.errors import InvalidParameterError, VerificationError
+from expander_forge.multigraph import CoveringCheck, SerreGraph, is_covering
 from expander_forge.tower import (
     TowerConfig,
     build_level,
@@ -56,7 +56,7 @@ def test_tables_match_tuple_state_oracle(q1, q2, variant, top, seed):
         cov = natural_covering(upper, lower)
         assert cov.verified and (cov.source_n, cov.target_n) == (upper.n, lower.n)
         f = covering_morphism(upper, lower, cov.vertex_map)
-        assert link_is_covering(f) == is_covering(f) == CoveringCheck(True)
+        assert link_is_covering(*f) == is_covering(*f) == CoveringCheck(True)
 
 
 def test_tables_filled_in_point_chunks(monkeypatch):
@@ -93,8 +93,7 @@ def _two_switch(level, v, x, i):
 
 def test_covering_check_names_corrupted_vertex():
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
-    f = covering_morphism(l2, l1, natural_covering(l2, l1).vertex_map)
-    vmap = f.vertex_map
+    _, _, vmap, emap = covering_morphism(l2, l1, natural_covering(l2, l1).vertex_map)
     v, i = 417, 0
     w = l2.table[v, i]
     # x over another lower vertex than v, so both switched edges stop
@@ -106,8 +105,8 @@ def test_covering_check_names_corrupted_vertex():
     corrupted = _two_switch(l2, v, x, i)
     e = v * l2.degree + i
     reason = f"edge {e} does not commute with origin/terminus"
-    with pytest.raises(InvalidMorphismError, match=f"^{reason}$"):
-        link_is_covering(GraphMorphism(corrupted.graph, l1.graph, vmap, f.edge_map))
+    assert link_is_covering(corrupted.graph, l1.graph, vmap, emap) == (
+        CoveringCheck(False, v, reason))
     with pytest.raises(VerificationError,
                        match=f"^covering 2 -> 1 failed at vertex {v}: {reason}$"):
         natural_covering(corrupted, l1)
@@ -143,32 +142,33 @@ def test_covering_check_matches_link_oracle_on_levels(monkeypatch, chunk):
     monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
     _, _, (l1, l2) = _levels(13, 5, "cartan", 2, None)
     f = covering_morphism(l2, l1, natural_covering(l2, l1).vertex_map)
-    vm, em = f.vertex_map, f.edge_map
+    _, _, vm, em = f
 
     def changed(values, index, value):
         values = values.copy()
         values[index] = value
         return values
 
-    assert covering_verdict(is_covering, f) == covering_verdict(link_is_covering, f) == (
-        True, -1, "")
+    assert is_covering(*f) == link_is_covering(*f) == CoveringCheck(True)
     # of an edge and its inverse, the lower id is checked first
     e = min(6000, int(l2.graph.inv[6000]))
     x = next(x for x in range(700, len(vm))
              if vm[x] != vm[600] and len({600, x, l2.table[600, 2], l2.table[x, 2]}) == 4)
     switched = _two_switch(l2, 600, x, 2)
     corrupted = [
-        GraphMorphism(l2.graph, l1.graph, vm, changed(em, e, em[e + 1])),
-        GraphMorphism(l2.graph, l1.graph, vm, changed(em, e, l1.graph.num_edges)),
-        GraphMorphism(l2.graph, l1.graph, changed(vm, 600, -1), em),
-        GraphMorphism(switched.graph, l1.graph, vm, em),
+        (l2.graph, l1.graph, vm, changed(em, e, em[e + 1])),
+        (l2.graph, l1.graph, vm, changed(em, e, l1.graph.num_edges)),
+        (l2.graph, l1.graph, changed(vm, 600, -1), em),
+        (switched.graph, l1.graph, vm, em),
     ]
-    verdicts = [covering_verdict(is_covering, g) for g in corrupted]
-    assert verdicts == [covering_verdict(link_is_covering, g) for g in corrupted]
-    assert verdicts[0][0] == verdicts[3][0] == "error"
-    assert verdicts[0][1].startswith(f"edge {e} does not commute")
-    assert verdicts[1:3] == [("error", "edge map image out of range"),
-                             ("error", "vertex map image out of range")]
+    verdicts = [is_covering(*g) for g in corrupted]
+    assert verdicts == [link_is_covering(*g) for g in corrupted]
+    assert not verdicts[3].ok and " does not commute with " in verdicts[3].reason
+    assert verdicts[0].reason.startswith(f"edge {e} does not commute")
+    assert verdicts[:3] == [
+        CoveringCheck(False, e // l2.degree, verdicts[0].reason),
+        CoveringCheck(False, e // l2.degree, "edge map image out of range"),
+        CoveringCheck(False, 600, "vertex map image out of range")]
 
 
 # sha256 of format_edgelist(build_level(...).graph), recorded with the

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expander_forge.errors import InvalidParameterError, NoSquareRootError
+from expander_forge.errors import InvalidParameterError
 from expander_forge.modarith import PrimePower, is_prime, legendre, sqrt_minus_one
 from oracles import NotInvertibleError, unit_inverse
 
@@ -54,14 +54,14 @@ def test_sqrt_mod_prime_examples():
     assert sqrt_minus_one(PrimePower(13, 1)) == 5  # roots {5, 8}, smaller one
     assert sqrt_minus_one(PrimePower(5, 1)) == 2   # roots {2, 3}
     for p in (3, 7, 11, 19):
-        with pytest.raises(NoSquareRootError):
+        with pytest.raises(InvalidParameterError):
             sqrt_minus_one(PrimePower(p, 1))
 
 
 def test_hensel_lift_examples():
     assert sqrt_minus_one(PrimePower(13, 2)) == 70  # 70^2 = 4900 = -1 (mod 169)
     assert sqrt_minus_one(PrimePower(5, 2)) == 7    # 49 = -1 (mod 25)
-    with pytest.raises(NoSquareRootError):
+    with pytest.raises(InvalidParameterError):
         sqrt_minus_one(PrimePower(7, 3))
 
 
@@ -79,7 +79,7 @@ def test_sqrt_minus_one_canonical():
     s3 = sqrt_minus_one(PrimePower(13, 3))
     assert s3 * s3 % 13**3 == 13**3 - 1
     assert s3 % 13 == 5
-    with pytest.raises(NoSquareRootError):
+    with pytest.raises(InvalidParameterError):
         sqrt_minus_one(PrimePower(7, 1))
 
 

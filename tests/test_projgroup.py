@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expander_forge.errors import InvalidParameterError, SingularMatrixError
+from expander_forge.errors import InvalidParameterError
 from expander_forge.modarith import PrimePower
 from expander_forge.projgroup import (
     Mat2,
@@ -75,9 +75,9 @@ def general_position(c0, c1, pp):
 def test_mat2_reduces_and_validates():
     m = Mat2(14, -1, 0, 1, PP13)
     assert m.entries() == (1, 12, 0, 1)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(InvalidParameterError):
         Mat2(1, 1, 1, 1, PP13)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(InvalidParameterError):
         Mat2(13, 13, 13, 26, PrimePower(13, 2))
 
 

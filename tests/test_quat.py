@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expander_forge.errors import InvalidParameterError, InvalidWordError
+from expander_forge.errors import InvalidParameterError
 from expander_forge.modarith import PrimePower
 from expander_forge.projgroup import proj_normalize
 from expander_forge.quat import (
@@ -113,9 +113,9 @@ def test_evaluate_word():
     out = evaluate_word((5, 4), gs)
     assert out == Quaternion(1, 2, 2, 4)
     assert out.norm() == 25
-    with pytest.raises(InvalidWordError):
+    with pytest.raises(InvalidParameterError):
         evaluate_word((5, 0), gs)  # g then its conjugate
-    with pytest.raises(InvalidWordError):
+    with pytest.raises(InvalidParameterError):
         evaluate_word((0, 99), gs)
     # no length cap: a word of length 20 has norm 5**20
     assert evaluate_word((5, 4) * 10, gs).norm() == 5**20

@@ -22,7 +22,7 @@ from conftest import (
 )
 from expander_forge import multigraph, spectra
 from expander_forge.cli import format_edgelist, load_graph
-from expander_forge.errors import ConvergenceError, InvalidParameterError
+from expander_forge.errors import InvalidParameterError, VerificationError
 from expander_forge.multigraph import SerreGraph
 from expander_forge.spectra import (
     DENSE_THRESHOLD,
@@ -220,10 +220,10 @@ def test_trivial_eigenvalue_guard(monkeypatch):
         return trivial_vectors(op, pairs)[:1]
 
     monkeypatch.setattr(spectra, "_trivial_vectors", perturbed_ones)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(VerificationError):
         ramanujan_check(petersen_graph(), method="iterative")
     monkeypatch.setattr(spectra, "_trivial_vectors", colouring_dropped)
-    with pytest.raises(ConvergenceError, match="trivial eigenvalue leaked"):
+    with pytest.raises(VerificationError, match="trivial eigenvalue leaked"):
         ramanujan_check(prism_graph(20), method="iterative")
 
     # A wrong colouring fails the exact check A s = -(q+1) s, with and
@@ -237,10 +237,10 @@ def test_trivial_eigenvalue_guard(monkeypatch):
         return sides
 
     monkeypatch.setattr(SerreGraph, "bipartition", wrong_colouring)
-    with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
+    with pytest.raises(VerificationError, match="not an eigenvector of -3"):
         ramanujan_check(prism_graph(20), method="iterative")
     for orbits in _prism_orbits(20).values():
-        with pytest.raises(ConvergenceError, match="not an eigenvector of -3"):
+        with pytest.raises(VerificationError, match="not an eigenvector of -3"):
             ramanujan_check(prism_graph(20), method="iterative", orbits=orbits)
 
 
@@ -388,13 +388,13 @@ def test_ritz_vectors_orthogonal_to_trivial(monkeypatch):
     # eigenvector 1/sqrt(V): its residual passes, its overlap must not.
     monkeypatch.setattr(spectra._Reductions, "project", lambda self, x, units: None)
     g = petersen_graph()
-    with pytest.raises(ConvergenceError, match="overlaps a trivial eigenvector"):
+    with pytest.raises(VerificationError, match="overlaps a trivial eigenvector"):
         nontrivial_ends(adjacency(g), _trivial(g, 2), 3, threading.Event())
 
 
 def test_lanczos_step_cap(monkeypatch):
     monkeypatch.setattr(spectra, "LANCZOS_MAX_STEPS", 3)
-    with pytest.raises(ConvergenceError, match="in 3 steps"):
+    with pytest.raises(VerificationError, match="in 3 steps"):
         ramanujan_check(build_level(TowerConfig(5, 13), 1).graph, method="iterative")
 
 
@@ -598,7 +598,7 @@ def test_halves_ends_equal_the_sequential_solves(make):
 
 
 def _failing_halves(monkeypatch, fails, wait=0.0):
-    """Make nontrivial_ends raise ConvergenceError on the halves named in
+    """Make nontrivial_ends raise VerificationError on the halves named in
     fails; the odd half first sleeps wait seconds.  Returns the log of the
     halves that finished, each with the thread it ran on."""
     solve, log = spectra.nontrivial_ends, []
@@ -609,7 +609,7 @@ def _failing_halves(monkeypatch, fails, wait=0.0):
             time.sleep(wait)
         log.append((name, threading.current_thread()))
         if name in fails:
-            raise ConvergenceError(f"the {name} half failed")
+            raise VerificationError(f"the {name} half failed")
         return solve(a, trivial, norm, cancel)
 
     monkeypatch.setattr(spectra, "nontrivial_ends", half)
@@ -625,7 +625,7 @@ def test_halves_error_is_raised_after_the_worker_is_joined(monkeypatch, fails, m
     lvl = _cartan(5, 13, 1)
     log = _failing_halves(monkeypatch, fails, wait=0.2)
     before = threading.active_count()
-    with pytest.raises(ConvergenceError, match=message):
+    with pytest.raises(VerificationError, match=message):
         ramanujan_check(lvl.graph, method="iterative", orbits=swap_orbits(lvl))
     assert threading.active_count() == before
     assert sorted(name for name, _ in log) == ["even", "odd"]
@@ -648,7 +648,7 @@ def test_an_interrupt_in_the_even_half_cancels_the_odd_half(monkeypatch):
         cancel.wait(timeout=10)
         try:
             return solve(a, trivial, norm, cancel)
-        except ConvergenceError as exc:
+        except VerificationError as exc:
             odd_errors.append(str(exc))
             raise
 
@@ -707,7 +707,7 @@ def test_dense_solve_missing_a_trivial_end_is_refused(monkeypatch, end):
         return values
 
     monkeypatch.setattr(spectra, "_dense_values", moved)
-    with pytest.raises(ConvergenceError, match="missed a trivial eigenvalue"):
+    with pytest.raises(VerificationError, match="missed a trivial eigenvalue"):
         ramanujan_check(prism_graph(20), method="dense")
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import covering_morphism
 from expander_forge import spectra, tower
-from expander_forge.errors import InvalidParameterError, VerificationError, WordLengthError
+from expander_forge.errors import InvalidParameterError, VerificationError
 from expander_forge.modarith import PrimePower
 from expander_forge.multigraph import girth
 from expander_forge.projgroup import is_psl, p1_size, reduce_matrix
@@ -202,7 +202,8 @@ def test_loop_persists_down_coverings():
     assert cov.vertex_map[w2.vertex] == w1.vertex
     e2 = w2.vertex * l2.degree + w2.generator
     e1 = w1.vertex * l1.degree + w1.generator
-    assert covering_morphism(l2, l1, cov.vertex_map).edge_map[e2] == e1
+    _, _, _, edge_map = covering_morphism(l2, l1, cov.vertex_map)
+    assert edge_map[e2] == e1
 
 
 def test_twist_sequence_determinism_and_compatibility():
@@ -360,7 +361,7 @@ def test_probe_untwisted_survivors():
 
 def test_probe_word_cap():
     cfg = TowerConfig(5, 13, levels=1)
-    with pytest.raises(WordLengthError,
+    with pytest.raises(InvalidParameterError,
                        match=r"^max_word_len 9 exceeds cap 8 \(~2929686 reduced words\)$"):
         intersection_probe(cfg, max_word_len=9)
     probe = intersection_probe(cfg, max_word_len=1)
