@@ -132,12 +132,16 @@ def _in_file_order(o, lab) -> bool:
 
 def _file_order_rows(g: SerreGraph):
     """The edges in file order as chunks of (origin, terminus, label, new
-    inverse id) arrays.  Edges already in that order, as on every built
-    level and every file read back, are sliced unsorted."""
-    o, lab = g.origin, g.label
-    if _in_file_order(o, lab):
-        yield from _chunks(o, g.terminus, lab, g.inv)
+    inverse id) arrays.  A table-backed graph is in that order, and its
+    chunks are derived from the table; edges of four arrays already in that
+    order, as on every file read back, are sliced unsorted."""
+    if g.table is not None or _in_file_order(g.origin, g.label):
+        for start in range(0, g.num_edges, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            origin, terminus, inv = g.edges(chunk)
+            yield origin, terminus, g.labels(chunk), inv
         return
+    o, lab = g.origin, g.label
     perm = np.lexsort((lab, o))
     pos = np.empty_like(perm)
     pos[perm] = np.arange(len(perm))
@@ -358,9 +362,9 @@ def _edge_columns(raw: bytes, start: int):
     start on, one before every line, and trimmed to the rows.  A column is
     int32 until a block brings it a value outside int32; it is then widened
     to int64, so no value is ever wrapped."""
-    lines, cr = raw.count(b"\n", start), raw.count(b"\r", start)
-    if cr:
-        lines += cr - raw.count(b"\r\n", start)
+    lines = raw.count(b"\n", start)
+    if raw.find(b"\r", start) >= 0:
+        lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)
     cols = [np.empty(lines, dtype=np.int32) for _ in range(4)]
     rows = 0
     for block in map(_parse_block, _blocks(raw, start)):
@@ -661,7 +665,7 @@ def cmd_spectrum(args) -> int:
     if not g.num_edges:
         raise InvalidParameterError("graph has no edges")
     nv = g.num_vertices
-    need = solve_bytes(nv, g.num_edges)
+    need = solve_bytes(nv, g.num_edges, g.geometric_loop_count() > 0)
     _refuse(f"the spectrum of {nv} vertices needs",
             max(need, 8 * nv * nv) if args.method == "dense" else need)
     t0 = time.perf_counter()

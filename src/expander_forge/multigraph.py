@@ -2,11 +2,15 @@
 
 A graph is a set of directed edges with origin/terminus maps and a
 fixed-point-free involution e -> inv(e) pairing each directed edge with its
-reverse; loops and parallel edges are first-class.  The edge maps are numpy
-integer arrays (int32 while every id fits, int64 beyond).  Girth counts a
-loop as a closed path of length 1 and a parallel pair as one of length 2,
-and a path may never traverse inv(e) right after e; it is a breadth-first
-search over the edge arrays, a batch of sources at a time.  Connectivity and
+reverse; loops and parallel edges are first-class.  A graph read from a file
+holds its edge maps as four numpy integer arrays (int32 while every id fits,
+int64 beyond).  A tower level holds only its V x d transition table and the
+generator pairing, from which the edge maps of any chunk of edge ids follow;
+its readers take those chunks or the table's rows, and no edge-length id
+array besides the table is stored.  Girth counts a loop as a closed path of
+length 1 and a parallel pair as one of length 2, and a path may never
+traverse inv(e) right after e; it is a breadth-first search over the edges
+in origin order, a batch of sources at a time.  Connectivity and
 bipartiteness are component counts by scipy's csgraph.  Graph validation
 and the covering check, morphism axioms included, are array identities,
 scanned a chunk at a time for the first failing id, so their messages and
@@ -84,66 +88,182 @@ def _id_array(values, labels=False):
 
 
 class SerreGraph:
-    """Immutable multigraph given by parallel numpy edge arrays.
+    """Immutable multigraph given by parallel numpy edge arrays, or by a
+    transition table.
 
     origin[e], terminus[e], label[e], inv[e] describe directed edge e; the
     involution must satisfy inv(e) != e, inv(inv(e)) == e, and reverse the
-    endpoints.  meta carries construction parameters for exports.
+    endpoints.  A graph built by from_table holds only its V x d table and
+    the generator pairing: edge e = v*d + i leaves v with label i, ends at
+    table[v, i] and reverses to table[v, i]*d + pairing[i].  Its terminus is
+    a view of the table, and its origin, label and inv are computed on each
+    access, never stored; the readers below derive them a chunk at a time
+    (edges) or read the table's rows.  meta carries construction parameters
+    for exports.
     """
 
-    __slots__ = ("num_vertices", "origin", "terminus", "label", "inv", "meta", "_components")
+    __slots__ = ("num_vertices", "table", "pairing", "_origin", "_terminus", "_label", "_inv",
+                 "meta", "_components")
 
     def __init__(self, num_vertices, origin, terminus, inv, label=None, meta=None):
         self.num_vertices = int(num_vertices)
-        self.origin = _id_array(origin)
-        self.terminus = _id_array(terminus)
-        self.inv = _id_array(inv)
-        self.label = (np.full(len(self.origin), -1, dtype=np.int32) if label is None
-                      else _id_array(label, labels=True))
+        self.table = self.pairing = None
+        self._origin = _id_array(origin)
+        self._terminus = _id_array(terminus)
+        self._inv = _id_array(inv)
+        self._label = (np.full(len(self._origin), -1, dtype=np.int32) if label is None
+                       else _id_array(label, labels=True))
         self.meta = dict(meta) if meta else {}
         self._components = None
-        ne = len(self.origin)
-        if not (len(self.terminus) == len(self.inv) == len(self.label) == ne):
+        ne = len(self._origin)
+        if not (len(self._terminus) == len(self._inv) == len(self._label) == ne):
             raise InvalidParameterError("edge arrays have mismatched lengths")
-        if ne % 2:
-            raise InvalidParameterError("directed edge count must be even")
-        e, message = _first_failure(ne, self._edge_checks)
-        if e >= 0:
-            raise InvalidParameterError(
-                message.format(e=e, o=self.origin[e], t=self.terminus[e]))
+        self._check()
         ids = index_dtype(max(self.num_vertices, ne))
-        self.origin, self.terminus, self.inv = (
-            a.astype(ids, copy=False) for a in (self.origin, self.terminus, self.inv))
+        self._origin, self._terminus, self._inv = (
+            a.astype(ids, copy=False) for a in (self._origin, self._terminus, self._inv))
+
+    @classmethod
+    def from_table(cls, table, pairing, meta=None):
+        """The graph whose edge v*d + i runs from v to table[v, i] with label
+        i and reverses to table[v, i]*d + pairing[i], for a (V, d) integer
+        table and a pairing of its d labels.  It is checked on the four
+        arrays this derives, a chunk at a time, so a corrupt entry fails as
+        they would: the checks gather table[table[v, i], pairing[i]] once."""
+        g = cls.__new__(cls)
+        table = np.asarray(table)
+        if table.ndim != 2 or table.dtype.kind != "i":
+            raise InvalidParameterError("a transition table must be a 2-D integer array")
+        nv, d = table.shape
+        ids = index_dtype(max(nv, table.size))
+        pairing = np.asarray(pairing)
+        if pairing.shape != (d,) or pairing.dtype.kind != "i":
+            raise InvalidParameterError(f"a generator pairing must be {d} integer labels")
+        g.num_vertices, g.table, g.pairing = nv, table, pairing.astype(ids)
+        g._origin = g._terminus = g._label = g._inv = None
+        g.meta = dict(meta) if meta else {}
+        g._components = None
+        g._check()
+        g.table = table.astype(ids, copy=False)
+        return g
+
+    def _check(self):
+        """Raise InvalidParameterError for the first edge that fails _edge_checks."""
+        if self.num_edges % 2:
+            raise InvalidParameterError("directed edge count must be even")
+        e, message = _first_failure(self.num_edges, self._edge_checks)
+        if e >= 0:
+            o, t, _ = self.edges(slice(e, e + 1))
+            raise InvalidParameterError(message.format(e=e, o=o[0], t=t[0]))
 
     def _edge_checks(self, start, stop):
         """The checks of edges start..stop-1 for _first_failure."""
-        nv, ne = self.num_vertices, len(self.origin)
-        o, t, iv = self.origin[start:stop], self.terminus[start:stop], self.inv[start:stop]
-        e = np.arange(start, stop)
+        nv, ne = self.num_vertices, self.num_edges
+        o, t, iv = self.edges(slice(start, stop))
+        e = np.arange(start, stop, dtype=index_dtype(ne))
         inv_out = (iv < 0) | (iv >= ne)
-        eb = np.where(inv_out, 0, iv)
+        back_o, back_t, back_iv = self.edges(np.where(inv_out, 0, iv))
         return [((o < 0) | (o >= nv) | (t < 0) | (t >= nv), "edge {e} has endpoint out of range"),
                 (inv_out, "edge {e} has inverse id out of range"),
                 (iv == e, "involution fixed point at edge {e} ({o} -> {t}): a generator acting "
                           "as its own inverse on this vertex is not representable"),
-                (self.inv[eb] != e, "involution not involutive at edge {e}"),
-                ((self.origin[eb] != t) | (self.terminus[eb] != o),
-                 "involution does not reverse edge {e}")]
+                (back_iv != e, "involution not involutive at edge {e}"),
+                ((back_o != t) | (back_t != o), "involution does not reverse edge {e}")]
 
     @property
     def num_edges(self) -> int:
         """Number of directed edges (twice the geometric edge count)."""
-        return len(self.origin)
+        return len(self._origin) if self.table is None else self.table.size
+
+    @property
+    def origin(self) -> np.ndarray:
+        if self.table is None:
+            return self._origin
+        nv, d = self.table.shape
+        return np.repeat(np.arange(nv, dtype=self.table.dtype), d)
+
+    @property
+    def terminus(self) -> np.ndarray:
+        return self._terminus if self.table is None else self.table.reshape(-1)
+
+    @property
+    def label(self) -> np.ndarray:
+        if self.table is None:
+            return self._label
+        nv, d = self.table.shape
+        return np.tile(np.arange(d, dtype=self.table.dtype), nv)
+
+    @property
+    def inv(self) -> np.ndarray:
+        if self.table is None:
+            return self._inv
+        return (self.table * self.table.shape[1] + self.pairing).reshape(-1)
+
+    def edges(self, ids):
+        """(origin, terminus, inv) of the edges ids, a slice or an array of
+        ids: slices or gathers of the arrays, or derived from the table."""
+        if self.table is None:
+            return self._origin[ids], self._terminus[ids], self._inv[ids]
+        d, flat = self.table.shape[1], self.table.reshape(-1)
+        if isinstance(ids, slice):
+            terminus = flat[ids]
+            ids = np.arange(*ids.indices(len(flat)), dtype=flat.dtype)
+        else:
+            terminus = np.take(flat, ids)
+        origin, label = np.divmod(ids, d)
+        return origin, terminus, terminus * d + np.take(self.pairing, label)
+
+    def labels(self, ids: slice) -> np.ndarray:
+        """The labels of the edges in the slice ids."""
+        if self.table is None:
+            return self._label[ids]
+        d, ne = self.table.shape[1], self.num_edges
+        return np.arange(*ids.indices(ne), dtype=self.table.dtype) % d
+
+    def origin_order(self):
+        """The edge ids sorted by origin, ties in id order, or None when the
+        ids already are: on a table-backed graph, and on every file read
+        back."""
+        if self.table is not None or not np.any(self._origin[1:] < self._origin[:-1]):
+            return None
+        return np.argsort(self._origin, kind="stable").astype(self._origin.dtype)
+
+    def neighbour_rows(self) -> np.ndarray:
+        """The (V, d) termini of each vertex's edges in id order: the table,
+        or the termini sorted by origin.  The graph must be d-regular."""
+        if self.table is not None:
+            return self.table
+        order = self.origin_order()
+        rows = self._terminus if order is None else self._terminus[order]
+        return rows.reshape(self.num_vertices, -1)
 
     def degrees(self) -> np.ndarray:
         """The number of edges out of each vertex."""
-        return _origin_counts(self.origin, self.num_vertices)
+        if self.table is not None:
+            return np.full(self.num_vertices, self.table.shape[1], dtype=np.int64)
+        return _origin_counts(self._origin, self.num_vertices)
+
+    def _pattern(self, n: int, shift: int = 0):
+        """The n x n matrix with an entry at (origin[e], terminus[e] + shift)
+        for every edge e: a boolean COO of the arrays, or a CSR whose rows are
+        the table's, in float64, the dtype the component count converts its
+        input to."""
+        ne = self.num_edges
+        ids = index_dtype(max(n, ne))
+        ends = self.terminus
+        if shift:
+            ends = np.add(ends, shift, dtype=ids)
+        if self.table is None:
+            return sp.coo_matrix((np.ones(ne, dtype=bool), (self._origin, ends)), shape=(n, n))
+        indptr = np.full(n + 1, ne, dtype=ids)
+        indptr[:self.num_vertices + 1] = np.arange(0, ne + 1, self.table.shape[1])
+        return sp.csr_matrix((np.ones(ne), ends, indptr), shape=(n, n))
 
     def _vertex_components(self) -> int:
         """Number of connected components, counted once and kept."""
         if self._components is None:
-            self._components = _component_count(self.num_vertices, self.origin,
-                                                self.terminus)[0]
+            self._components = connected_components(self._pattern(self.num_vertices),
+                                                    directed=False)[0]
         return self._components
 
     def connected(self) -> bool:
@@ -161,21 +281,16 @@ class SerreGraph:
         if self.geometric_loop_count():
             return None
         nv = self.num_vertices
-        copies = np.add(self.terminus, nv, dtype=index_dtype(2 * nv))
-        count, labels = _component_count(2 * nv, self.origin, copies)
+        count, labels = connected_components(self._pattern(2 * nv, nv), directed=False)
         if count != 2 * self._vertex_components():
             return None
         return labels[:nv] < labels[nv:]
 
     def geometric_loop_count(self) -> int:
-        return int(np.count_nonzero(self.origin == self.terminus)) // 2
-
-
-def _component_count(n: int, u, v):
-    """(count, labels) of the connected components of the undirected graph
-    on vertices 0..n-1 with an edge between u[i] and v[i] for every i."""
-    pattern = sp.coo_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n))
-    return connected_components(pattern, directed=False)
+        if self.table is not None:
+            at_home = self.table == np.arange(self.num_vertices, dtype=self.table.dtype)[:, None]
+            return int(np.count_nonzero(at_home)) // 2
+        return int(np.count_nonzero(self._origin == self._terminus)) // 2
 
 
 def girth(g: SerreGraph):
@@ -189,17 +304,18 @@ def girth(g: SerreGraph):
     reached vertex closes a walk of length 2d + 1, and two edges into one
     unseen vertex close one of 2d + 2; the least over all sources is exact.
     """
-    origin, terminus = g.origin, g.terminus
-    if np.any(origin == terminus):
+    if g.geometric_loop_count():
         return 1
-    nv, ids = g.num_vertices, origin.dtype
+    nv, ids = g.num_vertices, g.terminus.dtype
     # the search runs on CSR positions: edges sorted by origin, each with its
     # terminus and the position of its reverse
-    order = np.argsort(origin, kind="stable").astype(ids)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order), dtype=ids)
-    terminus, reverse = terminus[order], position[g.inv[order]]
-    degree = _origin_counts(origin, nv)
+    order = g.origin_order()
+    terminus, reverse = g.terminus, g.inv
+    if order is not None:
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order), dtype=ids)
+        terminus, reverse = terminus[order], position[reverse[order]]
+    degree = g.degrees()
     stop = np.cumsum(degree)
     batch = max(1, _GIRTH_CELLS // max(nv, 1))
     best = math.inf
@@ -265,23 +381,23 @@ def is_covering(source: SerreGraph, target: SerreGraph, vertex_map, edge_map) ->
     if v >= 0:
         return CoveringCheck(False, v, message)
     if len(em) and not target.num_edges:
-        return CoveringCheck(False, int(source.origin[0]), "edge map image out of range")
+        return CoveringCheck(False, int(source.edges(slice(0, 1))[0][0]),
+                             "edge map image out of range")
 
     def edge_checks(start, stop):
         # the gathers are np.take, which is faster than indexing here
         fe = em[start:stop]
         out = (fe < 0) | (fe >= target.num_edges)
-        fb = np.where(out, 0, fe).astype(np.intp)
-        ends = ((np.take(target.origin, fb) != np.take(vm, source.origin[start:stop]))
-                | (np.take(target.terminus, fb) != np.take(vm, source.terminus[start:stop])))
+        origin, terminus, inv = source.edges(slice(start, stop))
+        t_origin, t_terminus, t_inv = target.edges(np.where(out, 0, fe).astype(np.intp))
+        ends = ((t_origin != np.take(vm, origin)) | (t_terminus != np.take(vm, terminus)))
         return [(out, "edge map image out of range"),
                 (ends, "edge {e} does not commute with origin/terminus"),
-                (np.take(em, source.inv[start:stop]) != np.take(target.inv, fb),
-                 "edge {e} does not commute with the involution")]
+                (np.take(em, inv) != t_inv, "edge {e} does not commute with the involution")]
 
     e, message = _first_failure(len(em), edge_checks)
     if e >= 0:
-        return CoveringCheck(False, int(source.origin[e]), message.format(e=e))
+        return CoveringCheck(False, int(source.edges(slice(e, e + 1))[0][0]), message.format(e=e))
     hit = np.zeros(target.num_vertices, dtype=bool)
     hit[vm] = True
     v, message = _first_failure(target.num_vertices,
@@ -292,18 +408,19 @@ def is_covering(source: SerreGraph, target: SerreGraph, vertex_map, edge_map) ->
     # numbered from 0.  Give v a block of max(deg(v), deg(vm[v])) slots and
     # let each edge of v fill the slot its image's number names: v's link
     # maps bijectively exactly when its block is full.
-    tdeg = _origin_counts(target.origin, target.num_vertices)
-    number = np.empty(target.num_edges, dtype=np.int64)
-    number[np.argsort(target.origin, kind="stable")] = (
-        np.arange(target.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg))
-    size = _origin_counts(source.origin, source.num_vertices)
+    tdeg = target.degrees()
+    order = target.origin_order()
+    number = np.arange(target.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg)
+    if order is not None:
+        number[order] = number.copy()
+    size = source.degrees()
     np.maximum(size, np.take(tdeg, vm), out=size)
     start = np.cumsum(size)
     start -= size
     filled = np.zeros(int(size.sum()), dtype=bool)
     for a in range(0, source.num_edges, _VALIDATE_CHUNK):
         chunk = slice(a, a + _VALIDATE_CHUNK)
-        filled[np.take(start, source.origin[chunk]) + np.take(number, em[chunk])] = True
+        filled[np.take(start, source.edges(chunk)[0]) + np.take(number, em[chunk])] = True
     slot, message = _first_failure(len(filled),
                                    lambda a, b: [(~filled[a:b], "link map is not bijective")])
     if slot >= 0:

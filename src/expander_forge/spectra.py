@@ -61,10 +61,16 @@ _SOLVE_VECTORS = 16
 
 
 def adjacency(g: SerreGraph) -> sp.csr_matrix:
-    """Symmetric nonnegative integer matrix; A[u, v] = #directed edges u -> v."""
-    data = np.ones(g.num_edges, dtype=np.float64)
-    a = sp.coo_matrix((data, (g.origin, g.terminus)), shape=(g.num_vertices, g.num_vertices))
-    return a.tocsr()
+    """Symmetric nonnegative integer matrix; A[u, v] = #directed edges u -> v,
+    in canonical CSR form (sorted columns, no duplicates), built from a copy
+    of the termini in origin order, which on a tower level are its table's
+    rows."""
+    n, order = g.num_vertices, g.origin_order()
+    columns = g.terminus.copy() if order is None else g.terminus[order]
+    indptr = np.concatenate(([0], np.cumsum(g.degrees())))
+    a = sp.csr_matrix((np.ones(g.num_edges), columns, indptr), shape=(n, n))
+    a.sum_duplicates()
+    return a
 
 
 @dataclass(frozen=True)
@@ -103,15 +109,20 @@ def _dense_values(a) -> np.ndarray:
     return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float))
 
 
-def solve_bytes(n_vertices: int, n_edges: int) -> int:
-    """Peak bytes ramanujan_check holds for a graph of this size: the larger
-    of the double-cover component count (per directed edge, its end ids, a
-    boolean pattern and two float64 CSR copies, 3*width + 17 bytes by
-    tracemalloc, counted as 3*width + 20; per cover vertex a label and two
-    indptr entries) and the solve (the dense matrix, or _SOLVE_VECTORS
-    V-vectors plus the CSR adjacency)."""
+def solve_bytes(n_vertices: int, n_edges: int, looped: bool) -> int:
+    """Peak bytes ramanujan_check holds for a graph of this size, with a
+    loop or without: the larger of the component count and the solve (the
+    dense matrix, or _SOLVE_VECTORS V-vectors plus the CSR adjacency).  A
+    graph with a loop counts the components of its V vertices; one without
+    also those of its 2V-vertex double cover, which costs more (bipartition
+    returns None on a loop before it counts).  A count of c*V vertices holds
+    per directed edge a boolean pattern and two float64 CSR copies, and on
+    the double cover the shifted end ids: (c + 1)*width + 17 bytes by
+    tracemalloc, counted as (c + 1)*width + 20; and per vertex counted a
+    label and two indptr entries."""
     width = np.dtype(index_dtype(max(2 * n_vertices, n_edges))).itemsize
-    counts = (3 * width + 20) * n_edges + 2 * (4 + 2 * width) * n_vertices
+    copies = 1 if looped else 2
+    counts = ((copies + 1) * width + 20) * n_edges + copies * (4 + 2 * width) * n_vertices
     if n_vertices <= DENSE_THRESHOLD:
         return max(counts, 8 * n_vertices * n_vertices)
     vectors = 8 * _SOLVE_VECTORS * n_vertices
@@ -224,9 +235,9 @@ def nontrivial_ends(a, trivial, norm, cancel) -> EigenResult:
             if all(beta * abs(s[-1]) <= stop for _, s in ends):
                 break
             if m >= LANCZOS_MAX_STEPS:
-                raise VerificationError(
-                    f"Lanczos did not converge in {m} steps: residual estimates "
-                    f"{[beta * abs(s[-1]) for _, s in ends]} exceed {stop:.3e}")
+                estimates = ", ".join(f"{beta * abs(s[-1]):.3e}" for _, s in ends)
+                raise VerificationError(f"Lanczos did not converge in {m} steps: residual "
+                                        f"estimates [{estimates}] exceed {stop:.3e}")
 
     ritz = [np.zeros(n) for _ in ends]
     for j, (v, _, _) in zip(range(m), _lanczos(a, trivial, ops, cancel, (alphas, betas))):
@@ -272,10 +283,7 @@ def _checked_orbits(g: SerreGraph, orbits) -> np.ndarray:
             f"orbits hold vertex {v} {np.count_nonzero(o == v)} times, not once")
     swap = np.empty(n, dtype=o.dtype)
     swap[o[:, 0]], swap[o[:, 1]] = o[:, 1], o[:, 0]
-    rows = g.terminus
-    if np.any(g.origin[1:] < g.origin[:-1]):  # else in origin order, as built or read back
-        rows = rows[np.argsort(g.origin, kind="stable")]
-    rows = np.sort(rows.reshape(n, -1), axis=1)
+    rows = np.sort(g.neighbour_rows(), axis=1)
     if not np.array_equal(rows[swap], np.sort(swap[rows], axis=1)):
         raise InvalidParameterError("orbits are not those of an automorphism: their swap "
                                     "does not map the edges onto the edges with multiplicity")
@@ -295,8 +303,9 @@ def _swap_halves(g: SerreGraph, orbits):
     row[reps] = row[partners] = np.arange(h, dtype=orbits.dtype)
     sign = np.full(n, -1.0)
     sign[reps] = 1.0
-    out = sign[g.origin] > 0  # the edges leaving a representative
-    i, t = row[g.origin[out]], g.terminus[out]
+    t = g.neighbour_rows()[reps]  # the edges leaving a representative
+    i = np.repeat(np.arange(h, dtype=orbits.dtype), t.shape[1])
+    t = t.reshape(-1)
     j = row[t]
     even = sp.csr_matrix((np.ones(len(j)), (i, j)), shape=(h, h))
     odd = sp.csr_matrix((sign[t], (i, j)), shape=(h, h))

@@ -13,7 +13,8 @@ multiplication by the q1+1 split quaternion generators S(n):
 
 A built level is one V x (q1+1) transition table plus the generator
 pairing: table[v, i] is the vertex reached from v by generator i, and the
-graph's edge arrays follow from it.  A vertex's key is its integer state
+level's graph holds that table and nothing edge-sized besides it (see
+multigraph.SerreGraph.from_table).  A vertex's key is its integer state
 code, built from the point and matrix codes of projgroup.  One
 frontier-synchronous numpy BFS over codes builds all three variants, in the
 discovery order of a FIFO queue.  A level, or a probe's step tables, that
@@ -304,13 +305,18 @@ def swap_orbits(level: "TowerLevel") -> np.ndarray:
 
 
 def estimated_bytes(cfg: TowerConfig, n: int) -> int:
-    """Bytes a built level holds: its four edge arrays, the transition table,
-    the two code-indexed arrays used while building, and the vertex codes."""
+    """Peak bytes of building a level, which fall in the BFS's largest round:
+    the two code-indexed arrays, the table (the level's graph holds it and
+    nothing edge-sized besides), the vertex codes (int64, twice while their
+    blocks are joined), and 16 bytes an edge for one round's int64 candidate
+    codes and the step's temporaries.  Those take about 19 bytes a candidate
+    by tracemalloc, and a round's candidates were at most 0.49 of the edges
+    on every level measured."""
     nv = expected_vertices(cfg, n)
     ne = nv * (cfg.q1 + 1)
     width = np.dtype(index_dtype(ne)).itemsize
     space = _code_space(cfg.variant, PrimePower(cfg.q2, n))
-    return (5 * ne + 2 * space) * width + 8 * nv
+    return (ne + 2 * space) * width + 16 * (ne + nv)
 
 
 def _physical_memory() -> int:
@@ -329,11 +335,12 @@ def _refuse(what: str, need: int) -> None:
 def _refuse_oversized(cfg: TowerConfig, levels, solve: bool = False) -> None:
     """Raise InvalidParameterError, before any work, when the levels (with
     solve, plus the eigensolve of the largest) cannot fit in physical
-    memory; vertex counts are exact, so the estimate is."""
+    memory; vertex counts are exact, so the estimate is.  Every cartan and
+    borel level has a loop (loop_witness), and no cayley level has one."""
     need = sum(estimated_bytes(cfg, n) for n in levels)
     if solve:
         nv = expected_vertices(cfg, max(levels))
-        need += solve_bytes(nv, nv * (cfg.q1 + 1))
+        need += solve_bytes(nv, nv * (cfg.q1 + 1), cfg.variant != "cayley")
     _refuse(f"{cfg.variant} level(s) {', '.join(map(str, levels))} of ({cfg.q1},{cfg.q2})"
             f"{' and the top eigensolve' if solve else ''} need", need)
 
@@ -351,9 +358,11 @@ def _probe_bytes(cfg: TowerConfig, n: int) -> int:
 class TowerLevel:
     """One level: the graph, its generators, and the modulus.
 
-    table[v, i] is the vertex reached from v by generator i; the graph's
-    edge arrays are derived from it and the generator pairing.  codes[v] is
-    the integer state code of vertex v (see above), which is its key.
+    table[v, i] is the vertex reached from v by generator i.  The graph is
+    this table and the generator pairing, the same array and no copy: edge
+    v*(q1+1) + i runs from v to table[v, i], and its origin, label and
+    inverse ids are derived when read.  codes[v] is the integer state code
+    of vertex v (see above), which is its key.
     """
 
     config: TowerConfig
@@ -398,12 +407,9 @@ def build_level(cfg: TowerConfig, n: int) -> TowerLevel:
     nv = len(codes)
     if nv != want:
         raise VerificationError(f"{cfg.variant} level {n} has {nv} vertices, expected {want}")
-    origin = np.repeat(np.arange(nv, dtype=table.dtype), d)
-    label = np.tile(np.arange(d, dtype=table.dtype), nv)
-    inv = (table * d + np.asarray(pairing, dtype=table.dtype)).reshape(-1)
     meta = {"q1": cfg.q1, "q2": cfg.q2, "n": n, "variant": cfg.variant,
             "mode": cfg.mode, "V": nv}
-    graph = SerreGraph(nv, origin, table.reshape(-1), inv, label, meta=meta)
+    graph = SerreGraph.from_table(table, pairing, meta=meta)
     return TowerLevel(cfg, n, pp, graph, gens, table, codes)
 
 

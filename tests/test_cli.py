@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -754,6 +755,9 @@ def test_spectrum_that_does_not_converge_exits_4(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal verification failure: ") and err.count("\n") == 1
     assert "in 5 steps" in err and not report.exists()
+    # each estimate in the format of the bound beside it, not a numpy repr
+    assert re.search(r"estimates \[\d\.\d{3}e[-+]\d{2}, \d\.\d{3}e[-+]\d{2}\] exceed", err)
+    assert "np.float64(" not in err
 
 
 _ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)

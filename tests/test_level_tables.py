@@ -1,7 +1,7 @@
 """The vectorized level builder and array covering check against the
 original tuple-state builder and the link-by-link covering check, pinned
-edge-list bytes, and the up-front memory refusals of levels, the eigensolve
-and the probe's step tables."""
+edge-list bytes, the up-front memory refusals of levels, the eigensolve
+and the probe's step tables, and a level's graph held as its table."""
 
 import dataclasses
 import hashlib
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import covering_morphism, traced_peak
-from expander_forge import multigraph, spectra, tower
+from expander_forge import cli, multigraph, spectra, tower
 from expander_forge.cli import format_edgelist
 from expander_forge.errors import InvalidParameterError, VerificationError
 from expander_forge.multigraph import CoveringCheck, SerreGraph, is_covering
@@ -217,7 +217,7 @@ def test_tower_refusal_counts_the_eigensolve(monkeypatch):
     # and CSR matrix: build_tower refuses before any work, build_level builds.
     cfg = TowerConfig(5, 13, levels=2)
     levels_only = tower.estimated_bytes(cfg, 1) + tower.estimated_bytes(cfg, 2)
-    solve = spectra.solve_bytes(30758, 30758 * 6)
+    solve = spectra.solve_bytes(30758, 30758 * 6, True)
     assert solve >= 16 * 30758 * 8 + (8 + 4) * 30758 * 6
 
     def no_work(*args, **kwargs):
@@ -241,7 +241,7 @@ def test_ramanujan_check_peak_within_solve_bytes(q1, q2, variant):
     g = build_level(TowerConfig(q1, q2, levels=2, variant=variant), 2).graph
     report, peak = traced_peak(spectra.ramanujan_check, g)
     assert report.q == q1
-    assert peak <= spectra.solve_bytes(g.num_vertices, g.num_edges)
+    assert peak <= spectra.solve_bytes(g.num_vertices, g.num_edges, variant == "cartan")
 
 
 def test_swap_halves_peak_within_solve_bytes():
@@ -250,7 +250,7 @@ def test_swap_halves_peak_within_solve_bytes():
     orbits = tower.swap_orbits(lvl)
     report, peak = traced_peak(lambda: spectra.ramanujan_check(lvl.graph, orbits=orbits))
     assert report.method == "iterative"
-    assert peak <= spectra.solve_bytes(lvl.graph.num_vertices, lvl.graph.num_edges)
+    assert peak <= spectra.solve_bytes(lvl.graph.num_vertices, lvl.graph.num_edges, True)
 
 
 def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):
@@ -275,4 +275,135 @@ def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):
 
 
 def test_solve_bytes_dense_path():
-    assert spectra.solve_bytes(182, 1092) == 8 * 182 * 182
+    assert spectra.solve_bytes(182, 1092, True) == 8 * 182 * 182
+
+
+def test_solve_bytes_charges_the_double_cover_only_without_a_loop(tmp_path):
+    # (5,13) cartan level 2, 30,758 vertices and 184,548 directed edges with
+    # loops, int32 ids.  With a loop only the V-vertex count runs, and the
+    # Lanczos vectors and CSR adjacency dominate; without one the double
+    # cover's count, 32 bytes an edge and 24 a vertex, is the larger.
+    nv, ne = 30758, 184548
+    solve = 8 * 16 * nv + (8 + 4) * ne + 4 * (nv + 1)
+    assert spectra.solve_bytes(nv, ne, True) == solve == 6_274_636
+    assert spectra.solve_bytes(nv, ne, False) == 32 * ne + 24 * nv == 6_643_728
+    # the loaded level's arrays run the COO count, the costlier of the two
+    path = tmp_path / "level2.edges"
+    cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, levels=2), 2).graph)
+    g = cli.load_graph(str(path))
+    assert g.table is None and g.geometric_loop_count()
+    report, peak = traced_peak(spectra.ramanujan_check, g)
+    assert report.method == "iterative" and peak <= spectra.solve_bytes(nv, ne, True)
+
+
+@pytest.mark.parametrize("q1,q2,variant", [(5, 13, "cartan"), (13, 5, "cayley")])
+def test_build_level_peak_within_estimated_bytes(q1, q2, variant):
+    # 30,758 vertices of degree 6 and 15,000 of degree 14, at level 2
+    cfg = TowerConfig(q1, q2, levels=2, variant=variant)
+    lvl, peak = traced_peak(build_level, cfg, 2)
+    assert lvl.graph.num_vertices == tower.expected_vertices(cfg, 2)
+    assert peak <= tower.estimated_bytes(cfg, 2)
+
+
+def test_built_level_holds_no_edge_length_array_besides_its_table(tmp_path):
+    # the graph of a built level holds its table and the pairing; origin,
+    # label and inv are computed on each access, and terminus is a view of
+    # the table.  A file read back holds the four arrays.
+    lvl = build_level(TowerConfig(5, 13, levels=2), 2)
+    g, d, ne = lvl.graph, lvl.degree, lvl.graph.num_edges
+    assert g.table is lvl.table and g.pairing.tolist() == list(lvl.generators.inverse_pairing)
+    held = [getattr(g, name) for name in SerreGraph.__slots__ if hasattr(g, name)]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert [a for a in arrays if a.size >= ne] == [lvl.table]
+    assert max(a.size for a in arrays if a is not lvl.table) < ne
+    assert np.shares_memory(g.terminus, lvl.table)
+    for name in ("origin", "label", "inv"):
+        assert getattr(g, name) is not getattr(g, name), name
+    assert np.array_equal(g.origin, np.repeat(np.arange(g.num_vertices), d))
+    assert np.array_equal(g.label, np.tile(np.arange(d), g.num_vertices))
+    assert np.array_equal(g.inv, (lvl.table * d + g.pairing).reshape(-1))
+    path = tmp_path / "level2.edges"
+    cli.write_edgelist(str(path), g)
+    loaded = cli.load_graph(str(path))
+    assert loaded.table is None and loaded.origin is loaded.origin
+    for name in ("origin", "terminus", "label", "inv"):
+        assert np.array_equal(getattr(loaded, name), getattr(g, name)), name
+
+
+def test_table_level_readers_trace_less_than_the_three_arrays(tmp_path):
+    # (5,17) cartan level 2: 530,604 directed edges, whose origin, label and
+    # inv as int32 took 12 bytes an edge.  Measured: natural_covering 10.1
+    # bytes an edge (its edge map, the check's V-length scratch and the code
+    # reduction), girth and the loop count 1.7 (a boolean per edge and a
+    # vertex range), write_edgelist 4.0 (one chunk in flight).
+    cfg = TowerConfig(5, 17, levels=2)
+    l1, l2 = build_level(cfg, 1), build_level(cfg, 2)
+    g, ne = l2.graph, l2.graph.num_edges
+    cover, peak = traced_peak(natural_covering, l2, l1)
+    assert cover.verified and peak <= 11 * ne
+    gir, peak = traced_peak(multigraph.girth, g)
+    assert gir == 1 and peak <= 2 * ne
+    loops, peak = traced_peak(g.geometric_loop_count)
+    assert loops > 0 and peak <= 2 * ne
+    path = tmp_path / "level2.edges"
+    _, peak = traced_peak(cli.write_edgelist, str(path), g)
+    assert peak <= 5 * ne
+    assert path.read_text() == format_edgelist(g)
+
+
+def _derived_error(table, pairing) -> str:
+    """The message of the four-array constructor on the arrays derived from
+    table and pairing, or "" when it accepts them."""
+    nv, d = table.shape
+    try:
+        SerreGraph(nv, np.repeat(np.arange(nv), d), table.reshape(-1),
+                   (table * d + np.asarray(pairing)).reshape(-1), np.tile(np.arange(d), nv))
+    except InvalidParameterError as err:
+        return str(err)
+    return ""
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 15])
+def test_corrupted_table_entry_raises_the_four_array_message(monkeypatch, chunk):
+    # each corruption of the (5,13) cartan level-1 table, 182 x 6, fails
+    # from_table with the message the four derived arrays fail with, at the
+    # same first edge; chunks of 7 ids put that edge past chunk boundaries
+    monkeypatch.setattr(multigraph, "_VALIDATE_CHUNK", chunk)
+    lvl = build_level(TowerConfig(5, 13), 1)
+    pairing = lvl.generators.inverse_pairing
+    nv = lvl.graph.num_vertices
+    # an edge (v, i) whose reverse, at w > v, has the larger id
+    v, i = next((v, i) for v in range(100, nv) for i in range(6) if lvl.table[v, i] > v)
+    w = int(lvl.table[v, i])
+    corruptions = [(v, i, nv), (v, i, -1), (v, i, 2**40), (v, i, (w + 1) % nv), (v, i, v)]
+    messages = []
+    for x, j, value in corruptions:
+        table = lvl.table.astype(np.int64)
+        table[x, j] = value
+        want = _derived_error(table, pairing)
+        assert want.startswith("edge ") or want.startswith("involution "), want
+        with pytest.raises(InvalidParameterError) as err:
+            SerreGraph.from_table(table, pairing)
+        assert str(err.value) == want
+        messages.append(want)
+    e = v * 6 + i
+    assert messages[:3] == [f"edge {e} has endpoint out of range"] * 3
+    # moved to another vertex or to itself, (v, i) is no longer the reverse
+    # of its reverse
+    assert messages[3:] == [f"involution not involutive at edge {e}"] * 2
+    # a label paired with itself: an edge that is its own reverse is a fixed
+    # point, as in the four arrays
+    table = np.array([[1, 0], [0, 1]])
+    want = _derived_error(table, (0, 1))
+    assert want.startswith("involution fixed point at edge 1 (0 -> 0): ")
+    with pytest.raises(InvalidParameterError) as err:
+        SerreGraph.from_table(table, (0, 1))
+    assert str(err.value) == want
+    # a pairing that is no involution of the labels fails as its arrays do
+    assert _derived_error(lvl.table, pairing) == ""
+    for bad in [(1, 2, 0, 3, 4, 5), (0, 1, 2, 3, 4, 6)]:
+        want = _derived_error(lvl.table, bad)
+        assert want.startswith("involution "), want
+        with pytest.raises(InvalidParameterError) as err:
+            SerreGraph.from_table(lvl.table, bad)
+        assert str(err.value) == want

@@ -140,13 +140,13 @@ def test_ramanujan_check_counts_components_once(monkeypatch, make, q, copies):
     # cover adds one 2V-vertex count, except on a graph with a loop, which
     # is not bipartite
     calls = []
-    count = multigraph._component_count
+    count = multigraph.connected_components
 
-    def counting(n, u, v):
-        calls.append(n)
-        return count(n, u, v)
+    def counting(pattern, directed):
+        calls.append(pattern.shape[0])
+        return count(pattern, directed=directed)
 
-    monkeypatch.setattr(multigraph, "_component_count", counting)
+    monkeypatch.setattr(multigraph, "connected_components", counting)
     g = make()
     assert ramanujan_check(g).q == q
     assert calls == [c * g.num_vertices for c in copies]
