@@ -139,7 +139,9 @@ def _file_order_rows(g: SerreGraph):
         for start in range(0, g.num_edges, _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
             origin, terminus, inv = g.edges(chunk)
-            yield origin, terminus, g.labels(chunk), inv
+            label = (g.label[chunk] if g.table is None else
+                     np.arange(start, start + len(origin), dtype=origin.dtype) % g.table.shape[1])
+            yield origin, terminus, label, inv
         return
     o, lab = g.origin, g.label
     perm = np.lexsort((lab, o))

@@ -11,10 +11,12 @@ array besides the table is stored.  Girth counts a loop as a closed path of
 length 1 and a parallel pair as one of length 2, and a path may never
 traverse inv(e) right after e; it is a breadth-first search over the edges
 in origin order, a batch of sources at a time.  Connectivity and
-bipartiteness are component counts by scipy's csgraph.  Graph validation
-and the covering check, morphism axioms included, are array identities,
-scanned a chunk at a time for the first failing id, so their messages and
-witnesses are those of a check run one edge or vertex at a time.
+bipartiteness are component counts by scipy's csgraph on a CSR pattern of
+the termini in origin order, which on a tower level is its table.  Graph
+validation and the covering check, morphism axioms included, are array
+identities, scanned a chunk at a time for the first failing id, so their
+messages and witnesses are those of a check run one edge or vertex at a
+time.
 """
 
 import functools
@@ -30,8 +32,8 @@ from .errors import InvalidParameterError
 __all__ = ["SerreGraph", "CoveringCheck", "girth", "is_covering", "index_dtype"]
 
 _INT32_IDS = 2**31
-# ids checked at a time: a check's scratch, about 30 bytes an id, stays
-# within a chunk whatever the graph's size
+# ids checked at a time: a check's scratch, about 30 bytes an id on four
+# arrays and 50 on a table, stays within a chunk whatever the graph's size
 _VALIDATE_CHUNK = 1 << 15
 # ids counted at a time by _origin_counts, whose bincount of an unsorted
 # chunk spans every vertex, so its chunks are larger
@@ -213,13 +215,6 @@ class SerreGraph:
         origin, label = np.divmod(ids, d)
         return origin, terminus, terminus * d + np.take(self.pairing, label)
 
-    def labels(self, ids: slice) -> np.ndarray:
-        """The labels of the edges in the slice ids."""
-        if self.table is None:
-            return self._label[ids]
-        d, ne = self.table.shape[1], self.num_edges
-        return np.arange(*ids.indices(ne), dtype=self.table.dtype) % d
-
     def origin_order(self):
         """The edge ids sorted by origin, ties in id order, or None when the
         ids already are: on a table-backed graph, and on every file read
@@ -244,19 +239,18 @@ class SerreGraph:
         return _origin_counts(self._origin, self.num_vertices)
 
     def _pattern(self, n: int, shift: int = 0):
-        """The n x n matrix with an entry at (origin[e], terminus[e] + shift)
-        for every edge e: a boolean COO of the arrays, or a CSR whose rows are
-        the table's, in float64, the dtype the component count converts its
-        input to."""
-        ne = self.num_edges
-        ids = index_dtype(max(n, ne))
-        ends = self.terminus
+        """The n x n CSR matrix with an entry at (origin[e], terminus[e] + shift)
+        for every edge e, in float64, the dtype the component count converts
+        its input to.  Its rows are the termini in origin order, which on a
+        table-backed graph and on every file read back are the terminus
+        array itself."""
+        ne, order = self.num_edges, self.origin_order()
+        ends = self.terminus if order is None else self.terminus[order]
         if shift:
-            ends = np.add(ends, shift, dtype=ids)
-        if self.table is None:
-            return sp.coo_matrix((np.ones(ne, dtype=bool), (self._origin, ends)), shape=(n, n))
-        indptr = np.full(n + 1, ne, dtype=ids)
-        indptr[:self.num_vertices + 1] = np.arange(0, ne + 1, self.table.shape[1])
+            ends = np.add(ends, shift, dtype=index_dtype(max(n, ne)))
+        indptr = np.full(n + 1, ne, dtype=ends.dtype)
+        indptr[0] = 0
+        indptr[1:self.num_vertices + 1] = np.cumsum(self.degrees())
         return sp.csr_matrix((np.ones(ne), ends, indptr), shape=(n, n))
 
     def _vertex_components(self) -> int:

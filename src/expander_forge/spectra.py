@@ -116,13 +116,13 @@ def solve_bytes(n_vertices: int, n_edges: int, looped: bool) -> int:
     graph with a loop counts the components of its V vertices; one without
     also those of its 2V-vertex double cover, which costs more (bipartition
     returns None on a loop before it counts).  A count of c*V vertices holds
-    per directed edge a boolean pattern and two float64 CSR copies, and on
-    the double cover the shifted end ids: (c + 1)*width + 17 bytes by
-    tracemalloc, counted as (c + 1)*width + 20; and per vertex counted a
-    label and two indptr entries."""
+    per directed edge the pattern's float64 entries and its float64 CSR
+    transpose, and on the double cover the shifted end ids: (c - 1)*width +
+    20 bytes by tracemalloc on a graph in origin order, counted as c*width +
+    20; and per vertex a label and two indptr entries."""
     width = np.dtype(index_dtype(max(2 * n_vertices, n_edges))).itemsize
     copies = 1 if looped else 2
-    counts = ((copies + 1) * width + 20) * n_edges + copies * (4 + 2 * width) * n_vertices
+    counts = (copies * width + 20) * n_edges + copies * (4 + 2 * width) * n_vertices
     if n_vertices <= DENSE_THRESHOLD:
         return max(counts, 8 * n_vertices * n_vertices)
     vectors = 8 * _SOLVE_VECTORS * n_vertices

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, VerificationError
 from .modarith import PrimePower, is_prime, legendre
-from .multigraph import SerreGraph, girth, index_dtype, is_covering
+from .multigraph import _VALIDATE_CHUNK, SerreGraph, girth, index_dtype, is_covering
 from .projgroup import (Mat2, act_on_points, identity, is_psl, matrix_codes, matrix_entries,
                         p1_size, proj_normalize, reduce_matrix, reduce_matrix_codes,
                         reduce_point_codes, unit_inverses)
@@ -305,18 +305,21 @@ def swap_orbits(level: "TowerLevel") -> np.ndarray:
 
 
 def estimated_bytes(cfg: TowerConfig, n: int) -> int:
-    """Peak bytes of building a level, which fall in the BFS's largest round:
-    the two code-indexed arrays, the table (the level's graph holds it and
-    nothing edge-sized besides), the vertex codes (int64, twice while their
-    blocks are joined), and 16 bytes an edge for one round's int64 candidate
-    codes and the step's temporaries.  Those take about 19 bytes a candidate
-    by tracemalloc, and a round's candidates were at most 0.49 of the edges
-    on every level measured."""
+    """Peak bytes of building a level: the two code-indexed arrays, the table
+    (the level's graph holds it and nothing edge-sized besides), the vertex
+    codes (int64, twice while their blocks are joined), 16 bytes an edge for
+    the BFS's largest round, 64 bytes an id of one chunk of the graph check,
+    and 64 KiB for the generators and the other small tables.  By
+    tracemalloc the round took at most 12.6 bytes an edge and the check 45
+    to 50 bytes an id, and the traced peak was 0.13 to 0.64 of this
+    estimate on levels 1-2 of (5,13) and (5,17) cartan and of (13,5) cartan
+    and cayley, level 1 of (5,13), (5,17) and (5,29) cayley, level 2 of
+    (17,5) and (29,5) cayley, and levels 1-3 of (5,13) borel."""
     nv = expected_vertices(cfg, n)
     ne = nv * (cfg.q1 + 1)
     width = np.dtype(index_dtype(ne)).itemsize
     space = _code_space(cfg.variant, PrimePower(cfg.q2, n))
-    return (ne + 2 * space) * width + 16 * (ne + nv)
+    return (ne + 2 * space) * width + 16 * (ne + nv) + 64 * min(ne, _VALIDATE_CHUNK) + 2**16
 
 
 def _physical_memory() -> int:

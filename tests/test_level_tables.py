@@ -279,15 +279,19 @@ def test_solve_bytes_dense_path():
 
 
 def test_solve_bytes_charges_the_double_cover_only_without_a_loop(tmp_path):
-    # (5,13) cartan level 2, 30,758 vertices and 184,548 directed edges with
-    # loops, int32 ids.  With a loop only the V-vertex count runs, and the
-    # Lanczos vectors and CSR adjacency dominate; without one the double
-    # cover's count, 32 bytes an edge and 24 a vertex, is the larger.
+    # (13,5) cayley level 2, 15,000 vertices and 210,000 directed edges,
+    # int32 ids, where the component count outweighs the solve: with a loop
+    # only the V-vertex count would run, 24 bytes an edge and 12 a vertex;
+    # without one the double cover's runs too, 28 and 24.
+    nv, ne = 15000, 210000
+    assert spectra.solve_bytes(nv, ne, True) == 24 * ne + 12 * nv == 5_220_000
+    assert spectra.solve_bytes(nv, ne, False) == 28 * ne + 24 * nv == 6_240_000
+    # (5,13) cartan level 2, 30,758 vertices and 184,548 edges with loops:
+    # the Lanczos vectors and CSR adjacency dominate
     nv, ne = 30758, 184548
     solve = 8 * 16 * nv + (8 + 4) * ne + 4 * (nv + 1)
     assert spectra.solve_bytes(nv, ne, True) == solve == 6_274_636
-    assert spectra.solve_bytes(nv, ne, False) == 32 * ne + 24 * nv == 6_643_728
-    # the loaded level's arrays run the COO count, the costlier of the two
+    # the loaded level's four arrays count on the same CSR pattern
     path = tmp_path / "level2.edges"
     cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, levels=2), 2).graph)
     g = cli.load_graph(str(path))
@@ -296,13 +300,16 @@ def test_solve_bytes_charges_the_double_cover_only_without_a_loop(tmp_path):
     assert report.method == "iterative" and peak <= spectra.solve_bytes(nv, ne, True)
 
 
-@pytest.mark.parametrize("q1,q2,variant", [(5, 13, "cartan"), (13, 5, "cayley")])
-def test_build_level_peak_within_estimated_bytes(q1, q2, variant):
-    # 30,758 vertices of degree 6 and 15,000 of degree 14, at level 2
-    cfg = TowerConfig(q1, q2, levels=2, variant=variant)
-    lvl, peak = traced_peak(build_level, cfg, 2)
-    assert lvl.graph.num_vertices == tower.expected_vertices(cfg, 2)
-    assert peak <= tower.estimated_bytes(cfg, 2)
+@pytest.mark.parametrize("q1,q2,variant,n", [(5, 13, "cartan", 2), (13, 5, "cayley", 2),
+                                             (5, 17, "cayley", 1), (5, 13, "borel", 3)])
+def test_build_level_peak_within_estimated_bytes(q1, q2, variant, n):
+    # 30,758 vertices of degree 6 and 15,000 of degree 14, where the BFS
+    # sets the peak; 4,896 and 2,366 vertices of degree 6, where the graph
+    # check's chunk does
+    cfg = TowerConfig(q1, q2, levels=n, variant=variant)
+    lvl, peak = traced_peak(build_level, cfg, n)
+    assert lvl.graph.num_vertices == tower.expected_vertices(cfg, n)
+    assert peak <= tower.estimated_bytes(cfg, n)
 
 
 def test_built_level_holds_no_edge_length_array_besides_its_table(tmp_path):
