@@ -7,8 +7,45 @@ Example:
 """
 
 import argparse
+import math
+from dataclasses import dataclass
 
-from expander_forge import TowerConfig, adjacency, build_level, full_spectrum_histogram
+import numpy as np
+
+from expander_forge import InvalidParameterError, TowerConfig, adjacency, build_level
+from expander_forge.spectra import DENSE_THRESHOLD, RAMANUJAN_TOL
+
+
+@dataclass(frozen=True)
+class HistogramReport:
+    counts: tuple
+    bin_edges: tuple
+    fraction_inside: float
+    interval: tuple
+
+
+def full_spectrum_histogram(a, q: int, bins: int = 32) -> HistogramReport:
+    """Full spectrum of the sparse adjacency matrix a binned over
+    [-(q+1), q+1], with the fraction of eigenvalues inside the interval
+    [-2*sqrt(q), 2*sqrt(q)]."""
+    n = a.shape[0]
+    if n > DENSE_THRESHOLD:
+        raise InvalidParameterError(
+            f"histogram needs a dense solve; {n} > {DENSE_THRESHOLD} vertices"
+        )
+    vals = np.linalg.eigvalsh(a.toarray())
+    bound = 2.0 * math.sqrt(q)
+    inside = np.abs(vals) <= bound + RAMANUJAN_TOL
+    # Eigenvalues lie in [-(q+1), q+1] exactly; clip off floating-point noise
+    # so boundary values stay in the outer bins.
+    clipped = np.clip(vals, -(q + 1.0), q + 1.0)
+    counts, edges = np.histogram(clipped, bins=bins, range=(-(q + 1.0), q + 1.0))
+    return HistogramReport(
+        counts=tuple(int(c) for c in counts),
+        bin_edges=tuple(float(e) for e in edges),
+        fraction_inside=float(np.mean(inside)),
+        interval=(-bound, bound),
+    )
 
 
 def main():

@@ -25,7 +25,6 @@ from .quat import (
 from .spectra import (
     SpectralReport,
     adjacency,
-    full_spectrum_histogram,
     ramanujan_check,
 )
 from .tower import (

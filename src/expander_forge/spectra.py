@@ -53,10 +53,10 @@ RESIDUAL_RTOL = 1e-10
 LANCZOS_MAX_STEPS = 20000
 _CHECK_EVERY = 20
 # V-vectors the solve holds beyond the CSR adjacency: about seven for Lanczos
-# and up to four trivial vectors.  At (5,13) level 2 tracemalloc measured 7.1
-# for the Lanczos passes of one solve and 7.3 for those of both swap halves at
-# once (a half's vectors are half as long), and 12.0 and 10.3 with the
-# construction of the matrices.
+# and up to four trivial vectors.  At (5,13) level 2 tracemalloc measured,
+# beyond the matrices' CSR arrays, 8.2 for the solve of A and 7.3 for both
+# swap halves at once (a half's vectors are half as long), trivial vectors
+# included, and 9.3 and 7.8 with the construction of the matrices.
 _SOLVE_VECTORS = 16
 
 
@@ -106,7 +106,7 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 
 def _dense_values(a) -> np.ndarray:
-    return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float))
+    return np.linalg.eigvalsh(a.toarray())
 
 
 def solve_bytes(n_vertices: int, n_edges: int, looped: bool) -> int:
@@ -304,11 +304,19 @@ def _swap_halves(g: SerreGraph, orbits):
     sign = np.full(n, -1.0)
     sign[reps] = 1.0
     t = g.neighbour_rows()[reps]  # the edges leaving a representative
-    i = np.repeat(np.arange(h, dtype=orbits.dtype), t.shape[1])
-    t = t.reshape(-1)
-    j = row[t]
-    even = sp.csr_matrix((np.ones(len(j)), (i, j)), shape=(h, h))
-    odd = sp.csr_matrix((sign[t], (i, j)), shape=(h, h))
+    d, size = t.shape[1], t.size
+    idx = index_dtype(size)
+    signs = sign[t].reshape(-1)
+    columns = row[t].reshape(-1).astype(idx, copy=False)
+    del t
+    # Row i lists the column of every edge leaving r_i, repeats included;
+    # sum_duplicates sorts and sums each row in place into canonical CSR.
+    # That compaction overwrites indices and indptr, so each half owns its own.
+    indptr = np.arange(0, size + 1, d, dtype=idx)
+    even = sp.csr_matrix((np.ones(size), columns, indptr), shape=(h, h))
+    odd = sp.csr_matrix((signs, columns.copy(), indptr.copy()), shape=(h, h))
+    for half in (even, odd):
+        half.sum_duplicates()
     odd.eliminate_zeros()
     return even, odd
 
@@ -451,33 +459,3 @@ def ramanujan_check(g: SerreGraph, method="auto", orbits=None) -> SpectralReport
         matvecs=eig.matvecs,
     )
 
-
-@dataclass(frozen=True)
-class HistogramReport:
-    counts: tuple
-    bin_edges: tuple
-    fraction_inside: float
-    interval: tuple
-
-
-def full_spectrum_histogram(a, q: int, bins: int = 32) -> HistogramReport:
-    """Full spectrum binned over [-(q+1), q+1], with the fraction of
-    eigenvalues inside the interval [-2*sqrt(q), 2*sqrt(q)]."""
-    n = a.shape[0]
-    if n > DENSE_THRESHOLD:
-        raise InvalidParameterError(
-            f"histogram needs a dense solve; {n} > {DENSE_THRESHOLD} vertices"
-        )
-    vals = _dense_values(a)
-    bound = 2.0 * math.sqrt(q)
-    inside = np.abs(vals) <= bound + RAMANUJAN_TOL
-    # Eigenvalues lie in [-(q+1), q+1] exactly; clip off floating-point noise
-    # so boundary values stay in the outer bins.
-    clipped = np.clip(vals, -(q + 1.0), q + 1.0)
-    counts, edges = np.histogram(clipped, bins=bins, range=(-(q + 1.0), q + 1.0))
-    return HistogramReport(
-        counts=tuple(int(c) for c in counts),
-        bin_edges=tuple(float(e) for e in edges),
-        fraction_inside=float(np.mean(inside)),
-        interval=(-bound, bound),
-    )

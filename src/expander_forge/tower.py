@@ -175,8 +175,13 @@ def _transitions(variant, pp, smats, pairing, base_matrix):
     b0, b1 = act_on_points(base_matrix.entries(), np.array([0, m]), pp, uinv).tolist()
 
     def step(front):
+        # a column at a time into the (F, d) result, so no (d, F) gather or
+        # transposed copy of one is ever held beside it
         c0, c1 = np.divmod(front, npts)
-        return (perms[:, c0] * npts + perms[:, c1]).T
+        out = np.empty((len(front), len(perms)), dtype=np.int64)
+        for i, row in enumerate(perms):
+            out[:, i] = row[c0] * npts + row[c1]
+        return out
 
     return step, b0 * npts + b1
 
@@ -705,7 +710,14 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
     probe of a twisted tower read one twist, drawn from the first seed whose
     g(1) is not degenerate (see twist_sequence); the skipped seeds are
     recorded.  Raises InvalidParameterError before any work if the levels
-    and the largest level's eigensolve cannot fit in physical memory."""
+    and the largest level's eigensolve cannot fit in physical memory.
+
+    The levels are checked from the top down, so that every dense solve (a
+    level of at most spectra.DENSE_THRESHOLD vertices) comes after the
+    Lanczos solves: a dense solve wakes a BLAS thread that spins for about
+    0.1 s after it, and run first it would take the core that a larger
+    level's second swap half runs on.  So when two levels would fail, the
+    upper one's error is raised; the summaries are in level order."""
     _refuse_oversized(cfg, range(1, cfg.levels + 1), solve=True)
     probe, reseeds = probe_with_reseed(cfg, probe_max_word_len)
     levels = tuple(build_level(cfg, n) for n in range(1, cfg.levels + 1))
@@ -713,7 +725,7 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
         natural_covering(levels[i + 1], levels[i]) for i in range(cfg.levels - 1)
     )
     summaries = []
-    for lvl in levels:
+    for lvl in reversed(levels):
         g = lvl.graph
         if cfg.variant == "cayley":
             # vertex-transitive under left multiplication, so some shortest
@@ -729,4 +741,4 @@ def build_tower(cfg: TowerConfig, probe_max_word_len: int = 4) -> TowerResult:
             loop_count=g.geometric_loop_count(), witness=wit, spectral=spectral,
             girth_floor=floor))
     return TowerResult(config=cfg, levels=levels, coverings=coverings,
-                       summaries=tuple(summaries), probe=probe, reseeds=reseeds)
+                       summaries=tuple(reversed(summaries)), probe=probe, reseeds=reseeds)

@@ -12,9 +12,9 @@ intersection probe by the original depth-first enumeration of every reduced
 word, the raw g(1) of a twist seed by its own draw, edge-list I/O and DOT
 export by the original string formatting and per-line int() conversion, the
 JSON graph object by the original Python list of each edge's row,
-unit inverses by Python's pow, and the nontrivial spectral ends of graphs
+unit inverses by Python's pow, the nontrivial spectral ends of graphs
 too large for a dense solve by the original undeflated ARPACK solve with
-removal by value.
+removal by value, and the swap halves by the original conversion from COO.
 """
 
 import math
@@ -22,6 +22,7 @@ import random
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from expander_forge.cli import SCHEMA_VERSION, _CHUNK_ROWS, _file_order_rows, _header_line
@@ -648,3 +649,25 @@ def arpack_nontrivial_ends(a, q: int, bipartite: bool):
         assert abs(vals[0] + (q + 1)) < 1e-9
         vals.pop(0)
     return vals[0], vals[-1]
+
+
+def coo_swap_halves(g: SerreGraph, orbits):
+    """(even, odd) swap halves of g for the checked (h, 2) orbits, each
+    built as a COO matrix of one entry per edge leaving a representative,
+    (its row, the row of its terminus), converted to CSR, which sums the
+    repeats; the odd entries are +1 to a representative and -1 to a partner,
+    and the zeros their sums leave are eliminated."""
+    reps, partners = orbits.T
+    n, h = g.num_vertices, len(orbits)
+    row = np.empty(n, dtype=orbits.dtype)
+    row[reps] = row[partners] = np.arange(h, dtype=orbits.dtype)
+    sign = np.full(n, -1.0)
+    sign[reps] = 1.0
+    t = g.neighbour_rows()[reps]
+    i = np.repeat(np.arange(h, dtype=orbits.dtype), t.shape[1])
+    t = t.reshape(-1)
+    j = row[t]
+    even = sp.csr_matrix((np.ones(len(j)), (i, j)), shape=(h, h))
+    odd = sp.csr_matrix((sign[t], (i, j)), shape=(h, h))
+    odd.eliminate_zeros()
+    return even, odd

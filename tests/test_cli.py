@@ -312,6 +312,18 @@ def test_tower_export_dir(tmp_path, capsys):
         assert g.num_vertices == v
 
 
+def test_tower_prints_its_levels_in_level_order(tmp_path, capsys):
+    # the levels are checked top level first; what is printed is not
+    rc = main(["tower", "--q1", "13", "--q2", "5", "--levels", "3",
+               "--report", str(tmp_path / "tower.json")])
+    assert rc == EXIT_OK
+    captured = capsys.readouterr()
+    assert re.findall(r"^\[residual\] level (\d+):", captured.err, re.M) == ["1", "2", "3"]
+    assert re.findall(r"^level (\d+):", captured.out, re.M) == ["1", "2", "3"]
+    report = json.loads((tmp_path / "tower.json").read_text())
+    assert [level["n"] for level in report["levels"]] == [1, 2, 3]
+
+
 def test_build_and_tower_export_the_same_twisted_level(tmp_path, capsys):
     # one seed twists both commands: build's level 2 is byte for byte the
     # level 2 that tower exports (seed 42 is not reseeded)

@@ -253,6 +253,15 @@ def test_swap_halves_peak_within_solve_bytes():
     assert peak <= spectra.solve_bytes(lvl.graph.num_vertices, lvl.graph.num_edges, True)
 
 
+def test_swap_halves_construction_peak_per_edge():
+    # built straight as CSR, the (5,13) cartan level-2 halves peak near the
+    # 12.7 bytes an edge they hold; a conversion from COO takes 24.8
+    lvl = build_level(TowerConfig(5, 13, levels=2), 2)
+    orbits = spectra._checked_orbits(lvl.graph, tower.swap_orbits(lvl))
+    _, peak = traced_peak(spectra._swap_halves, lvl.graph, orbits)
+    assert peak < 18 * lvl.graph.num_edges
+
+
 def test_probe_refuses_step_tables_beyond_physical_memory(monkeypatch):
     # Memory between the level-3 and level-4 estimates of the probe's step
     # tables: level 3 runs unchanged, level 4 is refused before any work.

@@ -10,8 +10,20 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
+
+from conftest import complete_graph, cycle_graph
+from expander_forge import InvalidParameterError, TowerConfig, adjacency, build_level
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path):
+    # a script or the benchmark worker, loaded by path as a module
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("script,args,expect", [
@@ -33,6 +45,24 @@ def test_script_runs(script, args, expect):
     assert expect in proc.stdout
 
 
+def test_histogram_examples():
+    histogram = _load(ROOT / "scripts" / "spectrum_histogram.py").full_spectrum_histogram
+    h = histogram(adjacency(cycle_graph(6)), 1)
+    assert h.fraction_inside == 1.0
+    assert sum(h.counts) == 6
+    h4 = histogram(adjacency(complete_graph(4)), 2)
+    assert h4.fraction_inside == 0.75
+    lvl = build_level(TowerConfig(5, 13), 1)
+    hl = histogram(adjacency(lvl.graph), 5)
+    assert hl.fraction_inside == (182 - 1) / 182
+
+
+def test_histogram_refuses_a_matrix_beyond_the_dense_threshold():
+    histogram = _load(ROOT / "scripts" / "spectrum_histogram.py").full_spectrum_histogram
+    with pytest.raises(InvalidParameterError, match="5000 > 4096 vertices"):
+        histogram(sp.identity(5000, format="csr"), 2)
+
+
 def test_benchmark_traced_names_resolve():
     # perfbench/worker.py wraps these (module, function) pairs by name; read
     # the table without importing or running the worker
@@ -52,10 +82,7 @@ def test_benchmark_build_pipeline_runs(tmp_path):
     # and not first as a failed benchmark run
     import expander_forge
 
-    spec = importlib.util.spec_from_file_location("perfbench_worker",
-                                                  ROOT / "perfbench" / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = _load(ROOT / "perfbench" / "worker.py")
     facts = worker.build_pipeline(expander_forge, {"q1": 5, "q2": 13, "level": 2,
                                                    "out": "top.edges"}, str(tmp_path))
     assert facts == {"vertices": [182, 30758], "coverings_verified": [True], "girth": 1,

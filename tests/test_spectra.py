@@ -29,12 +29,11 @@ from expander_forge.spectra import (
     RAMANUJAN_TOL,
     RESIDUAL_RTOL,
     adjacency,
-    full_spectrum_histogram,
     nontrivial_ends,
     ramanujan_check,
 )
 from expander_forge.tower import TowerConfig, build_level, swap_orbits
-from oracles import arpack_nontrivial_ends
+from oracles import arpack_nontrivial_ends, coo_swap_halves
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -173,17 +172,6 @@ def test_ramanujan_check_refuses_a_graph_of_no_vertices():
         ramanujan_check(SerreGraph(0, [], [], [], []))
 
 
-def test_histogram_examples():
-    h = full_spectrum_histogram(adjacency(cycle_graph(6)), 1)
-    assert h.fraction_inside == 1.0
-    assert sum(h.counts) == 6
-    h4 = full_spectrum_histogram(adjacency(complete_graph(4)), 2)
-    assert h4.fraction_inside == 0.75
-    lvl = build_level(TowerConfig(5, 13), 1)
-    hl = full_spectrum_histogram(adjacency(lvl.graph), 5)
-    assert hl.fraction_inside == (182 - 1) / 182
-
-
 def test_lanczos_nontrivial_ends_of_prism():
     # The Lanczos path returns the two nontrivial ends of the bipartite prism,
     # ascending, each residual-certified.
@@ -291,11 +279,6 @@ def test_solver_parameter_errors():
         nontrivial_ends(adjacency(k2), _trivial(k2, 0), 1, threading.Event())
     with pytest.raises(InvalidParameterError):
         ramanujan_check(cycle_graph(6), method="magic")
-    import scipy.sparse as sp
-
-    big = sp.identity(5000, format="csr")
-    with pytest.raises(InvalidParameterError):
-        full_spectrum_histogram(big, 2)
 
 
 # --- invariant suites ------------------------------------------------------
@@ -539,6 +522,26 @@ def test_swap_halves_together_have_the_spectrum_of_a():
         assert got == pytest.approx(want, abs=1e-9)
         r, s = order[:, 0], order[:, 1]
         assert np.array_equal(even.toarray(), a[np.ix_(r, r)] + a[np.ix_(r, s)])
+
+
+@pytest.mark.parametrize("q1,q2,n,cancels", [
+    (5, 13, 1, False), (5, 13, 2, False), (13, 5, 1, True), (13, 5, 2, False),
+    (13, 5, 3, False), (17, 5, 1, True), (5, 29, 1, False),
+])
+def test_swap_halves_are_the_coo_conversion_bit_for_bit(q1, q2, n, cancels):
+    # The CSR built straight from the table rows is the canonical CSR that
+    # the conversion from COO gives: the same indptr, indices and data, of
+    # the same dtypes.  Where the odd half's signs cancel, it holds fewer
+    # entries than the even half.
+    lvl = _cartan(q1, q2, n)
+    orbits = spectra._checked_orbits(lvl.graph, swap_orbits(lvl))
+    got, want = spectra._swap_halves(lvl.graph, orbits), coo_swap_halves(lvl.graph, orbits)
+    for half, oracle in zip(got, want):
+        assert half.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(half, name), getattr(oracle, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert (got[1].nnz < got[0].nnz) == cancels
 
 
 def _level_halves(make):

@@ -580,7 +580,8 @@ def test_swap_and_fibers_rejects_other_variants():
 
 
 def test_build_tower_solves_cartan_levels_on_swap_halves(monkeypatch):
-    # cartan levels hand their swap orbits to the check; other variants none
+    # cartan levels hand their swap orbits to the check; other variants none.
+    # The levels are checked top level first.
     seen = []
     check = tower.ramanujan_check
 
@@ -592,4 +593,20 @@ def test_build_tower_solves_cartan_levels_on_swap_halves(monkeypatch):
     build_tower(TowerConfig(13, 5, levels=2))
     build_tower(TowerConfig(5, 13, variant="borel"))
     on, off = {"orbits": True}, {"orbits": False}
-    assert seen == [(30, on), (750, on), (14, off)]
+    assert seen == [(750, on), (30, on), (14, off)]
+
+
+def test_build_tower_runs_the_dense_solves_after_the_swap_halves(monkeypatch):
+    # On (5,13) level 2 the two swap halves are solved on two threads before
+    # level 1's dense solve wakes a BLAS thread; the summaries stay in level
+    # order.
+    calls = []
+    dense, blocks = spectra._dense_values, spectra._solve_blocks
+    monkeypatch.setattr(spectra, "_dense_values",
+                        lambda a: calls.append(("dense", a.shape[0])) or dense(a))
+    monkeypatch.setattr(spectra, "_solve_blocks",
+                        lambda bs, norm: calls.append(("blocks", len(bs))) or blocks(bs, norm))
+    result = build_tower(TowerConfig(5, 13, levels=2))
+    assert calls == [("blocks", 2), ("dense", 182)]
+    assert [(s.n, s.vertices) for s in result.summaries] == [(1, 182), (2, 30758)]
+    assert [s.spectral.method for s in result.summaries] == ["dense", "iterative"]
