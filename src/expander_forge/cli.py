@@ -114,12 +114,6 @@ def _header_line(meta: dict) -> str:
     return f"{HEADER_PREFIX} {fields}"
 
 
-def _chunks(*cols):
-    """The columns cut into chunks of _CHUNK_ROWS rows."""
-    for start in range(0, len(cols[0]), _CHUNK_ROWS):
-        yield [col[start:start + _CHUNK_ROWS] for col in cols]
-
-
 def _in_file_order(o, lab) -> bool:
     """Whether the edges are in file order, (origin, label) with ties in
     edge-id order, checked _CHUNK_ROWS edges at a time."""
@@ -132,23 +126,19 @@ def _in_file_order(o, lab) -> bool:
 
 def _file_order_rows(g: SerreGraph):
     """The edges in file order as chunks of (origin, terminus, label, new
-    inverse id) arrays.  A table-backed graph is in that order, and its
-    chunks are derived from the table; edges of four arrays already in that
-    order, as on every file read back, are sliced unsorted."""
+    inverse id) arrays: g.edges of each slice of ids when the edges are in
+    that order, as on a table-backed graph and every file read back, else of
+    each slice of the ids sorted into it."""
     if g.table is not None or _in_file_order(g.origin, g.label):
         for start in range(0, g.num_edges, _CHUNK_ROWS):
-            chunk = slice(start, start + _CHUNK_ROWS)
-            origin, terminus, inv = g.edges(chunk)
-            label = (g.label[chunk] if g.table is None else
-                     np.arange(start, start + len(origin), dtype=origin.dtype) % g.table.shape[1])
-            yield origin, terminus, label, inv
+            yield g.edges(slice(start, start + _CHUNK_ROWS))
         return
-    o, lab = g.origin, g.label
-    perm = np.lexsort((lab, o))
+    perm = np.lexsort((g.label, g.origin))
     pos = np.empty_like(perm)
     pos[perm] = np.arange(len(perm))
-    for (p,) in _chunks(perm):
-        yield o[p], g.terminus[p], lab[p], pos[g.inv[p]]
+    for start in range(0, len(perm), _CHUNK_ROWS):
+        origin, terminus, label, inv = g.edges(perm[start:start + _CHUNK_ROWS])
+        yield origin, terminus, label, pos[inv]
 
 
 def _magnitudes(vals):
@@ -458,14 +448,17 @@ def _dot_edges(cols) -> str:
 def _dot_pieces(g: SerreGraph):
     """The DOT text of g as str pieces, loops and parallel edges kept as
     separate statements: a head, every vertex, then every edge e with
-    e < inv(e), in id order, one piece per chunk, and a tail."""
-    forward = np.flatnonzero(np.arange(g.num_edges) < g.inv)
-    edges = g.origin[forward], g.terminus[forward], g.label[forward]
-    del forward
+    e < inv(e), in id order, one piece per chunk of ids that holds one, and
+    a tail."""
     yield "graph expander_forge {\n"
-    for i, cols in enumerate(_chunks(np.arange(g.num_vertices))):
-        yield _rows_text(_DOT_VERTICES, i, cols)
-    yield from map(_dot_edges, _chunks(*edges))
+    vertices = np.arange(g.num_vertices)
+    for i, start in enumerate(range(0, g.num_vertices, _CHUNK_ROWS)):
+        yield _rows_text(_DOT_VERTICES, i, [vertices[start:start + _CHUNK_ROWS]])
+    for start in range(0, g.num_edges, _CHUNK_ROWS):
+        origin, terminus, label, inv = g.edges(slice(start, start + _CHUNK_ROWS))
+        forward = np.arange(start, start + len(inv), dtype=inv.dtype) < inv
+        if forward.any():
+            yield _dot_edges((origin[forward], terminus[forward], label[forward]))
     yield "}\n"
 
 
@@ -744,14 +737,13 @@ def cmd_export(args) -> int:
         _refuse_unwritable(args.out)
     g = load_graph(args.infile)
     if args.format == "dot":
-        # per vertex its int64 id and per forward edge (one in two) its int64 id
-        # and three gathered ids; and the one chunk in flight, each row a line
-        # and 40 bytes for a vertex, 80 for an edge (at most 34 and 74 traced)
+        # per vertex its int64 id, and the one chunk in flight: each row a
+        # line and 40 bytes for a vertex, 80 for an edge (at most 34 and 74
+        # traced), which also cover the chunk of ids an edge row is found in
         digits = len(str(g.num_vertices))
         line = 19 + 2 * digits + len(str(max(int(g.label.max(initial=0)), 0)))  # an edge's
         _refuse(f"the DOT text of {g.num_vertices} vertices and {g.num_edges // 2} edges needs",
-                8 * g.num_vertices + 16 * g.num_edges
-                + (44 + digits) * min(g.num_vertices, _CHUNK_ROWS)
+                8 * g.num_vertices + (44 + digits) * min(g.num_vertices, _CHUNK_ROWS)
                 + (80 + line) * min(g.num_edges // 2, _CHUNK_ROWS))
         pieces = _dot_pieces(g)
     else:

@@ -2,21 +2,21 @@
 
 A graph is a set of directed edges with origin/terminus maps and a
 fixed-point-free involution e -> inv(e) pairing each directed edge with its
-reverse; loops and parallel edges are first-class.  A graph read from a file
-holds its edge maps as four numpy integer arrays (int32 while every id fits,
-int64 beyond).  A tower level holds only its V x d transition table and the
-generator pairing, from which the edge maps of any chunk of edge ids follow;
-its readers take those chunks or the table's rows, and no edge-length id
-array besides the table is stored.  Girth counts a loop as a closed path of
-length 1 and a parallel pair as one of length 2, and a path may never
-traverse inv(e) right after e; it is a breadth-first search over the edges
-in origin order, a batch of sources at a time.  Connectivity and
-bipartiteness are component counts by scipy's csgraph on a CSR pattern of
-the termini in origin order, which on a tower level is its table.  Graph
-validation and the covering check, morphism axioms included, are array
-identities, scanned a chunk at a time for the first failing id, so their
-messages and witnesses are those of a check run one edge or vertex at a
-time.
+reverse; loops and parallel edges are first-class.  It is stored one of two
+ways: a graph read from a file holds its four edge columns as numpy integer
+arrays (int32 while every id fits, int64 beyond), and a tower level holds
+only its V x d transition table and the generator pairing.  Only SerreGraph
+knows which, and it gives up its edges through two readers: edges(ids), the
+four columns of a chunk of edge ids, and csr(), the termini in origin
+order as CSR rows, which on a tower level are its table.  Girth counts a
+loop as a closed path of length 1 and a parallel pair as one of length 2,
+and a path may never traverse inv(e) right after e; it is a breadth-first
+search over the CSR rows, a batch of sources at a time.  Connectivity and
+bipartiteness are component counts by scipy's csgraph on the same rows.
+Graph validation and the covering check, morphism axioms included, are
+array identities, scanned a chunk at a time for the first failing id, so
+their messages and witnesses are those of a check run one edge or vertex
+at a time.
 """
 
 import functools
@@ -57,6 +57,7 @@ def _first_failure(count: int, checks):
         if len(hits):
             i = int(hits[0])
             return start + i, next(message for m, message in checked if m[i])
+        del checked  # before the next chunk's checks are made
     return -1, ""
 
 
@@ -97,33 +98,34 @@ class SerreGraph:
     involution must satisfy inv(e) != e, inv(inv(e)) == e, and reverse the
     endpoints.  A graph built by from_table holds only its V x d table and
     the generator pairing: edge e = v*d + i leaves v with label i, ends at
-    table[v, i] and reverses to table[v, i]*d + pairing[i].  Its terminus is
-    a view of the table, and its origin, label and inv are computed on each
-    access, never stored; the readers below derive them a chunk at a time
-    (edges) or read the table's rows.  meta carries construction parameters
-    for exports.
+    table[v, i] and reverses to table[v, i]*d + pairing[i].  Both kinds hold
+    the terminus column, on a table a view of it.  Readers take the edges
+    through edges(ids) or csr(), the only code that tells the kinds apart;
+    the whole-graph origin, label and inv are edges(slice(None)), derived on
+    each access from a table.  meta carries construction parameters for
+    exports.
     """
 
-    __slots__ = ("num_vertices", "table", "pairing", "_origin", "_terminus", "_label", "_inv",
+    __slots__ = ("num_vertices", "table", "pairing", "_origin", "terminus", "_label", "_inv",
                  "meta", "_components")
 
     def __init__(self, num_vertices, origin, terminus, inv, label=None, meta=None):
         self.num_vertices = int(num_vertices)
         self.table = self.pairing = None
         self._origin = _id_array(origin)
-        self._terminus = _id_array(terminus)
+        self.terminus = _id_array(terminus)
         self._inv = _id_array(inv)
         self._label = (np.full(len(self._origin), -1, dtype=np.int32) if label is None
                        else _id_array(label, labels=True))
         self.meta = dict(meta) if meta else {}
         self._components = None
         ne = len(self._origin)
-        if not (len(self._terminus) == len(self._inv) == len(self._label) == ne):
+        if not (len(self.terminus) == len(self._inv) == len(self._label) == ne):
             raise InvalidParameterError("edge arrays have mismatched lengths")
         self._check()
         ids = index_dtype(max(self.num_vertices, ne))
-        self._origin, self._terminus, self._inv = (
-            a.astype(ids, copy=False) for a in (self._origin, self._terminus, self._inv))
+        self._origin, self.terminus, self._inv = (
+            a.astype(ids, copy=False) for a in (self._origin, self.terminus, self._inv))
 
     @classmethod
     def from_table(cls, table, pairing, meta=None):
@@ -142,11 +144,13 @@ class SerreGraph:
         if pairing.shape != (d,) or pairing.dtype.kind != "i":
             raise InvalidParameterError(f"a generator pairing must be {d} integer labels")
         g.num_vertices, g.table, g.pairing = nv, table, pairing.astype(ids)
-        g._origin = g._terminus = g._label = g._inv = None
+        g.terminus = table.reshape(-1)
+        g._origin = g._label = g._inv = None
         g.meta = dict(meta) if meta else {}
         g._components = None
         g._check()
         g.table = table.astype(ids, copy=False)
+        g.terminus = g.table.reshape(-1)
         return g
 
     def _check(self):
@@ -155,16 +159,16 @@ class SerreGraph:
             raise InvalidParameterError("directed edge count must be even")
         e, message = _first_failure(self.num_edges, self._edge_checks)
         if e >= 0:
-            o, t, _ = self.edges(slice(e, e + 1))
+            o, t, _, _ = self.edges(slice(e, e + 1))
             raise InvalidParameterError(message.format(e=e, o=o[0], t=t[0]))
 
     def _edge_checks(self, start, stop):
         """The checks of edges start..stop-1 for _first_failure."""
         nv, ne = self.num_vertices, self.num_edges
-        o, t, iv = self.edges(slice(start, stop))
+        o, t, _, iv = self.edges(slice(start, stop))
         e = np.arange(start, stop, dtype=index_dtype(ne))
         inv_out = (iv < 0) | (iv >= ne)
-        back_o, back_t, back_iv = self.edges(np.where(inv_out, 0, iv))
+        back_o, back_t, _, back_iv = self.edges(np.where(inv_out, 0, iv))
         return [((o < 0) | (o >= nv) | (t < 0) | (t >= nv), "edge {e} has endpoint out of range"),
                 (inv_out, "edge {e} has inverse id out of range"),
                 (iv == e, "involution fixed point at edge {e} ({o} -> {t}): a generator acting "
@@ -175,62 +179,48 @@ class SerreGraph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges (twice the geometric edge count)."""
-        return len(self._origin) if self.table is None else self.table.size
+        return len(self.terminus)
 
     @property
     def origin(self) -> np.ndarray:
-        if self.table is None:
-            return self._origin
-        nv, d = self.table.shape
-        return np.repeat(np.arange(nv, dtype=self.table.dtype), d)
-
-    @property
-    def terminus(self) -> np.ndarray:
-        return self._terminus if self.table is None else self.table.reshape(-1)
+        return self.edges(slice(None))[0]
 
     @property
     def label(self) -> np.ndarray:
-        if self.table is None:
-            return self._label
-        nv, d = self.table.shape
-        return np.tile(np.arange(d, dtype=self.table.dtype), nv)
+        return self.edges(slice(None))[2]
 
     @property
     def inv(self) -> np.ndarray:
-        if self.table is None:
-            return self._inv
-        return (self.table * self.table.shape[1] + self.pairing).reshape(-1)
+        return self.edges(slice(None))[3]
 
     def edges(self, ids):
-        """(origin, terminus, inv) of the edges ids, a slice or an array of
-        ids: slices or gathers of the arrays, or derived from the table."""
+        """(origin, terminus, label, inv) of the edges ids, a slice or an
+        array of ids: slices or gathers of the four arrays, or derived from
+        the table."""
         if self.table is None:
-            return self._origin[ids], self._terminus[ids], self._inv[ids]
-        d, flat = self.table.shape[1], self.table.reshape(-1)
+            return self._origin[ids], self.terminus[ids], self._label[ids], self._inv[ids]
+        d, flat = self.table.shape[1], self.terminus
         if isinstance(ids, slice):
             terminus = flat[ids]
             ids = np.arange(*ids.indices(len(flat)), dtype=flat.dtype)
         else:
             terminus = np.take(flat, ids)
         origin, label = np.divmod(ids, d)
-        return origin, terminus, terminus * d + np.take(self.pairing, label)
+        return origin, terminus, label, terminus * d + np.take(self.pairing, label)
 
-    def origin_order(self):
-        """The edge ids sorted by origin, ties in id order, or None when the
-        ids already are: on a table-backed graph, and on every file read
-        back."""
-        if self.table is not None or not np.any(self._origin[1:] < self._origin[:-1]):
-            return None
-        return np.argsort(self._origin, kind="stable").astype(self._origin.dtype)
-
-    def neighbour_rows(self) -> np.ndarray:
-        """The (V, d) termini of each vertex's edges in id order: the table,
-        or the termini sorted by origin.  The graph must be d-regular."""
-        if self.table is not None:
-            return self.table
-        order = self.origin_order()
-        rows = self._terminus if order is None else self._terminus[order]
-        return rows.reshape(self.num_vertices, -1)
+    def csr(self):
+        """(indptr, ends, order): the edges as CSR rows, vertex v's edges at
+        positions indptr[v]:indptr[v + 1] of ends, their termini, and order
+        the edge id at each position, or None when the ids are in origin
+        order already, as on a table-backed graph, whose ends are its table's
+        flat array, and on every file read back."""
+        ends, order = self.terminus, None
+        if self.table is None and np.any(self._origin[1:] < self._origin[:-1]):
+            order = np.argsort(self._origin, kind="stable").astype(self._origin.dtype)
+            ends = ends[order]
+        indptr = np.zeros(self.num_vertices + 1, dtype=ends.dtype)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        return indptr, ends, order
 
     def degrees(self) -> np.ndarray:
         """The number of edges out of each vertex."""
@@ -241,17 +231,12 @@ class SerreGraph:
     def _pattern(self, n: int, shift: int = 0):
         """The n x n CSR matrix with an entry at (origin[e], terminus[e] + shift)
         for every edge e, in float64, the dtype the component count converts
-        its input to.  Its rows are the termini in origin order, which on a
-        table-backed graph and on every file read back are the terminus
-        array itself."""
-        ne, order = self.num_edges, self.origin_order()
-        ends = self.terminus if order is None else self.terminus[order]
+        its input to: the rows of csr(), padded to n rows."""
+        indptr, ends, _ = self.csr()
         if shift:
-            ends = np.add(ends, shift, dtype=index_dtype(max(n, ne)))
-        indptr = np.full(n + 1, ne, dtype=ends.dtype)
-        indptr[0] = 0
-        indptr[1:self.num_vertices + 1] = np.cumsum(self.degrees())
-        return sp.csr_matrix((np.ones(ne), ends, indptr), shape=(n, n))
+            ends = np.add(ends, shift, dtype=index_dtype(max(n, len(ends))))
+        indptr = np.concatenate((indptr, np.full(n - self.num_vertices, len(ends), indptr.dtype)))
+        return sp.csr_matrix((np.ones(len(ends)), ends, indptr), shape=(n, n))
 
     def _vertex_components(self) -> int:
         """Number of connected components, counted once and kept."""
@@ -284,7 +269,7 @@ class SerreGraph:
         if self.table is not None:
             at_home = self.table == np.arange(self.num_vertices, dtype=self.table.dtype)[:, None]
             return int(np.count_nonzero(at_home)) // 2
-        return int(np.count_nonzero(self._origin == self._terminus)) // 2
+        return int(np.count_nonzero(self._origin == self.terminus)) // 2
 
 
 def girth(g: SerreGraph):
@@ -303,14 +288,13 @@ def girth(g: SerreGraph):
     nv, ids = g.num_vertices, g.terminus.dtype
     # the search runs on CSR positions: edges sorted by origin, each with its
     # terminus and the position of its reverse
-    order = g.origin_order()
-    terminus, reverse = g.terminus, g.inv
+    indptr, terminus, order = g.csr()
+    reverse = g.inv
     if order is not None:
         position = np.empty_like(order)
         position[order] = np.arange(len(order), dtype=ids)
-        terminus, reverse = terminus[order], position[reverse[order]]
-    degree = g.degrees()
-    stop = np.cumsum(degree)
+        reverse = position[reverse[order]]
+    degree, stop = np.diff(indptr), indptr[1:]
     batch = max(1, _GIRTH_CELLS // max(nv, 1))
     best = math.inf
     for s0 in range(0, nv, batch):
@@ -382,8 +366,8 @@ def is_covering(source: SerreGraph, target: SerreGraph, vertex_map, edge_map) ->
         # the gathers are np.take, which is faster than indexing here
         fe = em[start:stop]
         out = (fe < 0) | (fe >= target.num_edges)
-        origin, terminus, inv = source.edges(slice(start, stop))
-        t_origin, t_terminus, t_inv = target.edges(np.where(out, 0, fe).astype(np.intp))
+        origin, terminus, _, inv = source.edges(slice(start, stop))
+        t_origin, t_terminus, _, t_inv = target.edges(np.where(out, 0, fe).astype(np.intp))
         ends = ((t_origin != np.take(vm, origin)) | (t_terminus != np.take(vm, terminus)))
         return [(out, "edge map image out of range"),
                 (ends, "edge {e} does not commute with origin/terminus"),
@@ -402,9 +386,9 @@ def is_covering(source: SerreGraph, target: SerreGraph, vertex_map, edge_map) ->
     # numbered from 0.  Give v a block of max(deg(v), deg(vm[v])) slots and
     # let each edge of v fill the slot its image's number names: v's link
     # maps bijectively exactly when its block is full.
-    tdeg = target.degrees()
-    order = target.origin_order()
-    number = np.arange(target.num_edges) - np.repeat(np.cumsum(tdeg) - tdeg, tdeg)
+    indptr, _, order = target.csr()
+    tdeg = np.diff(indptr)
+    number = np.arange(target.num_edges) - np.repeat(indptr[:-1], tdeg)
     if order is not None:
         number[order] = number.copy()
     size = source.degrees()

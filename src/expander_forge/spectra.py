@@ -63,12 +63,10 @@ _SOLVE_VECTORS = 16
 def adjacency(g: SerreGraph) -> sp.csr_matrix:
     """Symmetric nonnegative integer matrix; A[u, v] = #directed edges u -> v,
     in canonical CSR form (sorted columns, no duplicates), built from a copy
-    of the termini in origin order, which on a tower level are its table's
-    rows."""
-    n, order = g.num_vertices, g.origin_order()
-    columns = g.terminus.copy() if order is None else g.terminus[order]
-    indptr = np.concatenate(([0], np.cumsum(g.degrees())))
-    a = sp.csr_matrix((np.ones(g.num_edges), columns, indptr), shape=(n, n))
+    of the rows of g.csr(): sum_duplicates compacts them in place, and on a
+    tower level they are its table."""
+    n, (indptr, ends, _) = g.num_vertices, g.csr()
+    a = sp.csr_matrix((np.ones(g.num_edges), ends.copy(), indptr), shape=(n, n))
     a.sum_duplicates()
     return a
 
@@ -283,7 +281,7 @@ def _checked_orbits(g: SerreGraph, orbits) -> np.ndarray:
             f"orbits hold vertex {v} {np.count_nonzero(o == v)} times, not once")
     swap = np.empty(n, dtype=o.dtype)
     swap[o[:, 0]], swap[o[:, 1]] = o[:, 1], o[:, 0]
-    rows = np.sort(g.neighbour_rows(), axis=1)
+    rows = np.sort(g.csr()[1].reshape(n, -1), axis=1)
     if not np.array_equal(rows[swap], np.sort(swap[rows], axis=1)):
         raise InvalidParameterError("orbits are not those of an automorphism: their swap "
                                     "does not map the edges onto the edges with multiplicity")
@@ -303,7 +301,7 @@ def _swap_halves(g: SerreGraph, orbits):
     row[reps] = row[partners] = np.arange(h, dtype=orbits.dtype)
     sign = np.full(n, -1.0)
     sign[reps] = 1.0
-    t = g.neighbour_rows()[reps]  # the edges leaving a representative
+    t = g.csr()[1].reshape(n, -1)[reps]  # the edges leaving a representative
     d, size = t.shape[1], t.size
     idx = index_dtype(size)
     signs = sign[t].reshape(-1)

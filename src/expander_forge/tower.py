@@ -82,8 +82,7 @@ class TowerConfig:
                 raise InvalidParameterError(f"{name} must be a prime congruent to 1 mod 4, got {q}")
         if self.q1 == self.q2:
             raise InvalidParameterError("q1 and q2 must be distinct")
-        if self.levels < 1:
-            raise InvalidParameterError(f"levels must be >= 1, got {self.levels}")
+        _check_depth("levels", self.q2, self.levels)
         if self.variant not in VARIANTS:
             raise InvalidParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.twist_seed is not None and self.variant != "cartan":
@@ -93,6 +92,16 @@ class TowerConfig:
     def mode(self) -> str:
         """PSL when q1 is a quadratic residue mod q2, else PGL."""
         return "PSL" if legendre(self.q1, self.q2) == 1 else "PGL"
+
+
+def _check_depth(name: str, q: int, n: int) -> None:
+    """Raise InvalidParameterError unless 1 <= n and q^n < 2^63, before any
+    estimate: past 2^63 no point code of level n is int64, and its sizes are
+    too long to print.  q^n is formed only up to n = 64, past 2^63 for q >= 5."""
+    if n < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {n}")
+    if q ** min(n, 64) >= 2**63:
+        raise InvalidParameterError(f"modulus {q}**{n} does not fit in int64")
 
 
 def expected_vertices(cfg: TowerConfig, n: int) -> int:
@@ -627,16 +636,15 @@ def intersection_probe(cfg: TowerConfig, max_word_len: int = 4,
     """
     if max_word_len < 1:
         raise InvalidParameterError("max_word_len must be >= 1")
-    # (q1+1) q1^(k-1) reduced words of each length k
-    tested = (cfg.q1 + 1) * (cfg.q1**max_word_len - 1) // (cfg.q1 - 1)
+    # (q1+1) q1^(k-1) reduced words of each length k, over q1^max_word_len in all
     if max_word_len > DEFAULT_PROBE_CAP:
+        words = (f"~{(cfg.q1 + 1) * (cfg.q1**max_word_len - 1) // (cfg.q1 - 1)}"
+                 if max_word_len * math.log10(cfg.q1) < 20 else f"over {cfg.q1}**{max_word_len}")
         raise InvalidParameterError(
-            f"max_word_len {max_word_len} exceeds cap {DEFAULT_PROBE_CAP} "
-            f"(~{tested} reduced words)"
-        )
+            f"max_word_len {max_word_len} exceeds cap {DEFAULT_PROBE_CAP} ({words} reduced words)")
+    tested = (cfg.q1 + 1) * (cfg.q1**max_word_len - 1) // (cfg.q1 - 1)
     n_levels = cfg.levels if up_to_level is None else up_to_level
-    if n_levels < 1:
-        raise InvalidParameterError(f"up_to_level must be >= 1, got {n_levels}")
+    _check_depth("up_to_level", cfg.q2, n_levels)
     _refuse(f"the probe's step tables at level {n_levels} of ({cfg.q1},{cfg.q2}) need",
             _probe_bytes(cfg, n_levels))
     gens = enumerate_generators(cfg.q1)

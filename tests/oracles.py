@@ -663,7 +663,7 @@ def coo_swap_halves(g: SerreGraph, orbits):
     row[reps] = row[partners] = np.arange(h, dtype=orbits.dtype)
     sign = np.full(n, -1.0)
     sign[reps] = 1.0
-    t = g.neighbour_rows()[reps]
+    t = g.csr()[1].reshape(n, -1)[reps]
     i = np.repeat(np.arange(h, dtype=orbits.dtype), t.shape[1])
     t = t.reshape(-1)
     j = row[t]

@@ -205,8 +205,9 @@ class _LoggedFile:
 
 def test_export_dot_streams_its_pieces(tmp_path, monkeypatch):
     # The DOT export writes each piece as it is made, never the joined text:
-    # the head, the vertex chunk, the three chunks of forward edges and the
-    # tail of (5,13) cartan level 2, one chunk in flight.
+    # the head, the vertex chunk, the forward edges of each of the six
+    # chunks of ids and the tail of (5,13) cartan level 2, one chunk in
+    # flight.
     path, out = tmp_path / "g.edges", tmp_path / "g.dot"
     cli.write_edgelist(str(path), build_level(TowerConfig(5, 13, levels=2), 2).graph)
     g = load_graph(str(path))
@@ -215,7 +216,7 @@ def test_export_dot_streams_its_pieces(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _LoggedFile(fdopen(fd, mode), writes))
     assert main(["export", "--in", str(path), "--format", "dot", "--out", str(out)]) == EXIT_OK
     assert out.read_text() == string_format_dot(g)
-    assert len(writes) == 6 and max(writes) < out.stat().st_size // 2
+    assert len(writes) == 9 and max(writes) < out.stat().st_size // 2
 
 
 def test_export_borel_dot(tmp_path, capsys):
@@ -752,6 +753,40 @@ def test_probe_refuses_level_beyond_physical_memory():
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "physical memory" in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["probe", "--level", "1", "--max-word-len", "10000"],
+     "max_word_len 10000 exceeds cap 8 (over 5**10000 reduced words)"),
+    (["probe", "--level", "1", "--max-word-len", "1000000000"],
+     "max_word_len 1000000000 exceeds cap 8 (over 5**1000000000 reduced words)"),
+    (["tower", "--levels", "1", "--probe-len", "10000"],
+     "max_word_len 10000 exceeds cap 8 (over 5**10000 reduced words)"),
+    (["build", "--level", "3000"], "modulus 13**3000 does not fit in int64"),
+    (["tower", "--levels", "3000"], "modulus 13**3000 does not fit in int64"),
+    (["probe", "--level", "3000", "--max-word-len", "2"], "modulus 13**3000 does not fit in int64"),
+    (["build", "--level", "1000000000"], "modulus 13**1000000000 does not fit in int64"),
+], ids=["probe_len", "probe_len_1e9", "tower_probe_len", "build_level", "tower_levels",
+        "probe_level", "build_level_1e9"])
+def test_oversized_level_or_word_length_exits_2(argv, message, tmp_path):
+    # Each count is refused before it is computed: 5**(10**9) words or a
+    # level of 13**5999 vertices would otherwise be computed and printed.
+    # The child's address space and time are capped, so a missing check
+    # fails on allocation or by timeout.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "out"
+    flag = {"build": ["--out", str(out)], "tower": ["--report", str(out)]}.get(argv[0], [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_forge", argv[0], "--q1", "5", "--q2", "13",
+         *argv[1:], *flag],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        timeout=30, preexec_fn=cap,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == f"error: {message}\n" and not proc.stdout
+    assert not out.exists()
 
 
 def test_spectrum_that_does_not_converge_exits_4(tmp_path, monkeypatch, capsys):

@@ -403,9 +403,10 @@ def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
     assert [log[0][1:] for log in (chunks, blocks)] == [(threading.main_thread(), before)] * 2
     assert threading.active_count() == before
     # Many chunks and blocks start no thread either: the 1,092 edge lines
-    # and JSON rows are 11 chunks each, the DOT text's 182 vertices and 546
-    # edges 2 and 6, and the list is read in 2 blocks.  Every call runs on
-    # the calling thread, with no other thread alive.
+    # and JSON rows are 11 chunks each, the DOT text's 182 vertices 2, its
+    # 546 edges are found in 11 chunks of ids, and the list is read in 2
+    # blocks.  Every call runs on the calling thread, with no other thread
+    # alive.
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
     monkeypatch.setattr(cli, "_BLOCK_BYTES", len(text) // 2)
     dot_edges = _thread_log(monkeypatch, "_dot_edges")
@@ -415,7 +416,7 @@ def test_a_single_chunk_or_block_starts_no_thread(monkeypatch):
     assert _json_text(g) == dump_report(graph_to_json(g))
     assert format_dot(g) == string_format_dot(g)
     assert np.array_equal(_rows(parse_edgelist(text)), _rows(g))
-    assert [len(log) for log in (chunks, dot_edges, blocks)] == [11 + 11 + 2, 6, 2]
+    assert [len(log) for log in (chunks, dot_edges, blocks)] == [11 + 11 + 2, 11, 2]
     calls = chunks + dot_edges + blocks
     assert {entry[1:] for entry in calls} == {(threading.main_thread(), before)}
     assert threading.active_count() == before
@@ -578,8 +579,9 @@ def test_graph_checks_on_int32_columns_hold_no_edge_length_array(level_5_17):
     assert {a.dtype for a in cols} == {np.dtype(np.int32)}
     checked, peak = traced_peak(SerreGraph, g.num_vertices, *cols)
     assert peak < 4 * g.num_edges and peak <= 32 * multigraph._VALIDATE_CHUNK
-    assert all(a is b for a, b in zip((checked.origin, checked.terminus, checked.inv,
-                                       checked.label), cols))
+    # the graph holds the columns it was given, not copies
+    assert all(np.shares_memory(a, b) for a, b in zip((checked.origin, checked.terminus,
+                                                       checked.inv, checked.label), cols))
 
 
 def test_loaded_level_has_the_built_arrays(level_5_17):

@@ -1,19 +1,21 @@
 """The vectorized level builder and array covering check against the
 original tuple-state builder and the link-by-link covering check, pinned
 edge-list bytes, the up-front memory refusals of levels, the eigensolve
-and the probe's step tables, and a level's graph held as its table."""
+and the probe's step tables, and a level's graph held as its table, whose
+readers agree with those of its four-array copies."""
 
 import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import covering_morphism, traced_peak
+from conftest import covering_morphism, format_dot, traced_peak
 from expander_forge import cli, multigraph, spectra, tower
-from expander_forge.cli import format_edgelist
+from expander_forge.cli import dump_report, format_edgelist
 from expander_forge.errors import InvalidParameterError, VerificationError
-from expander_forge.multigraph import CoveringCheck, SerreGraph, is_covering
+from expander_forge.multigraph import CoveringCheck, SerreGraph, girth, is_covering
 from expander_forge.tower import (
     TowerConfig,
     build_level,
@@ -22,7 +24,8 @@ from expander_forge.tower import (
     natural_covering,
     twist_sequence,
 )
-from oracles import link_is_covering, tuple_state_level
+from oracles import (graph_to_json, link_is_covering, string_format_dot,
+                     string_format_edgelist, tuple_state_level)
 
 # (q1, q2, variant, top level, twist seed): every level 1..top is checked
 ORACLE_TOWERS = [
@@ -322,7 +325,8 @@ def test_build_level_peak_within_estimated_bytes(q1, q2, variant, n):
 
 
 def test_built_level_holds_no_edge_length_array_besides_its_table(tmp_path):
-    # the graph of a built level holds its table and the pairing; origin,
+    # the graph of a built level holds its table and the pairing: every
+    # array it holds of edge size is the table or a view of it.  origin,
     # label and inv are computed on each access, and terminus is a view of
     # the table.  A file read back holds the four arrays.
     lvl = build_level(TowerConfig(5, 13, levels=2), 2)
@@ -330,18 +334,20 @@ def test_built_level_holds_no_edge_length_array_besides_its_table(tmp_path):
     assert g.table is lvl.table and g.pairing.tolist() == list(lvl.generators.inverse_pairing)
     held = [getattr(g, name) for name in SerreGraph.__slots__ if hasattr(g, name)]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
-    assert [a for a in arrays if a.size >= ne] == [lvl.table]
-    assert max(a.size for a in arrays if a is not lvl.table) < ne
+    large = [a for a in arrays if a.size >= ne]
+    assert any(a is lvl.table for a in large)
+    assert all(np.shares_memory(a, lvl.table) for a in large)
+    assert max(a.size for a in arrays if not np.shares_memory(a, lvl.table)) < ne
     assert np.shares_memory(g.terminus, lvl.table)
     for name in ("origin", "label", "inv"):
-        assert getattr(g, name) is not getattr(g, name), name
+        assert not np.shares_memory(getattr(g, name), getattr(g, name)), name
     assert np.array_equal(g.origin, np.repeat(np.arange(g.num_vertices), d))
     assert np.array_equal(g.label, np.tile(np.arange(d), g.num_vertices))
     assert np.array_equal(g.inv, (lvl.table * d + g.pairing).reshape(-1))
     path = tmp_path / "level2.edges"
     cli.write_edgelist(str(path), g)
     loaded = cli.load_graph(str(path))
-    assert loaded.table is None and loaded.origin is loaded.origin
+    assert loaded.table is None and np.shares_memory(loaded.origin, loaded.origin)
     for name in ("origin", "terminus", "label", "inv"):
         assert np.array_equal(getattr(loaded, name), getattr(g, name)), name
 
@@ -423,3 +429,75 @@ def test_corrupted_table_entry_raises_the_four_array_message(monkeypatch, chunk)
         with pytest.raises(InvalidParameterError) as err:
             SerreGraph.from_table(lvl.table, bad)
         assert str(err.value) == want
+
+
+def _storage_kinds(g):
+    """[(graph, the new id of each of g's edge ids)]: g, its copy as four
+    arrays, and a copy of four arrays with its edge ids shuffled."""
+    origin, terminus, label, inv = g.edges(slice(None))
+    same = np.arange(g.num_edges)
+    old = np.random.default_rng(5).permutation(g.num_edges)  # the old id of each new id
+    new = np.empty_like(old)
+    new[old] = same
+    four = SerreGraph(g.num_vertices, origin, terminus, inv, label, meta=g.meta)
+    shuffled = SerreGraph(g.num_vertices, origin[old], terminus[old], new[inv[old]], label[old],
+                          meta=g.meta)
+    return [(g, same), (four, same), (shuffled, new)]
+
+
+@pytest.mark.parametrize("variant,n", [("cartan", 2), ("cayley", 1)])
+def test_storage_kinds_agree_on_every_reader(variant, n):
+    # (5,13) cartan level 2 has loops and covers level 1; cayley level 1
+    # (PGL) is bipartite, of girth 8.  Each reader of the built level,
+    # its four-array copy and a copy with shuffled edge ids gives the same
+    # answer, and the text exports equal their oracles.
+    cfg = TowerConfig(5, 13, levels=n, variant=variant)
+    lvl = build_level(cfg, n)
+    nv, d = lvl.graph.num_vertices, lvl.degree
+    table = lvl.table.copy()
+    kinds = _storage_kinds(lvl.graph)
+    sides, gir = lvl.graph.bipartition(), girth(lvl.graph)
+    assert (sides is None) == (variant == "cartan") and gir == {"cartan": 1, "cayley": 8}[variant]
+    text = string_format_edgelist(lvl.graph)
+    json_text = dump_report(graph_to_json(lvl.graph))
+    for g, _ in kinds:
+        assert np.array_equal(g.degrees(), np.full(nv, d))
+        indptr, ends, order = g.csr()
+        assert np.array_equal(indptr, np.arange(0, nv * d + 1, d))
+        assert (order is None) == (g is not kinds[2][0])
+        ids = np.arange(g.num_edges) if order is None else order
+        # each row is its vertex's edges in id order
+        assert np.array_equal(ends, g.terminus[ids])
+        assert np.array_equal(g.origin[ids], np.repeat(np.arange(nv), d))
+        assert np.all(np.diff(ids.reshape(nv, d), axis=1) > 0)
+        assert np.array_equal(np.sort(ends.reshape(nv, d), axis=1), np.sort(table, axis=1))
+        assert g._vertex_components() == 1
+        got = g.bipartition()
+        assert got is None if sides is None else np.array_equal(got, sides)
+        a = spectra.adjacency(g)
+        want = sp.coo_matrix((np.ones(g.num_edges), (g.origin, g.terminus)),
+                             shape=(nv, nv)).tocsr()
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        # the rows were copied before sum_duplicates compacted them
+        assert np.array_equal(lvl.table, table)
+        assert girth(g) == gir
+        assert format_edgelist(g) == text == string_format_edgelist(g)
+        assert "".join(cli._graph_pieces(g, "json")) == json_text
+        assert format_dot(g) == string_format_dot(g)
+    if n == 1:
+        return
+    lower = build_level(cfg, n - 1)
+    _, _, vm, em = covering_morphism(lvl, lower, natural_covering(lvl, lower).vertex_map)
+    bad = em.copy()
+    bad[[0, 1]] = bad[[1, 0]]
+    verdicts = []
+    for (g, new), (h, new_h) in zip(kinds, _storage_kinds(lower.graph)):
+        for edge_map in (em, bad):
+            mapped = np.empty_like(edge_map)
+            mapped[new] = new_h[edge_map]
+            verdicts.append(is_covering(g, h, vm, mapped))
+    assert [v.ok for v in verdicts] == [True, False] * 3
+    assert verdicts[:2] == verdicts[2:4]
+    assert verdicts[5].witness == verdicts[1].witness == 0

@@ -78,6 +78,20 @@ def test_config_validation():
         TowerConfig(5, 13, variant="borel", twist_seed=1)
 
 
+def test_depth_past_an_int64_modulus_is_refused():
+    # 13**17 < 2**63 <= 13**18; a depth of 10**9 is refused without forming
+    # 13**(10**9), and a probe deeper than its config the same way
+    assert TowerConfig(5, 13, levels=17).levels == 17
+    for k in (18, 10**9):
+        message = rf"^modulus 13\*\*{k} does not fit in int64$"
+        with pytest.raises(InvalidParameterError, match=message):
+            TowerConfig(5, 13, levels=k)
+        with pytest.raises(InvalidParameterError, match=message):
+            intersection_probe(TowerConfig(5, 13), 2, up_to_level=k)
+    with pytest.raises(InvalidParameterError, match=r"^up_to_level must be >= 1, got 0$"):
+        intersection_probe(TowerConfig(5, 13), 2, up_to_level=0)
+
+
 def test_two_squares():
     assert two_squares(5) == (1, 2)
     assert two_squares(13) == (3, 2)
